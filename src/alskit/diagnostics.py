@@ -263,35 +263,6 @@ def assumption_monitors(trace: RunTrace, growth_threshold: float = 1e6) -> Monit
     )
 
 
-def orthonormal_complement(direction) -> np.ndarray:
-    """Orthonormal basis R (N x N-1) of the complement of a nonzero vector.
-
-    Deterministic: Gram-Schmidt over the standard basis with
-    re-orthogonalization, skipping near-dependent candidates.
-    """
-    v = np.asarray(direction, dtype=float).ravel()
-    n = v.size
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise ValueError("complement undefined for the zero vector")
-    basis = [v / nv]
-    for j in range(n):
-        if len(basis) == n:
-            break
-        w = np.zeros(n)
-        w[j] = 1.0
-        for _ in range(2):  # twice is enough
-            for u in basis:
-                w -= (u @ w) * u
-        nw = np.linalg.norm(w)
-        if nw < 1e-8:
-            continue
-        basis.append(w / nw)
-    if len(basis) != n:
-        raise ValueError("failed to complete an orthonormal basis")
-    return np.column_stack(basis[1:])
-
-
 def materialize_M(
     fmt: TensorFormat, b: DenseTensor, p: ParamSystem, mu: int, nu: int
 ) -> np.ndarray:
@@ -426,23 +397,22 @@ class TangentRecursion:
 def tangent_recursion(transfer: np.ndarray, reference, v_mid) -> TangentRecursion:
     """Propagate the tangent through a transfer matrix and factor the rate.
 
-    With v split into c (along the reference) and s (complement
-    coordinates), the image tangent factors as (q_s / q_c) * tan_in where
-    q_s and q_c are the complement and axis amplification factors.
+    With v split into its coordinate c along the reference and the norm
+    s of its orthogonal complement part, the image tangent factors as
+    (q_s / q_c) * tan_in where q_s and q_c are the complement and axis
+    amplification factors.
     """
     ref = np.asarray(reference, dtype=float).ravel()
     v = np.asarray(v_mid, dtype=float).ravel()
     ref_hat = ref / np.linalg.norm(ref)
-    R = orthonormal_complement(ref_hat)
     c = float(ref_hat @ v)
-    s_vec = R.T @ v
-    s = float(np.linalg.norm(s_vec))
+    s = float(np.linalg.norm(v - c * ref_hat))
     if c == 0.0 or s == 0.0:
         raise ValueError("tangent recursion needs nonzero axis and complement parts")
     tan_in = s / abs(c)
     w = transfer @ v
     c_out = float(ref_hat @ w)
-    s_out = float(np.linalg.norm(R.T @ w))
+    s_out = float(np.linalg.norm(w - c_out * ref_hat))
     if c_out == 0.0:
         raise ValueError("transfer image orthogonal to the reference")
     tan_out = s_out / abs(c_out)

@@ -3,7 +3,11 @@
 A format is a map U(p_1, ..., p_L) from L flat parameter blocks into the
 dense tensor space, linear in each block separately.  That multilinearity
 is what the solver exploits: freezing all blocks but one leaves a linear
-map, materialized column-by-column by probing the standard basis.
+map W, returned by ``TensorFormat.local_map``.  CP and TT build W from
+their structure (a Khatri-Rao product, respectively the left and right
+interface matrices, placed on the identity of the free mode); the generic
+fallback, used by custom formats, probes the standard basis one column
+at a time.
 """
 
 from __future__ import annotations
@@ -70,6 +74,24 @@ class TensorFormat:
     def _evaluate_blocks(self, blocks) -> np.ndarray:
         raise NotImplementedError
 
+    def local_map(self, blocks, mu: int) -> np.ndarray:
+        """Matrix (N, block_dim(mu)) of q -> U(..., blocks[mu-1], q, blocks[mu+1], ...).
+
+        Generic fallback: one evaluation per standard basis vector of
+        block mu.  Formats with known structure override it; this probe is
+        the reference their overrides are checked against.
+        """
+        dim = self.block_dim(mu)
+        blocks = list(blocks)
+        W = np.empty((self.shape.size, dim))
+        probe = np.zeros(dim)
+        for j in range(dim):
+            probe[j] = 1.0
+            blocks[mu] = probe
+            W[:, j] = self._evaluate_blocks(blocks)
+            probe[j] = 0.0
+        return W
+
     def check_params(self, p: ParamSystem):
         if len(p) != self.num_blocks:
             raise ValueError(
@@ -123,6 +145,28 @@ class CpFormat(TensorFormat):
             out += t
         return out.ravel()
 
+    def local_map(self, blocks, mu: int) -> np.ndarray:
+        """Khatri-Rao product of the frozen factors placed on the identity.
+
+        Column i + m_mu * j is the rank-one term j with its mode-mu factor
+        replaced by e_i.  The product runs left to right over the frozen
+        modes, in the order of ``_evaluate_blocks``, so W equals the probed
+        matrix exactly.
+        """
+        dims = self.shape.dims
+        r = self.rank
+        kr = np.ones((1, r))
+        for nu, (b, m) in enumerate(zip(blocks, dims)):
+            if nu != mu:
+                kr = (kr[:, None, :] * b.reshape((m, r), order="F")[None]).reshape(-1, r)
+        m = dims[mu]
+        left = int(np.prod(dims[:mu]))
+        # W[(left, i, right), (j, i')] is kr[(left, right), j] if i == i', else 0
+        W = np.zeros((left, m, kr.shape[0] // left, r, m))
+        diag = np.arange(m)
+        W[:, diag, :, :, diag] = kr.reshape(left, -1, r)
+        return W.reshape(self.shape.size, self.block_dim(mu))
+
 
 class TtFormat(TensorFormat):
     """Tensor train: block mu is a core of shape (r_{mu-1}, m_mu, r_mu).
@@ -163,6 +207,28 @@ class TtFormat(TensorFormat):
         for core in cores[1:]:
             t = np.tensordot(t, core, axes=(t.ndim - 1, 0))
         return t.reshape(self.shape.dims).ravel()
+
+    def local_map(self, blocks, mu: int) -> np.ndarray:
+        """Left interface (x) identity (x) right interface.
+
+        Entry ((l, i, q), (a, i', c)) is P[l, a] * Q[c, q] if i == i', else
+        0, with P the product of the cores left of mu (L x r_{mu-1}) and Q
+        the product of the cores right of it (r_mu x R).
+        """
+        dims, ranks = self.shape.dims, self.ranks
+        P = np.ones((1, 1))
+        for nu in range(mu):
+            P = P.reshape(-1, ranks[nu]) @ blocks[nu].reshape(ranks[nu], -1)
+        P = P.reshape(-1, ranks[mu])
+        Q = np.ones((1, 1))
+        for nu in range(self.num_blocks - 1, mu, -1):
+            Q = blocks[nu].reshape(-1, ranks[nu + 1]) @ Q.reshape(ranks[nu + 1], -1)
+        Q = Q.reshape(ranks[mu + 1], -1)
+        m = dims[mu]
+        W = np.zeros((P.shape[0], m, Q.shape[1], ranks[mu], m, ranks[mu + 1]))
+        diag = np.arange(m)
+        W[:, diag, :, :, diag, :] = P[:, None, :, None] * Q.T[None, :, None, :]
+        return W.reshape(self.shape.size, self.block_dim(mu))
 
 
 class MultilinearFormat(TensorFormat):
@@ -217,22 +283,14 @@ def total_param_dim(fmt: TensorFormat) -> int:
 def materialize_W(fmt: TensorFormat, p: ParamSystem, mu: int) -> np.ndarray:
     """Matrix of the linear map q -> U(..., p_{mu-1}, q, p_{mu+1}, ...).
 
-    Columns are obtained by probing the standard basis of block mu, so the
-    routine works for any multilinear format.  Shape is (N, block_dim(mu)).
+    Shape is (N, block_dim(mu)).  Built by ``fmt.local_map``: CP and TT
+    assemble it from their structure, any other multilinear format by
+    probing the standard basis of block mu.
     """
     fmt.check_params(p)
     if not 0 <= mu < fmt.num_blocks:
         raise ValueError(f"block index {mu} out of range [0, {fmt.num_blocks})")
-    dim = fmt.block_dim(mu)
-    blocks = [p[nu] for nu in range(len(p))]
-    W = np.empty((fmt.shape.size, dim))
-    probe = np.zeros(dim)
-    for j in range(dim):
-        probe[j] = 1.0
-        blocks[mu] = probe
-        W[:, j] = fmt._evaluate_blocks(blocks)
-        probe[j] = 0.0
-    return W
+    return fmt.local_map(p.blocks, mu)
 
 
 def params_to_json(fmt: TensorFormat, p: ParamSystem) -> str:

@@ -219,6 +219,51 @@ def check_tt_against_direct_contraction():
     return worst <= 1e-12, f"max entry deviation {worst:.2e} (tol 1e-12)"
 
 
+def _relative_deviation(got: np.ndarray, want: np.ndarray) -> float:
+    scale = np.linalg.norm(want)
+    diff = np.linalg.norm(got - want)
+    return float(diff / scale) if scale > 0.0 else float(diff)
+
+
+def check_structured_vs_probe(trials: int = 20):
+    # CP/TT local maps and the batched mode-wise apply against the generic
+    # probe and column-by-column paths of the base classes
+    rng = np.random.default_rng(108)
+    cp_mismatch = 0
+    worst_tt = 0.0
+    worst_apply = 0.0
+    for t in range(trials):
+        d = 1 + t % 4
+        dims = [int(x) for x in rng.integers(1, 5, size=d)]
+        dims[int(rng.integers(0, d))] = 1  # a mode of size 1
+        shape = Shape(tuple(dims))
+        cp = CpFormat(shape, int(rng.integers(1, 4)))
+        tt = TtFormat(shape, tuple(int(x) for x in rng.integers(1, 4, size=d - 1)))
+        for fmt in (cp, tt):
+            blocks = [rng.standard_normal(fmt.block_dim(mu)) for mu in range(d)]
+            if d > 1 and t % 3 == 0:
+                blocks[int(rng.integers(0, d))][:] = 0.0  # rank-deficient W
+            for mu in range(d):
+                got = fmt.local_map(blocks, mu)
+                want = TensorFormat.local_map(fmt, blocks, mu)
+                if fmt is cp:
+                    cp_mismatch += not np.array_equal(got, want)
+                else:
+                    worst_tt = max(worst_tt, _relative_deviation(got, want))
+        A = ModeWiseOperator([random_spd_matrix(rng, m) for m in dims])
+        M = rng.standard_normal((shape.size, int(rng.integers(1, 7))))
+        worst_apply = max(
+            worst_apply,
+            _relative_deviation(A.apply_matrix(M), SpdOperator.apply_matrix(A, M)),
+        )
+    ok = cp_mismatch == 0 and worst_tt <= 1e-14 and worst_apply <= 1e-14
+    return ok, (
+        f"{trials} shapes, d = 1..4; CP W differing from the probe: {cp_mismatch} "
+        f"(exact); TT W deviation {worst_tt:.2e}, mode-wise apply_matrix "
+        f"deviation {worst_apply:.2e} (tol 1e-14)"
+    )
+
+
 def check_lowdin_properties(trials: int = 20):
     rng = np.random.default_rng(107)
     worst_orth = 0.0
@@ -625,6 +670,7 @@ CHECKS: list[tuple[str, Callable]] = [
     ("factorization-identity", check_factorization_identity),
     ("cp-rescaling-invariance", check_cp_rescaling_invariance),
     ("tt-direct-contraction", check_tt_against_direct_contraction),
+    ("structured-vs-probe", check_structured_vs_probe),
     ("lowdin-properties", check_lowdin_properties),
     ("min-norm-update", check_min_norm_update),
     ("galerkin-orthogonality", check_galerkin_orthogonality),
@@ -651,6 +697,7 @@ _TRIAL_SCALED = {
     "energy-norm",
     "format-multilinearity",
     "factorization-identity",
+    "structured-vs-probe",
     "lowdin-properties",
     "min-norm-update",
     "galerkin-orthogonality",

@@ -15,7 +15,6 @@ from alskit.diagnostics import (
     gradient_block,
     materialize_M,
     objective,
-    orthonormal_complement,
     rate_estimate,
     recursion_check,
     recursion_contexts,
@@ -315,19 +314,7 @@ def test_monitors_dist_a_monotone_flagging():
 
 
 # ---------------------------------------------------------------------------
-# complements and couplings
-
-
-def test_orthonormal_complement_properties():
-    rng = np.random.default_rng(45)
-    for n in (2, 3, 7):
-        v = rng.standard_normal(n)
-        R = orthonormal_complement(v)
-        assert R.shape == (n, n - 1)
-        assert np.max(np.abs(R.T @ R - np.eye(n - 1))) < 1e-12
-        assert np.max(np.abs(R.T @ v)) < 1e-12 * np.linalg.norm(v)
-    with pytest.raises(ValueError, match="zero vector"):
-        orthonormal_complement(np.zeros(3))
+# couplings
 
 
 def test_materialize_M_is_transpose_symmetric():

@@ -9,6 +9,7 @@ from alskit.formats import (
     CpFormat,
     MultilinearFormat,
     ParamSystem,
+    TensorFormat,
     TtFormat,
     evaluate,
     materialize_W,
@@ -209,6 +210,56 @@ def test_materialize_W_range_check():
     p = ParamSystem([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="out of range"):
         materialize_W(fmt, p, 5)
+
+
+def _random_blocks(fmt, rng, zero_block):
+    blocks = [rng.standard_normal(fmt.block_dim(mu)) for mu in range(fmt.num_blocks)]
+    if zero_block is not None:
+        blocks[zero_block % fmt.num_blocks][:] = 0.0
+    return blocks
+
+
+local_map_cases = dict(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    rank=st.integers(1, 3),
+    zero_block=st.one_of(st.none(), st.integers(0, 3)),
+    seed=st.integers(0, 2**16),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(**local_map_cases)
+def test_cp_local_map_equals_probe_exactly(dims, rank, zero_block, seed):
+    rng = np.random.default_rng(seed)
+    fmt = CpFormat(Shape(tuple(dims)), rank)
+    blocks = _random_blocks(fmt, rng, zero_block)
+    for mu in range(fmt.num_blocks):
+        got = fmt.local_map(blocks, mu)
+        assert got.shape == (fmt.shape.size, fmt.block_dim(mu))
+        assert np.array_equal(got, TensorFormat.local_map(fmt, blocks, mu))
+
+
+@settings(deadline=None, max_examples=40)
+@given(**local_map_cases)
+def test_tt_local_map_matches_probe(dims, rank, zero_block, seed):
+    rng = np.random.default_rng(seed)
+    ranks = tuple(int(x) for x in rng.integers(1, rank + 1, size=len(dims) - 1))
+    fmt = TtFormat(Shape(tuple(dims)), ranks)
+    blocks = _random_blocks(fmt, rng, zero_block)
+    for mu in range(fmt.num_blocks):
+        got = fmt.local_map(blocks, mu)
+        want = TensorFormat.local_map(fmt, blocks, mu)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_custom_format_local_map_is_the_probe():
+    fmt = MultilinearFormat(
+        Shape((2, 3)), (2, 3), lambda blocks: np.outer(blocks[0], blocks[1]).ravel()
+    )
+    p = ParamSystem([[1.0, 2.0], [3.0, 4.0, 5.0]])
+    assert np.array_equal(materialize_W(fmt, p, 0), np.kron(np.eye(2), p[1][:, None]))
+    assert np.array_equal(materialize_W(fmt, p, 1), np.kron(p[0][:, None], np.eye(3)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Dense tensors, SPD operators, and the inner-product helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from alskit.tensors import (
     IdentityOperator,
     ModeWiseOperator,
     Shape,
+    SpdOperator,
     a_inner,
     a_norm,
     index_value_rows,
@@ -199,6 +202,55 @@ def test_apply_matrix_agrees_with_columnwise_apply():
         [A.apply(DenseTensor(A.shape, M[:, j])).values for j in range(3)]
     )
     assert np.allclose(got, want, atol=TOL)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    dims=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_modewise_apply_matrix_matches_generic_path(dims, k, seed):
+    rng = np.random.default_rng(seed)
+    A = ModeWiseOperator([random_spd(rng, m) for m in dims])
+    M = rng.standard_normal((A.shape.size, k))
+    got = A.apply_matrix(M)
+    want = SpdOperator.apply_matrix(A, M)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_modewise_apply_matrix_edge_cases():
+    rng = np.random.default_rng(7)
+    A = ModeWiseOperator([random_spd(rng, m) for m in (3, 4, 2)])
+    empty = A.apply_matrix(np.zeros((24, 0)))
+    assert empty.shape == (24, 0)
+    M = rng.standard_normal((5, 24)).T  # transposed, not C-contiguous
+    assert not M.flags.c_contiguous
+    assert np.allclose(A.apply_matrix(M), A.apply_matrix(M.copy()), rtol=0, atol=1e-14)
+    with pytest.raises(ValueError, match="incompatible shapes"):
+        A.apply_matrix(np.ones((23, 2)))
+    mat = random_spd(rng, 6)
+    one = ModeWiseOperator([mat])
+    X = rng.standard_normal((6, 3))
+    assert np.allclose(one.apply_matrix(X), mat @ X, rtol=0, atol=1e-14)
+
+
+def test_modewise_apply_matrix_allocates_output_plus_one_slab():
+    # the mode-0 product goes straight into the output; later modes reuse
+    # one scratch buffer of N * k / m_0 entries
+    rng = np.random.default_rng(8)
+    dims, k = (10, 12, 8), 20
+    A = ModeWiseOperator([random_spd(rng, m) for m in dims])
+    n = A.shape.size
+    M = rng.standard_normal((n, k))
+    A.apply_matrix(M)
+    tracemalloc.start()
+    try:
+        out = A.apply_matrix(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + (n * k // dims[0]) * 8 + 4096
 
 
 def test_energy_inner_and_norm():

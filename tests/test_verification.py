@@ -30,7 +30,7 @@ FAST_CHECKS = [
 def test_registry_names_are_unique_and_stable():
     names = [name for name, _ in CHECKS]
     assert len(names) == len(set(names))
-    assert len(names) == 25
+    assert len(names) == 26
     assert "oracle-equivalence" in names
     assert "recursion-defect" in names
 
