@@ -1,6 +1,7 @@
 """Command-line front end: run solves, list the gallery, self-verify.
 
-Exit codes: 0 clean, 1 usage/config errors (including unknown labels),
+Exit codes: 0 clean, 1 usage/config errors (including unknown labels and
+a solve that fails, reported as one "error:" line on stderr),
 2 degenerate termination, 3 boundedness-monitor alarm.  When several
 jobs run at once the most severe code wins, in the order 2, 3, 1.
 Traces are written as CSV with one row per micro-step; floats are
@@ -10,6 +11,7 @@ serialized with repr() so identical runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -214,26 +216,31 @@ def _job_from_config(doc: dict, overrides: dict) -> dict:
     return job
 
 
-def _execute_job(job: dict) -> tuple[int, list[str]]:
+def _execute_job(job: dict) -> tuple[int, list[str], str | None]:
+    """Solve one job; returns (exit code, stdout lines, stderr error line)."""
     instance = job["instance"]
-    stop = StopRule(
-        max_sweeps=int(job["max_sweeps"]),
-        f_tol=float(job["f_tol"]),
-        grad_tol=float(job["grad_tol"]),
-        angle_tol=(None if job["angle_tol"] is None else float(job["angle_tol"])),
-    )
-    trace = run(
-        instance.A,
-        instance.b,
-        instance.fmt,
-        instance.init,
-        stop,
-        eps_rank=float(job["eps_rank"]),
-        reference=instance.reference,
-        reference_factor=instance.reference_factor,
-        angle_mode=job["angle_mode"],
-        label=instance.label,
-    )
+    try:
+        stop = StopRule(
+            max_sweeps=int(job["max_sweeps"]),
+            f_tol=float(job["f_tol"]),
+            grad_tol=float(job["grad_tol"]),
+            angle_tol=(None if job["angle_tol"] is None else float(job["angle_tol"])),
+        )
+        trace = run(
+            instance.A,
+            instance.b,
+            instance.fmt,
+            instance.init,
+            stop,
+            eps_rank=float(job["eps_rank"]),
+            reference=instance.reference,
+            reference_factor=instance.reference_factor,
+            angle_mode=job["angle_mode"],
+            label=instance.label,
+        )
+    except ValueError as exc:
+        # e.g. an operator above the SPD check cap that is not definite
+        return EXIT_USAGE, [], f"error: [{instance.label}] {exc}"
     report = assumption_monitors(trace, growth_threshold=float(job["growth_threshold"]))
 
     lines = [
@@ -277,7 +284,7 @@ def _execute_job(job: dict) -> tuple[int, list[str]]:
         code = EXIT_UNBOUNDED
     if trace.termination == "degenerate":
         code = EXIT_DEGENERATE  # degenerate wins a tie
-    return code, lines
+    return code, lines, None
 
 
 def _combine_codes(codes) -> int:
@@ -346,9 +353,12 @@ def cmd_run(args) -> int:
         outcomes = [_execute_job(job) for job in jobs]
 
     codes = []
-    for code, lines in outcomes:
+    for code, lines, error in outcomes:
         codes.append(code)
-        print("\n".join(lines))
+        if error is None:
+            print("\n".join(lines))
+        else:
+            print(error, file=sys.stderr)
     return _combine_codes(codes)
 
 
@@ -439,7 +449,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok_all else EXIT_USAGE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and reused by every main() call."""
     parser = _Parser(prog="alskit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,6 +17,9 @@ from .formats import ParamSystem, TensorFormat, evaluate, materialize_W
 from .tensors import DenseTensor, SpdOperator, inner
 
 COS_CUTOFF = 1e-14
+# Tangents at or below this are at the rounding floor of a double-precision
+# iterate; ratios between them measure noise, not the iteration.
+TANGENT_FLOOR = 1e-14
 
 
 def objective(A: SpdOperator, b: DenseTensor, v: DenseTensor) -> float:
@@ -173,6 +176,11 @@ def rate_estimate(tangents, window: int = 10) -> RateEstimate:
     otherwise "inconclusive".  An exact zero truncates the series and
     marks finite-step convergence, which counts as superlinear when the
     remaining prefix is too short to classify on its own.
+
+    A positive entry at or below ``TANGENT_FLOOR`` ends the resolved part:
+    the series is cut after it, and when the cut leaves fewer ratios than
+    ``window``, the window shrinks to the ratios left.  A series whose
+    only such entry is its last is used whole.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -184,6 +192,11 @@ def rate_estimate(tangents, window: int = 10) -> RateEstimate:
         if t == 0.0:
             ts = ts[:i]
             converged = True
+            break
+        if t <= TANGENT_FLOOR:
+            if i + 1 < len(ts):
+                ts = ts[: i + 1]  # i resolved ratios remain
+                window = max(1, min(window, i))
             break
     ratios = tuple(ts[i + 1] / ts[i] for i in range(len(ts) - 1))
     if len(ratios) < window:

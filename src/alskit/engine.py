@@ -2,7 +2,9 @@
 
 Each micro-step freezes all parameter blocks but one, materializes the
 resulting linear map W, orthonormalizes its range from the eigenvalue
-decomposition of the Gram matrix W^T W, solves the projected SPD system,
+decomposition of the Gram matrix W^T W, solves the projected SPD system
+with LAPACK's Cholesky routines (potrf/potrs, the ones scipy's
+cho_factor/cho_solve wrap, called directly to skip the wrappers' checks),
 and writes back the minimum-norm block update.  A sweep visits the
 blocks in order; the driver repeats sweeps until a stop rule fires.
 """
@@ -10,9 +12,10 @@ blocks in order; the driver repeats sweeps until a stop rule fires.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import lapack
 
 from .diagnostics import (
     MicroStepRecord,
@@ -33,8 +36,10 @@ class LowdinBasis:
     ``transform`` maps projected coordinates back to block parameters:
     V = W @ transform, and transform @ transform.T is the pseudo-inverse
     of the Gram matrix W^T W.  ``delta`` holds the retained Gram
-    eigenvalues in descending order; ``orth_defect`` records the measured
-    departure of V^T V from the identity (stored, not enforced).
+    eigenvalues in descending order.  ``orth_defect``, the measured
+    departure of V^T V from the identity (observed, not enforced), is
+    computed from V on first read: the solver never reads it, so a
+    micro-step does not pay its N * rank^2 product.
     """
 
     V: np.ndarray
@@ -42,7 +47,12 @@ class LowdinBasis:
     delta: np.ndarray
     rank: int
     degenerate: bool
-    orth_defect: float
+
+    @cached_property
+    def orth_defect(self) -> float:
+        if self.rank == 0:
+            return 0.0
+        return float(np.max(np.abs(self.V.T @ self.V - np.eye(self.rank))))
 
 
 def lowdin_basis(W: np.ndarray, eps_rank: float = EPS_RANK_DEFAULT) -> LowdinBasis:
@@ -63,14 +73,29 @@ def lowdin_basis(W: np.ndarray, eps_rank: float = EPS_RANK_DEFAULT) -> LowdinBas
     vecs = vecs[:, ::-1]
     if n == 0 or vals[0] <= 0.0:
         empty = np.zeros((W.shape[0], 0))
-        return LowdinBasis(empty, np.zeros((n, 0)), np.zeros(0), 0, True, 0.0)
+        return LowdinBasis(empty, np.zeros((n, 0)), np.zeros(0), 0, True)
     keep = vals > eps_rank * vals[0]
     vals = np.ascontiguousarray(vals[keep])
     vecs = vecs[:, keep]
     transform = vecs / np.sqrt(vals)
-    V = W @ transform
-    defect = float(np.max(np.abs(V.T @ V - np.eye(vals.size))))
-    return LowdinBasis(V, transform, vals, int(vals.size), False, defect)
+    return LowdinBasis(W @ transform, transform, vals, int(vals.size), False)
+
+
+def _cholesky_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve G y = rhs for SPD G through LAPACK potrf/potrs (lower factor).
+
+    The same calls, with the same arguments, as scipy's
+    ``cho_factor(G, lower=True)`` and ``cho_solve``, so the result is
+    identical to theirs.  An unverified operator (above the SPD check
+    cap) that is not positive definite surfaces here as a ValueError.
+    """
+    if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    factor, info = lapack.dpotrf(G, lower=1, clean=0)
+    if info != 0:
+        raise ValueError("projected operator not positive definite")
+    # potrs fails only on malformed arguments, which potrf has accepted
+    return lapack.dpotrs(factor, rhs, lower=1)[0]
 
 
 def micro_step(
@@ -123,11 +148,7 @@ def micro_step(
     AV = A.apply_matrix(V)
     G = V.T @ AV
     G = 0.5 * (G + G.T)
-    try:
-        factor = cho_factor(G, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD A precludes this
-        raise ValueError("projected operator not positive definite") from exc
-    y = cho_solve(factor, V.T @ b.values)
+    y = _cholesky_solve(G, V.T @ b.values)
 
     p_new = p.replace(mu, basis.transform @ y)
     v_new = DenseTensor(b.shape, V @ y)

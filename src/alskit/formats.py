@@ -19,20 +19,22 @@ import numpy as np
 from .tensors import DenseTensor, Shape
 
 
+def _frozen_block(vec) -> np.ndarray:
+    """Read-only flat float64 copy of vec; rejects NaN and inf."""
+    arr = np.array(vec, dtype=float).ravel()
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("parameter entries must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
 class ParamSystem:
     """Tuple of flat parameter blocks (immutable float64 copies)."""
 
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
-        frozen = []
-        for vec in blocks:
-            arr = np.array(vec, dtype=float).ravel()
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("parameter entries must be finite")
-            arr.flags.writeable = False
-            frozen.append(arr)
-        object.__setattr__(self, "blocks", tuple(frozen))
+        object.__setattr__(self, "blocks", tuple(_frozen_block(vec) for vec in blocks))
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamSystem is immutable")
@@ -44,10 +46,16 @@ class ParamSystem:
         return self.blocks[mu]
 
     def replace(self, mu: int, vec) -> "ParamSystem":
-        """New system with block mu replaced."""
+        """New system with block mu replaced.
+
+        The other blocks are already frozen copies and are shared, not
+        copied; only the new block is copied and checked.
+        """
         blocks = list(self.blocks)
-        blocks[mu] = vec
-        return ParamSystem(blocks)
+        blocks[mu] = _frozen_block(vec)
+        new = object.__new__(type(self))
+        object.__setattr__(new, "blocks", tuple(blocks))
+        return new
 
     def norms(self) -> list[float]:
         return [float(np.linalg.norm(b)) for b in self.blocks]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,9 +44,9 @@ class Shape:
     def ndim(self) -> int:
         return len(self.dims)
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
 
 class DenseTensor:

@@ -13,9 +13,11 @@ from alskit.cli import (
     EXIT_UNBOUNDED,
     EXIT_USAGE,
     _combine_codes,
+    build_parser,
     main,
 )
 from alskit.gallery import LABELS
+from alskit.tensors import SPD_VERIFY_CAP
 
 DEGENERATE_PROBLEM = {
     "problem": {
@@ -296,6 +298,58 @@ def test_malformed_problem_document(tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert run_cli(["run", "--config", str(cfg)]) == EXIT_USAGE
     assert "malformed problem document" in capsys.readouterr().err
+
+
+def test_non_spd_operator_above_verify_cap_is_usage_error(tmp_path, capsys):
+    # N = 576 exceeds the SPD check cap, so the dense -I is only caught
+    # when the projected system fails to factor
+    dims = [9, 8, 8]
+    n = int(np.prod(dims))
+    assert n > SPD_VERIFY_CAP
+    bad = tmp_path / "negative.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "problem": {
+                    "dims": dims,
+                    "operator": {"kind": "dense", "matrix": (-np.eye(n)).tolist()},
+                    "target": {"terms": [{"coeff": 1.0, "vectors": [[1.0] * m for m in dims]}]},
+                    "init": [[1.0] * m for m in dims],
+                },
+                "max_sweeps": 3,
+            }
+        )
+    )
+    assert run_cli(["run", "--config", str(bad)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: [custom] projected operator not positive definite"]
+    assert "Traceback" not in err
+    # a good job next to it still reports; the combined code stays 1
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"gallery": "mohlenkamp", "max_sweeps": 3}))
+    assert run_cli(["run", "--config", str(good), "--config", str(bad)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "[mohlenkamp]" in captured.out
+    assert "not positive definite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--gallery", "blambda", "--max-sweeps", "0"], "error: [blambda] max_sweeps must be >= 1"),
+        (
+            ["--gallery", "desilva_lim", "--angle-mode", "factor"],
+            "error: [desilva_lim] angle mode 'factor' needs a reference factor",
+        ),
+    ],
+)
+def test_solver_rejections_are_usage_errors(args, message, capsys):
+    assert run_cli(["run", *args]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def test_multiple_configs_and_jobs_flag(tmp_path, capsys):

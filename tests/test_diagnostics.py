@@ -210,6 +210,35 @@ def test_rate_estimate_zero_after_long_prefix_keeps_classification():
     assert est.q_hat == pytest.approx(0.9, abs=1e-12)
 
 
+def test_rate_estimate_ignores_the_rounding_floor():
+    # q-linear at 0.0507 down to ~1e-16, then ten entries of noise at the
+    # rounding floor; the noise ratios (~1) must not become the rate
+    resolved = [0.0595 * 0.0507**k for k in range(12)]
+    noise = [2e-16 * (1.0 + 0.1 * (k % 3)) for k in range(10)]
+    series = resolved + noise
+    est = rate_estimate(series, window=effective_window(len(series), 10))
+    assert est.classification == "linear"
+    assert abs(est.q_hat - 0.0507) < 1e-3
+    assert len(est.ratios) == 10  # cut after the first entry <= 1e-14
+    assert not est.converged_exactly
+
+
+def test_rate_estimate_floor_as_last_entry_changes_nothing():
+    series = [0.5**k for k in range(12)] + [1e-15]
+    est = rate_estimate(series)
+    assert len(est.ratios) == 12 and est.window == 10
+    assert est.q_hat == 0.5
+    assert est.classification == "inconclusive"  # the last ratio is an outlier
+
+
+def test_rate_estimate_floor_cut_shrinks_the_window():
+    series = [1e-2, 1e-5, 1e-11, 1e-20] + [3e-16] * 10
+    est = rate_estimate(series, window=effective_window(len(series), 10))
+    assert est.window == 3
+    assert est.ratios == pytest.approx((1e-3, 1e-6, 1e-9))
+    assert est.classification == "superlinear"
+
+
 def test_rate_estimate_validation():
     with pytest.raises(ValueError, match="window"):
         rate_estimate([1.0, 0.5], window=0)

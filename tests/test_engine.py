@@ -2,13 +2,29 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from alskit.diagnostics import objective, recursion_contexts
 from alskit.engine import StopRule, lowdin_basis, micro_step, run, sweep
-from alskit.formats import CpFormat, MultilinearFormat, ParamSystem, evaluate, materialize_W
+from alskit.formats import (
+    CpFormat,
+    MultilinearFormat,
+    ParamSystem,
+    TtFormat,
+    evaluate,
+    materialize_W,
+)
 from alskit.gallery import mohlenkamp_example
 from alskit.oracle import brute_least_squares
-from alskit.tensors import DenseTensor, IdentityOperator, ModeWiseOperator, Shape, inner
+from alskit.tensors import (
+    SPD_VERIFY_CAP,
+    DenseOperator,
+    DenseTensor,
+    IdentityOperator,
+    ModeWiseOperator,
+    Shape,
+    inner,
+)
 
 TOL = 1e-12
 
@@ -66,6 +82,18 @@ def test_lowdin_zero_matrix_is_degenerate():
 def test_lowdin_rejects_negative_threshold():
     with pytest.raises(ValueError, match="nonnegative"):
         lowdin_basis(np.eye(2), eps_rank=-1.0)
+
+
+def test_lowdin_orth_defect_is_the_eager_formula_read_lazily():
+    rng = np.random.default_rng(37)
+    W = rng.standard_normal((7, 4))
+    W[:, 3] = W[:, 1]
+    basis = lowdin_basis(W)
+    assert "orth_defect" not in vars(basis)  # not computed by the step
+    want = float(np.max(np.abs(basis.V.T @ basis.V - np.eye(basis.rank))))
+    assert basis.orth_defect == want
+    assert vars(basis)["orth_defect"] == want  # cached after the first read
+    assert lowdin_basis(np.zeros((3, 2))).orth_defect == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +202,114 @@ def test_micro_step_grad_norm_is_pre_update():
     assert rec.grad_norm == pytest.approx(want, rel=1e-12)
     assert rec.grad_norm > 1e-3
     assert rec.resid_orth < 1e-12
+
+
+def _textbook_step(A, b, fmt, p, mu, eps_rank=1e-12):
+    """The micro-step as first written: eager V^T V and scipy's Cholesky."""
+    b2 = inner(b, b)
+    v_old = evaluate(fmt, p)
+    f_old = objective(A, b, v_old)
+    W = materialize_W(fmt, p, mu)
+    resid_old = b.values - A.apply(v_old).values
+    grad_norm = float(np.linalg.norm(W.T @ resid_old)) / b2
+    H = W.T @ W
+    H = 0.5 * (H + H.T)
+    vals, vecs = np.linalg.eigh(H)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    keep = vals > eps_rank * vals[0]
+    vals = np.ascontiguousarray(vals[keep])
+    transform = vecs[:, keep] / np.sqrt(vals)
+    V = W @ transform
+    assert np.max(np.abs(V.T @ V - np.eye(vals.size))) < 1e-10
+    G = V.T @ A.apply_matrix(V)
+    G = 0.5 * (G + G.T)
+    y = cho_solve(cho_factor(G, lower=True), V.T @ b.values)
+    block = transform @ y
+    v_new = DenseTensor(b.shape, V @ y)
+    Av_new = A.apply(v_new)
+    f_new = (0.5 * inner(Av_new, v_new) - inner(b, v_new)) / b2
+    resid_orth = float(np.linalg.norm(W.T @ (b.values - Av_new.values)))
+    pmax = max(float(np.linalg.norm(q)) for q in (*p.blocks[:mu], block, *p.blocks[mu + 1:]))
+    record = (f_new, f_new - f_old, grad_norm, int(vals.size), resid_orth, pmax)
+    return block, v_new.values, record
+
+
+LEAN_KINDS = ["cp", "tt", "custom", "cp-deficient"]
+LEAN_OPERATORS = ["identity", "dense", "modewise"]
+
+
+def _lean_step_case(kind: str, operator: str):
+    rng = np.random.default_rng([38, LEAN_KINDS.index(kind), LEAN_OPERATORS.index(operator)])
+    if kind == "custom":
+        # the y block acts through a 4 x 5 matrix, so its W has rank 4 < 5
+        shape = Shape((3, 4))
+        C = rng.standard_normal((4, 5))
+        fmt = MultilinearFormat(shape, (3, 5), lambda bl: np.outer(bl[0], C @ bl[1]).ravel())
+    elif kind == "tt":
+        shape = Shape((3, 2, 4))
+        fmt = TtFormat(shape, (2, 3))
+    else:
+        shape = Shape((3, 4, 2))
+        fmt = CpFormat(shape, 2)
+    blocks = [rng.standard_normal(fmt.block_dim(mu)) for mu in range(fmt.num_blocks)]
+    if kind == "cp-deficient":
+        # equal columns in the frozen factors: every W repeats a column block
+        for mu, m in enumerate(shape.dims):
+            mat = blocks[mu].reshape((m, 2), order="F")
+            mat[:, 1] = mat[:, 0]
+    p = ParamSystem(blocks)
+    b = DenseTensor(shape, rng.standard_normal(shape.size))
+    if operator == "identity":
+        A = IdentityOperator(shape)
+    elif operator == "dense":
+        A = DenseOperator(shape, np.kron(spd(rng, 3), spd(rng, shape.size // 3)))
+    else:
+        A = ModeWiseOperator([spd(rng, m) for m in shape.dims])
+    return A, b, fmt, p
+
+
+@pytest.mark.parametrize("operator", LEAN_OPERATORS)
+@pytest.mark.parametrize("kind", LEAN_KINDS)
+def test_micro_step_is_bitwise_the_textbook_step(kind, operator):
+    A, b, fmt, p = _lean_step_case(kind, operator)
+    deficient = 0
+    for mu in range(fmt.num_blocks):
+        p_new, v_new, rec = micro_step(A, b, fmt, p, mu)
+        block, v_want, want = _textbook_step(A, b, fmt, p, mu)
+        assert np.array_equal(p_new[mu], block)
+        assert np.array_equal(v_new.values, v_want)
+        got = (rec.f, rec.decrement, rec.grad_norm, rec.W_rank, rec.resid_orth, rec.param_norm_max)
+        assert got == want
+        deficient += rec.W_rank < fmt.block_dim(mu)
+        p = p_new
+    if kind in ("custom", "cp-deficient"):
+        assert deficient > 0
+
+
+def test_micro_step_non_spd_operator_above_verify_cap_raises():
+    # above the cap DenseOperator trusts its matrix; -I is not definite
+    shape = Shape((9, 8, 8))
+    assert shape.size > SPD_VERIFY_CAP
+    A = DenseOperator(shape, -np.eye(shape.size))
+    assert not A.verified
+    fmt = CpFormat(shape, 1)
+    p = ParamSystem([np.ones(m) for m in shape.dims])
+    b = DenseTensor(shape, np.ones(shape.size))
+    with pytest.raises(ValueError, match="projected operator not positive definite"):
+        micro_step(A, b, fmt, p, 0)
+
+
+def test_micro_step_rejects_non_finite_projected_system():
+    class BrokenBlockApply(IdentityOperator):
+        def apply_matrix(self, M):
+            return np.full(np.shape(M), np.nan)
+
+    shape = Shape((2, 3))
+    fmt = CpFormat(shape, 1)
+    p = ParamSystem([np.ones(2), np.ones(3)])
+    b = DenseTensor(shape, np.arange(1.0, 7.0))
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        micro_step(BrokenBlockApply(shape), b, fmt, p, 0)
 
 
 # ---------------------------------------------------------------------------

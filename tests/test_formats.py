@@ -57,6 +57,24 @@ def test_param_system_rejects_nonfinite():
         ParamSystem([[1.0, np.inf]])
 
 
+def test_param_system_replace_shares_frozen_blocks_and_checks_the_new_one():
+    p = ParamSystem([[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]])
+    src = np.array([7.0, 8.0])
+    q = p.replace(0, src)
+    assert q[1] is p[1] and q[2] is p[2]  # unchanged blocks are shared
+    src[0] = 99.0
+    assert q[0].tolist() == [7.0, 8.0]  # the new block is a copy
+    assert not q[0].flags.writeable
+    with pytest.raises(ValueError):
+        q[0][0] = 9.0
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="parameter entries must be finite"):
+            p.replace(2, [1.0, bad, 0.0])
+    assert [b.tolist() for b in p.blocks] == [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]]
+    with pytest.raises(AttributeError):
+        q.blocks = ()
+
+
 # ---------------------------------------------------------------------------
 # CP format
 

@@ -39,6 +39,14 @@ def test_shape_basics():
     assert shape.size == 24
 
 
+@pytest.mark.parametrize("dims", [(5,), (2, 3), (4, 1, 3), (2, 3, 4, 5)])
+def test_shape_size_is_the_product_of_dims(dims):
+    shape = Shape(dims)
+    assert shape.size == int(np.prod(dims))
+    assert type(shape.size) is int
+    assert shape == Shape(dims) and hash(shape) == hash(Shape(dims))
+
+
 def test_shape_rejects_bad_dims():
     with pytest.raises(ValueError, match="at least one mode"):
         Shape(())
