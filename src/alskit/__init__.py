@@ -34,7 +34,6 @@ from .formats import (
     TtFormat,
     evaluate,
     materialize_W,
-    param_dim,
     params_from_json,
     params_to_json,
     total_param_dim,
@@ -59,7 +58,6 @@ from .tensors import (
     SpdOperator,
     a_inner,
     a_norm,
-    apply_operator,
     inner,
     rank_one_sum,
 )

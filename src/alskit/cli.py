@@ -6,6 +6,10 @@ a solve that fails, reported as one "error:" line on stderr),
 jobs run at once the most severe code wins, in the order 2, 3, 1.
 Traces are written as CSV with one row per micro-step; floats are
 serialized with repr() so identical runs produce identical bytes.
+
+`gallery` lists the built-in instances, `describe LABEL` shows the flags
+one of them takes, and `run` rejects any other gallery flag for it.  A bad
+setting, from a config file or a flag, exits 1 before any solve starts.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from . import gallery, verification
 from .diagnostics import assumption_monitors, effective_window, rate_estimate
 from .engine import StopRule, run
-from .formats import CpFormat, ParamSystem, TtFormat
+from .formats import ParamSystem, format_from_doc
 from .gallery import ProblemInstance
 from .tensors import (
     DenseOperator,
@@ -128,15 +132,8 @@ def _operator_from_doc(doc, shape: Shape):
 
 def _instance_from_problem_doc(doc) -> ProblemInstance:
     try:
-        shape = Shape(tuple(int(m) for m in doc["dims"]))
-        kind = doc.get("format", "cp")
-        ranks = [int(r) for r in doc.get("ranks", [1])]
-        if kind == "cp":
-            fmt = CpFormat(shape, ranks[0])
-        elif kind == "tt":
-            fmt = TtFormat(shape, ranks)
-        else:
-            raise CliError(f"unknown format {kind!r}")
+        fmt = format_from_doc({"format": "cp", "ranks": [1], **doc})
+        shape = fmt.shape
         A = _operator_from_doc(doc.get("operator", {}), shape)
         b = _tensor_from_doc(doc["target"], shape)
         init = ParamSystem(doc["init"])
@@ -159,25 +156,31 @@ def _instance_from_problem_doc(doc) -> ProblemInstance:
         raise CliError(f"malformed problem document: {exc}") from exc
 
 
-GALLERY_ARG_KEYS = {
-    "mohlenkamp": {"tau"},
-    "blambda": {"lam", "n", "seed"},
-    "totally_orthogonal": {"r", "dims", "seed"},
-    "desilva_lim": {"n"},
-    "counterexample": set(),
-    "tucker": {"dims", "t_dims", "seed"},
-}
+def _int_tuple(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+# run flags for the gallery arguments: (argument name, flag, argparse type,
+# help); gallery.SPECS says which label takes which argument
+GALLERY_FLAGS = (
+    ("lam", "--lambda", float, "blambda coupling"),
+    ("tau", "--tau", float, "mohlenkamp start parameter"),
+    ("n", "--n", int, "mode size"),
+    ("r", "--r", int, "term count (totally_orthogonal)"),
+    ("seed", "--seed", int, "construction seed"),
+    ("dims", "--dims", _int_tuple, "comma-separated mode sizes"),
+    ("t_dims", "--t-dims", _int_tuple, "comma-separated core sizes (tucker)"),
+)
 
 
 def _instance_from_gallery(label: str, args: dict) -> ProblemInstance:
     if label not in gallery.LABELS:
         raise CliError(f"unknown gallery label {label!r}")
-    allowed = GALLERY_ARG_KEYS[label]
-    unknown = set(args) - allowed
-    if unknown:
-        raise CliError(
-            f"label {label!r} does not take {sorted(unknown)} (allowed: {sorted(allowed)})"
-        )
     try:
         return gallery.get_instance(label, **args)
     except (TypeError, ValueError) as exc:
@@ -194,17 +197,41 @@ DEFAULTS = {
     "angle_mode": "auto",
     "growth_threshold": 1e6,
 }
+SETTINGS = (*DEFAULTS, "output", "dump_target")
+
+
+def _check_settings(job: dict):
+    """Convert the numeric run settings in place; a bad value is a usage error.
+
+    ``angle_mode`` is left to the solver, which rejects an unknown mode.
+    """
+    for key, default in DEFAULTS.items():
+        val = job[key]
+        if isinstance(default, str) or (key == "angle_tol" and val is None):
+            continue
+        try:
+            job[key] = type(default)(val)
+        except (TypeError, ValueError, OverflowError):
+            kind = "an integer" if isinstance(default, int) else "a number"
+            raise CliError(f"{key} must be {kind}, got {val!r}") from None
+    for key in ("output", "dump_target"):
+        if job.get(key) is not None and not isinstance(job[key], str):
+            raise CliError(f"{key} must be a file path, got {job[key]!r}")
 
 
 def _job_from_config(doc: dict, overrides: dict) -> dict:
     job = dict(DEFAULTS)
     job.update({k: v for k, v in doc.items() if k not in ("args", "problem")})
-    gallery_args = dict(doc.get("args", {}))
+    gallery_args = doc.get("args", {})
+    if not isinstance(gallery_args, dict):
+        raise CliError(f"config 'args' must be a JSON object, got {gallery_args!r}")
+    gallery_args = dict(gallery_args)
     for key, val in overrides.items():
-        if key in DEFAULTS or key in ("output", "dump_target"):
+        if key in SETTINGS:
             job[key] = val
         else:
             gallery_args[key] = val
+    _check_settings(job)
     if "problem" in doc:
         if "gallery" in doc:
             raise CliError("config cannot give both 'gallery' and 'problem'")
@@ -221,10 +248,10 @@ def _execute_job(job: dict) -> tuple[int, list[str], str | None]:
     instance = job["instance"]
     try:
         stop = StopRule(
-            max_sweeps=int(job["max_sweeps"]),
-            f_tol=float(job["f_tol"]),
-            grad_tol=float(job["grad_tol"]),
-            angle_tol=(None if job["angle_tol"] is None else float(job["angle_tol"])),
+            max_sweeps=job["max_sweeps"],
+            f_tol=job["f_tol"],
+            grad_tol=job["grad_tol"],
+            angle_tol=job["angle_tol"],
         )
         trace = run(
             instance.A,
@@ -232,7 +259,7 @@ def _execute_job(job: dict) -> tuple[int, list[str], str | None]:
             instance.fmt,
             instance.init,
             stop,
-            eps_rank=float(job["eps_rank"]),
+            eps_rank=job["eps_rank"],
             reference=instance.reference,
             reference_factor=instance.reference_factor,
             angle_mode=job["angle_mode"],
@@ -241,7 +268,7 @@ def _execute_job(job: dict) -> tuple[int, list[str], str | None]:
     except ValueError as exc:
         # e.g. an operator above the SPD check cap that is not definite
         return EXIT_USAGE, [], f"error: [{instance.label}] {exc}"
-    report = assumption_monitors(trace, growth_threshold=float(job["growth_threshold"]))
+    report = assumption_monitors(trace, growth_threshold=job["growth_threshold"])
 
     lines = [
         f"[{instance.label}] sweeps={trace.sweeps} termination={trace.termination} "
@@ -250,7 +277,7 @@ def _execute_job(job: dict) -> tuple[int, list[str], str | None]:
     series = trace.tangent_series()
     finite = [t for t in series if np.isfinite(t)]
     if finite and len(finite) == len(series):
-        window = effective_window(len(series), int(job["rate_window"]))
+        window = effective_window(len(series), job["rate_window"])
         try:
             est = rate_estimate(series, window=window)
             lines.append(
@@ -296,32 +323,7 @@ def _combine_codes(codes) -> int:
 
 def cmd_run(args) -> int:
     overrides = {}
-    if args.lam is not None:
-        overrides["lam"] = args.lam
-    if args.tau is not None:
-        overrides["tau"] = args.tau
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.r is not None:
-        overrides["r"] = args.r
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.dims is not None:
-        overrides["dims"] = tuple(int(t) for t in args.dims.split(","))
-    if args.t_dims is not None:
-        overrides["t_dims"] = tuple(int(t) for t in args.t_dims.split(","))
-    for key in (
-        "max_sweeps",
-        "f_tol",
-        "grad_tol",
-        "angle_tol",
-        "eps_rank",
-        "rate_window",
-        "angle_mode",
-        "growth_threshold",
-        "output",
-        "dump_target",
-    ):
+    for key in (*(name for name, *_ in GALLERY_FLAGS), *SETTINGS):
         val = getattr(args, key)
         if val is not None:
             overrides[key] = val
@@ -362,65 +364,9 @@ def cmd_run(args) -> int:
     return _combine_codes(codes)
 
 
-GALLERY_SUMMARIES = {
-    "mohlenkamp": "weighted two-term orthogonal target; superlinear rank-one iteration",
-    "blambda": "three-term coupling family with closed-form Q-linear rate",
-    "totally_orthogonal": "r-term per-mode-orthonormal target; superlinear",
-    "desilva_lim": "border-rank pathology: descent with unbounded parameters",
-    "counterexample": "bilinear format where stationarity depends on the representative",
-    "tucker": "orthonormal-factor target for the transfer-matrix closed form",
-}
-
-GALLERY_DETAILS = {
-    "mohlenkamp": """\
-mohlenkamp: 2 * e1^(x3) + e2^(x3) on (2,2,2), rank-one format, identity operator.
-  --tau X        start (tau, 1) in every mode (default 0.4, tau >= 0).
-                 tau < 1/2 converges to the e2 branch, tau > 1/2 to e1;
-                 tau = 1/2 sits on the basin boundary (no reference).
-  Expected: superlinear; factor tangent hits 1e-12 within a few sweeps.""",
-    "blambda": """\
-blambda: p^(x3) + lambda * (p(x)q(x)q + q(x)p(x)q + q(x)q(x)p) over seeded
-orthonormal p, q; rank-one format, identity operator.
-  --lambda X     coupling strength; meaningful range [0, 1/2] (default 0.46).
-                 lambda < 1/2: Q-linear with rate q_lambda_formula(lambda);
-                 lambda = 1/2: sublinear boundary (rate 1). Outside [0, 1/2]
-                 the instance is built without a reference and flagged.
-  --n N          mode size (default 8).
-  --seed S       direction seed (default 7).""",
-    "totally_orthogonal": """\
-totally_orthogonal: sum of r rank-one terms with per-mode orthonormal factors
-and weights (r, ..., 1); rank-one format, identity operator.
-  --r R          number of terms (default 2; needs every mode size >= R).
-  --dims A,B,..  mode sizes (default 4,4,4).
-  --seed S       factor seed (default 0).
-  Expected: superlinear convergence toward the dominant term.""",
-    "desilva_lim": """\
-desilva_lim: x(x)x(x)y + x(x)y(x)x + y(x)x(x)x with x = e1, y = e2; rank-two
-format, identity operator. No best rank-2 approximation exists: the objective
-keeps falling while parameter norms grow. Run with the boundedness monitor.
-  --n N          mode size (default 2).
-  The peak block norm grows only like sweeps^(1/12): 1.82x its start at 1e4
-  sweeps, 2.67x at 1e6. The default --growth-threshold of 1e6 is out of reach
-  of any feasible run; pass a small one (e.g. 1.5, crossed near sweep 900) to
-  see exit code 3.""",
-    "counterexample": """\
-counterexample: custom bilinear format U(x,y) = (x1 y1 + x2 y1, x1 y1 + x2 y1,
-x1 y2, x2 y2) on R^2 x R^2 with target (1,1,0,1). The parameter systems
-(e1,e1) and (e2,e1) represent the same tensor but only the first is
-stationary; runs start at the non-stationary one. Takes no arguments.""",
-    "tucker": """\
-tucker: target assembled from a super-diagonal core and seeded orthonormal
-factor matrices; rank-one format, identity operator.
-  --dims A,B,..  tensor mode sizes (default 4,4,4).
-  --t-dims A,..  core mode sizes (default 2,2,2).
-  --seed S       factor seed (default 0).
-  Used by the transfer-matrix (coupling closed form) diagnostics.""",
-}
-
-
 def cmd_gallery(_args) -> int:
     for label in gallery.LABELS:
-        print(f"{label:20s} {GALLERY_SUMMARIES[label]}")
+        print(f"{label:20s} {gallery.SPECS[label].summary}")
     return EXIT_OK
 
 
@@ -429,7 +375,7 @@ def cmd_describe(args) -> int:
     if label not in gallery.LABELS:
         print(f"error: unknown gallery label {label!r}", file=sys.stderr)
         return EXIT_USAGE
-    print(GALLERY_DETAILS[label])
+    print(gallery.SPECS[label].details)
     return EXIT_OK
 
 
@@ -458,13 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="solve a problem and report diagnostics")
     p_run.add_argument("--config", action="append", help="JSON config file (repeatable)")
     p_run.add_argument("--gallery", help="gallery label to run")
-    p_run.add_argument("--lambda", dest="lam", type=float, help="blambda coupling")
-    p_run.add_argument("--tau", type=float, help="mohlenkamp start parameter")
-    p_run.add_argument("--n", type=int, help="mode size")
-    p_run.add_argument("--r", type=int, help="term count (totally_orthogonal)")
-    p_run.add_argument("--seed", type=int, help="construction seed")
-    p_run.add_argument("--dims", help="comma-separated mode sizes")
-    p_run.add_argument("--t-dims", dest="t_dims", help="comma-separated core sizes (tucker)")
+    for name, flag, kind, help_text in GALLERY_FLAGS:
+        p_run.add_argument(flag, dest=name, type=kind, help=help_text)
     p_run.add_argument("--max-sweeps", dest="max_sweeps", type=int)
     p_run.add_argument("--f-tol", dest="f_tol", type=float)
     p_run.add_argument("--grad-tol", dest="grad_tol", type=float)

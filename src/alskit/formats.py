@@ -277,13 +277,6 @@ def evaluate(fmt: TensorFormat, p: ParamSystem) -> DenseTensor:
     return DenseTensor(fmt.shape, fmt._evaluate_blocks([p[mu] for mu in range(len(p))]))
 
 
-def param_dim(fmt: TensorFormat, mu: int) -> int:
-    """Dimension of block mu; raises if mu is out of range."""
-    if not 0 <= mu < fmt.num_blocks:
-        raise ValueError(f"block index {mu} out of range [0, {fmt.num_blocks})")
-    return fmt.block_dim(mu)
-
-
 def total_param_dim(fmt: TensorFormat) -> int:
     return sum(fmt.block_dim(mu) for mu in range(fmt.num_blocks))
 
@@ -322,25 +315,28 @@ def params_to_json(fmt: TensorFormat, p: ParamSystem) -> str:
     return json.dumps(doc)
 
 
+def format_from_doc(doc) -> TensorFormat:
+    """CP or TT format from ``format``, ``dims`` and ``ranks`` (one for CP, d-1 for TT)."""
+    kind = doc["format"]
+    shape = Shape(tuple(int(m) for m in doc["dims"]))
+    ranks = [int(r) for r in doc["ranks"]]
+    if kind == "cp":
+        if len(ranks) != 1:
+            raise ValueError("cp document needs exactly one rank")
+        return CpFormat(shape, ranks[0])
+    if kind == "tt":
+        return TtFormat(shape, ranks)
+    raise ValueError(f"unknown format {kind!r}")
+
+
 def params_from_json(text: str) -> tuple[TensorFormat, ParamSystem]:
     """Inverse of :func:`params_to_json`."""
     doc = json.loads(text)
     try:
-        kind = doc["format"]
-        dims = tuple(int(m) for m in doc["dims"])
-        ranks = [int(r) for r in doc["ranks"]]
+        fmt = format_from_doc(doc)
         blocks = doc["blocks"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed parameter document: {exc}") from exc
-    shape = Shape(dims)
-    if kind == "cp":
-        if len(ranks) != 1:
-            raise ValueError("cp document needs exactly one rank")
-        fmt: TensorFormat = CpFormat(shape, ranks[0])
-    elif kind == "tt":
-        fmt = TtFormat(shape, ranks)
-    else:
-        raise ValueError(f"unknown format {kind!r}")
     p = ParamSystem(blocks)
     fmt.check_params(p)
     return fmt, p

@@ -162,11 +162,15 @@ class IdentityOperator(SpdOperator):
         return np.asarray(M, dtype=float)
 
 
-def _check_spd_matrix(mat: np.ndarray, what: str) -> tuple[float, float]:
-    """Validate symmetry and positive definiteness; return (lambda_min, lambda_max)."""
+def _check_symmetric(mat: np.ndarray, what: str):
+    """Reject a matrix that is not symmetric to SYMMETRY_RTOL of its largest entry."""
     scale = np.max(np.abs(mat))
     if np.max(np.abs(mat - mat.T)) > SYMMETRY_RTOL * max(scale, 1e-300):
         raise ValueError(f"{what} is not symmetric")
+
+
+def _check_definite(mat: np.ndarray, what: str) -> tuple[float, float]:
+    """Reject a matrix that is not positive definite; return (lambda_min, lambda_max)."""
     vals = np.linalg.eigvalsh(mat)
     if vals[0] <= 0:
         raise ValueError(f"{what} is not positive definite (lambda_min = {vals[0]:.3e})")
@@ -189,19 +193,12 @@ class DenseOperator(SpdOperator):
             raise ValueError(
                 f"incompatible shapes: operator matrix {mat.shape} for N={n}"
             )
-        scale = np.max(np.abs(mat))
-        if np.max(np.abs(mat - mat.T)) > SYMMETRY_RTOL * max(scale, 1e-300):
-            raise ValueError("operator matrix is not symmetric")
+        _check_symmetric(mat, "operator matrix")
         self.shape = shape
         self.matrix = np.ascontiguousarray(mat)
         if n <= SPD_VERIFY_CAP:
-            vals = np.linalg.eigvalsh(self.matrix)
-            if vals[0] <= 0:
-                raise ValueError(
-                    f"operator matrix is not positive definite (lambda_min = {vals[0]:.3e})"
-                )
+            self.eig_bounds = _check_definite(self.matrix, "operator matrix")
             self.verified = True
-            self.eig_bounds = (float(vals[0]), float(vals[-1]))
         else:
             self.verified = False
             self.eig_bounds = None
@@ -234,7 +231,8 @@ class ModeWiseOperator(SpdOperator):
         for nu, mat in enumerate(mats):
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"factor {nu} is not square")
-            fl, fh = _check_spd_matrix(mat, f"mode-{nu} factor")
+            _check_symmetric(mat, f"mode-{nu} factor")
+            fl, fh = _check_definite(mat, f"mode-{nu} factor")
             lo *= fl
             hi *= fh
         self.factors = mats
@@ -284,14 +282,9 @@ def inner(u: DenseTensor, v: DenseTensor) -> float:
     return float(np.dot(u.values, v.values))
 
 
-def apply_operator(A: SpdOperator, v: DenseTensor) -> DenseTensor:
-    """Return A v."""
-    return A.apply(v)
-
-
 def a_inner(A: SpdOperator, u: DenseTensor, v: DenseTensor) -> float:
     """Energy inner product <Au, v>."""
-    return inner(apply_operator(A, u), v)
+    return inner(A.apply(u), v)
 
 
 def a_norm(A: SpdOperator, v: DenseTensor) -> float:

@@ -568,16 +568,8 @@ def check_tangent_recursion():
 
 
 def check_gallery_instances():
-    problems = {
-        "mohlenkamp": lambda: gallery.mohlenkamp_example(0.4),
-        "blambda": lambda: gallery.blambda_example(0.46),
-        "totally_orthogonal": lambda: gallery.totally_orthogonal(2, (3, 3, 3), seed=1),
-        "desilva_lim": lambda: gallery.desilva_lim(2),
-        "counterexample": lambda: gallery.counterexample_bilinear()[0],
-        "tucker": lambda: gallery.get_instance("tucker"),
-    }
-    for label, build in problems.items():
-        one, two = build(), build()
+    for label in gallery.LABELS:
+        one, two = gallery.get_instance(label), gallery.get_instance(label)
         if not np.array_equal(one.b.values, two.b.values):
             return False, f"{label}: target not deterministic"
         for mu in range(len(one.init)):

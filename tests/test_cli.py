@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from alskit.cli import (
     EXIT_OK,
     EXIT_UNBOUNDED,
     EXIT_USAGE,
+    GALLERY_FLAGS,
     _combine_codes,
     build_parser,
     main,
 )
-from alskit.gallery import LABELS
+from alskit.gallery import LABELS, SPECS
 from alskit.tensors import SPD_VERIFY_CAP
 
 DEGENERATE_PROBLEM = {
@@ -283,6 +285,68 @@ def test_flag_for_wrong_label_is_rejected(capsys):
     assert "does not take" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"gallery": "mohlenkamp", "growth_threshold": "x"},
+            "error: growth_threshold must be a number, got 'x'",
+        ),
+        (
+            {"gallery": "mohlenkamp", "rate_window": "x"},
+            "error: rate_window must be an integer, got 'x'",
+        ),
+        (
+            {"gallery": "mohlenkamp", "args": [1, 2]},
+            "error: config 'args' must be a JSON object, got [1, 2]",
+        ),
+    ],
+    ids=["growth_threshold", "rate_window", "args_list"],
+)
+def test_bad_config_setting_is_one_error_line(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["run", "--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--gallery", "totally_orthogonal", "--dims", "4,x"],
+        ["--gallery", "tucker", "--t-dims", "2,,2"],
+    ],
+    ids=["dims", "t_dims"],
+)
+def test_malformed_dims_flag_is_usage_error(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", *args])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [
+        f"alskit run: error: argument {args[2]}: "
+        f"expected comma-separated integers, got {args[3]!r}"
+    ]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("ranks", [[], [1, 7]], ids=["no_rank", "two_ranks"])
+def test_cp_problem_document_needs_exactly_one_rank(tmp_path, capsys, ranks):
+    doc = json.loads(json.dumps(DEGENERATE_PROBLEM))
+    doc["problem"]["ranks"] = ranks
+    cfg = tmp_path / "ranks.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["run", "--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: malformed problem document: cp document needs exactly one rank"
+    ]
+    assert captured.out == ""
+
+
 def test_malformed_config_file(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
@@ -402,6 +466,14 @@ def test_describe_every_label(capsys):
     for label in LABELS:
         assert run_cli(["describe", label]) == EXIT_OK
     assert run_cli(["describe", "bogus"]) == EXIT_USAGE
+
+
+def test_describe_names_exactly_the_flags_each_label_takes():
+    flag_of = {name: flag for name, flag, _, _ in GALLERY_FLAGS}
+    gallery_flags = set(flag_of.values())
+    for label, spec in SPECS.items():
+        named = set(re.findall(r"--[a-z][a-z-]*", spec.details)) & gallery_flags
+        assert named == {flag_of[name] for name in spec.defaults}, label
 
 
 def test_verify_subset_passes(capsys):

@@ -13,7 +13,6 @@ from alskit.formats import (
     TtFormat,
     evaluate,
     materialize_W,
-    param_dim,
     params_from_json,
     params_to_json,
     total_param_dim,
@@ -200,12 +199,17 @@ def test_check_params_validates_count_and_length():
 
 
 def test_param_dim_range_check():
+    # block indices run over exactly [0, num_blocks): both edges are accepted
+    # with W of width block_dim, one past either edge is rejected
     fmt = CpFormat(Shape((2, 2)), 1)
-    assert param_dim(fmt, 0) == 2
+    p = ParamSystem([[1.0, 0.0], [1.0, 0.0]])
+    assert fmt.block_dim(0) == 2
+    assert materialize_W(fmt, p, 0).shape == (4, fmt.block_dim(0))
+    assert materialize_W(fmt, p, 1).shape == (4, fmt.block_dim(1))
     with pytest.raises(ValueError, match="out of range"):
-        param_dim(fmt, 2)
+        materialize_W(fmt, p, 2)
     with pytest.raises(ValueError, match="out of range"):
-        param_dim(fmt, -1)
+        materialize_W(fmt, p, -1)
 
 
 def test_materialize_W_factorizes_evaluation():
@@ -228,6 +232,8 @@ def test_materialize_W_range_check():
     p = ParamSystem([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="out of range"):
         materialize_W(fmt, p, 5)
+    with pytest.raises(ValueError, match="out of range"):
+        materialize_W(fmt, p, -1)
 
 
 def _random_blocks(fmt, rng, zero_block):
