@@ -22,7 +22,6 @@ from .diagnostics import (
     recursion_check,
     recursion_contexts,
     stable_tangent,
-    tangent_angle,
     tangent_recursion,
 )
 from .engine import LowdinBasis, StopRule, lowdin_basis, micro_step, run, sweep
@@ -36,7 +35,6 @@ from .formats import (
     materialize_W,
     params_from_json,
     params_to_json,
-    total_param_dim,
 )
 from .gallery import (
     ProblemInstance,
@@ -56,7 +54,6 @@ from .tensors import (
     ModeWiseOperator,
     Shape,
     SpdOperator,
-    a_inner,
     a_norm,
     inner,
     rank_one_sum,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gallery, verification
 from .diagnostics import assumption_monitors, effective_window, rate_estimate
-from .engine import StopRule, run
+from .engine import EPS_RANK_DEFAULT, StopRule, run
 from .formats import ParamSystem, format_from_doc
 from .gallery import ProblemInstance
 from .tensors import (
@@ -72,14 +72,9 @@ def write_trace_csv(trace, num_blocks: int, path: str):
     ratios = trace.tangent_ratios()
     lines = [CSV_HEADER]
     for rec in trace.records:
-        last_of_sweep = rec.mu == num_blocks - 1
-        tan_cell = ""
-        ratio_cell = ""
-        if last_of_sweep and rec.tan_angle is not None:
-            tan_cell = _fmt_float(rec.tan_angle)
-            idx = rec.sweep - 1
-            if 0 <= idx < len(ratios) and ratios[idx] is not None:
-                ratio_cell = _fmt_float(ratios[idx])
+        tan = ratio = None  # per-sweep values, on the sweep's last row only
+        if rec.mu == num_blocks - 1:
+            tan, ratio = trace.sweep_tangent[rec.sweep - 1], ratios[rec.sweep - 1]
         lines.append(
             ",".join(
                 [
@@ -91,8 +86,8 @@ def write_trace_csv(trace, num_blocks: int, path: str):
                     str(rec.W_rank),
                     _fmt_float(rec.resid_orth),
                     _fmt_float(rec.param_norm_max),
-                    tan_cell,
-                    ratio_cell,
+                    "" if tan is None else _fmt_float(tan),
+                    "" if ratio is None else _fmt_float(ratio),
                 ]
             )
         )
@@ -192,7 +187,7 @@ DEFAULTS = {
     "f_tol": 0.0,
     "grad_tol": 0.0,
     "angle_tol": 1e-12,
-    "eps_rank": 1e-12,
+    "eps_rank": EPS_RANK_DEFAULT,
     "rate_window": 10,
     "angle_mode": "auto",
     "growth_threshold": 1e6,
@@ -220,8 +215,12 @@ def _check_settings(job: dict):
 
 
 def _job_from_config(doc: dict, overrides: dict) -> dict:
+    known = ("gallery", "problem", "args", *SETTINGS)
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise CliError(f"config has unknown keys {unknown} (it takes {', '.join(known)})")
     job = dict(DEFAULTS)
-    job.update({k: v for k, v in doc.items() if k not in ("args", "problem")})
+    job.update({k: v for k, v in doc.items() if k in SETTINGS})
     gallery_args = doc.get("args", {})
     if not isinstance(gallery_args, dict):
         raise CliError(f"config 'args' must be a JSON object, got {gallery_args!r}")
@@ -263,7 +262,6 @@ def _execute_job(job: dict) -> tuple[int, list[str], str | None]:
             reference=instance.reference,
             reference_factor=instance.reference_factor,
             angle_mode=job["angle_mode"],
-            label=instance.label,
         )
     except ValueError as exc:
         # e.g. an operator above the SPD check cap that is not definite

@@ -9,7 +9,7 @@ in (0,1)), sublinear (ratio -> 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,29 +53,13 @@ def full_gradient(
     )
 
 
-def tangent_angle(reference: DenseTensor, v: DenseTensor) -> float:
-    """tan of the angle between v and the reference, from the cosine.
-
-    Returns ``inf`` when |cos| <= 1e-14 (v numerically orthogonal to the
-    reference).  For angles very close to 0 the cosine route saturates
-    around sqrt(machine eps); :func:`stable_tangent` resolves further.
-    """
-    nref = reference.norm()
-    nv = v.norm()
-    if nref == 0.0 or nv == 0.0:
-        raise ValueError("tangent angle undefined for a zero vector")
-    cos = inner(reference, v) / (nref * nv)
-    if abs(cos) <= COS_CUTOFF:
-        return float("inf")
-    cos = min(1.0, max(-1.0, cos))
-    return float(np.sqrt((1.0 - cos * cos) / (cos * cos)))
-
-
 def stable_tangent(reference, vec) -> float:
     """tan angle via the orthogonal split v = c*ref_hat + s, stable near 0.
 
     Operates on flat arrays; use it for factor vectors or ``.values`` of
-    dense tensors.  Same orthogonality cutoff as :func:`tangent_angle`.
+    dense tensors.  Returns ``inf`` when |c| <= COS_CUTOFF * |v| (v
+    numerically orthogonal to the reference).  The cosine formula would
+    saturate near sqrt(machine eps); the split does not.
     """
     ref = np.asarray(reference, dtype=float).ravel()
     v = np.asarray(vec, dtype=float).ravel()
@@ -109,7 +93,6 @@ class MicroStepRecord:
     W_rank: int
     resid_orth: float
     param_norm_max: float
-    tan_angle: float | None = None
     degenerate: bool = False
 
 
@@ -120,7 +103,6 @@ class RunTrace:
     records: list[MicroStepRecord]
     termination: str
     sweeps: int
-    label: str
     angle_mode: str
     operator_verified: bool
     initial_f: float
@@ -227,8 +209,6 @@ class MonitorReport:
     growth_ratio: float
     growth_threshold: float
     unbounded_suspect: bool
-    param_norm_initial: float
-    param_norm_peak: float
     rank_sequences: dict[int, tuple[int, ...]]
     last_rank_change_sweep: int | None
     dist_a: tuple[float, ...]
@@ -266,8 +246,6 @@ def assumption_monitors(trace: RunTrace, growth_threshold: float = 1e6) -> Monit
         growth_ratio=growth,
         growth_threshold=growth_threshold,
         unbounded_suspect=suspect,
-        param_norm_initial=init,
-        param_norm_peak=peak,
         rank_sequences=ranks,
         last_rank_change_sweep=last_change,
         dist_a=dist,

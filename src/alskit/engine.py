@@ -262,7 +262,6 @@ def run(
     reference_factor=None,
     angle_mode: str = "auto",
     keep_params: bool = False,
-    label: str = "",
 ) -> RunTrace:
     """Sweep until a stop rule fires; returns the full trace.
 
@@ -312,7 +311,6 @@ def run(
         records.extend(recs)
 
         tan = current_tangent()
-        recs[-1].tan_angle = tan
         sweep_f.append(f)
         sweep_tangent.append(tan)
         dist_a.append(a_norm(A, v - v_prev))
@@ -339,7 +337,6 @@ def run(
         records=records,
         termination=termination,
         sweeps=records[-1].sweep if records else 0,
-        label=label,
         angle_mode=mode,
         operator_verified=A.verified,
         initial_f=initial_f,

@@ -277,10 +277,6 @@ def evaluate(fmt: TensorFormat, p: ParamSystem) -> DenseTensor:
     return DenseTensor(fmt.shape, fmt._evaluate_blocks([p[mu] for mu in range(len(p))]))
 
 
-def total_param_dim(fmt: TensorFormat) -> int:
-    return sum(fmt.block_dim(mu) for mu in range(fmt.num_blocks))
-
-
 def materialize_W(fmt: TensorFormat, p: ParamSystem, mu: int) -> np.ndarray:
     """Matrix of the linear map q -> U(..., p_{mu-1}, q, p_{mu+1}, ...).
 

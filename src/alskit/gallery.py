@@ -5,9 +5,10 @@ target, the format, a starting point, and (where one exists) the known
 limit for angle tracking.  Seeded constructors are deterministic.
 
 ``SPECS`` is the gallery: one entry per label, in listing order, holding
-the constructor, its argument names and defaults, a one-line summary and
-the ``describe`` text.  ``get_instance`` builds a label from it, and the
-CLI takes its labels, argument checks, listing and help from it.
+the constructor, the names of the arguments it takes, a one-line summary
+and the ``describe`` text.  The defaults are the constructors' own.
+``get_instance`` builds a label from it, and the CLI takes its labels,
+argument checks, listing and help from it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class ProblemInstance:
     init: ParamSystem
     reference: DenseTensor | None = None
     reference_factor: np.ndarray | None = None
-    notes: tuple[str, ...] = ()
     flags: tuple[str, ...] = ()
     extra: dict = field(default_factory=dict)
 
@@ -56,7 +56,7 @@ def _cp_rank1_init(vectors) -> ParamSystem:
     return ParamSystem([np.asarray(vec, dtype=float).ravel() for vec in vectors])
 
 
-def mohlenkamp_example(tau: float) -> ProblemInstance:
+def mohlenkamp_example(tau: float = 0.4) -> ProblemInstance:
     """Weighted two-term orthogonal target 2 e1^(x3) + e2^(x3), init (tau, 1)^(x3).
 
     For tau < 1/2 the iteration converges superlinearly to the e2 branch
@@ -81,12 +81,9 @@ def mohlenkamp_example(tau: float) -> ProblemInstance:
         ref_vec = None
     reference = None
     reference_factor = None
-    notes = ("totally orthogonal two-term target; expected superlinear",)
     if ref_vec is not None:
         reference = rank_one_sum(shape, [(ref_weight, [ref_vec, ref_vec, ref_vec])])
         reference_factor = ref_vec
-    else:
-        notes += ("start on the basin boundary: no reference designated",)
     return ProblemInstance(
         label="mohlenkamp",
         A=IdentityOperator(shape),
@@ -95,11 +92,10 @@ def mohlenkamp_example(tau: float) -> ProblemInstance:
         init=init,
         reference=reference,
         reference_factor=reference_factor,
-        notes=notes,
     )
 
 
-def blambda_example(lam: float, n: int = 8, seed: int = 7) -> ProblemInstance:
+def blambda_example(lam: float = 0.46, n: int = 8, seed: int = 7) -> ProblemInstance:
     """Three-term coupling family with tunable rate.
 
     Target p^(x3) + lam * (p,q,q)-symmetrized over orthonormal p, q.  For
@@ -134,14 +130,13 @@ def blambda_example(lam: float, n: int = 8, seed: int = 7) -> ProblemInstance:
         init=init,
         reference=rank_one_sum(shape, [(1.0, [p, p, p])]) if in_range else None,
         reference_factor=p if in_range else None,
-        notes=(f"coupling strength {lam}",),
         flags=() if in_range else ("reference-outside-range",),
-        extra={"p": p, "q": q, "lam": lam},
+        extra={"p": p, "q": q},
     )
 
 
 def totally_orthogonal(
-    r: int, dims, seed: int = 0, weights=None, factors=None
+    r: int = 2, dims=(4, 4, 4), seed: int = 0, weights=None, factors=None
 ) -> ProblemInstance:
     """Sum of r rank-one terms with per-mode orthonormal factors.
 
@@ -201,7 +196,6 @@ def totally_orthogonal(
         init=_cp_rank1_init(init_vecs),
         reference=reference,
         reference_factor=factors[0][:, 0].copy(),
-        notes=(f"{r} orthogonal terms, weights {tuple(weights.tolist())}",),
         extra={"weights": weights, "factors": factors},
     )
 
@@ -235,10 +229,6 @@ def desilva_lim(n: int = 2) -> ProblemInstance:
         b=b,
         fmt=fmt,
         init=ParamSystem(blocks),
-        notes=(
-            "no best rank-2 approximation: objective decreases while "
-            "parameter norms grow without bound",
-        ),
     )
 
 
@@ -272,11 +262,6 @@ def counterexample_bilinear():
         b=b,
         fmt=fmt,
         init=nonstationary,
-        notes=(
-            "both parameter systems represent the same tensor; the gradient "
-            "vanishes only at the first",
-        ),
-        extra={"stationary": stationary, "nonstationary": nonstationary},
     )
     return instance, stationary, nonstationary
 
@@ -314,7 +299,6 @@ def tucker_target(core: DenseTensor, factors) -> ProblemInstance:
         b=b,
         fmt=CpFormat(shape, 1),
         init=_cp_rank1_init(init_vecs),
-        notes=("orthonormal-factor target for the transfer-matrix closed form",),
         extra={"core": core, "factors": factors},
     )
 
@@ -345,7 +329,7 @@ def tucker_coupling_closed_form(instance: ProblemInstance, p: ParamSystem) -> np
     return scale * (factors[0] @ t @ factors[d - 1].T)
 
 
-def default_tucker_args(dims=(4, 4, 4), t_dims=(2, 2, 2), seed: int = 0):
+def default_tucker_args(dims, t_dims, seed: int):
     """Seeded super-diagonal core plus random orthonormal factors."""
     dims = tuple(int(m) for m in dims)
     t_dims = tuple(int(t) for t in t_dims)
@@ -365,12 +349,17 @@ def default_tucker_args(dims=(4, 4, 4), t_dims=(2, 2, 2), seed: int = 0):
     return DenseTensor.from_array(core_arr), factors
 
 
+def tucker_example(dims=(4, 4, 4), t_dims=(2, 2, 2), seed: int = 0) -> ProblemInstance:
+    """The ``tucker`` label: :func:`tucker_target` of :func:`default_tucker_args`."""
+    return tucker_target(*default_tucker_args(dims, t_dims, seed))
+
+
 @dataclass(frozen=True)
 class GallerySpec:
     """One gallery label: its constructor, arguments, summary and description."""
 
     build: Callable[..., ProblemInstance]
-    defaults: dict  # argument name -> default, in documented order
+    args: tuple[str, ...]  # argument names, in documented order
     summary: str
     details: str
 
@@ -378,7 +367,7 @@ class GallerySpec:
 SPECS = {
     "mohlenkamp": GallerySpec(
         mohlenkamp_example,
-        {"tau": 0.4},
+        ("tau",),
         "weighted two-term orthogonal target; superlinear rank-one iteration",
         """\
 mohlenkamp: 2 * e1^(x3) + e2^(x3) on (2,2,2), rank-one format, identity operator.
@@ -389,7 +378,7 @@ mohlenkamp: 2 * e1^(x3) + e2^(x3) on (2,2,2), rank-one format, identity operator
     ),
     "blambda": GallerySpec(
         blambda_example,
-        {"lam": 0.46, "n": 8, "seed": 7},
+        ("lam", "n", "seed"),
         "three-term coupling family with closed-form Q-linear rate",
         """\
 blambda: p^(x3) + lambda * (p(x)q(x)q + q(x)p(x)q + q(x)q(x)p) over seeded
@@ -403,7 +392,7 @@ orthonormal p, q; rank-one format, identity operator.
     ),
     "totally_orthogonal": GallerySpec(
         totally_orthogonal,
-        {"r": 2, "dims": (4, 4, 4), "seed": 0},
+        ("r", "dims", "seed"),
         "r-term per-mode-orthonormal target; superlinear",
         """\
 totally_orthogonal: sum of r rank-one terms with per-mode orthonormal factors
@@ -415,7 +404,7 @@ and weights (r, ..., 1); rank-one format, identity operator.
     ),
     "desilva_lim": GallerySpec(
         desilva_lim,
-        {"n": 2},
+        ("n",),
         "border-rank pathology: descent with unbounded parameters",
         """\
 desilva_lim: x(x)x(x)y + x(x)y(x)x + y(x)x(x)x with x = e1, y = e2; rank-two
@@ -429,7 +418,7 @@ keeps falling while parameter norms grow. Run with the boundedness monitor.
     ),
     "counterexample": GallerySpec(
         lambda: counterexample_bilinear()[0],
-        {},
+        (),
         "bilinear format where stationarity depends on the representative",
         """\
 counterexample: custom bilinear format U(x,y) = (x1 y1 + x2 y1, x1 y1 + x2 y1,
@@ -438,8 +427,8 @@ x1 y2, x2 y2) on R^2 x R^2 with target (1,1,0,1). The parameter systems
 stationary; runs start at the non-stationary one. Takes no arguments.""",
     ),
     "tucker": GallerySpec(
-        lambda dims, t_dims, seed: tucker_target(*default_tucker_args(dims, t_dims, seed)),
-        {"dims": (4, 4, 4), "t_dims": (2, 2, 2), "seed": 0},
+        tucker_example,
+        ("dims", "t_dims", "seed"),
         "orthonormal-factor target for the transfer-matrix closed form",
         """\
 tucker: target assembled from a super-diagonal core and seeded orthonormal
@@ -459,10 +448,10 @@ def get_instance(label: str, **kwargs) -> ProblemInstance:
     if label not in SPECS:
         raise ValueError(f"unknown label {label!r}")
     spec = SPECS[label]
-    unknown = set(kwargs) - set(spec.defaults)
+    unknown = set(kwargs) - set(spec.args)
     if unknown:
-        takes = ", ".join(spec.defaults) or "no arguments"
+        takes = ", ".join(spec.args) or "no arguments"
         raise ValueError(
             f"unknown arguments: {label} does not take {sorted(unknown)} (it takes {takes})"
         )
-    return spec.build(**{**spec.defaults, **kwargs})
+    return spec.build(**kwargs)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-DEFAULT_ENTRY_CAP = 10**6
+ENTRY_CAP = 10**6
 SPD_VERIFY_CAP = 512
 SYMMETRY_RTOL = 1e-12
 PSD_CLAMP = 1e-14
@@ -26,7 +26,6 @@ class Shape:
     """Mode sizes (m_1, ..., m_d) of a tensor space with entry count N = prod(dims)."""
 
     dims: tuple[int, ...]
-    entry_cap: int = DEFAULT_ENTRY_CAP
 
     def __post_init__(self):
         dims = tuple(int(m) for m in self.dims)
@@ -35,10 +34,8 @@ class Shape:
             raise ValueError("shape needs at least one mode")
         if any(m < 1 for m in dims):
             raise ValueError("every mode size must be >= 1")
-        if self.size > self.entry_cap:
-            raise ValueError(
-                f"entry cap exceeded: {self.size} > {self.entry_cap} entries"
-            )
+        if self.size > ENTRY_CAP:
+            raise ValueError(f"entry cap exceeded: {self.size} > {ENTRY_CAP} entries")
 
     @property
     def ndim(self) -> int:
@@ -282,14 +279,9 @@ def inner(u: DenseTensor, v: DenseTensor) -> float:
     return float(np.dot(u.values, v.values))
 
 
-def a_inner(A: SpdOperator, u: DenseTensor, v: DenseTensor) -> float:
-    """Energy inner product <Au, v>."""
-    return inner(A.apply(u), v)
-
-
 def a_norm(A: SpdOperator, v: DenseTensor) -> float:
     """Energy norm sqrt(<Av, v>); small negative radicands clamp to 0."""
-    rad = a_inner(A, v, v)
+    rad = inner(A.apply(v), v)
     if rad < 0:
         if rad < -PSD_CLAMP * inner(v, v):
             raise ValueError(

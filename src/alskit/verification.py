@@ -8,6 +8,7 @@ Checks deliberately reach the solver through the module attribute
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,8 +16,6 @@ import numpy as np
 
 from . import engine, gallery, oracle
 from .diagnostics import (
-    MicroStepRecord,
-    RunTrace,
     assumption_monitors,
     full_gradient,
     gradient_block,
@@ -44,7 +43,6 @@ from .tensors import (
     SpdOperator,
     a_norm,
     inner,
-    rank_one_sum,
 )
 
 
@@ -475,7 +473,6 @@ def _rank_one_gallery_traces(sweeps: int = 6):
             reference=instance.reference,
             reference_factor=instance.reference_factor,
             keep_params=True,
-            label=instance.label,
         )
         yield instance, trace
 
@@ -683,31 +680,12 @@ CHECKS: list[tuple[str, Callable]] = [
     ("assumption-monitors", check_monitors),
 ]
 
-_TRIAL_SCALED = {
-    "inner-bilinearity",
-    "modewise-dense-equivalence",
-    "energy-norm",
-    "format-multilinearity",
-    "factorization-identity",
-    "structured-vs-probe",
-    "lowdin-properties",
-    "min-norm-update",
-    "galerkin-orthogonality",
-    "post-step-identities",
-    "decrement-identity",
-    "monotone-chain",
-    "oracle-equivalence",
-    "gradient-vs-fd",
-    "objective-second-path",
-    "coupling-symmetry",
-}
-
 
 def run_checks(names=None, trials: int | None = None) -> list[CheckResult]:
     """Run the registered checks (all by default) and collect results.
 
-    ``trials`` overrides the per-check default trial counts for the
-    randomized checks; identities and closed-form checks ignore it.
+    ``trials`` overrides the default trial count of every check whose
+    function takes a ``trials`` argument; the others ignore it.
     """
     selected = dict(CHECKS)
     if names is not None:
@@ -721,8 +699,8 @@ def run_checks(names=None, trials: int | None = None) -> list[CheckResult]:
     for name in order:
         fn = selected[name]
         try:
-            if trials is not None and name in _TRIAL_SCALED:
-                ok, detail = fn(trials)
+            if trials is not None and "trials" in inspect.signature(fn).parameters:
+                ok, detail = fn(trials=trials)
             else:
                 ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check

@@ -1,12 +1,18 @@
 """The command-line front end: exit codes, CSV traces, config handling."""
 
+import inspect
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alskit
+from alskit import cli, engine
 from alskit.cli import (
     CSV_HEADER,
     EXIT_DEGENERATE,
@@ -149,6 +155,33 @@ def test_trace_csv_layout(tmp_path, capsys):
     # floats round-trip exactly through repr
     f_cell = float(lines[1].split(",")[2])
     assert repr(f_cell) == lines[1].split(",")[2]
+
+
+@pytest.mark.parametrize("mode", ["factor", "none"])
+def test_trace_csv_tangent_cells_are_the_sweep_series(tmp_path, monkeypatch, mode):
+    traces = []
+
+    def keep(*args, **kwargs):
+        traces.append(engine.run(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, "run", keep)
+    out = tmp_path / "trace.csv"
+    argv = ["run", "--gallery", "blambda", "--lambda", "0.3", "--n", "4", "--seed", "11"]
+    argv += ["--max-sweeps", "6", "--angle-tol", "0", "--angle-mode", mode, "--output", str(out)]
+    assert run_cli(argv) == EXIT_OK
+    (trace,) = traces
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    last = [row for row in rows if row[1] == "2"]
+    assert [row[0] for row in last] == ["1", "2", "3", "4", "5", "6"]
+    assert all(row[8] == row[9] == "" for row in rows if row[1] != "2")
+    if mode == "none":
+        assert all(row[8] == row[9] == "" for row in last)
+    else:
+        ratios = trace.tangent_ratios()
+        assert [row[8] for row in last] == [repr(t) for t in trace.sweep_tangent]
+        assert [row[9] for row in last] == ["" if q is None else repr(q) for q in ratios]
+        assert all(q is not None for q in ratios[1:])
 
 
 def test_trace_csv_is_deterministic(tmp_path):
@@ -300,8 +333,14 @@ def test_flag_for_wrong_label_is_rejected(capsys):
             {"gallery": "mohlenkamp", "args": [1, 2]},
             "error: config 'args' must be a JSON object, got [1, 2]",
         ),
+        (
+            {"gallery": "blambda", "max_sweep": 3},
+            "error: config has unknown keys ['max_sweep'] (it takes gallery, problem, "
+            "args, max_sweeps, f_tol, grad_tol, angle_tol, eps_rank, rate_window, "
+            "angle_mode, growth_threshold, output, dump_target)",
+        ),
     ],
-    ids=["growth_threshold", "rate_window", "args_list"],
+    ids=["growth_threshold", "rate_window", "args_list", "misspelt_key"],
 )
 def test_bad_config_setting_is_one_error_line(tmp_path, capsys, doc, message):
     cfg = tmp_path / "bad.json"
@@ -473,7 +512,25 @@ def test_describe_names_exactly_the_flags_each_label_takes():
     gallery_flags = set(flag_of.values())
     for label, spec in SPECS.items():
         named = set(re.findall(r"--[a-z][a-z-]*", spec.details)) & gallery_flags
-        assert named == {flag_of[name] for name in spec.defaults}, label
+        assert named == {flag_of[name] for name in spec.args}, label
+
+
+def test_describe_defaults_are_the_constructor_defaults():
+    name_of = {flag: name for name, flag, _, _ in GALLERY_FLAGS}
+    for label, spec in SPECS.items():
+        params = inspect.signature(spec.build).parameters
+        assert all(params[n].default is not inspect.Parameter.empty for n in spec.args), label
+        documented = re.findall(
+            r"^  (--[a-z-]+) .*\(default ([\d.]+(?:,[\d.]+)*)", spec.details, re.M
+        )
+        assert len(documented) == spec.details.count("(default"), label
+        for flag, text in documented:
+            want = params[name_of[flag]].default
+            if isinstance(want, tuple):
+                got = tuple(int(x) for x in text.split(","))
+            else:
+                got = type(want)(text)
+            assert got == want, (label, flag)
 
 
 def test_verify_subset_passes(capsys):
@@ -526,3 +583,28 @@ def test_rate_line_reports_classification(capsys):
     out = capsys.readouterr().out
     assert "rate: linear" in out
     assert "q_hat=0.847" in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["gallery"], ["run", "--gallery", "blambda", "--max-sweeps", "3"]],
+    ids=["gallery", "run"],
+)
+def test_closed_stdout_pipe_exits_one_without_traceback(args):
+    src = str(Path(alskit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "alskit", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""  # in particular, no BrokenPipeError traceback
+    assert proc.returncode == EXIT_USAGE

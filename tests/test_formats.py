@@ -15,7 +15,6 @@ from alskit.formats import (
     materialize_W,
     params_from_json,
     params_to_json,
-    total_param_dim,
 )
 from alskit.tensors import Shape
 
@@ -139,7 +138,6 @@ def test_tt_ranks_and_block_dims():
     fmt = TtFormat(Shape((2, 3, 4)), (2, 3))
     assert fmt.ranks == (1, 2, 3, 1)
     assert [fmt.block_dim(mu) for mu in range(3)] == [4, 18, 12]
-    assert total_param_dim(fmt) == 34
 
 
 def test_tt_matches_per_entry_core_products():

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alskit.tensors import (
+    ENTRY_CAP,
     DenseOperator,
     DenseTensor,
     IdentityOperator,
     ModeWiseOperator,
     Shape,
     SpdOperator,
-    a_inner,
     a_norm,
     index_value_rows,
     inner,
@@ -55,10 +55,11 @@ def test_shape_rejects_bad_dims():
 
 
 def test_shape_entry_cap():
-    with pytest.raises(ValueError, match="entry cap exceeded"):
-        Shape((1000, 1000, 1000))
-    # a raised cap admits the same dims
-    assert Shape((1000, 1000, 1000), entry_cap=10**9).size == 10**9
+    for dims in [(1000, 1000, 1000), (1000, 1001)]:
+        with pytest.raises(ValueError, match="entry cap exceeded"):
+            Shape(dims)
+    # the cap itself is admitted
+    assert Shape((1000, 1000)).size == ENTRY_CAP == 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +268,8 @@ def test_energy_inner_and_norm():
     A = ModeWiseOperator([random_spd(rng, m) for m in dims])
     u = DenseTensor(A.shape, rng.standard_normal(6))
     v = DenseTensor(A.shape, rng.standard_normal(6))
-    assert a_inner(A, u, v) == pytest.approx(a_inner(A, v, u), rel=1e-10)
-    assert a_norm(A, u) == pytest.approx(np.sqrt(a_inner(A, u, u)))
+    assert inner(A.apply(u), v) == pytest.approx(inner(A.apply(v), u), rel=1e-10)
+    assert a_norm(A, u) == pytest.approx(np.sqrt(inner(A.apply(u), u)))
     assert a_norm(A, DenseTensor.zeros(A.shape)) == 0.0
     assert a_norm(A, u) > 0.0
 
