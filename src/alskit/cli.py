@@ -24,8 +24,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import gallery, verification
-from .diagnostics import assumption_monitors, effective_window, rate_estimate
-from .engine import EPS_RANK_DEFAULT, StopRule, run
+from .diagnostics import (
+    EPS_RANK_DEFAULT,
+    GROWTH_THRESHOLD_DEFAULT,
+    RATE_WINDOW_DEFAULT,
+    assumption_monitors,
+    effective_window,
+    rate_estimate,
+)
+from .engine import ANGLE_MODES, StopRule, check_eps_rank, run
 from .formats import ParamSystem, format_from_doc
 from .gallery import ProblemInstance
 from .tensors import (
@@ -182,51 +189,70 @@ def _instance_from_gallery(label: str, args: dict) -> ProblemInstance:
         raise CliError(f"cannot build {label!r}: {exc}") from exc
 
 
-DEFAULTS = {
-    "max_sweeps": 100,
-    "f_tol": 0.0,
-    "grad_tol": 0.0,
-    "angle_tol": 1e-12,
-    "eps_rank": EPS_RANK_DEFAULT,
-    "rate_window": 10,
-    "angle_mode": "auto",
-    "growth_threshold": 1e6,
-}
-SETTINGS = (*DEFAULTS, "output", "dump_target")
+# run settings: (name, argparse type or the allowed values, default, help);
+# the flag is the name with dashes, and a config file takes the name as key
+RUN_SETTINGS = (
+    ("max_sweeps", int, 100, None),
+    ("f_tol", float, 0.0, None),
+    ("grad_tol", float, 0.0, None),
+    (
+        "angle_tol",
+        float,
+        1e-12,
+        "stop when the tangent drops below this (<= 0 disables; default {})",
+    ),
+    ("eps_rank", float, EPS_RANK_DEFAULT, None),
+    ("rate_window", int, RATE_WINDOW_DEFAULT, None),
+    ("angle_mode", ANGLE_MODES, "auto", None),
+    ("growth_threshold", float, GROWTH_THRESHOLD_DEFAULT, None),
+    ("output", str, None, "write the per-micro-step CSV trace here"),
+    ("dump_target", str, None, "write the target tensor as index/value CSV"),
+)
 
 
 def _check_settings(job: dict):
-    """Convert the numeric run settings in place; a bad value is a usage error.
+    """Convert and check the run settings in place; a bad value is a usage error.
 
-    ``angle_mode`` is left to the solver, which rejects an unknown mode.
+    Builds the job's StopRule, which checks the stop settings.  A null
+    from a config file turns off a setting that can be off.
     """
-    for key, default in DEFAULTS.items():
-        val = job[key]
-        if isinstance(default, str) or (key == "angle_tol" and val is None):
+    for name, kind, default, _ in RUN_SETTINGS:
+        val = job[name]
+        if val is None and (default is None or name == "angle_tol"):
             continue
-        try:
-            job[key] = type(default)(val)
-        except (TypeError, ValueError, OverflowError):
-            kind = "an integer" if isinstance(default, int) else "a number"
-            raise CliError(f"{key} must be {kind}, got {val!r}") from None
-    for key in ("output", "dump_target"):
-        if job.get(key) is not None and not isinstance(job[key], str):
-            raise CliError(f"{key} must be a file path, got {job[key]!r}")
+        if isinstance(kind, tuple):
+            if val not in kind:
+                raise CliError(f"{name} must be one of {', '.join(kind)}, got {val!r}")
+        elif kind is str:
+            if not isinstance(val, str):
+                raise CliError(f"{name} must be a file path, got {val!r}")
+        else:
+            try:
+                job[name] = kind(val)
+            except (TypeError, ValueError, OverflowError):
+                what = "an integer" if kind is int else "a number"
+                raise CliError(f"{name} must be {what}, got {val!r}") from None
+    check_eps_rank(job["eps_rank"])
+    if job["rate_window"] < 1:
+        raise CliError(f"rate_window must be >= 1, got {job['rate_window']!r}")
+    if not job["growth_threshold"] > 0:
+        raise CliError(f"growth_threshold must be positive, got {job['growth_threshold']!r}")
+    job["stop"] = StopRule(job["max_sweeps"], job["f_tol"], job["grad_tol"], job["angle_tol"])
 
 
 def _job_from_config(doc: dict, overrides: dict) -> dict:
-    known = ("gallery", "problem", "args", *SETTINGS)
+    job = {name: default for name, _, default, _ in RUN_SETTINGS}
+    known = ("gallery", "problem", "args", *job)
     unknown = sorted(set(doc) - set(known))
     if unknown:
         raise CliError(f"config has unknown keys {unknown} (it takes {', '.join(known)})")
-    job = dict(DEFAULTS)
-    job.update({k: v for k, v in doc.items() if k in SETTINGS})
+    job.update({k: v for k, v in doc.items() if k in job})
     gallery_args = doc.get("args", {})
     if not isinstance(gallery_args, dict):
         raise CliError(f"config 'args' must be a JSON object, got {gallery_args!r}")
     gallery_args = dict(gallery_args)
     for key, val in overrides.items():
-        if key in SETTINGS:
+        if key in job:
             job[key] = val
         else:
             gallery_args[key] = val
@@ -246,18 +272,12 @@ def _execute_job(job: dict) -> tuple[int, list[str], str | None]:
     """Solve one job; returns (exit code, stdout lines, stderr error line)."""
     instance = job["instance"]
     try:
-        stop = StopRule(
-            max_sweeps=job["max_sweeps"],
-            f_tol=job["f_tol"],
-            grad_tol=job["grad_tol"],
-            angle_tol=job["angle_tol"],
-        )
         trace = run(
             instance.A,
             instance.b,
             instance.fmt,
             instance.init,
-            stop,
+            job["stop"],
             eps_rank=job["eps_rank"],
             reference=instance.reference,
             reference_factor=instance.reference_factor,
@@ -288,9 +308,9 @@ def _execute_job(job: dict) -> tuple[int, list[str], str | None]:
     flags = ",".join(report.flags) if report.flags else "none"
     lines.append(
         f"  monitors: growth_ratio={report.growth_ratio:.6g} "
-        f"threshold={report.growth_threshold:.6g} flags={flags}"
+        f"threshold={job['growth_threshold']:.6g} flags={flags}"
     )
-    if not trace.operator_verified:
+    if not instance.A.verified:
         lines.append("  warning: operator definiteness unverified (size above check cap)")
     if instance.flags:
         lines.append(f"  instance flags: {','.join(instance.flags)}")
@@ -321,7 +341,7 @@ def _combine_codes(codes) -> int:
 
 def cmd_run(args) -> int:
     overrides = {}
-    for key in (*(name for name, *_ in GALLERY_FLAGS), *SETTINGS):
+    for key, *_ in (*GALLERY_FLAGS, *RUN_SETTINGS):
         val = getattr(args, key)
         if val is not None:
             overrides[key] = val
@@ -404,27 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--gallery", help="gallery label to run")
     for name, flag, kind, help_text in GALLERY_FLAGS:
         p_run.add_argument(flag, dest=name, type=kind, help=help_text)
-    p_run.add_argument("--max-sweeps", dest="max_sweeps", type=int)
-    p_run.add_argument("--f-tol", dest="f_tol", type=float)
-    p_run.add_argument("--grad-tol", dest="grad_tol", type=float)
-    p_run.add_argument(
-        "--angle-tol",
-        dest="angle_tol",
-        type=float,
-        help="stop when the tangent drops below this (<= 0 disables; default 1e-12)",
-    )
-    p_run.add_argument("--eps-rank", dest="eps_rank", type=float)
-    p_run.add_argument("--rate-window", dest="rate_window", type=int)
-    p_run.add_argument(
-        "--angle-mode",
-        dest="angle_mode",
-        choices=["auto", "factor", "full", "none"],
-    )
-    p_run.add_argument("--growth-threshold", dest="growth_threshold", type=float)
-    p_run.add_argument("--output", help="write the per-micro-step CSV trace here")
-    p_run.add_argument(
-        "--dump-target", dest="dump_target", help="write the target tensor as index/value CSV"
-    )
+    for name, kind, default, help_text in RUN_SETTINGS:
+        kw = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        if help_text is not None:
+            kw["help"] = help_text.format(default)
+        p_run.add_argument("--" + name.replace("_", "-"), **kw)
     p_run.add_argument("--jobs", type=int, default=1, help="run config files concurrently")
     p_run.set_defaults(func=cmd_run)
 

@@ -16,6 +16,11 @@ import numpy as np
 from .formats import ParamSystem, TensorFormat, evaluate, materialize_W
 from .tensors import DenseTensor, SpdOperator, inner
 
+# defaults shared by the solver, the diagnostics and the CLI
+EPS_RANK_DEFAULT = 1e-12  # relative Gram eigenvalue cut of the Löwdin basis
+RATE_WINDOW_DEFAULT = 10
+GROWTH_THRESHOLD_DEFAULT = 1e6
+
 COS_CUTOFF = 1e-14
 # Tangents at or below this are at the rounding floor of a double-precision
 # iterate; ratios between them measure noise, not the iteration.
@@ -93,7 +98,10 @@ class MicroStepRecord:
     W_rank: int
     resid_orth: float
     param_norm_max: float
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return self.W_rank == 0
 
 
 @dataclass
@@ -104,7 +112,6 @@ class RunTrace:
     termination: str
     sweeps: int
     angle_mode: str
-    operator_verified: bool
     initial_f: float
     initial_param_norm_max: float
     sweep_f: list[float]
@@ -143,12 +150,12 @@ class RateEstimate:
     converged_exactly: bool = False
 
 
-def effective_window(n_tangents: int, window: int = 10) -> int:
+def effective_window(n_tangents: int, window: int = RATE_WINDOW_DEFAULT) -> int:
     """Largest usable window for a series of n_tangents entries (>= 1)."""
     return max(1, min(window, n_tangents - 1))
 
 
-def rate_estimate(tangents, window: int = 10) -> RateEstimate:
+def rate_estimate(tangents, window: int = RATE_WINDOW_DEFAULT) -> RateEstimate:
     """Classify terminal convergence from a positive tangent series.
 
     The estimate q_hat is the median of the last ``window`` successive
@@ -207,16 +214,14 @@ class MonitorReport:
     """Boundedness (A1) and rank-stability (A2) monitors over a trace."""
 
     growth_ratio: float
-    growth_threshold: float
     unbounded_suspect: bool
     rank_sequences: dict[int, tuple[int, ...]]
-    last_rank_change_sweep: int | None
-    dist_a: tuple[float, ...]
-    dist_a_monotone: bool
     flags: tuple[str, ...]
 
 
-def assumption_monitors(trace: RunTrace, growth_threshold: float = 1e6) -> MonitorReport:
+def assumption_monitors(
+    trace: RunTrace, growth_threshold: float = GROWTH_THRESHOLD_DEFAULT
+) -> MonitorReport:
     """Evaluate the boundedness and rank-stability assumptions on a trace."""
     init = trace.initial_param_norm_max
     peak = max([init] + [rec.param_norm_max for rec in trace.records])
@@ -229,27 +234,15 @@ def assumption_monitors(trace: RunTrace, growth_threshold: float = 1e6) -> Monit
     ranks: dict[int, tuple[int, ...]] = {}
     for mu in sorted({rec.mu for rec in trace.records}):
         ranks[mu] = tuple(rec.W_rank for rec in trace.records if rec.mu == mu)
-    last_change = None
-    for mu, seq in ranks.items():
-        for k in range(1, len(seq)):
-            if seq[k] != seq[k - 1]:
-                last_change = max(last_change or 0, k + 1)  # 1-based sweep index
-
-    dist = tuple(trace.dist_a)
-    monotone = all(b <= a * (1.0 + 1e-12) + 1e-300 for a, b in zip(dist, dist[1:]))
     flags = []
     if suspect:
         flags.append("unbounded-suspect")
-    if last_change is not None:
+    if any(len(set(seq)) > 1 for seq in ranks.values()):
         flags.append("rank-drift")
     return MonitorReport(
         growth_ratio=growth,
-        growth_threshold=growth_threshold,
         unbounded_suspect=suspect,
         rank_sequences=ranks,
-        last_rank_change_sweep=last_change,
-        dist_a=dist,
-        dist_a_monotone=monotone,
         flags=tuple(flags),
     )
 
@@ -296,8 +289,6 @@ class RecursionContext:
 class RecursionReport:
     """Replay of one micro-step pair against its transfer-matrix form."""
 
-    sweep: int
-    mu: int
     defect: float
     transfer: np.ndarray
     v_mid: DenseTensor
@@ -312,7 +303,7 @@ def recursion_check(
     b: DenseTensor,
     fmt: TensorFormat,
     ctx: RecursionContext,
-    eps_rank: float = 1e-12,
+    eps_rank: float = EPS_RANK_DEFAULT,
 ) -> RecursionReport:
     """Verify one micro-step against its one-step transfer matrix.
 
@@ -360,7 +351,7 @@ def recursion_check(
     if denom == 0.0:
         raise ValueError("recursion check needs a nonzero post-step iterate")
     defect = float(np.linalg.norm(v_next.values - N @ v_mid.values)) / denom
-    return RecursionReport(ctx.sweep, mu, defect, N, v_mid, v_next)
+    return RecursionReport(defect, N, v_mid, v_next)
 
 
 def recursion_contexts(trace: RunTrace):

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .diagnostics import (
+    EPS_RANK_DEFAULT,
     MicroStepRecord,
     RunTrace,
     objective,
@@ -26,7 +27,7 @@ from .diagnostics import (
 from .formats import CpFormat, ParamSystem, TensorFormat, evaluate, materialize_W
 from .tensors import DenseTensor, SpdOperator, a_norm, inner
 
-EPS_RANK_DEFAULT = 1e-12
+ANGLE_MODES = ("auto", "factor", "full", "none")
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class LowdinBasis:
     transform: np.ndarray
     delta: np.ndarray
     rank: int
-    degenerate: bool
 
     @cached_property
     def orth_defect(self) -> float:
@@ -55,16 +55,21 @@ class LowdinBasis:
         return float(np.max(np.abs(self.V.T @ self.V - np.eye(self.rank))))
 
 
+def check_eps_rank(eps_rank: float):
+    """Reject a rank cut outside [0, 1): at 1 or above no eigenvalue is kept."""
+    if not 0.0 <= eps_rank < 1.0:
+        raise ValueError(f"eps_rank must be nonnegative and below 1, got {eps_rank!r}")
+
+
 def lowdin_basis(W: np.ndarray, eps_rank: float = EPS_RANK_DEFAULT) -> LowdinBasis:
     """Orthonormalize the columns of W by the symmetric eigendecomposition.
 
     Gram eigenvalues delta_i <= eps_rank * delta_1 are discarded; if no
-    positive eigenvalue remains (W numerically zero) the basis is flagged
-    degenerate and empty.
+    positive eigenvalue remains (W numerically zero) the basis is empty,
+    of rank 0: the step is degenerate.
     """
     W = np.asarray(W, dtype=float)
-    if eps_rank < 0:
-        raise ValueError("eps_rank must be nonnegative")
+    check_eps_rank(eps_rank)
     n = W.shape[1]
     H = W.T @ W
     H = 0.5 * (H + H.T)
@@ -73,12 +78,12 @@ def lowdin_basis(W: np.ndarray, eps_rank: float = EPS_RANK_DEFAULT) -> LowdinBas
     vecs = vecs[:, ::-1]
     if n == 0 or vals[0] <= 0.0:
         empty = np.zeros((W.shape[0], 0))
-        return LowdinBasis(empty, np.zeros((n, 0)), np.zeros(0), 0, True)
+        return LowdinBasis(empty, np.zeros((n, 0)), np.zeros(0), 0)
     keep = vals > eps_rank * vals[0]
     vals = np.ascontiguousarray(vals[keep])
     vecs = vecs[:, keep]
     transform = vecs / np.sqrt(vals)
-    return LowdinBasis(W @ transform, transform, vals, int(vals.size), False)
+    return LowdinBasis(W @ transform, transform, vals, int(vals.size))
 
 
 def _cholesky_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -127,40 +132,29 @@ def micro_step(
 
     W = materialize_W(fmt, p, mu)
     resid_old = b.values - A.apply(v_old).values
-    grad_norm = float(np.linalg.norm(W.T @ resid_old)) / b2
+    grad = float(np.linalg.norm(W.T @ resid_old))
 
     basis = lowdin_basis(W, eps_rank)
-    if basis.degenerate:
-        record = MicroStepRecord(
-            sweep=sweep,
-            mu=mu,
-            f=f_old,
-            decrement=0.0,
-            grad_norm=grad_norm,
-            W_rank=0,
-            resid_orth=float(np.linalg.norm(W.T @ resid_old)),
-            param_norm_max=p.max_norm(),
-            degenerate=True,
-        )
-        return p, v_old, record
+    if basis.rank == 0:  # degenerate: keep p, v and f
+        p_new, v_new, f_new, resid_orth = p, v_old, f_old, grad
+    else:
+        V = basis.V
+        AV = A.apply_matrix(V)
+        G = V.T @ AV
+        G = 0.5 * (G + G.T)
+        y = _cholesky_solve(G, V.T @ b.values)
 
-    V = basis.V
-    AV = A.apply_matrix(V)
-    G = V.T @ AV
-    G = 0.5 * (G + G.T)
-    y = _cholesky_solve(G, V.T @ b.values)
-
-    p_new = p.replace(mu, basis.transform @ y)
-    v_new = DenseTensor(b.shape, V @ y)
-    Av_new = A.apply(v_new)
-    f_new = (0.5 * inner(Av_new, v_new) - inner(b, v_new)) / b2
-    resid_orth = float(np.linalg.norm(W.T @ (b.values - Av_new.values)))
+        p_new = p.replace(mu, basis.transform @ y)
+        v_new = DenseTensor(b.shape, V @ y)
+        Av_new = A.apply(v_new)
+        f_new = (0.5 * inner(Av_new, v_new) - inner(b, v_new)) / b2
+        resid_orth = float(np.linalg.norm(W.T @ (b.values - Av_new.values)))
     record = MicroStepRecord(
         sweep=sweep,
         mu=mu,
         f=f_new,
         decrement=f_new - f_old,
-        grad_norm=grad_norm,
+        grad_norm=grad / b2,
         W_rank=basis.rank,
         resid_orth=resid_orth,
         param_norm_max=p_new.max_norm(),
@@ -204,8 +198,9 @@ class StopRule:
     ``f_tol`` and ``grad_tol`` are inclusive (<=) with default 0, i.e.
     they fire only on exact stalls unless widened.  ``angle_tol`` is a
     strict < test on the per-sweep tangent; None or a nonpositive value
-    disables it.  Reason priority: degenerate, angle_small, grad_small,
-    f_stalled, max_sweeps.
+    disables it.  A NaN tolerance, which would silently switch its test
+    off, is rejected.  Reason priority: degenerate, angle_small,
+    grad_small, f_stalled, max_sweeps.
     """
 
     max_sweeps: int
@@ -216,9 +211,12 @@ class StopRule:
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
-        if self.f_tol < 0 or self.grad_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
-        if self.angle_tol is not None and self.angle_tol <= 0:
+        for name in ("f_tol", "grad_tol"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+        if self.angle_tol is not None and not self.angle_tol > 0:
+            if np.isnan(self.angle_tol):
+                raise ValueError("angle_tol must be a number, got nan")
             object.__setattr__(self, "angle_tol", None)
 
 
@@ -228,6 +226,8 @@ def _resolve_angle_mode(
     reference: DenseTensor | None,
     reference_factor,
 ) -> str:
+    if angle_mode not in ANGLE_MODES:
+        raise ValueError(f"unknown angle mode {angle_mode!r}")
     if angle_mode == "auto":
         if reference_factor is not None:
             angle_mode = "factor"
@@ -240,14 +240,9 @@ def _resolve_angle_mode(
             raise ValueError("angle mode 'factor' needs a reference factor")
         if not (isinstance(fmt, CpFormat) and fmt.rank == 1):
             raise ValueError("factor angles need a rank-one cp format")
-        return "factor"
-    if angle_mode == "full":
-        if reference is None:
-            raise ValueError("angle mode 'full' needs a reference tensor")
-        return "full"
-    if angle_mode == "none":
-        return "none"
-    raise ValueError(f"unknown angle mode {angle_mode!r}")
+    if angle_mode == "full" and reference is None:
+        raise ValueError("angle mode 'full' needs a reference tensor")
+    return angle_mode
 
 
 def run(
@@ -338,7 +333,6 @@ def run(
         termination=termination,
         sweeps=records[-1].sweep if records else 0,
         angle_mode=mode,
-        operator_verified=A.verified,
         initial_f=initial_f,
         initial_param_norm_max=initial_pmax,
         sweep_f=sweep_f,

@@ -135,15 +135,12 @@ def blambda_example(lam: float = 0.46, n: int = 8, seed: int = 7) -> ProblemInst
     )
 
 
-def totally_orthogonal(
-    r: int = 2, dims=(4, 4, 4), seed: int = 0, weights=None, factors=None
-) -> ProblemInstance:
+def totally_orthogonal(r: int = 2, dims=(4, 4, 4), seed: int = 0) -> ProblemInstance:
     """Sum of r rank-one terms with per-mode orthonormal factors.
 
-    Weights default to (r, r-1, ..., 1): positive, descending, distinct.
-    Factors default to seeded random orthonormal columns; pass explicit
-    per-mode (m_mu x r) matrices to override.  The start is biased toward
-    the dominant term, whose factor is the angle reference.
+    The weights are (r, r-1, ..., 1): positive, descending, distinct.  The
+    factors are seeded random orthonormal columns.  The start is biased
+    toward the dominant term, whose factor is the angle reference.
     """
     shape = Shape(tuple(int(m) for m in dims))
     r = int(r)
@@ -153,27 +150,12 @@ def totally_orthogonal(
         raise ValueError(
             f"r too large for dims: {r} terms need every mode size >= {r}"
         )
-    if weights is None:
-        weights = np.arange(r, 0, -1, dtype=float)
-    else:
-        weights = np.asarray(weights, dtype=float).ravel()
-        if weights.size != r:
-            raise ValueError("need one weight per term")
-        if not (np.all(weights > 0) and np.all(np.diff(weights) < 0)):
-            raise ValueError("weights must be positive, descending, distinct")
+    weights = np.arange(r, 0, -1, dtype=float)
     rng = np.random.default_rng(seed)
-    if factors is None:
-        factors = []
-        for m in shape.dims:
-            Q, _ = np.linalg.qr(rng.standard_normal((m, r)))
-            factors.append(Q)
-    else:
-        factors = [np.asarray(B, dtype=float) for B in factors]
-        for mu, B in enumerate(factors):
-            if B.shape != (shape.dims[mu], r):
-                raise ValueError(f"factor matrix {mu} must be {shape.dims[mu]} x {r}")
-            if np.max(np.abs(B.T @ B - np.eye(r))) > 1e-10:
-                raise ValueError("non-orthonormal factors")
+    factors = []
+    for m in shape.dims:
+        Q, _ = np.linalg.qr(rng.standard_normal((m, r)))
+        factors.append(Q)
     terms = [
         (float(weights[j]), [factors[mu][:, j] for mu in range(shape.ndim)])
         for j in range(r)

@@ -120,7 +120,6 @@ class SpdOperator:
     variant = "abstract"
     shape: Shape
     verified: bool
-    eig_bounds: tuple[float, float] | None
 
     def apply(self, v: DenseTensor) -> DenseTensor:
         raise NotImplementedError
@@ -149,7 +148,6 @@ class IdentityOperator(SpdOperator):
     def __init__(self, shape: Shape):
         self.shape = shape
         self.verified = True
-        self.eig_bounds = (1.0, 1.0)
 
     def apply(self, v: DenseTensor) -> DenseTensor:
         self._check_operand(v)
@@ -166,12 +164,11 @@ def _check_symmetric(mat: np.ndarray, what: str):
         raise ValueError(f"{what} is not symmetric")
 
 
-def _check_definite(mat: np.ndarray, what: str) -> tuple[float, float]:
-    """Reject a matrix that is not positive definite; return (lambda_min, lambda_max)."""
-    vals = np.linalg.eigvalsh(mat)
-    if vals[0] <= 0:
-        raise ValueError(f"{what} is not positive definite (lambda_min = {vals[0]:.3e})")
-    return float(vals[0]), float(vals[-1])
+def _check_definite(mat: np.ndarray, what: str):
+    """Reject a matrix that is not positive definite."""
+    lam_min = np.linalg.eigvalsh(mat)[0]
+    if lam_min <= 0:
+        raise ValueError(f"{what} is not positive definite (lambda_min = {lam_min:.3e})")
 
 
 class DenseOperator(SpdOperator):
@@ -193,12 +190,9 @@ class DenseOperator(SpdOperator):
         _check_symmetric(mat, "operator matrix")
         self.shape = shape
         self.matrix = np.ascontiguousarray(mat)
-        if n <= SPD_VERIFY_CAP:
-            self.eig_bounds = _check_definite(self.matrix, "operator matrix")
-            self.verified = True
-        else:
-            self.verified = False
-            self.eig_bounds = None
+        self.verified = n <= SPD_VERIFY_CAP
+        if self.verified:
+            _check_definite(self.matrix, "operator matrix")
 
     def apply(self, v: DenseTensor) -> DenseTensor:
         self._check_operand(v)
@@ -224,18 +218,14 @@ class ModeWiseOperator(SpdOperator):
         mats = [np.ascontiguousarray(np.asarray(f, dtype=float)) for f in factors]
         if not mats:
             raise ValueError("mode-wise operator needs at least one factor")
-        lo, hi = 1.0, 1.0
         for nu, mat in enumerate(mats):
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"factor {nu} is not square")
             _check_symmetric(mat, f"mode-{nu} factor")
-            fl, fh = _check_definite(mat, f"mode-{nu} factor")
-            lo *= fl
-            hi *= fh
+            _check_definite(mat, f"mode-{nu} factor")
         self.factors = mats
         self.shape = Shape(tuple(m.shape[0] for m in mats))
         self.verified = True
-        self.eig_bounds = (lo, hi)
 
     def apply(self, v: DenseTensor) -> DenseTensor:
         self._check_operand(v)

@@ -687,6 +687,8 @@ def run_checks(names=None, trials: int | None = None) -> list[CheckResult]:
     ``trials`` overrides the default trial count of every check whose
     function takes a ``trials`` argument; the others ignore it.
     """
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     selected = dict(CHECKS)
     if names is not None:
         unknown = set(names) - set(selected)

@@ -439,7 +439,7 @@ def test_non_spd_operator_above_verify_cap_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["--gallery", "blambda", "--max-sweeps", "0"], "error: [blambda] max_sweeps must be >= 1"),
+        (["--gallery", "blambda", "--max-sweeps", "0"], "error: max_sweeps must be >= 1"),
         (
             ["--gallery", "desilva_lim", "--angle-mode", "factor"],
             "error: [desilva_lim] angle mode 'factor' needs a reference factor",
@@ -449,6 +449,65 @@ def test_non_spd_operator_above_verify_cap_is_usage_error(tmp_path, capsys):
 def test_solver_rejections_are_usage_errors(args, message, capsys):
     assert run_cli(["run", *args]) == EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail the test if any job reaches the solver."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a job solved")
+
+    monkeypatch.setattr(cli, "run", refuse)
+
+
+OUT_OF_RANGE = [
+    *(
+        ("--eps-rank", v, f"eps_rank must be nonnegative and below 1, got {float(v)!r}")
+        for v in ("1", "2", "nan", "inf")
+    ),
+    ("--f-tol", "nan", "f_tol must be nonnegative, got nan"),
+    ("--f-tol", "-1", "f_tol must be nonnegative, got -1.0"),
+    ("--grad-tol", "nan", "grad_tol must be nonnegative, got nan"),
+    ("--angle-tol", "nan", "angle_tol must be a number, got nan"),
+    ("--growth-threshold", "nan", "growth_threshold must be positive, got nan"),
+    ("--growth-threshold", "0", "growth_threshold must be positive, got 0.0"),
+    ("--rate-window", "0", "rate_window must be >= 1, got 0"),
+    ("--rate-window", "-4", "rate_window must be >= 1, got -4"),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message", OUT_OF_RANGE, ids=[f"{f[2:]}={v}" for f, v, _ in OUT_OF_RANGE]
+)
+def test_out_of_range_setting_is_one_error_line(capsys, no_solve, flag, value, message):
+    assert run_cli(["run", "--gallery", "blambda", flag, value]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+
+
+def test_config_angle_mode_is_checked_before_any_solve(tmp_path, capsys, no_solve):
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"gallery": "mohlenkamp", "max_sweeps": 3}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"gallery": "mohlenkamp", "angle_mode": "bogus"}))
+    assert run_cli(["run", "--config", str(ok), "--config", str(bad)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: angle_mode must be one of auto, factor, full, none, got 'bogus'"
+    ]
+
+
+def test_angle_mode_choices_are_the_engine_modes():
+    (run_parser,) = [
+        action.choices["run"]
+        for action in build_parser()._actions
+        if isinstance(action.choices, dict)
+    ]
+    (mode,) = [a for a in run_parser._actions if a.dest == "angle_mode"]
+    assert tuple(mode.choices) == engine.ANGLE_MODES
 
 
 def test_parser_is_built_once_per_process():
@@ -541,6 +600,14 @@ def test_verify_subset_passes(capsys):
     out = capsys.readouterr().out
     assert "[PASS] rate-formula" in out
     assert "2/2 checks passed" in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_trials_below_one_is_usage_error(capsys, trials):
+    assert run_cli(["verify", "--trials", trials, "--checks", "oracle-equivalence"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: trials must be >= 1, got {trials}"]
+    assert captured.out == ""
 
 
 def test_verify_unknown_check_is_usage_error(capsys):

@@ -268,7 +268,6 @@ def _trace_with_ranks(ranks_by_sweep, pmax_by_sweep, init_pmax=1.0):
         termination="max_sweeps",
         sweeps=len(records),
         angle_mode="none",
-        operator_verified=True,
         initial_f=0.0,
         initial_param_norm_max=init_pmax,
         sweep_f=[rec.f for rec in records],
@@ -294,10 +293,8 @@ def test_monitors_detect_rank_drift():
     trace = _trace_with_ranks([2, 2, 1, 1], [1.0, 1.0, 1.0, 1.0])
     report = assumption_monitors(trace)
     assert "rank-drift" in report.flags
-    assert report.last_rank_change_sweep == 3
     assert report.rank_sequences == {0: (2, 2, 1, 1)}
     stable = assumption_monitors(_trace_with_ranks([2, 2, 2], [1.0, 1.0, 1.0]))
-    assert stable.last_rank_change_sweep is None
     assert "rank-drift" not in stable.flags
 
 
@@ -323,9 +320,9 @@ def test_monitors_dist_a_monotone_flagging():
         StopRule(max_sweeps=4),
         reference_factor=instance.reference_factor,
     )
-    report = assumption_monitors(trace)
-    assert report.dist_a_monotone
-    assert report.dist_a == tuple(trace.dist_a)
+    # the energy-norm steps between sweep iterates shrink on this instance
+    dist = trace.dist_a
+    assert all(b <= a * (1.0 + 1e-12) + 1e-300 for a, b in zip(dist, dist[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +419,6 @@ def test_trace_tangent_ratios_skip_undefined_pairs():
         termination="max_sweeps",
         sweeps=4,
         angle_mode="factor",
-        operator_verified=True,
         initial_f=0.0,
         initial_param_norm_max=1.0,
         sweep_f=[-0.1, -0.2, -0.3, -0.4],

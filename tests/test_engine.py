@@ -41,7 +41,6 @@ def spd(rng, m):
 def test_lowdin_single_scaled_column():
     # W = 2 e1: Gram eigenvalue 4, back-transform 1/2, basis e1
     basis = lowdin_basis(np.array([[2.0], [0.0]]))
-    assert not basis.degenerate
     assert basis.rank == 1
     assert np.array_equal(basis.delta, [4.0])
     assert np.array_equal(basis.transform, [[0.5]])
@@ -65,7 +64,6 @@ def test_lowdin_drops_duplicate_column():
     W[:, 2] = W[:, 0]
     basis = lowdin_basis(W)
     assert basis.rank == 2
-    assert not basis.degenerate
     # transform @ transform.T equals the Gram pseudo-inverse
     want = np.linalg.pinv(W.T @ W, rcond=1e-10)
     assert np.max(np.abs(basis.transform @ basis.transform.T - want)) < 1e-8
@@ -73,7 +71,6 @@ def test_lowdin_drops_duplicate_column():
 
 def test_lowdin_zero_matrix_is_degenerate():
     basis = lowdin_basis(np.zeros((4, 2)))
-    assert basis.degenerate
     assert basis.rank == 0
     assert basis.V.shape == (4, 0)
     assert basis.transform.shape == (2, 0)
@@ -82,6 +79,14 @@ def test_lowdin_zero_matrix_is_degenerate():
 def test_lowdin_rejects_negative_threshold():
     with pytest.raises(ValueError, match="nonnegative"):
         lowdin_basis(np.eye(2), eps_rank=-1.0)
+
+
+@pytest.mark.parametrize("eps_rank", [1.0, 2.0, float("nan"), float("inf")])
+def test_lowdin_rejects_eps_rank_outside_unit_interval(eps_rank):
+    # at eps_rank >= 1 no eigenvalue survives the cut of a nonzero W
+    with pytest.raises(ValueError, match="below 1"):
+        lowdin_basis(np.eye(2), eps_rank=eps_rank)
+    assert lowdin_basis(np.diag([1.0, 0.5]), eps_rank=np.nextafter(1.0, 0.0)).rank == 1
 
 
 def test_lowdin_orth_defect_is_the_eager_formula_read_lazily():
@@ -165,13 +170,21 @@ def test_micro_step_degenerate_leaves_params_unchanged():
     fmt = CpFormat(shape, 1)
     p = ParamSystem([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     b = DenseTensor(shape, np.ones(8))
-    p_new, v_new, rec = micro_step(IdentityOperator(shape), b, fmt, p, 0)
+    A = IdentityOperator(shape)
+    p_new, v_new, rec = micro_step(A, b, fmt, p, 0)
     assert rec.degenerate
     assert rec.W_rank == 0
     assert rec.decrement == 0.0
     for mu in range(3):
         assert np.array_equal(p_new[mu], p[mu])
     assert v_new.norm() == 0.0
+    # the record carries the pre-step values
+    v = evaluate(fmt, p)
+    W_resid = materialize_W(fmt, p, 0).T @ (b.values - A.apply(v).values)
+    assert rec.f == objective(A, b, v)
+    assert rec.grad_norm == float(np.linalg.norm(W_resid)) / inner(b, b)
+    assert rec.resid_orth == float(np.linalg.norm(W_resid))
+    assert rec.param_norm_max == max(float(np.linalg.norm(p[mu])) for mu in range(3))
 
 
 def test_micro_step_rejects_zero_target():
@@ -352,6 +365,10 @@ def test_stop_rule_validation():
         StopRule(max_sweeps=1, f_tol=-1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         StopRule(max_sweeps=1, grad_tol=-1.0)
+    # a NaN tolerance would switch its stop test off without a word
+    for name in ("f_tol", "grad_tol", "angle_tol"):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            StopRule(max_sweeps=1, **{name: float("nan")})
 
 
 def test_stop_rule_nonpositive_angle_tol_disables():

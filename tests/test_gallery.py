@@ -140,31 +140,9 @@ def test_totally_orthogonal_default_weights_and_reference():
     assert np.array_equal(instance.reference_factor, factors[0][:, 0])
 
 
-def test_totally_orthogonal_accepts_explicit_factors():
-    factors = [np.eye(3)[:, :2] for _ in range(3)]
-    instance = totally_orthogonal(2, (3, 3, 3), factors=factors, weights=[5.0, 1.0])
-    want = rank_one_sum(
-        Shape((3, 3, 3)),
-        [
-            (5.0, [[1, 0, 0], [1, 0, 0], [1, 0, 0]]),
-            (1.0, [[0, 1, 0], [0, 1, 0], [0, 1, 0]]),
-        ],
-    )
-    assert np.allclose(instance.b.values, want.values, atol=1e-14)
-
-
 def test_totally_orthogonal_validation():
     with pytest.raises(ValueError, match="r too large"):
         totally_orthogonal(5, (4, 4, 4))
-    with pytest.raises(ValueError, match="descending"):
-        totally_orthogonal(2, (3, 3, 3), weights=[1.0, 2.0])
-    with pytest.raises(ValueError, match="descending"):
-        totally_orthogonal(2, (3, 3, 3), weights=[2.0, 2.0])
-    with pytest.raises(ValueError, match="one weight per term"):
-        totally_orthogonal(2, (3, 3, 3), weights=[3.0, 2.0, 1.0])
-    skewed = [np.eye(3)[:, :2], np.eye(3)[:, :2], np.ones((3, 2))]
-    with pytest.raises(ValueError, match="non-orthonormal"):
-        totally_orthogonal(2, (3, 3, 3), factors=skewed)
 
 
 # ---------------------------------------------------------------------------

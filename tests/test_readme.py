@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from alskit.cli import build_parser
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -13,3 +15,16 @@ def test_readme_library_example_runs(capsys):
     termination, f = capsys.readouterr().out.split()
     assert termination != "degenerate"
     assert float(f) < 0.0
+
+
+def test_readme_cli_lines_use_full_flag_names():
+    # argparse would accept a prefix such as --out; the README spells each flag out
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a.choices, dict)]
+    text = README.read_text().replace("\\\n", " ")
+    commands = re.findall(r"python3 -m alskit (\w+)(.*)", text)
+    assert len(commands) >= 6
+    for command, rest in commands:
+        sub = subparsers.choices[command]
+        flags = {s for action in sub._actions for s in action.option_strings}
+        for flag in re.findall(r"(?<!\S)--[a-z][a-z-]*", rest):
+            assert flag in flags, (command, flag)
