@@ -1,15 +1,14 @@
 """Command-line front end: run solves, list the gallery, self-verify.
 
-Exit codes: 0 clean, 1 usage/config errors (including unknown labels and
-a solve that fails, reported as one "error:" line on stderr),
-2 degenerate termination, 3 boundedness-monitor alarm.  When several
-jobs run at once the most severe code wins, in the order 2, 3, 1.
+``DESCRIPTION``, the text `alskit --help` prints, gives the exit codes.
 Traces are written as CSV with one row per micro-step; floats are
 serialized with repr() so identical runs produce identical bytes.
 
 `gallery` lists the built-in instances, `describe LABEL` shows the flags
-one of them takes, and `run` rejects any other gallery flag for it.  A bad
-setting, from a config file or a flag, exits 1 before any solve starts.
+one of them takes, and `run` rejects any other gallery flag for it.  The
+run settings come from one table, ``RUN_SETTINGS``: each row is a flag and
+a config key.  A bad setting, from a config file or a flag, exits 1 before
+any solve starts; a config value must already have the setting's type.
 """
 
 from __future__ import annotations
@@ -51,6 +50,14 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DEGENERATE = 2
 EXIT_UNBOUNDED = 3
+
+DESCRIPTION = (
+    "Block-coordinate ALS on multilinear tensor formats: run solves, list the "
+    "gallery, self-verify.  Exit codes: 0 clean; 1 usage or config error, "
+    'unknown label or failed solve, reported as one "error:" line on stderr; '
+    "2 degenerate termination; 3 boundedness-monitor alarm.  When several jobs "
+    "run at once the most severe code wins, in the order 2, 3, 1."
+)
 
 
 class CliError(Exception):
@@ -211,10 +218,12 @@ RUN_SETTINGS = (
 
 
 def _check_settings(job: dict):
-    """Convert and check the run settings in place; a bad value is a usage error.
+    """Check the run settings in place; a bad value is a usage error.
 
-    Builds the job's StopRule, which checks the stop settings.  A null
-    from a config file turns off a setting that can be off.
+    Values are checked, not converted: an integer setting takes an integer,
+    a number setting an integer (stored as a float) or a float; a bool or
+    a string is neither.  Builds the job's StopRule, which checks the stop
+    settings.  A null from a config file turns off a setting that can be off.
     """
     for name, kind, default, _ in RUN_SETTINGS:
         val = job[name]
@@ -227,9 +236,13 @@ def _check_settings(job: dict):
             if not isinstance(val, str):
                 raise CliError(f"{name} must be a file path, got {val!r}")
         else:
+            # type(), not isinstance(): a JSON true is not the integer 1
+            ok = type(val) is int or (kind is float and type(val) is float)
             try:
+                if not ok:
+                    raise TypeError
                 job[name] = kind(val)
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, OverflowError):
                 what = "an integer" if kind is int else "a number"
                 raise CliError(f"{name} must be {what}, got {val!r}") from None
     check_eps_rank(job["eps_rank"])
@@ -348,6 +361,8 @@ def cmd_run(args) -> int:
 
     jobs = []
     try:
+        if args.jobs < 1:
+            raise CliError(f"jobs must be >= 1, got {args.jobs}")
         if args.config:
             for path in args.config:
                 try:
@@ -416,7 +431,7 @@ def cmd_verify(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process and reused by every main() call."""
-    parser = _Parser(prog="alskit", description=__doc__)
+    parser = _Parser(prog="alskit", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="solve a problem and report diagnostics")

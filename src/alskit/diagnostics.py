@@ -308,14 +308,15 @@ def recursion_check(
     """Verify one micro-step against its one-step transfer matrix.
 
     Starting from the parameters entering micro-step (sweep, mu-1), the
-    updates of blocks mu-1 and mu are replayed, and the second iterate is
-    compared with N v_mid where
+    updates of blocks mu-1 and mu are replayed by two ``engine.local_solve``
+    calls, and the second iterate is compared with N v_mid where
 
         N = W_mu G^+ M H^+ W_{mu-1}^T,
 
     G^+ the energy pseudo-inverse at block mu, M the probed coupling
     matrix of blocks (mu, mu-1), and H^+ the Gram pseudo-inverse at block
-    mu-1.  The relative defect should sit at rounding level.
+    mu-1, all from the same two solves.  The relative defect should sit
+    at rounding level.
     """
     from . import engine  # local import: engine depends on this module
 
@@ -325,25 +326,18 @@ def recursion_check(
             f"transfer matrix check capped at N = {RECURSION_SIZE_CAP}, got {n}"
         )
     mu = ctx.mu
-    p1, v_mid, rec1 = engine.micro_step(A, b, fmt, ctx.params, mu - 1, eps_rank)
-    if rec1.degenerate:
+    W_prev, prev_basis, _, y_prev = engine.local_solve(A, b, fmt, ctx.params, mu - 1, eps_rank)
+    if prev_basis.rank == 0:
         raise ValueError("degenerate micro-step in recursion context")
-    p2, v_next, rec2 = engine.micro_step(A, b, fmt, p1, mu, eps_rank)
-    if rec2.degenerate:
+    p1 = ctx.params.replace(mu - 1, prev_basis.transform @ y_prev)
+    W_cur, cur_basis, G, y = engine.local_solve(A, b, fmt, p1, mu, eps_rank)
+    if cur_basis.rank == 0:
         raise ValueError("degenerate micro-step in recursion context")
+    v_mid = DenseTensor(b.shape, prev_basis.V @ y_prev)
+    v_next = DenseTensor(b.shape, cur_basis.V @ y)
 
-    W_prev = materialize_W(fmt, ctx.params, mu - 1)
-    prev_basis = engine.lowdin_basis(W_prev, eps_rank)
     H_pinv = prev_basis.transform @ prev_basis.transform.T
-
-    W_cur = materialize_W(fmt, p1, mu)
-    cur_basis = engine.lowdin_basis(W_cur, eps_rank)
-    V = cur_basis.V
-    AV = A.apply_matrix(V)
-    G = V.T @ AV
-    G = 0.5 * (G + G.T)
     G_pinv = cur_basis.transform @ np.linalg.solve(G, cur_basis.transform.T)
-
     M = materialize_M(fmt, b, p1, mu, mu - 1)
     N = W_cur @ G_pinv @ M @ H_pinv @ W_prev.T
 

@@ -1,12 +1,12 @@
 """Block-coordinate solver: exact one-block updates through a Löwdin basis.
 
-Each micro-step freezes all parameter blocks but one, materializes the
-resulting linear map W, orthonormalizes its range from the eigenvalue
-decomposition of the Gram matrix W^T W, solves the projected SPD system
-with LAPACK's Cholesky routines (potrf/potrs, the ones scipy's
-cho_factor/cho_solve wrap, called directly to skip the wrappers' checks),
-and writes back the minimum-norm block update.  A sweep visits the
-blocks in order; the driver repeats sweeps until a stop rule fires.
+Each micro-step freezes all parameter blocks but one.  ``local_solve``
+materializes the local linear map W, orthonormalizes its range from the
+eigendecomposition of the Gram matrix W^T W and solves the projected SPD
+system with LAPACK's Cholesky routines (potrf/potrs, which scipy's
+cho_factor/cho_solve wrap, called directly to skip the wrappers' checks);
+``micro_step`` writes back the minimum-norm block update.  A sweep visits
+the blocks in order; ``run`` repeats sweeps until a stop rule fires.
 """
 
 from __future__ import annotations
@@ -103,6 +103,24 @@ def _cholesky_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lapack.dpotrs(factor, rhs, lower=1)[0]
 
 
+def local_solve(
+    A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem, mu: int, eps_rank: float
+) -> tuple[np.ndarray, LowdinBasis, np.ndarray, np.ndarray]:
+    """Build and solve the Galerkin system of block mu; returns (W, basis, G, y).
+
+    G = V^T A V (symmetrized) on the Löwdin basis V of range(W), G y = V^T b;
+    the new block is basis.transform @ y.  At rank 0 G and y are empty.
+    """
+    W = materialize_W(fmt, p, mu)
+    basis = lowdin_basis(W, eps_rank)
+    if basis.rank == 0:
+        return W, basis, np.zeros((0, 0)), np.zeros(0)
+    V = basis.V
+    G = V.T @ A.apply_matrix(V)
+    G = 0.5 * (G + G.T)
+    return W, basis, G, _cholesky_solve(G, V.T @ b.values)
+
+
 def micro_step(
     A: SpdOperator,
     b: DenseTensor,
@@ -117,10 +135,10 @@ def micro_step(
 ) -> tuple[ParamSystem, DenseTensor, MicroStepRecord]:
     """Exact update of block mu; returns (new params, new iterate, record).
 
-    The projected system V^T A V y = V^T b is SPD of size W_rank and is
-    solved by Cholesky factorization.  The block written back is the
-    minimum-norm representative transform @ y, orthogonal to the kernel
-    of W.  A degenerate step (W = 0) leaves the parameters unchanged.
+    ``local_solve`` solves the projected SPD system V^T A V y = V^T b.
+    The block written back is the minimum-norm representative
+    transform @ y, orthogonal to the kernel of W.  A degenerate step
+    (W = 0) leaves the parameters unchanged.
     """
     b2 = inner(b, b)
     if b2 == 0.0:
@@ -130,22 +148,13 @@ def micro_step(
     if f_old is None:
         f_old = objective(A, b, v_old)
 
-    W = materialize_W(fmt, p, mu)
-    resid_old = b.values - A.apply(v_old).values
-    grad = float(np.linalg.norm(W.T @ resid_old))
-
-    basis = lowdin_basis(W, eps_rank)
+    W, basis, _, y = local_solve(A, b, fmt, p, mu, eps_rank)
+    grad = float(np.linalg.norm(W.T @ (b.values - A.apply(v_old).values)))
     if basis.rank == 0:  # degenerate: keep p, v and f
         p_new, v_new, f_new, resid_orth = p, v_old, f_old, grad
     else:
-        V = basis.V
-        AV = A.apply_matrix(V)
-        G = V.T @ AV
-        G = 0.5 * (G + G.T)
-        y = _cholesky_solve(G, V.T @ b.values)
-
         p_new = p.replace(mu, basis.transform @ y)
-        v_new = DenseTensor(b.shape, V @ y)
+        v_new = DenseTensor(b.shape, basis.V @ y)
         Av_new = A.apply(v_new)
         f_new = (0.5 * inner(Av_new, v_new) - inner(b, v_new)) / b2
         resid_orth = float(np.linalg.norm(W.T @ (b.values - Av_new.values)))

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import engine, gallery, oracle
 from .diagnostics import (
+    EPS_RANK_DEFAULT,
     assumption_monitors,
     full_gradient,
     gradient_block,
@@ -334,21 +335,16 @@ def check_post_step_identities(trials: int = 30):
 
 
 def check_decrement_identity(trials: int = 30):
+    """The decrement is -z^T G^-1 z / (2<b,b>), z = V^T r_old, with V and G from local_solve."""
     worst = 0.0
     for t in range(trials):
         A, b, fmt, p = random_problem(700 + t)
         mu = t % fmt.num_blocks
-        v_old = evaluate(fmt, p)
         _, _, rec = engine.micro_step(A, b, fmt, p, mu)
         if rec.degenerate:
             continue
-        W = materialize_W(fmt, p, mu)
-        basis = engine.lowdin_basis(W)
-        V = basis.V
-        G = V.T @ A.apply_matrix(V)
-        G = 0.5 * (G + G.T)
-        r_old = b.values - A.apply(v_old).values
-        z = V.T @ r_old
+        _, basis, G, _ = engine.local_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT)
+        z = basis.V.T @ (b.values - A.apply(evaluate(fmt, p)).values)
         predicted = -0.5 * float(z @ np.linalg.solve(G, z)) / inner(b, b)
         worst = max(worst, abs(rec.decrement - predicted))
     return worst <= 1e-10, f"max deviation from projected-residual form {worst:.2e} (tol 1e-10)"

@@ -339,15 +339,53 @@ def test_flag_for_wrong_label_is_rejected(capsys):
             "args, max_sweeps, f_tol, grad_tol, angle_tol, eps_rank, rate_window, "
             "angle_mode, growth_threshold, output, dump_target)",
         ),
+        (
+            {"gallery": "mohlenkamp", "max_sweeps": 3.7},
+            "error: max_sweeps must be an integer, got 3.7",
+        ),
+        (
+            {"gallery": "mohlenkamp", "max_sweeps": True},
+            "error: max_sweeps must be an integer, got True",
+        ),
+        (
+            {"gallery": "mohlenkamp", "rate_window": True},
+            "error: rate_window must be an integer, got True",
+        ),
+        (
+            {"gallery": "mohlenkamp", "eps_rank": "1e-9"},
+            "error: eps_rank must be a number, got '1e-9'",
+        ),
     ],
-    ids=["growth_threshold", "rate_window", "args_list", "misspelt_key"],
+    ids=[
+        "growth_threshold",
+        "rate_window",
+        "args_list",
+        "misspelt_key",
+        "fractional_int",
+        "bool_int",
+        "bool_window",
+        "numeric_string",
+    ],
 )
-def test_bad_config_setting_is_one_error_line(tmp_path, capsys, doc, message):
+def test_bad_config_setting_is_one_error_line(tmp_path, capsys, no_solve, doc, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
     assert run_cli(["run", "--config", str(cfg)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [message]
+    assert captured.out == ""
+
+
+def test_integer_config_value_for_a_number_setting_becomes_a_float():
+    job = cli._job_from_config({"gallery": "mohlenkamp", "f_tol": 0, "max_sweeps": 3}, {})
+    assert type(job["f_tol"]) is float and type(job["max_sweeps"]) is int
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_one_error_line(capsys, no_solve, jobs):
+    assert run_cli(["run", "--gallery", "mohlenkamp", "--jobs", jobs]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: jobs must be >= 1, got {jobs}"]
     assert captured.out == ""
 
 
@@ -512,6 +550,14 @@ def test_angle_mode_choices_are_the_engine_modes():
 
 def test_parser_is_built_once_per_process():
     assert build_parser() is build_parser()
+
+
+def test_top_level_help_is_the_description_not_the_module_docstring():
+    description = build_parser().description
+    assert description != cli.__doc__
+    assert "Exit codes:" in description
+    for code in (EXIT_OK, EXIT_USAGE, EXIT_DEGENERATE, EXIT_UNBOUNDED):
+        assert re.search(rf"\b{code} \w", description), code
 
 
 def test_multiple_configs_and_jobs_flag(tmp_path, capsys):

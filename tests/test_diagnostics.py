@@ -21,11 +21,13 @@ from alskit.diagnostics import (
     stable_tangent,
     tangent_recursion,
 )
-from alskit.engine import StopRule, run
+from alskit import engine
+from alskit.engine import StopRule, micro_step, run
 from alskit.formats import CpFormat, ParamSystem
 from alskit.gallery import blambda_example, desilva_lim, mohlenkamp_example
 from alskit.oracle import finite_diff_grad
-from alskit.tensors import DenseTensor, IdentityOperator, ModeWiseOperator, Shape
+from alskit.tensors import DenseOperator, DenseTensor, IdentityOperator, ModeWiseOperator, Shape
+from alskit.verification import random_problem
 
 
 def spd(rng, m):
@@ -383,6 +385,61 @@ def test_recursion_check_size_cap():
     ctx = RecursionContext(sweep=2, mu=1, params=instance.init)
     with pytest.raises(ValueError, match="capped at N = 256"):
         recursion_check(instance.A, instance.b, instance.fmt, ctx)
+
+
+def _replay_problem(name):
+    if name == "blambda":
+        bl = blambda_example(0.3, n=4, seed=11)
+        return bl.A, bl.b, bl.fmt, bl.init
+    if name == "tt_modewise":
+        return random_problem(3, kind="tt", operator="modewise")
+    _, b, fmt, p = random_problem(4, kind="cp", operator="identity")
+    return DenseOperator(fmt.shape, spd(np.random.default_rng(4), fmt.shape.size)), b, fmt, p
+
+
+@pytest.mark.parametrize("name", ["blambda", "tt_modewise", "cp_dense"])
+def test_replay_iterates_are_the_committed_micro_steps(name):
+    A, b, fmt, init = _replay_problem(name)
+    trace = run(A, b, fmt, init, StopRule(max_sweeps=3), keep_params=True)
+    contexts = list(recursion_contexts(trace))
+    assert contexts
+    for ctx in contexts:
+        report = recursion_check(A, b, fmt, ctx)
+        p_mid, v_mid, _ = micro_step(A, b, fmt, ctx.params, ctx.mu - 1)
+        _, v_next, _ = micro_step(A, b, fmt, p_mid, ctx.mu)
+        assert np.array_equal(report.v_mid.values, v_mid.values)
+        assert np.array_equal(report.v_next.values, v_next.values)
+
+
+def test_replay_solves_each_block_once(monkeypatch):
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("lowdin_basis", "materialize_W", "micro_step"):
+        monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+    instance = blambda_example(0.3, n=4, seed=11)
+    recursion_check(instance.A, instance.b, instance.fmt, RecursionContext(2, 1, instance.init))
+    # materialize_M probes through its own binding, not the solver's
+    assert sorted(calls) == ["lowdin_basis"] * 2 + ["materialize_W"] * 2
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]],
+    ids=["frozen_zero_block", "zero_first_update"],
+)
+def test_degenerate_step_pair_is_rejected(blocks):
+    shape = Shape((2, 2))
+    b = DenseTensor(shape, np.kron([1.0, 0.0], [0.0, 1.0]))
+    ctx = RecursionContext(2, 1, ParamSystem(blocks))
+    with pytest.raises(ValueError, match="degenerate micro-step in recursion context"):
+        recursion_check(IdentityOperator(shape), b, CpFormat(shape, 1), ctx)
 
 
 def test_tangent_recursion_factorization():

@@ -63,6 +63,14 @@ def test_fast_checks_pass_at_reduced_trials():
         assert res.ok, f"{res.name}: {res.detail}"
 
 
+def test_full_registry_passes_at_default_trials():
+    # what `alskit verify` runs, including the replay checks the fast list skips
+    results = run_checks()
+    assert [r.name for r in results] == [name for name, _ in CHECKS]
+    failed = [f"{r.name}: {r.detail}" for r in results if not r.ok]
+    assert not failed and len(results) == 26
+
+
 def test_run_checks_rejects_unknown_names():
     with pytest.raises(ValueError, match="unknown checks"):
         run_checks(names=["no-such-check"])
