@@ -326,20 +326,22 @@ def recursion_check(
             f"transfer matrix check capped at N = {RECURSION_SIZE_CAP}, got {n}"
         )
     mu = ctx.mu
-    W_prev, prev_basis, _, y_prev = engine.local_solve(A, b, fmt, ctx.params, mu - 1, eps_rank)
-    if prev_basis.rank == 0:
+    # at N <= RECURSION_SIZE_CAP local_solve takes the formed route, which
+    # keeps W and its Löwdin basis
+    prev = engine.local_solve(A, b, fmt, ctx.params, mu - 1, eps_rank)
+    if prev.rank == 0:
         raise ValueError("degenerate micro-step in recursion context")
-    p1 = ctx.params.replace(mu - 1, prev_basis.transform @ y_prev)
-    W_cur, cur_basis, G, y = engine.local_solve(A, b, fmt, p1, mu, eps_rank)
-    if cur_basis.rank == 0:
+    p1 = ctx.params.replace(mu - 1, prev.block)
+    cur = engine.local_solve(A, b, fmt, p1, mu, eps_rank)
+    if cur.rank == 0:
         raise ValueError("degenerate micro-step in recursion context")
-    v_mid = DenseTensor(b.shape, prev_basis.V @ y_prev)
-    v_next = DenseTensor(b.shape, cur_basis.V @ y)
+    v_mid = DenseTensor(b.shape, prev.iterate)
+    v_next = DenseTensor(b.shape, cur.iterate)
 
-    H_pinv = prev_basis.transform @ prev_basis.transform.T
-    G_pinv = cur_basis.transform @ np.linalg.solve(G, cur_basis.transform.T)
+    H_pinv = prev.basis.transform @ prev.basis.transform.T
+    G_pinv = cur.basis.transform @ np.linalg.solve(cur.G, cur.basis.transform.T)
     M = materialize_M(fmt, b, p1, mu, mu - 1)
-    N = W_cur @ G_pinv @ M @ H_pinv @ W_prev.T
+    N = cur.W @ G_pinv @ M @ H_pinv @ prev.W.T
 
     denom = v_next.norm()
     if denom == 0.0:

@@ -1,33 +1,66 @@
-"""Block-coordinate solver: exact one-block updates through a Löwdin basis.
+"""Block-coordinate solver: exact one-block updates on an orthonormal basis.
 
-Each micro-step freezes all parameter blocks but one.  ``local_solve``
-materializes the local linear map W, orthonormalizes its range from the
-eigendecomposition of the Gram matrix W^T W and solves the projected SPD
-system with LAPACK's Cholesky routines (potrf/potrs, which scipy's
-cho_factor/cho_solve wrap, called directly to skip the wrappers' checks);
-``micro_step`` writes back the minimum-norm block update.  A sweep visits
-the blocks in order; ``run`` repeats sweeps until a stop rule fires.
+Each micro-step freezes all parameter blocks but one and solves the
+Galerkin system of the remaining linear map W.  ``local_solve`` takes one
+of two routes to the same system.  The formed route materializes W,
+orthonormalizes its range from the eigendecomposition of the Gram matrix
+W^T W (Löwdin) and forms G = V^T A V.  The structured route, for CP and
+TT formats with an identity or mode-wise operator, never forms an N x k
+array: it works on the thin SVDs of the small frozen factors of W
+(``TensorFormat.unfolding_factors``), where W^T W = Z^T Z (x) I.  Both
+solve the projected SPD system with LAPACK's Cholesky routines
+(potrf/potrs, which scipy's cho_factor/cho_solve wrap, called directly
+to skip the wrappers' checks); ``micro_step`` writes back the
+minimum-norm block update.  A sweep visits the blocks in order; ``run``
+repeats sweeps until a stop rule fires.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .diagnostics import (
     EPS_RANK_DEFAULT,
+    RECURSION_SIZE_CAP,
     MicroStepRecord,
     RunTrace,
     objective,
     stable_tangent,
 )
-from .formats import CpFormat, ParamSystem, TensorFormat, evaluate, materialize_W
-from .tensors import DenseTensor, SpdOperator, a_norm, inner
+from .formats import (
+    CpFormat,
+    ParamSystem,
+    TensorFormat,
+    check_block,
+    evaluate,
+    materialize_W,
+)
+from .tensors import (
+    DenseTensor,
+    IdentityOperator,
+    ModeWiseOperator,
+    SpdOperator,
+    a_norm,
+    inner,
+    kron_apply,
+)
 
 ANGLE_MODES = ("auto", "factor", "full", "none")
+
+# local_solve takes the structured route only above both sizes.  At N <=
+# RECURSION_SIZE_CAP the transfer-matrix replay may run, and it needs the
+# formed W, basis and G.  STRUCTURED_MIN_GRAM_FLOPS bounds the formed
+# route's Gram work N * k^2.  Timed per micro-step on one BLAS thread
+# (2-vCPU Xeon), the formed route is as fast as the structured one at
+# N = 512, k = 8 with the identity (N k^2 = 3.3e4), and slower in every
+# CP and TT case measured from 1.3e5 up (by 1.06x to 3x).
+STRUCTURED_MIN_GRAM_FLOPS = 1e5
 
 
 @dataclass(frozen=True)
@@ -103,22 +136,144 @@ def _cholesky_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lapack.dpotrs(factor, rhs, lower=1)[0]
 
 
-def local_solve(
-    A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem, mu: int, eps_rank: float
-) -> tuple[np.ndarray, LowdinBasis, np.ndarray, np.ndarray]:
-    """Build and solve the Galerkin system of block mu; returns (W, basis, G, y).
+@dataclass(frozen=True)
+class LocalSolve:
+    """The solved Galerkin system of one block.
 
-    G = V^T A V (symmetrized) on the Löwdin basis V of range(W), G y = V^T b;
-    the new block is basis.transform @ y.  At rank 0 G and y are empty.
+    G y = V^T b with G = V^T A V on an orthonormal basis V of range(W),
+    of dimension ``rank``.  ``block`` is the minimum-norm new block and
+    ``iterate`` the new flat tensor V y; at rank 0 both are None and G
+    and y are empty.  ``adjoint(x)`` is W^T x for a flat tensor x.  The
+    formed route also keeps W and its Löwdin ``basis``; the structured
+    route forms neither and leaves them None.
+    """
+
+    rank: int
+    G: np.ndarray
+    y: np.ndarray
+    block: np.ndarray | None
+    iterate: np.ndarray | None
+    adjoint: Callable[[np.ndarray], np.ndarray]
+    W: np.ndarray | None = None
+    basis: LowdinBasis | None = None
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, without its n-dimensional bookkeeping."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+
+
+def _degenerate(adjoint, W=None, basis=None) -> LocalSolve:
+    return LocalSolve(0, np.zeros((0, 0)), np.zeros(0), None, None, adjoint, W, basis)
+
+
+def formed_solve(
+    A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem, mu: int, eps_rank: float
+) -> LocalSolve:
+    """The Galerkin system of block mu on the formed W and its Löwdin basis.
+
+    G = V^T A V (symmetrized); the new block is basis.transform @ y.
     """
     W = materialize_W(fmt, p, mu)
     basis = lowdin_basis(W, eps_rank)
+    adjoint = W.T.__matmul__
     if basis.rank == 0:
-        return W, basis, np.zeros((0, 0)), np.zeros(0)
+        return _degenerate(adjoint, W, basis)
     V = basis.V
     G = V.T @ A.apply_matrix(V)
     G = 0.5 * (G + G.T)
-    return W, basis, G, _cholesky_solve(G, V.T @ b.values)
+    y = _cholesky_solve(G, V.T @ b.values)
+    return LocalSolve(basis.rank, G, y, basis.transform @ y, V @ y, adjoint, W, basis)
+
+
+def structured_solve(
+    A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem, mu: int, eps_rank: float
+) -> LocalSolve | None:
+    """The Galerkin system of block mu from the small frozen factors alone.
+
+    The mode-mu unfolding of the block's image is F Z^T, Z the Kronecker
+    product of ``fmt.unfolding_factors`` (the CP Khatri-Rao factor, or
+    the TT interfaces P and Q^T).  Each factor gets a thin SVD; since
+    W^T W = Z^T Z (x) I, keeping the products of singular values with
+    sigma^2 > eps_rank * sigma_1^2 is the formed route's Gram cut.  The
+    kept left singular vectors U_k give V = U_k (x) I, so that
+    G = S (x) K_mu with S = U_k^T (K_L (x) K_R) U_k from a mode-wise apply
+    on U_k, V^T b and W^T x are contractions of the unfolding with U_k and
+    Z, and the minimum-norm block is Y T_k^T with Z T_k = U_k.
+
+    Returns None when there is no structure to use: an operator other
+    than identity or mode-wise, or a format without unfolding factors.
+    """
+    check_eps_rank(eps_rank)
+    check_block(fmt, p, mu)
+    if type(A) not in (IdentityOperator, ModeWiseOperator):
+        return None
+    factors = fmt.unfolding_factors(p.blocks, mu)
+    if factors is None:
+        return None
+    dims = fmt.shape.dims
+    m, left = dims[mu], math.prod(dims[:mu])
+
+    def unfold(x):  # flat tensor -> m x (N / m), mode mu first
+        return x.reshape(left, m, -1).transpose(1, 0, 2).reshape(m, -1)
+
+    Z = factors[0]
+    for factor in factors[1:]:
+        Z = _kron(Z, factor)
+
+    def adjoint(x):
+        return fmt.block_from_unfolding(unfold(x) @ Z, mu)
+
+    U, T, ratio = np.ones((1, 1)), np.ones((1, 1)), np.ones(1)
+    for factor in factors:
+        Uf, sigma, Xt = np.linalg.svd(factor, full_matrices=False)
+        if sigma[0] == 0.0:
+            return _degenerate(adjoint)
+        # a factor's direction that fails the cut on its own fails it in every product
+        ratio_f = (sigma / sigma[0]) ** 2
+        cut = ratio_f > eps_rank
+        U = _kron(U, Uf[:, cut])
+        T = _kron(T, Xt[cut].T / sigma[cut])
+        ratio = np.outer(ratio, ratio_f[cut]).ravel()
+    keep = ratio > eps_rank
+    U, T = U[:, keep], T[:, keep]
+
+    K_mu = np.eye(m)
+    AU = U
+    if type(A) is ModeWiseOperator:
+        K_mu = A.factors[mu]
+        others = A.factors[:mu] + A.factors[mu + 1:]
+        if others:
+            AU = kron_apply(others, U)
+    G = _kron(U.T @ AU, K_mu)  # coordinates ordered (kept column, i)
+    G = 0.5 * (G + G.T)
+    y = _cholesky_solve(G, (U.T @ unfold(b.values).T).ravel())
+    Y = y.reshape(U.shape[1], m)
+    block = fmt.block_from_unfolding((T @ Y).T, mu)
+    iterate = (Y.T @ U.T).reshape(m, left, -1).transpose(1, 0, 2).ravel()
+    return LocalSolve(Y.size, G, y, block, iterate, adjoint)
+
+
+def local_solve(
+    A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem, mu: int, eps_rank: float
+) -> LocalSolve:
+    """Build and solve the Galerkin system of block mu on the cheaper route.
+
+    The structured route is taken when N > RECURSION_SIZE_CAP, the formed
+    route's Gram work N * k^2 exceeds STRUCTURED_MIN_GRAM_FLOPS, and
+    ``structured_solve`` has structure to use (CP or TT with an identity
+    or mode-wise operator); every other system is formed.
+    """
+    n = fmt.shape.size
+    if (
+        n > RECURSION_SIZE_CAP
+        and 0 <= mu < fmt.num_blocks
+        and n * fmt.block_dim(mu) ** 2 > STRUCTURED_MIN_GRAM_FLOPS
+    ):
+        sol = structured_solve(A, b, fmt, p, mu, eps_rank)
+        if sol is not None:
+            return sol
+    return formed_solve(A, b, fmt, p, mu, eps_rank)
 
 
 def micro_step(
@@ -136,9 +291,9 @@ def micro_step(
     """Exact update of block mu; returns (new params, new iterate, record).
 
     ``local_solve`` solves the projected SPD system V^T A V y = V^T b.
-    The block written back is the minimum-norm representative
-    transform @ y, orthogonal to the kernel of W.  A degenerate step
-    (W = 0) leaves the parameters unchanged.
+    The block written back is the minimum-norm representative, orthogonal
+    to the kernel of W.  A degenerate step (W = 0) leaves the parameters
+    unchanged.
     """
     b2 = inner(b, b)
     if b2 == 0.0:
@@ -148,23 +303,24 @@ def micro_step(
     if f_old is None:
         f_old = objective(A, b, v_old)
 
-    W, basis, _, y = local_solve(A, b, fmt, p, mu, eps_rank)
-    grad = float(np.linalg.norm(W.T @ (b.values - A.apply(v_old).values)))
-    if basis.rank == 0:  # degenerate: keep p, v and f
+    resid_old = b.values - A.apply(v_old).values
+    sol = local_solve(A, b, fmt, p, mu, eps_rank)
+    grad = float(np.linalg.norm(sol.adjoint(resid_old)))
+    if sol.rank == 0:  # degenerate: keep p, v and f
         p_new, v_new, f_new, resid_orth = p, v_old, f_old, grad
     else:
-        p_new = p.replace(mu, basis.transform @ y)
-        v_new = DenseTensor(b.shape, basis.V @ y)
+        p_new = p.replace(mu, sol.block)
+        v_new = DenseTensor(b.shape, sol.iterate)
         Av_new = A.apply(v_new)
         f_new = (0.5 * inner(Av_new, v_new) - inner(b, v_new)) / b2
-        resid_orth = float(np.linalg.norm(W.T @ (b.values - Av_new.values)))
+        resid_orth = float(np.linalg.norm(sol.adjoint(b.values - Av_new.values)))
     record = MicroStepRecord(
         sweep=sweep,
         mu=mu,
         f=f_new,
         decrement=f_new - f_old,
         grad_norm=grad / b2,
-        W_rank=basis.rank,
+        W_rank=sol.rank,
         resid_orth=resid_orth,
         param_norm_max=p_new.max_norm(),
     )

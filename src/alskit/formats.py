@@ -7,7 +7,9 @@ map W, returned by ``TensorFormat.local_map``.  CP and TT build W from
 their structure (a Khatri-Rao product, respectively the left and right
 interface matrices, placed on the identity of the free mode); the generic
 fallback, used by custom formats, probes the standard basis one column
-at a time.
+at a time.  CP and TT also hand out those small frozen factors themselves
+(``unfolding_factors``), from which the engine's structured local solve
+works without forming W at all.
 """
 
 from __future__ import annotations
@@ -100,6 +102,22 @@ class TensorFormat:
             probe[j] = 0.0
         return W
 
+    def unfolding_factors(self, blocks, mu: int) -> list[np.ndarray] | None:
+        """Small frozen factors of the local map of block mu; None if unknown.
+
+        The mode-mu unfolding of U(..., q, ...) (m_mu rows; columns over
+        the other modes, in order) is F Z^T, where F is block q as an
+        m_mu x s matrix (``block_from_unfolding`` maps F back to the flat
+        block) and Z is the Kronecker product of the returned factors.
+        So W^T W = Z^T Z (x) I, and W is never needed to solve the block.
+        Formats without known structure return None.
+        """
+        return None
+
+    def block_from_unfolding(self, F: np.ndarray, mu: int) -> np.ndarray:
+        """Flat block mu from its m_mu x s unfolding matrix F."""
+        raise NotImplementedError
+
     def check_params(self, p: ParamSystem):
         if len(p) != self.num_blocks:
             raise ValueError(
@@ -153,20 +171,32 @@ class CpFormat(TensorFormat):
             out += t
         return out.ravel()
 
+    def unfolding_factors(self, blocks, mu: int) -> list[np.ndarray]:
+        """The Khatri-Rao product of the frozen factors, (N / m_mu) x r.
+
+        The product runs left to right over the frozen modes, in the order
+        of ``_evaluate_blocks``.
+        """
+        r = self.rank
+        kr = np.ones((1, r))
+        for nu, (b, m) in enumerate(zip(blocks, self.shape.dims)):
+            if nu != mu:
+                kr = (kr[:, None, :] * b.reshape((m, r), order="F")[None]).reshape(-1, r)
+        return [kr]
+
+    def block_from_unfolding(self, F: np.ndarray, mu: int) -> np.ndarray:
+        return F.ravel(order="F")
+
     def local_map(self, blocks, mu: int) -> np.ndarray:
         """Khatri-Rao product of the frozen factors placed on the identity.
 
         Column i + m_mu * j is the rank-one term j with its mode-mu factor
-        replaced by e_i.  The product runs left to right over the frozen
-        modes, in the order of ``_evaluate_blocks``, so W equals the probed
-        matrix exactly.
+        replaced by e_i.  The Khatri-Rao product multiplies in the order of
+        ``_evaluate_blocks``, so W equals the probed matrix exactly.
         """
         dims = self.shape.dims
         r = self.rank
-        kr = np.ones((1, r))
-        for nu, (b, m) in enumerate(zip(blocks, dims)):
-            if nu != mu:
-                kr = (kr[:, None, :] * b.reshape((m, r), order="F")[None]).reshape(-1, r)
+        (kr,) = self.unfolding_factors(blocks, mu)
         m = dims[mu]
         left = int(np.prod(dims[:mu]))
         # W[(left, i, right), (j, i')] is kr[(left, right), j] if i == i', else 0
@@ -216,14 +246,13 @@ class TtFormat(TensorFormat):
             t = np.tensordot(t, core, axes=(t.ndim - 1, 0))
         return t.reshape(self.shape.dims).ravel()
 
-    def local_map(self, blocks, mu: int) -> np.ndarray:
-        """Left interface (x) identity (x) right interface.
+    def unfolding_factors(self, blocks, mu: int) -> list[np.ndarray]:
+        """The interfaces [P, Q^T] of block mu.
 
-        Entry ((l, i, q), (a, i', c)) is P[l, a] * Q[c, q] if i == i', else
-        0, with P the product of the cores left of mu (L x r_{mu-1}) and Q
-        the product of the cores right of it (r_mu x R).
+        P (L x r_{mu-1}) is the product of the cores left of mu, Q
+        (r_mu x R) the product of the cores right of it.
         """
-        dims, ranks = self.shape.dims, self.ranks
+        ranks = self.ranks
         P = np.ones((1, 1))
         for nu in range(mu):
             P = P.reshape(-1, ranks[nu]) @ blocks[nu].reshape(ranks[nu], -1)
@@ -231,11 +260,24 @@ class TtFormat(TensorFormat):
         Q = np.ones((1, 1))
         for nu in range(self.num_blocks - 1, mu, -1):
             Q = blocks[nu].reshape(-1, ranks[nu + 1]) @ Q.reshape(ranks[nu + 1], -1)
-        Q = Q.reshape(ranks[mu + 1], -1)
+        return [P, Q.reshape(ranks[mu + 1], -1).T]
+
+    def block_from_unfolding(self, F: np.ndarray, mu: int) -> np.ndarray:
+        # columns of F run over (a, c), the core is stored as (a, i, c)
+        return F.reshape(-1, self.ranks[mu], self.ranks[mu + 1]).transpose(1, 0, 2).ravel()
+
+    def local_map(self, blocks, mu: int) -> np.ndarray:
+        """Left interface (x) identity (x) right interface.
+
+        Entry ((l, i, q), (a, i', c)) is P[l, a] * Q[c, q] if i == i', else
+        0, with P and Q the interfaces of ``unfolding_factors``.
+        """
+        dims, ranks = self.shape.dims, self.ranks
+        P, Qt = self.unfolding_factors(blocks, mu)
         m = dims[mu]
-        W = np.zeros((P.shape[0], m, Q.shape[1], ranks[mu], m, ranks[mu + 1]))
+        W = np.zeros((P.shape[0], m, Qt.shape[0], ranks[mu], m, ranks[mu + 1]))
         diag = np.arange(m)
-        W[:, diag, :, :, diag, :] = P[:, None, :, None] * Q.T[None, :, None, :]
+        W[:, diag, :, :, diag, :] = P[:, None, :, None] * Qt[None, :, None, :]
         return W.reshape(self.shape.size, self.block_dim(mu))
 
 
@@ -277,6 +319,13 @@ def evaluate(fmt: TensorFormat, p: ParamSystem) -> DenseTensor:
     return DenseTensor(fmt.shape, fmt._evaluate_blocks([p[mu] for mu in range(len(p))]))
 
 
+def check_block(fmt: TensorFormat, p: ParamSystem, mu: int):
+    """Reject parameters that do not fit fmt, or a block index out of range."""
+    fmt.check_params(p)
+    if not 0 <= mu < fmt.num_blocks:
+        raise ValueError(f"block index {mu} out of range [0, {fmt.num_blocks})")
+
+
 def materialize_W(fmt: TensorFormat, p: ParamSystem, mu: int) -> np.ndarray:
     """Matrix of the linear map q -> U(..., p_{mu-1}, q, p_{mu+1}, ...).
 
@@ -284,9 +333,7 @@ def materialize_W(fmt: TensorFormat, p: ParamSystem, mu: int) -> np.ndarray:
     assemble it from their structure, any other multilinear format by
     probing the standard basis of block mu.
     """
-    fmt.check_params(p)
-    if not 0 <= mu < fmt.num_blocks:
-        raise ValueError(f"block index {mu} out of range [0, {fmt.num_blocks})")
+    check_block(fmt, p, mu)
     return fmt.local_map(p.blocks, mu)
 
 

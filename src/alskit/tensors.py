@@ -206,10 +206,8 @@ class ModeWiseOperator(SpdOperator):
     """Kronecker product A_1 (x) ... (x) A_d with per-mode SPD factors.
 
     ``apply`` contracts one factor per mode.  ``apply_matrix`` applies the
-    operator to all k columns of an (N, k) block at once instead of one
-    ``apply`` per column: the mode-1 product is written straight into the
-    output, and modes 2..d are applied in place, one mode-1 slab at a
-    time, through a single scratch buffer of N * k / m_1 entries.
+    operator to all k columns of an (N, k) block at once through
+    ``kron_apply`` instead of one ``apply`` per column.
     """
 
     variant = "modewise"
@@ -238,29 +236,40 @@ class ModeWiseOperator(SpdOperator):
 
     def apply_matrix(self, M: np.ndarray) -> np.ndarray:
         M = np.asarray(M, dtype=float)
-        dims = self.shape.dims
         n = self.shape.size
         if M.ndim != 2 or M.shape[0] != n:
             raise ValueError(
                 f"incompatible shapes: operator on N={n}, operand {M.shape}"
             )
-        k = M.shape[1]
-        out = np.empty((n, k))
-        if k == 0:
-            return out
-        slab = n // dims[0] * k
-        np.matmul(self.factors[0], M.reshape(dims[0], slab), out=out.reshape(dims[0], slab))
-        scratch = np.empty(slab)
-        for row in out.reshape(dims[0], slab):
-            outer = 1
-            for mat, m in zip(self.factors[1:], dims[1:]):
-                # this mode of the slab, viewed as (outer, m, inner)
-                view = row.reshape(outer, m, -1)
-                buf = scratch.reshape(view.shape)
-                np.matmul(mat, view, out=buf)
-                view[...] = buf
-                outer *= m
+        return kron_apply(self.factors, M)
+
+
+def kron_apply(factors, M: np.ndarray) -> np.ndarray:
+    """(F_1 (x) ... (x) F_d) M for square factors and an (n, k) block M.
+
+    n is the product of the factor sizes.  The mode-1 product is written
+    straight into the output and modes 2..d are applied in place, one
+    mode-1 slab at a time, through one scratch buffer of n * k / m_1
+    entries.
+    """
+    dims = tuple(mat.shape[0] for mat in factors)
+    n, k = M.shape
+    out = np.empty((n, k))
+    if k == 0:
         return out
+    slab = n // dims[0] * k
+    np.matmul(factors[0], M.reshape(dims[0], slab), out=out.reshape(dims[0], slab))
+    scratch = np.empty(slab)
+    for row in out.reshape(dims[0], slab):
+        outer = 1
+        for mat, m in zip(factors[1:], dims[1:]):
+            # this mode of the slab, viewed as (outer, m, inner)
+            view = row.reshape(outer, m, -1)
+            buf = scratch.reshape(view.shape)
+            np.matmul(mat, view, out=buf)
+            view[...] = buf
+            outer *= m
+    return out
 
 
 def inner(u: DenseTensor, v: DenseTensor) -> float:

@@ -74,13 +74,47 @@ def random_problem(
         [rng.standard_normal(fmt.block_dim(mu)) for mu in range(fmt.num_blocks)]
     )
     b = DenseTensor(shape, rng.standard_normal(shape.size))
+    return _random_operator(rng, shape, operator), b, fmt, p
+
+
+def _random_operator(rng: np.random.Generator, shape: Shape, operator: str) -> SpdOperator:
     if operator == "identity":
-        A: SpdOperator = IdentityOperator(shape)
-    elif operator == "modewise":
-        A = ModeWiseOperator([random_spd_matrix(rng, m) for m in dims])
-    else:
-        raise ValueError(f"unknown operator kind {operator!r}")
-    return A, b, fmt, p
+        return IdentityOperator(shape)
+    if operator == "modewise":
+        return ModeWiseOperator([random_spd_matrix(rng, m) for m in shape.dims])
+    raise ValueError(f"unknown operator kind {operator!r}")
+
+
+def sized_problem(
+    seed: int, kind: str, dims, rank, operator: str = "modewise", duplicate: bool = False
+) -> tuple[SpdOperator, DenseTensor, TensorFormat, ParamSystem]:
+    """Seeded problem with the given CP or TT format and operator kind.
+
+    With ``duplicate`` the first two columns of every CP factor are equal,
+    so every W has exactly duplicated columns.
+    """
+    rng = np.random.default_rng(seed)
+    shape = Shape(tuple(dims))
+    fmt = CpFormat(shape, rank) if kind == "cp" else TtFormat(shape, rank)
+    blocks = [rng.standard_normal(fmt.block_dim(mu)) for mu in range(fmt.num_blocks)]
+    if duplicate:
+        for block, m in zip(blocks, dims):
+            mat = block.reshape((m, rank), order="F")
+            mat[:, 1] = mat[:, 0]
+    b = DenseTensor(shape, rng.standard_normal(shape.size))
+    return _random_operator(rng, shape, operator), b, fmt, ParamSystem(blocks)
+
+
+# Systems above both route thresholds of engine.local_solve, so that their
+# default route is the structured one: (kind, dims, rank, operator,
+# duplicate).  The TT ranks are minimal.
+ROUTE_CASES = (
+    ("cp", (8, 8, 8), 3, "identity", False),
+    ("cp", (8, 8, 8), 3, "modewise", False),
+    ("tt", (8, 8, 8), (3, 3), "identity", False),
+    ("tt", (7, 8, 6), (3, 4), "modewise", False),
+    ("cp", (8, 8, 6), 3, "modewise", True),
+)
 
 
 def rank_deficient_problem(
@@ -226,7 +260,8 @@ def _relative_deviation(got: np.ndarray, want: np.ndarray) -> float:
 
 def check_structured_vs_probe(trials: int = 20):
     # CP/TT local maps and the batched mode-wise apply against the generic
-    # probe and column-by-column paths of the base classes
+    # probe and column-by-column paths of the base classes, and the
+    # structured local solve against the formed one
     rng = np.random.default_rng(108)
     cp_mismatch = 0
     worst_tt = 0.0
@@ -255,11 +290,39 @@ def check_structured_vs_probe(trials: int = 20):
             worst_apply,
             _relative_deviation(A.apply_matrix(M), SpdOperator.apply_matrix(A, M)),
         )
-    ok = cp_mismatch == 0 and worst_tt <= 1e-14 and worst_apply <= 1e-14
+    blocks_solved = rank_mismatch = formed_default = 0
+    worst_solve = 0.0
+    for i, case in enumerate(ROUTE_CASES):
+        A, b, fmt, p = sized_problem(110 + i, *case)
+        for mu in range(fmt.num_blocks):
+            formed = engine.formed_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT)
+            structured = engine.structured_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT)
+            formed_default += engine.local_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT).W is not None
+            blocks_solved += 1
+            rank_mismatch += structured.rank != formed.rank
+            f_formed, f_structured = (
+                objective(A, b, DenseTensor(b.shape, sol.iterate)) for sol in (formed, structured)
+            )
+            worst_solve = max(
+                worst_solve,
+                _relative_deviation(structured.block, formed.block),
+                _relative_deviation(structured.iterate, formed.iterate),
+                abs(f_structured - f_formed) / abs(f_formed),
+            )
+    ok = (
+        cp_mismatch == 0
+        and worst_tt <= 1e-14
+        and worst_apply <= 1e-14
+        and rank_mismatch == formed_default == 0
+        and worst_solve <= 1e-12
+    )
     return ok, (
         f"{trials} shapes, d = 1..4; CP W differing from the probe: {cp_mismatch} "
         f"(exact); TT W deviation {worst_tt:.2e}, mode-wise apply_matrix "
-        f"deviation {worst_apply:.2e} (tol 1e-14)"
+        f"deviation {worst_apply:.2e} (tol 1e-14); structured vs formed local "
+        f"solve on {blocks_solved} blocks above the route thresholds: rank "
+        f"mismatches {rank_mismatch}, blocks defaulting to the formed route "
+        f"{formed_default}, block/iterate/f deviation {worst_solve:.2e} (tol 1e-12)"
     )
 
 
@@ -343,9 +406,9 @@ def check_decrement_identity(trials: int = 30):
         _, _, rec = engine.micro_step(A, b, fmt, p, mu)
         if rec.degenerate:
             continue
-        _, basis, G, _ = engine.local_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT)
-        z = basis.V.T @ (b.values - A.apply(evaluate(fmt, p)).values)
-        predicted = -0.5 * float(z @ np.linalg.solve(G, z)) / inner(b, b)
+        sol = engine.local_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT)
+        z = sol.basis.V.T @ (b.values - A.apply(evaluate(fmt, p)).values)
+        predicted = -0.5 * float(z @ np.linalg.solve(sol.G, z)) / inner(b, b)
         worst = max(worst, abs(rec.decrement - predicted))
     return worst <= 1e-10, f"max deviation from projected-residual form {worst:.2e} (tol 1e-10)"
 
@@ -379,12 +442,15 @@ def check_monotone_chain(trials: int = 100, sweeps: int = 3):
 def check_oracle_equivalence(trials: int = 200):
     worst = 0.0
     worst_kernel = 0.0
+    cases = []
     for t in range(trials):
-        if t % 2 == 0:
-            A, b, fmt, p = random_problem(900 + t)
-        else:
-            A, b, fmt, p = rank_deficient_problem(900 + t)
-        mu = t % fmt.num_blocks
+        problem = (random_problem if t % 2 == 0 else rank_deficient_problem)(900 + t)
+        cases.append((problem, t % problem[2].num_blocks))
+    # every block of one system above the route thresholds, on which
+    # micro_step takes the structured route
+    large = sized_problem(1100, *ROUTE_CASES[-1])
+    cases += [(large, mu) for mu in range(large[2].num_blocks)]
+    for (A, b, fmt, p), mu in cases:
         W = materialize_W(fmt, p, mu)
         p_new, _, rec = engine.micro_step(A, b, fmt, p, mu)
         want = oracle.brute_least_squares(A, b, W)
@@ -398,7 +464,8 @@ def check_oracle_equivalence(trials: int = 200):
             )
     ok = worst <= 1e-10 and worst_kernel <= 1e-10
     return ok, (
-        f"{trials} instances; max deviation from brute solve {worst:.2e}, "
+        f"{trials} instances and {large[2].num_blocks} structured-route blocks; "
+        f"max deviation from brute solve {worst:.2e}, "
         f"max kernel component {worst_kernel:.2e} (tol 1e-10)"
     )
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+from alskit import engine
 from alskit.diagnostics import objective, recursion_contexts
 from alskit.engine import StopRule, lowdin_basis, micro_step, run, sweep
 from alskit.formats import (
@@ -25,6 +26,7 @@ from alskit.tensors import (
     Shape,
     inner,
 )
+from alskit.verification import ROUTE_CASES, sized_problem
 
 TOL = 1e-12
 
@@ -297,6 +299,199 @@ def test_micro_step_is_bitwise_the_textbook_step(kind, operator):
         p = p_new
     if kind in ("custom", "cp-deficient"):
         assert deficient > 0
+
+
+def _rel(got, want):
+    return float(np.linalg.norm(np.subtract(got, want)) / np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_default_route_above_thresholds_matches_the_textbook_step(case):
+    A, b, fmt, p = sized_problem(39, *case)
+    for mu in range(fmt.num_blocks):
+        assert engine.local_solve(A, b, fmt, p, mu, 1e-12).W is None  # structured
+        p_new, v_new, rec = micro_step(A, b, fmt, p, mu)
+        block, v_want, want = _textbook_step(A, b, fmt, p, mu)
+        f, decrement, grad_norm, rank, resid_orth, pmax = want
+        assert rec.W_rank == rank
+        assert _rel(p_new[mu], block) <= TOL
+        assert _rel(v_new.values, v_want) <= TOL
+        assert rec.f == pytest.approx(f, rel=TOL)
+        assert rec.decrement == pytest.approx(decrement, abs=TOL * abs(f))
+        assert rec.grad_norm == pytest.approx(grad_norm, rel=TOL)
+        assert rec.param_norm_max == pytest.approx(pmax, rel=TOL)
+        assert max(rec.resid_orth, resid_orth) <= 1e-12 * b.norm()
+        if case[-1]:  # duplicated CP columns: a kernel in every W
+            assert rank < fmt.block_dim(mu)
+        p = p_new
+
+
+def _count_formed_layers(monkeypatch):
+    calls = {"materialize_W": 0, "lowdin_basis": 0}
+    for name in calls:
+        real = getattr(engine, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+def _custom_outer_problem():
+    # no unfolding factors: the formed route whatever the size
+    rng = np.random.default_rng(40)
+    shape = Shape((24, 24))
+    fmt = MultilinearFormat(shape, (24, 24), lambda bl: np.outer(bl[0], bl[1]).ravel())
+    b = DenseTensor(shape, rng.standard_normal(shape.size))
+    return IdentityOperator(shape), b, fmt, ParamSystem([rng.standard_normal(24) for _ in range(2)])
+
+
+def _dense_problem():
+    rng = np.random.default_rng(41)
+    _, b, fmt, p = sized_problem(42, "cp", (8, 8, 8), 3)
+    return DenseOperator(fmt.shape, np.kron(spd(rng, 8), spd(rng, 64))), b, fmt, p
+
+
+BELOW_THRESHOLDS = {
+    "small": lambda: _lean_step_case("tt", "modewise"),
+    # N = 512 > RECURSION_SIZE_CAP, but N k^2 = 3.3e4: the gallery's blambda size
+    "narrow": lambda: sized_problem(43, "cp", (8, 8, 8), 1, "identity"),
+    "dense": _dense_problem,
+    "custom": _custom_outer_problem,
+}
+
+
+@pytest.mark.parametrize("name", list(BELOW_THRESHOLDS))
+def test_below_thresholds_each_step_forms_W_and_its_basis_once(monkeypatch, name):
+    A, b, fmt, p = BELOW_THRESHOLDS[name]()
+    calls = _count_formed_layers(monkeypatch)
+    trace = run(A, b, fmt, p, StopRule(max_sweeps=2))
+    steps = len(trace.records)
+    assert steps == 2 * fmt.num_blocks
+    assert calls == {"materialize_W": steps, "lowdin_basis": steps}
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_above_thresholds_no_step_forms_W(monkeypatch, case):
+    A, b, fmt, p = sized_problem(43, *case)
+    want = run(A, b, fmt, p, StopRule(max_sweeps=2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("formed route taken")
+
+    monkeypatch.setattr(engine, "materialize_W", refuse)
+    monkeypatch.setattr(engine, "lowdin_basis", refuse)
+    trace = run(A, b, fmt, p, StopRule(max_sweeps=2))
+    assert [r.f for r in trace.records] == [r.f for r in want.records]
+    assert trace.records[-1].f < trace.initial_f
+
+
+def _formed_route(monkeypatch):
+    monkeypatch.setattr(engine, "STRUCTURED_MIN_GRAM_FLOPS", float("inf"))
+
+
+def _record_fields(rec):
+    return (rec.f, rec.decrement, rec.grad_norm, rec.W_rank, rec.resid_orth, rec.param_norm_max)
+
+
+@pytest.mark.parametrize("kind, rank", [("cp", 3), ("tt", (3, 3))])
+def test_degenerate_step_above_thresholds_matches_the_formed_route(monkeypatch, kind, rank):
+    A, b, fmt, p = sized_problem(44, kind, (8, 8, 8), rank)
+    p = p.replace(1, np.zeros(fmt.block_dim(1)))  # W of blocks 0 and 2 vanishes
+    assert engine.local_solve(A, b, fmt, p, 0, 1e-12).W is None
+    structured = micro_step(A, b, fmt, p, 0)
+    traced = run(A, b, fmt, p, StopRule(max_sweeps=5))
+    _formed_route(monkeypatch)
+    formed = micro_step(A, b, fmt, p, 0)
+    assert structured[2].W_rank == 0
+    assert np.array_equal(structured[1].values, formed[1].values)
+    assert all(np.array_equal(structured[0][mu], p[mu]) for mu in range(3))
+    assert _record_fields(structured[2]) == _record_fields(formed[2])
+    assert traced.termination == "degenerate" and traced.sweeps == 1
+    assert run(A, b, fmt, p, StopRule(max_sweeps=5)).termination == "degenerate"
+
+
+@pytest.mark.parametrize("route", ["structured", "formed"])
+def test_bad_targets_above_thresholds_raise_the_same_errors(monkeypatch, route):
+    A, b, fmt, p = sized_problem(45, "cp", (8, 8, 8), 3)
+    if route == "formed":
+        _formed_route(monkeypatch)
+    assert (engine.local_solve(A, b, fmt, p, 0, 1e-12).W is None) == (route == "structured")
+    with pytest.raises(ValueError, match="objective undefined for zero target"):
+        micro_step(A, DenseTensor.zeros(b.shape), fmt, p, 0)
+    values = b.values.copy()
+    values[7] = np.nan
+    object.__setattr__(b, "values", values)  # past the constructor's finiteness check
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        micro_step(A, b, fmt, p, 0)
+
+
+def _mp_min_norm_block(mp, A, b, fmt, p, mu):
+    """Minimum-norm minimizing block from W, A and b at 50 digits."""
+    dims = fmt.shape.dims
+    k = fmt.block_dim(mu)
+    cols = []
+    for j in range(k):
+        blocks = [mp.matrix(list(p[nu])) for nu in range(fmt.num_blocks)]
+        blocks[mu] = mp.matrix([1 if i == j else 0 for i in range(k)])
+        cores = [
+            [
+                mp.matrix(
+                    [[blk[(a * m + i) * fmt.ranks[nu + 1] + c] for c in range(fmt.ranks[nu + 1])]
+                     for a in range(fmt.ranks[nu])]
+                )
+                for i in range(m)
+            ]
+            for nu, (blk, m) in enumerate(zip(blocks, dims))
+        ]
+        col = []
+        for index in np.ndindex(*dims):
+            t = cores[0][index[0]]
+            for nu in range(1, len(dims)):
+                t = t * cores[nu][index[nu]]
+            col.append(t[0, 0])
+        cols.append(col)
+    W = mp.matrix(fmt.shape.size, k)
+    for j, col in enumerate(cols):
+        for i, x in enumerate(col):
+            W[i, j] = x
+    K = mp.matrix([[1]])
+    for factor in A.factors:
+        F = mp.matrix(factor.tolist())
+        K2 = mp.matrix(K.rows * F.rows, K.cols * F.cols)
+        for i in range(K.rows):
+            for j in range(K.cols):
+                for r in range(F.rows):
+                    for c in range(F.cols):
+                        K2[i * F.rows + r, j * F.cols + c] = K[i, j] * F[r, c]
+        K = K2
+    # the solver's G is symmetrized: it solves with the symmetric part of A
+    G = W.T * ((K + K.T) / 2) * W
+    rhs = W.T * mp.matrix(list(b.values))
+    vals, vecs = mp.eigsy(G)
+    top = max(vals)
+    q = mp.matrix(k, 1)
+    for i in range(k):
+        if vals[i] > mp.mpf("1e-30") * top:
+            v = vecs[:, i]
+            q += v * ((v.T * rhs)[0, 0] / vals[i])
+    return np.array([float(x) for x in q])
+
+
+def test_structured_block_on_non_minimal_tt_ranks_is_the_minimum_norm_block():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.MPContext()
+    mp.dps = 50
+    # ranks (3, 4) on modes (2, 3, 4): the middle core's left interface is
+    # 2 x 3, so its W has a kernel that the minimum-norm update must avoid
+    A, b, fmt, p = sized_problem(46, "tt", (2, 3, 4), (3, 4))
+    for mu in range(fmt.num_blocks):
+        sol = engine.structured_solve(A, b, fmt, p, mu, 1e-12)
+        want = _mp_min_norm_block(mp, A, b, fmt, p, mu)
+        assert _rel(sol.block, want) <= 1e-13
+    assert engine.structured_solve(A, b, fmt, p, 1, 1e-12).rank < fmt.block_dim(1)
 
 
 def test_micro_step_non_spd_operator_above_verify_cap_raises():
