@@ -27,12 +27,18 @@ COS_CUTOFF = 1e-14
 TANGENT_FLOOR = 1e-14
 
 
-def objective(A: SpdOperator, b: DenseTensor, v: DenseTensor) -> float:
-    """Normalized quadratic objective (<Av,v>/2 - <b,v>) / <b,b>."""
+def objective(
+    A: SpdOperator, b: DenseTensor, v: DenseTensor, Av: DenseTensor | None = None
+) -> float:
+    """Normalized quadratic objective (<Av,v>/2 - <b,v>) / <b,b>.
+
+    ``Av``, when the caller already has it, is A v and spares the apply.
+    """
     b2 = inner(b, b)
     if b2 == 0.0:
         raise ValueError("objective undefined for zero target")
-    Av = A.apply(v)
+    if Av is None:
+        Av = A.apply(v)
     return (0.5 * inner(Av, v) - inner(b, v)) / b2
 
 

@@ -7,12 +7,17 @@ orthonormalizes its range from the eigendecomposition of the Gram matrix
 W^T W (Löwdin) and forms G = V^T A V.  The structured route, for CP and
 TT formats with an identity or mode-wise operator, never forms an N x k
 array: it works on the thin SVDs of the small frozen factors of W
-(``TensorFormat.unfolding_factors``), where W^T W = Z^T Z (x) I.  Both
-solve the projected SPD system with LAPACK's Cholesky routines
+(``TensorFormat.unfolding_factors``), where W^T W = Z^T Z (x) I.  Its
+projected operator is the Kronecker product G = S (x) K_mu, which it
+never forms either: it solves S Y K_mu = R with one Cholesky solve per
+factor, and it gets A applied to the new iterate from the same factors.
+Both routes solve their SPD systems with LAPACK's Cholesky routines
 (potrf/potrs, which scipy's cho_factor/cho_solve wrap, called directly
 to skip the wrappers' checks); ``micro_step`` writes back the
 minimum-norm block update.  A sweep visits the blocks in order; ``run``
-repeats sweeps until a stop rule fires.
+repeats sweeps until a stop rule fires.  The iterate's image A v is
+handed from step to step, so a structured step applies no full
+operator and a formed step applies one.
 """
 
 from __future__ import annotations
@@ -142,20 +147,23 @@ class LocalSolve:
 
     G y = V^T b with G = V^T A V on an orthonormal basis V of range(W),
     of dimension ``rank``.  ``block`` is the minimum-norm new block and
-    ``iterate`` the new flat tensor V y; at rank 0 both are None and G
-    and y are empty.  ``adjoint(x)`` is W^T x for a flat tensor x.  The
-    formed route also keeps W and its Löwdin ``basis``; the structured
-    route forms neither and leaves them None.
+    ``iterate`` the new flat tensor V y; at rank 0 both are None and y is
+    empty.  ``adjoint(x)`` is W^T x for a flat tensor x.  The formed
+    route keeps W, its Löwdin ``basis`` and G (empty at rank 0).  The
+    structured route forms none of them and leaves them None; instead it
+    returns ``image``, the flat tensor A @ iterate, which the formed
+    route leaves None.
     """
 
     rank: int
-    G: np.ndarray
+    G: np.ndarray | None
     y: np.ndarray
     block: np.ndarray | None
     iterate: np.ndarray | None
     adjoint: Callable[[np.ndarray], np.ndarray]
     W: np.ndarray | None = None
     basis: LowdinBasis | None = None
+    image: np.ndarray | None = None
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -164,7 +172,8 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _degenerate(adjoint, W=None, basis=None) -> LocalSolve:
-    return LocalSolve(0, np.zeros((0, 0)), np.zeros(0), None, None, adjoint, W, basis)
+    G = None if W is None else np.zeros((0, 0))
+    return LocalSolve(0, G, np.zeros(0), None, None, adjoint, W, basis)
 
 
 def formed_solve(
@@ -198,8 +207,13 @@ def structured_solve(
     sigma^2 > eps_rank * sigma_1^2 is the formed route's Gram cut.  The
     kept left singular vectors U_k give V = U_k (x) I, so that
     G = S (x) K_mu with S = U_k^T (K_L (x) K_R) U_k from a mode-wise apply
-    on U_k, V^T b and W^T x are contractions of the unfolding with U_k and
-    Z, and the minimum-norm block is Y T_k^T with Z T_k = U_k.
+    on U_k, and V^T b and W^T x are contractions of the unfolding with U_k
+    and Z.  G y = V^T b is solved as the matrix equation S Y K_mu = R,
+    R = U_k^T unfold(b)^T, by a Cholesky solve with S and then one with
+    K_mu (Van Loan 2000), at O(k^3 + m^3) in place of O(k^3 m^3); y is Y
+    in (kept column, i) order.  The minimum-norm block is Y T_k^T with
+    Z T_k = U_k, and the new iterate's image A V y is
+    fold(K_mu Y^T ((K_L (x) K_R) U_k)^T), from the same mode-wise apply.
 
     Returns None when there is no structure to use: an operator other
     than identity or mode-wise, or a format without unfolding factors.
@@ -216,6 +230,9 @@ def structured_solve(
 
     def unfold(x):  # flat tensor -> m x (N / m), mode mu first
         return x.reshape(left, m, -1).transpose(1, 0, 2).reshape(m, -1)
+
+    def fold(x):  # inverse of unfold
+        return x.reshape(m, left, -1).transpose(1, 0, 2).ravel()
 
     Z = factors[0]
     for factor in factors[1:]:
@@ -238,20 +255,21 @@ def structured_solve(
     keep = ratio > eps_rank
     U, T = U[:, keep], T[:, keep]
 
-    K_mu = np.eye(m)
+    K_mu = None  # the identity
     AU = U
     if type(A) is ModeWiseOperator:
         K_mu = A.factors[mu]
         others = A.factors[:mu] + A.factors[mu + 1:]
         if others:
             AU = kron_apply(others, U)
-    G = _kron(U.T @ AU, K_mu)  # coordinates ordered (kept column, i)
-    G = 0.5 * (G + G.T)
-    y = _cholesky_solve(G, (U.T @ unfold(b.values).T).ravel())
-    Y = y.reshape(U.shape[1], m)
+    S = U.T @ AU
+    Y = _cholesky_solve(0.5 * (S + S.T), U.T @ unfold(b.values).T)
+    if K_mu is not None:
+        Y = _cholesky_solve(0.5 * (K_mu + K_mu.T), Y.T).T
     block = fmt.block_from_unfolding((T @ Y).T, mu)
-    iterate = (Y.T @ U.T).reshape(m, left, -1).transpose(1, 0, 2).ravel()
-    return LocalSolve(Y.size, G, y, block, iterate, adjoint)
+    iterate = fold(Y.T @ U.T)
+    image = iterate if K_mu is None else fold((K_mu @ Y.T) @ AU.T)
+    return LocalSolve(Y.size, None, Y.ravel(), block, iterate, adjoint, image=image)
 
 
 def local_solve(
@@ -287,31 +305,37 @@ def micro_step(
     sweep: int = 0,
     v_old: DenseTensor | None = None,
     f_old: float | None = None,
-) -> tuple[ParamSystem, DenseTensor, MicroStepRecord]:
-    """Exact update of block mu; returns (new params, new iterate, record).
+    Av_old: DenseTensor | None = None,
+) -> tuple[ParamSystem, DenseTensor, DenseTensor, MicroStepRecord]:
+    """Exact update of block mu; returns (new params, new iterate, its image, record).
 
     ``local_solve`` solves the projected SPD system V^T A V y = V^T b.
     The block written back is the minimum-norm representative, orthogonal
     to the kernel of W.  A degenerate step (W = 0) leaves the parameters
-    unchanged.
+    unchanged.  The incoming iterate v_old, its objective and its image
+    ``Av_old`` = A v_old are computed when not given.  The new iterate's
+    image A v_new comes from the structured solve, or from one apply on
+    the formed route; a sweep hands it to the next step as ``Av_old``.
     """
     b2 = inner(b, b)
     if b2 == 0.0:
         raise ValueError("objective undefined for zero target")
     if v_old is None:
         v_old = evaluate(fmt, p)
+    if Av_old is None:
+        Av_old = A.apply(v_old)
     if f_old is None:
-        f_old = objective(A, b, v_old)
+        f_old = objective(A, b, v_old, Av_old)
 
-    resid_old = b.values - A.apply(v_old).values
+    resid_old = b.values - Av_old.values
     sol = local_solve(A, b, fmt, p, mu, eps_rank)
     grad = float(np.linalg.norm(sol.adjoint(resid_old)))
-    if sol.rank == 0:  # degenerate: keep p, v and f
-        p_new, v_new, f_new, resid_orth = p, v_old, f_old, grad
+    if sol.rank == 0:  # degenerate: keep p, v, A v and f
+        p_new, v_new, Av_new, f_new, resid_orth = p, v_old, Av_old, f_old, grad
     else:
         p_new = p.replace(mu, sol.block)
         v_new = DenseTensor(b.shape, sol.iterate)
-        Av_new = A.apply(v_new)
+        Av_new = A.apply(v_new) if sol.image is None else DenseTensor(b.shape, sol.image)
         f_new = (0.5 * inner(Av_new, v_new) - inner(b, v_new)) / b2
         resid_orth = float(np.linalg.norm(sol.adjoint(b.values - Av_new.values)))
     record = MicroStepRecord(
@@ -324,7 +348,7 @@ def micro_step(
         resid_orth=resid_orth,
         param_norm_max=p_new.max_norm(),
     )
-    return p_new, v_new, record
+    return p_new, v_new, Av_new, record
 
 
 def sweep(
@@ -337,23 +361,26 @@ def sweep(
     sweep_index: int = 0,
     v: DenseTensor | None = None,
     f: float | None = None,
+    Av: DenseTensor | None = None,
     snapshots: list | None = None,
-) -> tuple[ParamSystem, DenseTensor, list[MicroStepRecord]]:
-    """One pass over all blocks in order; returns (params, iterate, records)."""
+) -> tuple[ParamSystem, DenseTensor, DenseTensor, list[MicroStepRecord]]:
+    """One pass over all blocks in order; returns (params, iterate v, A v, records)."""
     if v is None:
         v = evaluate(fmt, p)
+    if Av is None:
+        Av = A.apply(v)
     if f is None:
-        f = objective(A, b, v)
+        f = objective(A, b, v, Av)
     records = []
     for mu in range(fmt.num_blocks):
         if snapshots is not None:
             snapshots.append(p)
-        p, v, rec = micro_step(
-            A, b, fmt, p, mu, eps_rank, sweep=sweep_index, v_old=v, f_old=f
+        p, v, Av, rec = micro_step(
+            A, b, fmt, p, mu, eps_rank, sweep=sweep_index, v_old=v, f_old=f, Av_old=Av
         )
         f = rec.f
         records.append(rec)
-    return p, v, records
+    return p, v, Av, records
 
 
 @dataclass(frozen=True)
@@ -438,7 +465,8 @@ def run(
 
     p = init
     v = evaluate(fmt, p)
-    f = objective(A, b, v)
+    Av = A.apply(v)
+    f = objective(A, b, v, Av)
     initial_f = f
     initial_pmax = p.max_norm()
 
@@ -464,8 +492,8 @@ def run(
     for k in range(1, stop.max_sweeps + 1):
         v_prev = v
         f_prev = f
-        p, v, recs = sweep(
-            A, b, fmt, p, eps_rank, sweep_index=k, v=v, f=f, snapshots=snapshots
+        p, v, Av, recs = sweep(
+            A, b, fmt, p, eps_rank, sweep_index=k, v=v, f=f, Av=Av, snapshots=snapshots
         )
         f = recs[-1].f
         records.extend(recs)

@@ -261,7 +261,8 @@ def _relative_deviation(got: np.ndarray, want: np.ndarray) -> float:
 def check_structured_vs_probe(trials: int = 20):
     # CP/TT local maps and the batched mode-wise apply against the generic
     # probe and column-by-column paths of the base classes, and the
-    # structured local solve against the formed one
+    # structured local solve, with the image A @ iterate it returns,
+    # against the formed one and a full apply
     rng = np.random.default_rng(108)
     cp_mismatch = 0
     worst_tt = 0.0
@@ -291,7 +292,7 @@ def check_structured_vs_probe(trials: int = 20):
             _relative_deviation(A.apply_matrix(M), SpdOperator.apply_matrix(A, M)),
         )
     blocks_solved = rank_mismatch = formed_default = 0
-    worst_solve = 0.0
+    worst_solve = worst_image = 0.0
     for i, case in enumerate(ROUTE_CASES):
         A, b, fmt, p = sized_problem(110 + i, *case)
         for mu in range(fmt.num_blocks):
@@ -309,12 +310,15 @@ def check_structured_vs_probe(trials: int = 20):
                 _relative_deviation(structured.iterate, formed.iterate),
                 abs(f_structured - f_formed) / abs(f_formed),
             )
+            image = A.apply(DenseTensor(b.shape, structured.iterate)).values
+            worst_image = max(worst_image, _relative_deviation(structured.image, image))
     ok = (
         cp_mismatch == 0
         and worst_tt <= 1e-14
         and worst_apply <= 1e-14
         and rank_mismatch == formed_default == 0
         and worst_solve <= 1e-12
+        and worst_image <= 1e-12
     )
     return ok, (
         f"{trials} shapes, d = 1..4; CP W differing from the probe: {cp_mismatch} "
@@ -322,7 +326,8 @@ def check_structured_vs_probe(trials: int = 20):
         f"deviation {worst_apply:.2e} (tol 1e-14); structured vs formed local "
         f"solve on {blocks_solved} blocks above the route thresholds: rank "
         f"mismatches {rank_mismatch}, blocks defaulting to the formed route "
-        f"{formed_default}, block/iterate/f deviation {worst_solve:.2e} (tol 1e-12)"
+        f"{formed_default}, block/iterate/f deviation {worst_solve:.2e}, "
+        f"A @ iterate deviation from a full apply {worst_image:.2e} (tol 1e-12)"
     )
 
 
@@ -358,7 +363,7 @@ def check_min_norm_update(trials: int = 30):
             A, b, fmt, p = random_problem(400 + t)
         mu = t % fmt.num_blocks
         W = materialize_W(fmt, p, mu)
-        p_new, _, rec = engine.micro_step(A, b, fmt, p, mu)
+        p_new, _, _, rec = engine.micro_step(A, b, fmt, p, mu)
         if rec.degenerate:
             continue
         # independent kernel via SVD
@@ -378,7 +383,7 @@ def check_galerkin_orthogonality(trials: int = 30):
         A, b, fmt, p = random_problem(500 + t)
         mu = t % fmt.num_blocks
         W = materialize_W(fmt, p, mu)
-        _, _, rec = engine.micro_step(A, b, fmt, p, mu)
+        _, _, _, rec = engine.micro_step(A, b, fmt, p, mu)
         bound = 1e-8 * np.linalg.norm(W) * b.norm()
         worst = max(worst, rec.resid_orth / max(bound, 1e-300))
     return worst <= 1.0, f"max residual vs bound ratio {worst:.2e} (tol 1)"
@@ -389,7 +394,7 @@ def check_post_step_identities(trials: int = 30):
     for t in range(trials):
         A, b, fmt, p = random_problem(600 + t)
         mu = t % fmt.num_blocks
-        p_new, v_new, rec = engine.micro_step(A, b, fmt, p, mu)
+        p_new, v_new, _, rec = engine.micro_step(A, b, fmt, p, mu)
         b2 = inner(b, b)
         f_inner = -inner(v_new, b) / (2.0 * b2)
         f_energy = -(a_norm(A, v_new) ** 2) / (2.0 * b2)
@@ -403,7 +408,7 @@ def check_decrement_identity(trials: int = 30):
     for t in range(trials):
         A, b, fmt, p = random_problem(700 + t)
         mu = t % fmt.num_blocks
-        _, _, rec = engine.micro_step(A, b, fmt, p, mu)
+        _, _, _, rec = engine.micro_step(A, b, fmt, p, mu)
         if rec.degenerate:
             continue
         sol = engine.local_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT)
@@ -424,7 +429,7 @@ def check_monotone_chain(trials: int = 100, sweeps: int = 3):
         nv = cv = None
         for k in range(sweeps):
             for mu in range(fmt.num_blocks):
-                p, v, rec = engine.micro_step(A, b, fmt, p, mu)
+                p, v, _, rec = engine.micro_step(A, b, fmt, p, mu)
                 nv_new = a_norm(A, v)
                 cv_new = inner(v, b)
                 worst = max(worst, rec.f - f)
@@ -452,7 +457,7 @@ def check_oracle_equivalence(trials: int = 200):
     cases += [(large, mu) for mu in range(large[2].num_blocks)]
     for (A, b, fmt, p), mu in cases:
         W = materialize_W(fmt, p, mu)
-        p_new, _, rec = engine.micro_step(A, b, fmt, p, mu)
+        p_new, _, _, rec = engine.micro_step(A, b, fmt, p, mu)
         want = oracle.brute_least_squares(A, b, W)
         scale = max(1.0, np.linalg.norm(want))
         worst = max(worst, np.linalg.norm(p_new[mu] - want) / scale)

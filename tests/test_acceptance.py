@@ -207,7 +207,7 @@ def test_criterion_06_monotone_descent_suite():
                 W = materialize_W(fmt, p, mu)
                 basis = lowdin_basis(W)
                 r_old = b.values - A.apply(v).values
-                p, v, rec = micro_step(A, b, fmt, p, mu, v_old=v, f_old=f)
+                p, v, _, rec = micro_step(A, b, fmt, p, mu, v_old=v, f_old=f)
                 steps += 1
                 worst_chain = max(worst_chain, rec.f - f)
                 nv_new = a_norm(A, v)
@@ -249,7 +249,7 @@ def test_criterion_07_oracle_equivalence_and_min_norm():
             A, b, fmt, p = rank_deficient_problem(900 + t)
         mu = t % fmt.num_blocks
         W = materialize_W(fmt, p, mu)
-        p_new, _, _ = micro_step(A, b, fmt, p, mu)
+        p_new, _, _, _ = micro_step(A, b, fmt, p, mu)
         want = brute_least_squares(A, b, W)
         scale = max(1.0, float(np.linalg.norm(want)))
         worst = max(worst, float(np.linalg.norm(p_new[mu] - want)) / scale)

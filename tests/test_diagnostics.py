@@ -405,8 +405,8 @@ def test_replay_iterates_are_the_committed_micro_steps(name):
     assert contexts
     for ctx in contexts:
         report = recursion_check(A, b, fmt, ctx)
-        p_mid, v_mid, _ = micro_step(A, b, fmt, ctx.params, ctx.mu - 1)
-        _, v_next, _ = micro_step(A, b, fmt, p_mid, ctx.mu)
+        p_mid, v_mid, _, _ = micro_step(A, b, fmt, ctx.params, ctx.mu - 1)
+        _, v_next, _, _ = micro_step(A, b, fmt, p_mid, ctx.mu)
         assert np.array_equal(report.v_mid.values, v_mid.values)
         assert np.array_equal(report.v_next.values, v_next.values)
 

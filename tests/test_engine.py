@@ -113,7 +113,7 @@ def test_micro_step_single_block_reaches_target():
     fmt = CpFormat(shape, 1)
     p = ParamSystem([[1.0, 1.0]])
     b = DenseTensor(shape, [3.0, -1.0])
-    p_new, v_new, rec = micro_step(IdentityOperator(shape), b, fmt, p, 0)
+    p_new, v_new, _, rec = micro_step(IdentityOperator(shape), b, fmt, p, 0)
     assert np.allclose(p_new[0], [3.0, -1.0], atol=TOL)
     assert np.allclose(v_new.values, b.values, atol=TOL)
     assert rec.f == pytest.approx(-0.5, abs=TOL)
@@ -128,7 +128,7 @@ def test_micro_step_first_block_closed_form():
     # (2 tau^2, 1) / (tau^2 + 1)^2, derived by hand from the normal equations
     tau = 0.4
     instance = mohlenkamp_example(tau)
-    p_new, _, rec = micro_step(instance.A, instance.b, instance.fmt, instance.init, 0)
+    p_new, _, _, rec = micro_step(instance.A, instance.b, instance.fmt, instance.init, 0)
     want = np.array([2.0 * tau**2, 1.0]) / (tau**2 + 1.0) ** 2
     assert np.allclose(p_new[0], want, atol=1e-14)
     assert rec.sweep == 0 and rec.mu == 0
@@ -144,7 +144,7 @@ def test_micro_step_agrees_with_brute_oracle():
     p = ParamSystem([rng.standard_normal(fmt.block_dim(mu)) for mu in range(3)])
     for mu in range(3):
         W = materialize_W(fmt, p, mu)
-        p_new, _, _ = micro_step(A, b, fmt, p, mu)
+        p_new, _, _, _ = micro_step(A, b, fmt, p, mu)
         want = brute_least_squares(A, b, W)
         assert np.linalg.norm(p_new[mu] - want) < 1e-10
 
@@ -159,7 +159,7 @@ def test_micro_step_minimum_norm_on_rank_deficient_block():
     p = ParamSystem([mat0.ravel(order="F"), mat1.ravel(order="F")])
     b = DenseTensor(shape, rng.standard_normal(6))
     W = materialize_W(fmt, p, 0)
-    p_new, _, rec = micro_step(IdentityOperator(shape), b, fmt, p, 0)
+    p_new, _, _, rec = micro_step(IdentityOperator(shape), b, fmt, p, 0)
     assert rec.W_rank < fmt.block_dim(0)
     _, svals, vt = np.linalg.svd(W)
     null = vt[(svals > 1e-10 * svals[0]).sum():]
@@ -173,7 +173,7 @@ def test_micro_step_degenerate_leaves_params_unchanged():
     p = ParamSystem([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     b = DenseTensor(shape, np.ones(8))
     A = IdentityOperator(shape)
-    p_new, v_new, rec = micro_step(A, b, fmt, p, 0)
+    p_new, v_new, _, rec = micro_step(A, b, fmt, p, 0)
     assert rec.degenerate
     assert rec.W_rank == 0
     assert rec.decrement == 0.0
@@ -213,7 +213,7 @@ def test_micro_step_grad_norm_is_pre_update():
     W = materialize_W(fmt, p, 0)
     v = evaluate(fmt, p)
     want = np.linalg.norm(W.T @ (b.values - v.values)) / inner(b, b)
-    _, _, rec = micro_step(IdentityOperator(shape), b, fmt, p, 0)
+    _, _, _, rec = micro_step(IdentityOperator(shape), b, fmt, p, 0)
     assert rec.grad_norm == pytest.approx(want, rel=1e-12)
     assert rec.grad_norm > 1e-3
     assert rec.resid_orth < 1e-12
@@ -289,7 +289,7 @@ def test_micro_step_is_bitwise_the_textbook_step(kind, operator):
     A, b, fmt, p = _lean_step_case(kind, operator)
     deficient = 0
     for mu in range(fmt.num_blocks):
-        p_new, v_new, rec = micro_step(A, b, fmt, p, mu)
+        p_new, v_new, _, rec = micro_step(A, b, fmt, p, mu)
         block, v_want, want = _textbook_step(A, b, fmt, p, mu)
         assert np.array_equal(p_new[mu], block)
         assert np.array_equal(v_new.values, v_want)
@@ -310,7 +310,7 @@ def test_default_route_above_thresholds_matches_the_textbook_step(case):
     A, b, fmt, p = sized_problem(39, *case)
     for mu in range(fmt.num_blocks):
         assert engine.local_solve(A, b, fmt, p, mu, 1e-12).W is None  # structured
-        p_new, v_new, rec = micro_step(A, b, fmt, p, mu)
+        p_new, v_new, _, rec = micro_step(A, b, fmt, p, mu)
         block, v_want, want = _textbook_step(A, b, fmt, p, mu)
         f, decrement, grad_norm, rank, resid_orth, pmax = want
         assert rec.W_rank == rank
@@ -388,6 +388,69 @@ def test_above_thresholds_no_step_forms_W(monkeypatch, case):
     assert trace.records[-1].f < trace.initial_f
 
 
+def _count_applies(monkeypatch):
+    calls = []
+    real = ModeWiseOperator.apply
+
+    def counted(self, v):
+        calls.append(1)
+        return real(self, v)
+
+    monkeypatch.setattr(ModeWiseOperator, "apply", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in ROUTE_CASES if c[3] == "modewise"], ids=lambda c: "-".join(map(str, c))
+)
+def test_above_thresholds_a_run_applies_A_once_plus_once_per_sweep(monkeypatch, case):
+    # one apply for the initial iterate, whose image serves its objective
+    # and the first step, and one per sweep for dist_a; each structured
+    # step gets A v_new from its solve
+    A, b, fmt, p = sized_problem(47, *case)
+    calls = _count_applies(monkeypatch)
+    trace = run(A, b, fmt, p, StopRule(max_sweeps=3))
+    assert trace.sweeps == 3
+    assert len(calls) == 1 + trace.sweeps
+
+
+@pytest.mark.parametrize("name", ["small", "narrow"])
+def test_below_thresholds_a_run_applies_A_once_per_step_plus_once_per_sweep(monkeypatch, name):
+    if name == "small":
+        A, b, fmt, p = _lean_step_case("tt", "modewise")
+    else:
+        A, b, fmt, p = sized_problem(47, "cp", (8, 8, 8), 1, "modewise")
+    calls = _count_applies(monkeypatch)
+    trace = run(A, b, fmt, p, StopRule(max_sweeps=3))
+    assert trace.sweeps == 3 and not any(r.degenerate for r in trace.records)
+    assert len(calls) == len(trace.records) + 1 + trace.sweeps
+
+
+@pytest.mark.parametrize("zero_block", [False, True], ids=["regular", "zero-block"])
+@pytest.mark.parametrize("case", ROUTE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_run_carrying_A_v_matches_standalone_micro_steps(case, zero_block):
+    # standalone calls evaluate the iterate and apply A to it themselves
+    A, b, fmt, p = sized_problem(48, *case)
+    if zero_block:
+        # the first step is degenerate; its iterate, and so its image, is zero
+        p = p.replace(1, np.zeros(fmt.block_dim(1)))
+    trace = run(A, b, fmt, p, StopRule(max_sweeps=2))
+    assert trace.records[0].degenerate == zero_block
+    assert trace.sweeps == (1 if zero_block else 2)
+    want = []
+    for k in range(1, trace.sweeps + 1):
+        for mu in range(fmt.num_blocks):
+            assert engine.local_solve(A, b, fmt, p, mu, 1e-12).W is None  # structured
+            p, _, _, rec = micro_step(A, b, fmt, p, mu, sweep=k)
+            want.append(rec)
+    assert len(trace.records) == len(want)
+    for got, rec in zip(trace.records, want):
+        assert (got.sweep, got.mu, got.W_rank) == (rec.sweep, rec.mu, rec.W_rank)
+        for name in ("f", "decrement", "grad_norm", "resid_orth", "param_norm_max"):
+            assert getattr(got, name) == pytest.approx(getattr(rec, name), rel=TOL)
+    assert all(np.array_equal(trace.final_params[mu], p[mu]) for mu in range(fmt.num_blocks))
+
+
 def _formed_route(monkeypatch):
     monkeypatch.setattr(engine, "STRUCTURED_MIN_GRAM_FLOPS", float("inf"))
 
@@ -405,10 +468,10 @@ def test_degenerate_step_above_thresholds_matches_the_formed_route(monkeypatch, 
     traced = run(A, b, fmt, p, StopRule(max_sweeps=5))
     _formed_route(monkeypatch)
     formed = micro_step(A, b, fmt, p, 0)
-    assert structured[2].W_rank == 0
+    assert structured[3].W_rank == 0
     assert np.array_equal(structured[1].values, formed[1].values)
     assert all(np.array_equal(structured[0][mu], p[mu]) for mu in range(3))
-    assert _record_fields(structured[2]) == _record_fields(formed[2])
+    assert _record_fields(structured[3]) == _record_fields(formed[3])
     assert traced.termination == "degenerate" and traced.sweeps == 1
     assert run(A, b, fmt, p, StopRule(max_sweeps=5)).termination == "degenerate"
 
@@ -531,7 +594,7 @@ def test_sweep_visits_blocks_in_order_and_chains_f():
     p = ParamSystem([rng.standard_normal(fmt.block_dim(mu)) for mu in range(3)])
     b = DenseTensor(shape, rng.standard_normal(8))
     A = IdentityOperator(shape)
-    p1, v1, recs = sweep(A, b, fmt, p, sweep_index=7)
+    p1, v1, _, recs = sweep(A, b, fmt, p, sweep_index=7)
     assert [rec.mu for rec in recs] == [0, 1, 2]
     assert all(rec.sweep == 7 for rec in recs)
     fs = [objective(A, b, v1)]
