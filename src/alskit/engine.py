@@ -14,10 +14,15 @@ factor, and it gets A applied to the new iterate from the same factors.
 Both routes solve their SPD systems with LAPACK's Cholesky routines
 (potrf/potrs, which scipy's cho_factor/cho_solve wrap, called directly
 to skip the wrappers' checks); ``micro_step`` writes back the
-minimum-norm block update.  A sweep visits the blocks in order; ``run``
-repeats sweeps until a stop rule fires.  The iterate's image A v is
-handed from step to step, so a structured step applies no full
-operator and a formed step applies one.
+minimum-norm block update, and wraps the solver's new iterate and its
+image without re-scanning them: a non-finite entry in either makes the
+new objective non-finite, and that one scalar is checked.  A sweep visits
+the blocks in order; ``run`` repeats sweeps until a stop rule fires.  The
+iterate's image A v is handed from step to step, so a structured step
+applies no full operator and a formed step applies one.  For a verified
+operator ``run`` also takes the energy distance between sweep iterates
+from the two carried images, so a run above the route thresholds applies
+A once in all.
 """
 
 from __future__ import annotations
@@ -171,6 +176,19 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
 
 
+def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.linalg.svd(a, full_matrices=False) through LAPACK gesdd directly.
+
+    The same LAPACK routine numpy's wrapper calls, without the wrapper's
+    overhead; a NaN entry (gesdd's info = -4) or a failed convergence
+    raises numpy's LinAlgError.
+    """
+    u, s, vt, info = lapack.dgesdd(a, full_matrices=0)
+    if info != 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return u, s, vt
+
+
 def _degenerate(adjoint, W=None, basis=None) -> LocalSolve:
     G = None if W is None else np.zeros((0, 0))
     return LocalSolve(0, G, np.zeros(0), None, None, adjoint, W, basis)
@@ -241,17 +259,18 @@ def structured_solve(
     def adjoint(x):
         return fmt.block_from_unfolding(unfold(x) @ Z, mu)
 
-    U, T, ratio = np.ones((1, 1)), np.ones((1, 1)), np.ones(1)
+    kept = []
     for factor in factors:
-        Uf, sigma, Xt = np.linalg.svd(factor, full_matrices=False)
+        Uf, sigma, Xt = _thin_svd(factor)
         if sigma[0] == 0.0:
             return _degenerate(adjoint)
         # a factor's direction that fails the cut on its own fails it in every product
         ratio_f = (sigma / sigma[0]) ** 2
         cut = ratio_f > eps_rank
-        U = _kron(U, Uf[:, cut])
-        T = _kron(T, Xt[cut].T / sigma[cut])
-        ratio = np.outer(ratio, ratio_f[cut]).ravel()
+        kept.append((Uf[:, cut], Xt[cut].T / sigma[cut], ratio_f[cut]))
+    U, T, ratio = kept[0]
+    for Uf, Tf, ratio_f in kept[1:]:
+        U, T, ratio = _kron(U, Uf), _kron(T, Tf), np.outer(ratio, ratio_f).ravel()
     keep = ratio > eps_rank
     U, T = U[:, keep], T[:, keep]
 
@@ -316,6 +335,9 @@ def micro_step(
     ``Av_old`` = A v_old are computed when not given.  The new iterate's
     image A v_new comes from the structured solve, or from one apply on
     the formed route; a sweep hands it to the next step as ``Av_old``.
+    The new iterate and image are wrapped unscanned; a non-finite entry
+    in either makes f_new non-finite, and then the entries are checked
+    and the usual ValueError("tensor entries must be finite") is raised.
     """
     b2 = inner(b, b)
     if b2 == 0.0:
@@ -334,9 +356,12 @@ def micro_step(
         p_new, v_new, Av_new, f_new, resid_orth = p, v_old, Av_old, f_old, grad
     else:
         p_new = p.replace(mu, sol.block)
-        v_new = DenseTensor(b.shape, sol.iterate)
-        Av_new = A.apply(v_new) if sol.image is None else DenseTensor(b.shape, sol.image)
+        v_new = DenseTensor._wrap(b.shape, sol.iterate)
+        Av_new = A.apply(v_new) if sol.image is None else DenseTensor._wrap(b.shape, sol.image)
         f_new = (0.5 * inner(Av_new, v_new) - inner(b, v_new)) / b2
+        if not math.isfinite(f_new):  # a non-finite entry, or an overflow of f alone
+            DenseTensor(b.shape, v_new.values)
+            DenseTensor(b.shape, Av_new.values)
         resid_orth = float(np.linalg.norm(sol.adjoint(b.values - Av_new.values)))
     record = MicroStepRecord(
         sweep=sweep,
@@ -381,6 +406,22 @@ def sweep(
         f = rec.f
         records.append(rec)
     return p, v, Av, records
+
+
+def energy_distance(
+    A: SpdOperator, v: DenseTensor, v_prev: DenseTensor, Av: DenseTensor, Av_prev: DenseTensor
+) -> float:
+    """||v - v_prev||_A, from the carried images Av = A v and Av_prev = A v_prev.
+
+    For a verified operator the radicand is <Av - Av_prev, v - v_prev>,
+    with no apply; a rounding-level difference can make it slightly
+    negative, and it is clamped at 0.  An unverified operator is applied
+    to v - v_prev by ``a_norm``, which raises if A is not PSD on it.
+    """
+    if not A.verified:
+        return a_norm(A, v - v_prev)
+    rad = float(np.dot(Av.values - Av_prev.values, v.values - v_prev.values))
+    return math.sqrt(max(rad, 0.0))
 
 
 @dataclass(frozen=True)
@@ -454,7 +495,8 @@ def run(
 
     Per sweep the trace records the objective, the tangent of the angle
     to the reference (factor or full-tensor, per ``angle_mode``), and the
-    energy-norm distance between consecutive sweep iterates.
+    energy-norm distance between consecutive sweep iterates
+    (``energy_distance``).
     """
     fmt.check_params(init)
     mode = _resolve_angle_mode(angle_mode, fmt, reference, reference_factor)
@@ -490,7 +532,7 @@ def run(
         return None
 
     for k in range(1, stop.max_sweeps + 1):
-        v_prev = v
+        v_prev, Av_prev = v, Av
         f_prev = f
         p, v, Av, recs = sweep(
             A, b, fmt, p, eps_rank, sweep_index=k, v=v, f=f, Av=Av, snapshots=snapshots
@@ -501,7 +543,7 @@ def run(
         tan = current_tangent()
         sweep_f.append(f)
         sweep_tangent.append(tan)
-        dist_a.append(a_norm(A, v - v_prev))
+        dist_a.append(energy_distance(A, v, v_prev, Av, Av_prev))
 
         if any(r.degenerate for r in recs):
             termination = "degenerate"

@@ -19,6 +19,9 @@ ENTRY_CAP = 10**6
 SPD_VERIFY_CAP = 512
 SYMMETRY_RTOL = 1e-12
 PSD_CLAMP = 1e-14
+# kron_apply's scratch bound (2^15 entries, 256 KB): a chunk of mode-1 slabs
+# stays in cache, and one batched matmul per mode replaces a slab loop
+KRON_CHUNK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,10 @@ class DenseTensor:
     """Immutable dense element of the tensor space.
 
     Values are a flat float64 vector of length shape.size, lexicographic with
-    the first index slowest (C order of the d-dimensional array).
+    the first index slowest (C order of the d-dimensional array).  The
+    constructor rejects non-finite entries.  ``_wrap`` is the solver's path
+    for values it has just computed: it skips the O(N) finiteness scan, and
+    its caller guarantees finiteness by a scalar check instead.
     """
 
     __slots__ = ("shape", "values")
@@ -67,6 +73,16 @@ class DenseTensor:
         vals.flags.writeable = False
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _wrap(cls, shape: Shape, values: np.ndarray) -> "DenseTensor":
+        """Read-only view of a flat float64 vector of length shape.size, unscanned."""
+        vals = np.ascontiguousarray(values).ravel()
+        vals.flags.writeable = False
+        self = object.__new__(cls)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "values", vals)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseTensor is immutable")
@@ -248,9 +264,12 @@ def kron_apply(factors, M: np.ndarray) -> np.ndarray:
     """(F_1 (x) ... (x) F_d) M for square factors and an (n, k) block M.
 
     n is the product of the factor sizes.  The mode-1 product is written
-    straight into the output and modes 2..d are applied in place, one
-    mode-1 slab at a time, through one scratch buffer of n * k / m_1
-    entries.
+    straight into the output.  Modes 2..d are then applied in place to a
+    chunk of consecutive mode-1 slabs (n * k / m_1 entries each) at a time,
+    one batched matmul per mode and chunk, through one scratch buffer of
+    at most max(one slab, KRON_CHUNK_ENTRIES) entries.  Every matmul a
+    chunk batches is the one a slab-by-slab loop would make, so the result
+    does not depend on the chunk size.
     """
     dims = tuple(mat.shape[0] for mat in factors)
     n, k = M.shape
@@ -258,14 +277,19 @@ def kron_apply(factors, M: np.ndarray) -> np.ndarray:
     if k == 0:
         return out
     slab = n // dims[0] * k
-    np.matmul(factors[0], M.reshape(dims[0], slab), out=out.reshape(dims[0], slab))
-    scratch = np.empty(slab)
-    for row in out.reshape(dims[0], slab):
-        outer = 1
+    rows = out.reshape(dims[0], slab)
+    np.matmul(factors[0], M.reshape(dims[0], slab), out=rows)
+    if len(factors) == 1:
+        return out
+    chunk = min(dims[0], max(1, KRON_CHUNK_ENTRIES // slab))
+    scratch = np.empty(chunk * slab)
+    for start in range(0, dims[0], chunk):
+        block = rows[start:start + chunk]
+        outer = block.shape[0]
         for mat, m in zip(factors[1:], dims[1:]):
-            # this mode of the slab, viewed as (outer, m, inner)
-            view = row.reshape(outer, m, -1)
-            buf = scratch.reshape(view.shape)
+            # this mode of the chunk, viewed as (outer, m, inner)
+            view = block.reshape(outer, m, -1)
+            buf = scratch[: block.size].reshape(view.shape)
             np.matmul(mat, view, out=buf)
             view[...] = buf
             outer *= m

@@ -262,7 +262,8 @@ def check_structured_vs_probe(trials: int = 20):
     # CP/TT local maps and the batched mode-wise apply against the generic
     # probe and column-by-column paths of the base classes, and the
     # structured local solve, with the image A @ iterate it returns,
-    # against the formed one and a full apply
+    # against the formed one and a full apply, and a 2-sweep run's dist_a,
+    # taken from the carried images, against a_norm(A, v - v_prev)
     rng = np.random.default_rng(108)
     cp_mismatch = 0
     worst_tt = 0.0
@@ -292,9 +293,14 @@ def check_structured_vs_probe(trials: int = 20):
             _relative_deviation(A.apply_matrix(M), SpdOperator.apply_matrix(A, M)),
         )
     blocks_solved = rank_mismatch = formed_default = 0
-    worst_solve = worst_image = 0.0
+    worst_solve = worst_image = worst_dist = 0.0
     for i, case in enumerate(ROUTE_CASES):
         A, b, fmt, p = sized_problem(110 + i, *case)
+        trace = engine.run(A, b, fmt, p, engine.StopRule(max_sweeps=2), keep_params=True)
+        params = trace.param_snapshots[:: fmt.num_blocks] + [trace.final_params]
+        vs = [evaluate(fmt, q) for q in params]
+        want = [a_norm(A, v - v_prev) for v_prev, v in zip(vs, vs[1:])]
+        worst_dist = max(worst_dist, _relative_deviation(np.array(trace.dist_a), np.array(want)))
         for mu in range(fmt.num_blocks):
             formed = engine.formed_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT)
             structured = engine.structured_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT)
@@ -319,6 +325,7 @@ def check_structured_vs_probe(trials: int = 20):
         and rank_mismatch == formed_default == 0
         and worst_solve <= 1e-12
         and worst_image <= 1e-12
+        and worst_dist <= 1e-12
     )
     return ok, (
         f"{trials} shapes, d = 1..4; CP W differing from the probe: {cp_mismatch} "
@@ -327,7 +334,8 @@ def check_structured_vs_probe(trials: int = 20):
         f"solve on {blocks_solved} blocks above the route thresholds: rank "
         f"mismatches {rank_mismatch}, blocks defaulting to the formed route "
         f"{formed_default}, block/iterate/f deviation {worst_solve:.2e}, "
-        f"A @ iterate deviation from a full apply {worst_image:.2e} (tol 1e-12)"
+        f"A @ iterate deviation from a full apply {worst_image:.2e}, run dist_a "
+        f"from the images against a_norm(A, v - v_prev) {worst_dist:.2e} (tol 1e-12)"
     )
 
 

@@ -1,5 +1,7 @@
 """The solver core: Löwdin bases, micro-steps, sweeps, stop rules, run traces."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -24,6 +26,7 @@ from alskit.tensors import (
     IdentityOperator,
     ModeWiseOperator,
     Shape,
+    a_norm,
     inner,
 )
 from alskit.verification import ROUTE_CASES, sized_problem
@@ -388,34 +391,34 @@ def test_above_thresholds_no_step_forms_W(monkeypatch, case):
     assert trace.records[-1].f < trace.initial_f
 
 
-def _count_applies(monkeypatch):
+def _count_applies(monkeypatch, cls=ModeWiseOperator):
     calls = []
-    real = ModeWiseOperator.apply
+    real = cls.apply
 
     def counted(self, v):
         calls.append(1)
         return real(self, v)
 
-    monkeypatch.setattr(ModeWiseOperator, "apply", counted)
+    monkeypatch.setattr(cls, "apply", counted)
     return calls
 
 
 @pytest.mark.parametrize(
     "case", [c for c in ROUTE_CASES if c[3] == "modewise"], ids=lambda c: "-".join(map(str, c))
 )
-def test_above_thresholds_a_run_applies_A_once_plus_once_per_sweep(monkeypatch, case):
+def test_above_thresholds_a_run_applies_A_once(monkeypatch, case):
     # one apply for the initial iterate, whose image serves its objective
-    # and the first step, and one per sweep for dist_a; each structured
-    # step gets A v_new from its solve
+    # and the first step; each structured step gets A v_new from its
+    # solve, and dist_a comes from the carried images
     A, b, fmt, p = sized_problem(47, *case)
     calls = _count_applies(monkeypatch)
     trace = run(A, b, fmt, p, StopRule(max_sweeps=3))
     assert trace.sweeps == 3
-    assert len(calls) == 1 + trace.sweeps
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["small", "narrow"])
-def test_below_thresholds_a_run_applies_A_once_per_step_plus_once_per_sweep(monkeypatch, name):
+def test_below_thresholds_a_run_applies_A_once_per_step_plus_once(monkeypatch, name):
     if name == "small":
         A, b, fmt, p = _lean_step_case("tt", "modewise")
     else:
@@ -423,7 +426,79 @@ def test_below_thresholds_a_run_applies_A_once_per_step_plus_once_per_sweep(monk
     calls = _count_applies(monkeypatch)
     trace = run(A, b, fmt, p, StopRule(max_sweeps=3))
     assert trace.sweeps == 3 and not any(r.degenerate for r in trace.records)
+    assert len(calls) == len(trace.records) + 1
+
+
+def _unverified_dense_problem():
+    rng = np.random.default_rng(49)
+    _, b, fmt, p = sized_problem(49, "cp", (8, 8, 9), 2)
+    A = DenseOperator(fmt.shape, np.kron(spd(rng, 8), spd(rng, 72)))
+    assert fmt.shape.size > SPD_VERIFY_CAP and not A.verified
+    return A, b, fmt, p
+
+
+def test_unverified_dense_run_applies_A_once_per_step_plus_once_per_sweep(monkeypatch):
+    # an unverified operator may be indefinite, so dist_a applies it to
+    # v - v_prev and checks the radicand
+    A, b, fmt, p = _unverified_dense_problem()
+    calls = _count_applies(monkeypatch, DenseOperator)
+    trace = run(A, b, fmt, p, StopRule(max_sweeps=3))
+    assert trace.sweeps == 3 and not any(r.degenerate for r in trace.records)
     assert len(calls) == len(trace.records) + 1 + trace.sweeps
+
+
+def _sweep_iterates(fmt, trace):
+    params = trace.param_snapshots[:: fmt.num_blocks] + [trace.final_params]
+    return [evaluate(fmt, q) for q in params]
+
+
+@pytest.mark.parametrize("route", ["structured", "formed"])
+@pytest.mark.parametrize("case", ROUTE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_dist_a_from_the_images_is_the_energy_norm_of_the_step(monkeypatch, case, route):
+    A, b, fmt, p = sized_problem(50, *case)
+    if route == "formed":
+        _formed_route(monkeypatch)
+    assert (engine.local_solve(A, b, fmt, p, 0, 1e-12).W is None) == (route == "structured")
+    trace = run(A, b, fmt, p, StopRule(max_sweeps=3), keep_params=True)
+    assert trace.sweeps == 3
+    vs = _sweep_iterates(fmt, trace)
+    want = [a_norm(A, v - v_prev) for v_prev, v in zip(vs, vs[1:])]
+    assert trace.dist_a == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("route", ["structured", "formed"])
+@pytest.mark.parametrize("case", ROUTE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_dist_a_of_a_rounding_level_sweep_is_finite_and_nonnegative(monkeypatch, case, route):
+    # b = A v: the initial parameters are optimal, so each sweep moves v
+    # by rounding alone and the image radicand may fall below 0
+    A, _, fmt, p = sized_problem(51, *case)
+    if route == "formed":
+        _formed_route(monkeypatch)
+    b = A.apply(evaluate(fmt, p))
+    trace = run(A, b, fmt, p, StopRule(max_sweeps=2))
+    scale = a_norm(A, trace.final_v)
+    assert all(np.isfinite(d) and 0.0 <= d <= 1e-12 * scale for d in trace.dist_a)
+
+
+def test_energy_distance_clamps_a_negative_image_radicand():
+    A = IdentityOperator(Shape((2,)))
+    v_prev = DenseTensor(A.shape, [1.0, 0.0])
+    v = DenseTensor(A.shape, [1.0 + 2.0**-52, 0.0])
+    Av = DenseTensor(A.shape, [1.0 - 2.0**-53, 0.0])  # rounded the other way
+    assert engine.energy_distance(A, v, v_prev, Av, v_prev) == 0.0
+    assert engine.energy_distance(A, v, v_prev, v, v_prev) == 2.0**-52
+
+
+def test_energy_distance_on_an_unverified_indefinite_operator_raises():
+    shape = Shape((9, 8, 8))
+    A = DenseOperator(shape, np.diag(np.linspace(-1.0, 1.0, shape.size)))
+    assert shape.size > SPD_VERIFY_CAP and not A.verified
+    v_prev = DenseTensor.zeros(shape)
+    v = DenseTensor(shape, np.eye(shape.size)[0])  # on the eigenvalue -1
+    # the images are not read: an unverified operator is applied to v - v_prev
+    zero = DenseTensor.zeros(shape)
+    with pytest.raises(ValueError, match="operator not PSD on this vector"):
+        engine.energy_distance(A, v, v_prev, zero, zero)
 
 
 @pytest.mark.parametrize("zero_block", [False, True], ids=["regular", "zero-block"])
@@ -489,6 +564,71 @@ def test_bad_targets_above_thresholds_raise_the_same_errors(monkeypatch, route):
     object.__setattr__(b, "values", values)  # past the constructor's finiteness check
     with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
         micro_step(A, b, fmt, p, 0)
+
+
+@pytest.mark.parametrize(
+    "route, field", [("structured", "iterate"), ("structured", "image"), ("formed", "iterate")]
+)
+def test_micro_step_rejects_a_non_finite_solver_output(monkeypatch, route, field):
+    # the new iterate and image are wrapped unscanned; the finiteness of
+    # f_new stands in for the constructor's scan
+    A, b, fmt, p = sized_problem(45, "cp", (8, 8, 8), 3)
+    if route == "formed":
+        _formed_route(monkeypatch)
+    real = engine.local_solve
+
+    def broken(*args):
+        sol = real(*args)
+        values = getattr(sol, field).copy()
+        values[5] = np.inf
+        return dataclasses.replace(sol, **{field: values})
+
+    monkeypatch.setattr(engine, "local_solve", broken)
+    assert (real(A, b, fmt, p, 0, 1e-12).W is None) == (route == "structured")
+    with pytest.raises(ValueError, match="tensor entries must be finite"):
+        micro_step(A, b, fmt, p, 0)
+
+
+def _numpy_thin_svd(a):
+    return np.linalg.svd(a, full_matrices=False)
+
+
+def test_thin_svd_is_numpys_thin_svd():
+    rng = np.random.default_rng(52)
+    for shape in [(64, 3), (900, 8), (8, 3), (3, 8), (1, 4), (5, 1)]:
+        a = rng.standard_normal(shape)
+        for got, want in zip(engine._thin_svd(a), _numpy_thin_svd(a)):
+            assert np.array_equal(got, want)
+
+
+def _structured_outcome(A, b, fmt, p, mu):
+    try:
+        sol = engine.structured_solve(A, b, fmt, p, mu, 1e-12)
+    except (ValueError, np.linalg.LinAlgError) as err:
+        return type(err), str(err)
+    return sol.rank, sol.block.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind, rank", [("cp", 3), ("tt", (3, 3))])
+def test_non_finite_unfolding_factor_fails_as_with_numpys_svd(monkeypatch, kind, rank, value):
+    # finite parameters can still overflow into a factor; an inf entry
+    # placed here is one that gesdd returns from (at others it can hang,
+    # with numpy's wrapper as well)
+    A, b, fmt, p = sized_problem(44, kind, (8, 8, 8), rank)
+    real = fmt.unfolding_factors
+
+    def poisoned(blocks, mu):
+        factors = [f.copy() for f in real(blocks, mu)]
+        factors[0][2, 1] = value
+        return factors
+
+    monkeypatch.setattr(fmt, "unfolding_factors", poisoned)
+    got = _structured_outcome(A, b, fmt, p, 1)
+    monkeypatch.setattr(engine, "_thin_svd", _numpy_thin_svd)
+    assert got == _structured_outcome(A, b, fmt, p, 1)
+    if value != value:  # NaN: gesdd reports an illegal argument, numpy a non-convergence
+        assert got == (np.linalg.LinAlgError, "SVD did not converge")
 
 
 def _mp_min_norm_block(mp, A, b, fmt, p, mu):

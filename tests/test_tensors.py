@@ -1,5 +1,6 @@
 """Dense tensors, SPD operators, and the inner-product helpers."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from alskit.tensors import (
     ENTRY_CAP,
+    KRON_CHUNK_ENTRIES,
     DenseOperator,
     DenseTensor,
     IdentityOperator,
@@ -18,6 +20,7 @@ from alskit.tensors import (
     a_norm,
     index_value_rows,
     inner,
+    kron_apply,
     rank_one_sum,
 )
 
@@ -80,6 +83,18 @@ def test_dense_tensor_is_immutable():
         v.values = np.zeros(4)
     with pytest.raises(ValueError):
         v.values[0] = 9.0  # numpy read-only buffer
+
+
+def test_dense_tensor_wrap_skips_the_scan_and_is_immutable():
+    # the solver's path for values it has just computed
+    vals = np.array([1.0, np.inf, 3.0])
+    v = DenseTensor._wrap(Shape((3,)), vals)
+    assert v.values is not vals and np.array_equal(v.values, vals)
+    assert vals.flags.writeable
+    with pytest.raises(ValueError):
+        v.values[0] = 9.0
+    with pytest.raises(AttributeError):
+        v.values = np.zeros(3)
 
 
 def test_dense_tensor_validates_input():
@@ -237,7 +252,8 @@ def test_modewise_apply_matrix_edge_cases():
 
 def test_modewise_apply_matrix_allocates_output_plus_one_slab():
     # the mode-0 product goes straight into the output; later modes reuse
-    # one scratch buffer of N * k / m_0 entries
+    # one scratch buffer of at most max(one slab of N * k / m_0 entries,
+    # KRON_CHUNK_ENTRIES) entries
     rng = np.random.default_rng(8)
     dims, k = (10, 12, 8), 20
     A = ModeWiseOperator([random_spd(rng, m) for m in dims])
@@ -250,7 +266,54 @@ def test_modewise_apply_matrix_allocates_output_plus_one_slab():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= out.nbytes + (n * k // dims[0]) * 8 + 4096
+    assert peak <= out.nbytes + max(n * k // dims[0], 2**15) * 8 + 4096
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    dims=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    k=st.integers(0, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_kron_apply_matches_dense_kronecker_product(dims, k, seed):
+    rng = np.random.default_rng(seed)
+    factors = [rng.standard_normal((m, m)) for m in dims]
+    n = int(np.prod(dims))
+    M = rng.standard_normal((2 * k, n)).T[:, ::2]  # neither C- nor F-contiguous
+    assert k < 2 or not (M.flags.c_contiguous or M.flags.f_contiguous)
+    want = functools.reduce(np.kron, factors) @ M
+    got = kron_apply(factors, M)
+    assert got.shape == (n, k)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _slab_loop_kron_apply(factors, M):
+    # the mode-1-slab-at-a-time loop that kron_apply's chunks batch
+    dims = tuple(mat.shape[0] for mat in factors)
+    n, k = M.shape
+    out = np.empty((n, k))
+    slab = n // dims[0] * k
+    np.matmul(factors[0], M.reshape(dims[0], slab), out=out.reshape(dims[0], slab))
+    scratch = np.empty(slab)
+    for row in out.reshape(dims[0], slab):
+        outer = 1
+        for mat, m in zip(factors[1:], dims[1:]):
+            view = row.reshape(outer, m, -1)
+            buf = scratch.reshape(view.shape)
+            np.matmul(mat, view, out=buf)
+            view[...] = buf
+            outer *= m
+    return out
+
+
+@pytest.mark.parametrize("dims, k", [((40, 30, 20), 6), ((50, 8, 9, 10), 5)])
+def test_kron_apply_in_chunks_is_bitwise_the_slab_loop(dims, k):
+    rng = np.random.default_rng(9)
+    factors = [rng.standard_normal((m, m)) for m in dims]
+    M = rng.standard_normal((int(np.prod(dims)), k))
+    rows_per_chunk = KRON_CHUNK_ENTRIES // (M.size // dims[0])
+    assert dims[0] >= 3 * rows_per_chunk and dims[0] % rows_per_chunk  # a short last chunk
+    assert np.array_equal(kron_apply(factors, M), _slab_loop_kron_apply(factors, M))
 
 
 def test_energy_inner_and_norm():
