@@ -10,6 +10,7 @@ in (0,1)), sublinear (ratio -> 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -261,7 +262,8 @@ def materialize_M(
     Entry (i, j) is <U(p with block mu := e_i, block nu := e_j), b>; the
     matrix is multilinear in the remaining blocks and satisfies
     M(mu, nu) = M(nu, mu)^T.  Built by probing, one column per basis
-    vector of block nu.
+    vector of block nu.  The replay applies M without forming it
+    (``engine.LocalSolve.coupling``); this probe is its dense reference.
     """
     if mu == nu:
         raise ValueError("coupling needs two distinct blocks")
@@ -292,16 +294,30 @@ class RecursionContext:
 
 
 @dataclass(frozen=True)
+class TransferOperator:
+    """A matrix-free N x N transfer map: ``transfer @ v`` and ``shape``.
+
+    ``matvec`` applies the map to a flat tensor.  With ``shape``,
+    ``matvec`` and ``dtype`` the map is what
+    ``scipy.sparse.linalg.aslinearoperator`` takes.
+    """
+
+    shape: tuple[int, int]
+    matvec: Callable[[np.ndarray], np.ndarray]
+    dtype = np.dtype(float)
+
+    def __matmul__(self, v) -> np.ndarray:
+        return self.matvec(np.asarray(v, dtype=float))
+
+
+@dataclass(frozen=True)
 class RecursionReport:
-    """Replay of one micro-step pair against its transfer-matrix form."""
+    """Replay of one micro-step pair against its transfer map."""
 
     defect: float
-    transfer: np.ndarray
+    transfer: TransferOperator
     v_mid: DenseTensor
     v_next: DenseTensor
-
-
-RECURSION_SIZE_CAP = 256
 
 
 def recursion_check(
@@ -311,7 +327,7 @@ def recursion_check(
     ctx: RecursionContext,
     eps_rank: float = EPS_RANK_DEFAULT,
 ) -> RecursionReport:
-    """Verify one micro-step against its one-step transfer matrix.
+    """Verify one micro-step pair against its one-step transfer map.
 
     Starting from the parameters entering micro-step (sweep, mu-1), the
     updates of blocks mu-1 and mu are replayed by two ``engine.local_solve``
@@ -319,21 +335,16 @@ def recursion_check(
 
         N = W_mu G^+ M H^+ W_{mu-1}^T,
 
-    G^+ the energy pseudo-inverse at block mu, M the probed coupling
-    matrix of blocks (mu, mu-1), and H^+ the Gram pseudo-inverse at block
-    mu-1, all from the same two solves.  The relative defect should sit
+    G^+ the energy pseudo-inverse at block mu, M the coupling of blocks
+    (mu, mu-1) against b, and H^+ the Gram pseudo-inverse at block mu-1,
+    all maps of the same two solves (``engine.LocalSolve``).  N is applied
+    matrix-free, on whichever route each solve takes: the replay forms no
+    N x N array and probes no coupling.  The relative defect should sit
     at rounding level.
     """
     from . import engine  # local import: engine depends on this module
 
-    n = fmt.shape.size
-    if n > RECURSION_SIZE_CAP:
-        raise ValueError(
-            f"transfer matrix check capped at N = {RECURSION_SIZE_CAP}, got {n}"
-        )
     mu = ctx.mu
-    # at N <= RECURSION_SIZE_CAP local_solve takes the formed route, which
-    # keeps W and its Löwdin basis
     prev = engine.local_solve(A, b, fmt, ctx.params, mu - 1, eps_rank)
     if prev.rank == 0:
         raise ValueError("degenerate micro-step in recursion context")
@@ -344,16 +355,17 @@ def recursion_check(
     v_mid = DenseTensor(b.shape, prev.iterate)
     v_next = DenseTensor(b.shape, cur.iterate)
 
-    H_pinv = prev.basis.transform @ prev.basis.transform.T
-    G_pinv = cur.basis.transform @ np.linalg.solve(cur.G, cur.basis.transform.T)
-    M = materialize_M(fmt, b, p1, mu, mu - 1)
-    N = cur.W @ G_pinv @ M @ H_pinv @ prev.W.T
+    def matvec(v):
+        x = prev.gram_pinv(prev.adjoint(v))
+        return cur.forward(cur.energy_pinv(cur.coupling(mu - 1, x)))
 
+    n = fmt.shape.size
+    transfer = TransferOperator((n, n), matvec)
     denom = v_next.norm()
     if denom == 0.0:
         raise ValueError("recursion check needs a nonzero post-step iterate")
-    defect = float(np.linalg.norm(v_next.values - N @ v_mid.values)) / denom
-    return RecursionReport(defect, N, v_mid, v_next)
+    defect = float(np.linalg.norm(v_next.values - transfer @ v_mid.values)) / denom
+    return RecursionReport(defect, transfer, v_mid, v_next)
 
 
 def recursion_contexts(trace: RunTrace):
@@ -369,7 +381,7 @@ def recursion_contexts(trace: RunTrace):
 
 @dataclass(frozen=True)
 class TangentRecursion:
-    """Angle propagation of one transfer-matrix application."""
+    """Angle propagation of one transfer-map application."""
 
     tan_in: float
     tan_out: float
@@ -378,11 +390,15 @@ class TangentRecursion:
     q_c: float
 
 
-def tangent_recursion(transfer: np.ndarray, reference, v_mid) -> TangentRecursion:
-    """Propagate the tangent through a transfer matrix and factor the rate.
+def tangent_recursion(
+    transfer: TransferOperator | np.ndarray, reference, v_mid
+) -> TangentRecursion:
+    """Propagate the tangent through a transfer map and factor the rate.
 
-    With v split into its coordinate c along the reference and the norm
-    s of its orthogonal complement part, the image tangent factors as
+    ``transfer`` is anything applied as ``transfer @ v``: the matrix-free
+    ``RecursionReport.transfer``, or a dense matrix.  With v split into
+    its coordinate c along the reference and the norm s of its orthogonal
+    complement part, the image tangent factors as
     (q_s / q_c) * tan_in where q_s and q_c are the complement and axis
     amplification factors.
     """

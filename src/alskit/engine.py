@@ -11,7 +11,10 @@ array: it works on the thin SVDs of the small frozen factors of W
 projected operator is the Kronecker product G = S (x) K_mu, which it
 never forms either: it solves S Y K_mu = R with one Cholesky solve per
 factor, and it gets A applied to the new iterate from the same factors.
-Both routes solve their SPD systems with LAPACK's Cholesky routines
+Either route returns, next to the solution, the maps the system is made
+of (``LocalSolve``): W, W^T, the Gram and energy pseudo-inverses and the
+coupling to another block, which the transfer-map replay chains.  Both
+routes solve their SPD systems with LAPACK's Cholesky routines
 (potrf/potrs, which scipy's cho_factor/cho_solve wrap, called directly
 to skip the wrappers' checks); ``micro_step`` writes back the
 minimum-norm block update, and wraps the solver's new iterate and its
@@ -21,7 +24,7 @@ the blocks in order; ``run`` repeats sweeps until a stop rule fires.  The
 iterate's image A v is handed from step to step, so a structured step
 applies no full operator and a formed step applies one.  For a verified
 operator ``run`` also takes the energy distance between sweep iterates
-from the two carried images, so a run above the route thresholds applies
+from the two carried images, so a run above the route threshold applies
 A once in all.
 """
 
@@ -37,7 +40,6 @@ from scipy.linalg import lapack
 
 from .diagnostics import (
     EPS_RANK_DEFAULT,
-    RECURSION_SIZE_CAP,
     MicroStepRecord,
     RunTrace,
     objective,
@@ -63,13 +65,13 @@ from .tensors import (
 
 ANGLE_MODES = ("auto", "factor", "full", "none")
 
-# local_solve takes the structured route only above both sizes.  At N <=
-# RECURSION_SIZE_CAP the transfer-matrix replay may run, and it needs the
-# formed W, basis and G.  STRUCTURED_MIN_GRAM_FLOPS bounds the formed
-# route's Gram work N * k^2.  Timed per micro-step on one BLAS thread
-# (2-vCPU Xeon), the formed route is as fast as the structured one at
-# N = 512, k = 8 with the identity (N k^2 = 3.3e4), and slower in every
-# CP and TT case measured from 1.3e5 up (by 1.06x to 3x).
+# local_solve takes the structured route above this size alone: it bounds
+# the formed route's Gram work N * k^2.  Both routes carry the same maps
+# (LocalSolve), so the transfer-map replay needs no size bound of its own.
+# Timed per micro-step on one BLAS thread (2-vCPU Xeon), the formed route
+# is as fast as the structured one at N = 512, k = 8 with the identity
+# (N k^2 = 3.3e4), and slower in every CP and TT case measured from 1.3e5
+# up (by 1.06x to 3x).
 STRUCTURED_MIN_GRAM_FLOPS = 1e5
 
 
@@ -129,51 +131,113 @@ def lowdin_basis(W: np.ndarray, eps_rank: float = EPS_RANK_DEFAULT) -> LowdinBas
     return LowdinBasis(W @ transform, transform, vals, int(vals.size))
 
 
-def _cholesky_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve G y = rhs for SPD G through LAPACK potrf/potrs (lower factor).
+def _cholesky_solve(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve G y = rhs for SPD G through LAPACK potrf/potrs; returns (y, factor).
 
     The same calls, with the same arguments, as scipy's
-    ``cho_factor(G, lower=True)`` and ``cho_solve``, so the result is
-    identical to theirs.  An unverified operator (above the SPD check
-    cap) that is not positive definite surfaces here as a ValueError.
+    ``cho_factor(G, lower=True)`` and ``cho_solve``, so y is identical to
+    theirs; ``factor`` holds the lower Cholesky factor for ``_cholesky_apply``.
+    An unverified operator (above the SPD check cap) that is not positive
+    definite surfaces here as a ValueError.
     """
     if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
     factor, info = lapack.dpotrf(G, lower=1, clean=0)
     if info != 0:
         raise ValueError("projected operator not positive definite")
+    return _cholesky_apply(factor, rhs), factor
+
+
+def _cholesky_apply(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """G^-1 rhs from the lower Cholesky factor of G (LAPACK potrs)."""
     # potrs fails only on malformed arguments, which potrf has accepted
     return lapack.dpotrs(factor, rhs, lower=1)[0]
 
 
 @dataclass(frozen=True)
 class LocalSolve:
-    """The solved Galerkin system of one block.
+    """The solved Galerkin system of one block, and the maps it is made of.
 
-    G y = V^T b with G = V^T A V on an orthonormal basis V of range(W),
-    of dimension ``rank``.  ``block`` is the minimum-norm new block and
-    ``iterate`` the new flat tensor V y; at rank 0 both are None and y is
-    empty.  ``adjoint(x)`` is W^T x for a flat tensor x.  The formed
-    route keeps W, its Löwdin ``basis`` and G (empty at rank 0).  The
-    structured route forms none of them and leaves them None; instead it
-    returns ``image``, the flat tensor A @ iterate, which the formed
-    route leaves None.
+    G y = V^T b with G = V^T A V on an orthonormal basis V = W T of
+    range(W), of dimension ``rank``.  ``block`` is the minimum-norm new
+    block T y and ``iterate`` the new flat tensor V y; at rank 0 both are
+    None.  The maps take a flat block-mu vector q or a flat tensor x:
+
+    - ``forward(q)`` is W q and ``adjoint(x)`` is W^T x;
+    - ``gram_pinv(q)`` is T T^T q, the pseudo-inverse of W^T W;
+    - ``energy_pinv(q)`` is T G^-1 T^T q, the pseudo-inverse of W^T A W,
+      from the solve's own Cholesky factors;
+    - ``coupling(nu, q)`` is W(p with block nu := q)^T b for a block
+      nu != mu: the coupling matrix of blocks (mu, nu) against b, applied
+      to q (see ``diagnostics.materialize_M``).
+
+    The two pseudo-inverses are None at rank 0.  ``route`` is "formed" or
+    "structured".  The formed route's maps are products with its W and
+    Löwdin transform T.  The structured route's are contractions of
+    unfoldings with the small factors, and it also returns ``image``, the
+    flat tensor A @ iterate, which the formed route leaves None.  The maps
+    are closures over arrays the solve holds, so a micro-step that never
+    applies them pays nothing for them.
     """
 
     rank: int
-    G: np.ndarray | None
-    y: np.ndarray
     block: np.ndarray | None
     iterate: np.ndarray | None
+    forward: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
-    W: np.ndarray | None = None
-    basis: LowdinBasis | None = None
+    gram_pinv: Callable[[np.ndarray], np.ndarray] | None
+    energy_pinv: Callable[[np.ndarray], np.ndarray] | None
+    coupling: Callable[[int, np.ndarray], np.ndarray]
+    route: str
     image: np.ndarray | None = None
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of two matrices, without its n-dimensional bookkeeping."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+
+
+def _kron_all(factors: list[np.ndarray]) -> np.ndarray:
+    """Z, the Kronecker product of the unfolding factors, in order."""
+    Z = factors[0]
+    for factor in factors[1:]:
+        Z = _kron(Z, factor)
+    return Z
+
+
+def _unfolding(fmt: TensorFormat, mu: int):
+    """(unfold, fold): a flat tensor to its m_mu x (N / m_mu) mode-mu unfolding, and back."""
+    dims = fmt.shape.dims
+    m, left = dims[mu], math.prod(dims[:mu])
+
+    def unfold(x):
+        return x.reshape(left, m, -1).transpose(1, 0, 2).reshape(m, -1)
+
+    def fold(x):
+        return x.reshape(m, left, -1).transpose(1, 0, 2).ravel()
+
+    return unfold, fold
+
+
+def _coupling(fmt: TensorFormat, b: DenseTensor, p: ParamSystem, mu: int):
+    """The map (nu, q) -> W_mu(p with block nu := q)^T b, one adjoint per call.
+
+    CP and TT contract the unfolding of b with the modified system's
+    unfolding factors; any other format forms the modified W once.
+    """
+
+    def coupling(nu: int, q: np.ndarray) -> np.ndarray:
+        if nu == mu:
+            raise ValueError("coupling needs two distinct blocks")
+        system = p.replace(nu, q)
+        check_block(fmt, system, mu)
+        factors = fmt.unfolding_factors(system.blocks, mu)
+        if factors is None:
+            return materialize_W(fmt, system, mu).T @ b.values
+        unfold, _ = _unfolding(fmt, mu)
+        return fmt.block_from_unfolding(unfold(b.values) @ _kron_all(factors), mu)
+
+    return coupling
 
 
 def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -189,11 +253,6 @@ def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vt
 
 
-def _degenerate(adjoint, W=None, basis=None) -> LocalSolve:
-    G = None if W is None else np.zeros((0, 0))
-    return LocalSolve(0, G, np.zeros(0), None, None, adjoint, W, basis)
-
-
 def formed_solve(
     A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem, mu: int, eps_rank: float
 ) -> LocalSolve:
@@ -203,14 +262,24 @@ def formed_solve(
     """
     W = materialize_W(fmt, p, mu)
     basis = lowdin_basis(W, eps_rank)
-    adjoint = W.T.__matmul__
+    maps = (W.__matmul__, W.T.__matmul__)
+    coupling = _coupling(fmt, b, p, mu)
     if basis.rank == 0:
-        return _degenerate(adjoint, W, basis)
-    V = basis.V
+        return LocalSolve(0, None, None, *maps, None, None, coupling, "formed")
+    V, T = basis.V, basis.transform
     G = V.T @ A.apply_matrix(V)
     G = 0.5 * (G + G.T)
-    y = _cholesky_solve(G, V.T @ b.values)
-    return LocalSolve(basis.rank, G, y, basis.transform @ y, V @ y, adjoint, W, basis)
+    y, factor = _cholesky_solve(G, V.T @ b.values)
+
+    def gram_pinv(q):
+        return T @ (T.T @ q)
+
+    def energy_pinv(q):
+        return T @ _cholesky_apply(factor, T.T @ q)
+
+    return LocalSolve(
+        basis.rank, T @ y, V @ y, *maps, gram_pinv, energy_pinv, coupling, "formed"
+    )
 
 
 def structured_solve(
@@ -232,7 +301,13 @@ def structured_solve(
     in (kept column, i) order.  The minimum-norm block is Y T_k^T with
     Z T_k = U_k, and the new iterate's image A V y is
     fold(K_mu Y^T ((K_L (x) K_R) U_k)^T), from the same mode-wise apply.
+    The maps of ``LocalSolve`` act on a block through its unfolding F:
+    W q = fold(F Z^T), and the pseudo-inverses multiply F by T_k, solve
+    with the two Cholesky factors (energy only) and multiply by T_k^T.
 
+    A non-finite factor (finite parameters can overflow into one) raises
+    numpy's LinAlgError("SVD did not converge") instead of reaching
+    gesdd, which can fail to return on a matrix with an inf entry.
     Returns None when there is no structure to use: an operator other
     than identity or mode-wise, or a format without unfolding factors.
     """
@@ -243,27 +318,26 @@ def structured_solve(
     factors = fmt.unfolding_factors(p.blocks, mu)
     if factors is None:
         return None
-    dims = fmt.shape.dims
-    m, left = dims[mu], math.prod(dims[:mu])
+    unfold, fold = _unfolding(fmt, mu)
+    Z = _kron_all(factors)
 
-    def unfold(x):  # flat tensor -> m x (N / m), mode mu first
-        return x.reshape(left, m, -1).transpose(1, 0, 2).reshape(m, -1)
+    def to_block(F):
+        return fmt.block_from_unfolding(F, mu)
 
-    def fold(x):  # inverse of unfold
-        return x.reshape(m, left, -1).transpose(1, 0, 2).ravel()
-
-    Z = factors[0]
-    for factor in factors[1:]:
-        Z = _kron(Z, factor)
+    def forward(q):
+        return fold(fmt.block_to_unfolding(q, mu) @ Z.T)
 
     def adjoint(x):
-        return fmt.block_from_unfolding(unfold(x) @ Z, mu)
+        return to_block(unfold(x) @ Z)
 
+    coupling = _coupling(fmt, b, p, mu)
     kept = []
     for factor in factors:
+        if not np.isfinite(factor).all():
+            raise np.linalg.LinAlgError("SVD did not converge")
         Uf, sigma, Xt = _thin_svd(factor)
         if sigma[0] == 0.0:
-            return _degenerate(adjoint)
+            return LocalSolve(0, None, None, forward, adjoint, None, None, coupling, "structured")
         # a factor's direction that fails the cut on its own fails it in every product
         ratio_f = (sigma / sigma[0]) ** 2
         cut = ratio_f > eps_rank
@@ -274,7 +348,7 @@ def structured_solve(
     keep = ratio > eps_rank
     U, T = U[:, keep], T[:, keep]
 
-    K_mu = None  # the identity
+    K_mu = K_factor = None  # the identity
     AU = U
     if type(A) is ModeWiseOperator:
         K_mu = A.factors[mu]
@@ -282,13 +356,28 @@ def structured_solve(
         if others:
             AU = kron_apply(others, U)
     S = U.T @ AU
-    Y = _cholesky_solve(0.5 * (S + S.T), U.T @ unfold(b.values).T)
+    Y, S_factor = _cholesky_solve(0.5 * (S + S.T), U.T @ unfold(b.values).T)
     if K_mu is not None:
-        Y = _cholesky_solve(0.5 * (K_mu + K_mu.T), Y.T).T
-    block = fmt.block_from_unfolding((T @ Y).T, mu)
+        Y, K_factor = _cholesky_solve(0.5 * (K_mu + K_mu.T), Y.T)
+        Y = Y.T
+    block = to_block((T @ Y).T)
     iterate = fold(Y.T @ U.T)
     image = iterate if K_mu is None else fold((K_mu @ Y.T) @ AU.T)
-    return LocalSolve(Y.size, None, Y.ravel(), block, iterate, adjoint, image=image)
+
+    def gram_pinv(q):
+        FT = fmt.block_to_unfolding(q, mu) @ T
+        return to_block(FT @ T.T)
+
+    def energy_pinv(q):
+        X = _cholesky_apply(S_factor, (fmt.block_to_unfolding(q, mu) @ T).T)
+        if K_factor is not None:
+            X = _cholesky_apply(K_factor, X.T).T
+        return to_block((T @ X).T)
+
+    return LocalSolve(
+        Y.size, block, iterate, forward, adjoint, gram_pinv, energy_pinv, coupling, "structured",
+        image,
+    )
 
 
 def local_solve(
@@ -296,16 +385,16 @@ def local_solve(
 ) -> LocalSolve:
     """Build and solve the Galerkin system of block mu on the cheaper route.
 
-    The structured route is taken when N > RECURSION_SIZE_CAP, the formed
-    route's Gram work N * k^2 exceeds STRUCTURED_MIN_GRAM_FLOPS, and
-    ``structured_solve`` has structure to use (CP or TT with an identity
-    or mode-wise operator); every other system is formed.
+    The structured route is taken when the formed route's Gram work
+    N * k^2 exceeds STRUCTURED_MIN_GRAM_FLOPS and ``structured_solve`` has
+    structure to use (CP or TT with an identity or mode-wise operator);
+    every other system is formed.  Either route returns the same maps
+    (``LocalSolve``), so a caller that reads them, such as the
+    transfer-map replay, works on both.
     """
-    n = fmt.shape.size
     if (
-        n > RECURSION_SIZE_CAP
-        and 0 <= mu < fmt.num_blocks
-        and n * fmt.block_dim(mu) ** 2 > STRUCTURED_MIN_GRAM_FLOPS
+        0 <= mu < fmt.num_blocks
+        and fmt.shape.size * fmt.block_dim(mu) ** 2 > STRUCTURED_MIN_GRAM_FLOPS
     ):
         sol = structured_solve(A, b, fmt, p, mu, eps_rank)
         if sol is not None:

@@ -108,7 +108,8 @@ class TensorFormat:
         The mode-mu unfolding of U(..., q, ...) (m_mu rows; columns over
         the other modes, in order) is F Z^T, where F is block q as an
         m_mu x s matrix (``block_from_unfolding`` maps F back to the flat
-        block) and Z is the Kronecker product of the returned factors.
+        block, ``block_to_unfolding`` the block to F) and Z is the
+        Kronecker product of the returned factors.
         So W^T W = Z^T Z (x) I, and W is never needed to solve the block.
         Formats without known structure return None.
         """
@@ -116,6 +117,10 @@ class TensorFormat:
 
     def block_from_unfolding(self, F: np.ndarray, mu: int) -> np.ndarray:
         """Flat block mu from its m_mu x s unfolding matrix F."""
+        raise NotImplementedError
+
+    def block_to_unfolding(self, q: np.ndarray, mu: int) -> np.ndarray:
+        """Inverse of ``block_from_unfolding``: flat block mu as its m_mu x s matrix F."""
         raise NotImplementedError
 
     def check_params(self, p: ParamSystem):
@@ -186,6 +191,9 @@ class CpFormat(TensorFormat):
 
     def block_from_unfolding(self, F: np.ndarray, mu: int) -> np.ndarray:
         return F.ravel(order="F")
+
+    def block_to_unfolding(self, q: np.ndarray, mu: int) -> np.ndarray:
+        return q.reshape((self.shape.dims[mu], self.rank), order="F")
 
     def local_map(self, blocks, mu: int) -> np.ndarray:
         """Khatri-Rao product of the frozen factors placed on the identity.
@@ -265,6 +273,11 @@ class TtFormat(TensorFormat):
     def block_from_unfolding(self, F: np.ndarray, mu: int) -> np.ndarray:
         # columns of F run over (a, c), the core is stored as (a, i, c)
         return F.reshape(-1, self.ranks[mu], self.ranks[mu + 1]).transpose(1, 0, 2).ravel()
+
+    def block_to_unfolding(self, q: np.ndarray, mu: int) -> np.ndarray:
+        return q.reshape(self.ranks[mu], -1, self.ranks[mu + 1]).transpose(1, 0, 2).reshape(
+            self.shape.dims[mu], -1
+        )
 
     def local_map(self, blocks, mu: int) -> np.ndarray:
         """Left interface (x) identity (x) right interface.

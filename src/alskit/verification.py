@@ -105,7 +105,7 @@ def sized_problem(
     return _random_operator(rng, shape, operator), b, fmt, ParamSystem(blocks)
 
 
-# Systems above both route thresholds of engine.local_solve, so that their
+# Systems above the route threshold of engine.local_solve, so that their
 # default route is the structured one: (kind, dims, rank, operator,
 # duplicate).  The TT ranks are minimal.
 ROUTE_CASES = (
@@ -304,7 +304,8 @@ def check_structured_vs_probe(trials: int = 20):
         for mu in range(fmt.num_blocks):
             formed = engine.formed_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT)
             structured = engine.structured_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT)
-            formed_default += engine.local_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT).W is not None
+            default = engine.local_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT)
+            formed_default += default.route == "formed"
             blocks_solved += 1
             rank_mismatch += structured.rank != formed.rank
             f_formed, f_structured = (
@@ -331,7 +332,7 @@ def check_structured_vs_probe(trials: int = 20):
         f"{trials} shapes, d = 1..4; CP W differing from the probe: {cp_mismatch} "
         f"(exact); TT W deviation {worst_tt:.2e}, mode-wise apply_matrix "
         f"deviation {worst_apply:.2e} (tol 1e-14); structured vs formed local "
-        f"solve on {blocks_solved} blocks above the route thresholds: rank "
+        f"solve on {blocks_solved} blocks above the route threshold: rank "
         f"mismatches {rank_mismatch}, blocks defaulting to the formed route "
         f"{formed_default}, block/iterate/f deviation {worst_solve:.2e}, "
         f"A @ iterate deviation from a full apply {worst_image:.2e}, run dist_a "
@@ -411,19 +412,32 @@ def check_post_step_identities(trials: int = 30):
 
 
 def check_decrement_identity(trials: int = 30):
-    """The decrement is -z^T G^-1 z / (2<b,b>), z = V^T r_old, with V and G from local_solve."""
-    worst = 0.0
+    """The decrement is -g^T G^+ g / (2<b,b>), g = W^T r_old, from the maps of local_solve.
+
+    G^+ is the energy pseudo-inverse.  Next to the small random problems,
+    every block of the ROUTE_CASES systems is checked, on the structured
+    route.
+    """
+    cases = []
     for t in range(trials):
-        A, b, fmt, p = random_problem(700 + t)
-        mu = t % fmt.num_blocks
+        problem = random_problem(700 + t)
+        cases.append((problem, t % problem[2].num_blocks))
+    for i, case in enumerate(ROUTE_CASES):
+        problem = sized_problem(1300 + i, *case)
+        cases += [(problem, mu) for mu in range(problem[2].num_blocks)]
+    worst = 0.0
+    for (A, b, fmt, p), mu in cases:
         _, _, _, rec = engine.micro_step(A, b, fmt, p, mu)
         if rec.degenerate:
             continue
         sol = engine.local_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT)
-        z = sol.basis.V.T @ (b.values - A.apply(evaluate(fmt, p)).values)
-        predicted = -0.5 * float(z @ np.linalg.solve(sol.G, z)) / inner(b, b)
+        g = sol.adjoint(b.values - A.apply(evaluate(fmt, p)).values)
+        predicted = -0.5 * float(g @ sol.energy_pinv(g)) / inner(b, b)
         worst = max(worst, abs(rec.decrement - predicted))
-    return worst <= 1e-10, f"max deviation from projected-residual form {worst:.2e} (tol 1e-10)"
+    return worst <= 1e-10, (
+        f"{trials} problems and {len(cases) - trials} structured-route blocks; max "
+        f"deviation from projected-residual form {worst:.2e} (tol 1e-10)"
+    )
 
 
 def check_monotone_chain(trials: int = 100, sweeps: int = 3):
@@ -459,7 +473,7 @@ def check_oracle_equivalence(trials: int = 200):
     for t in range(trials):
         problem = (random_problem if t % 2 == 0 else rank_deficient_problem)(900 + t)
         cases.append((problem, t % problem[2].num_blocks))
-    # every block of one system above the route thresholds, on which
+    # every block of one system above the route threshold, on which
     # micro_step takes the structured route
     large = sized_problem(1100, *ROUTE_CASES[-1])
     cases += [(large, mu) for mu in range(large[2].num_blocks)]
@@ -553,17 +567,32 @@ def _rank_one_gallery_traces(sweeps: int = 6):
         yield instance, trace
 
 
+def _route_case_traces(sweeps: int = 3):
+    """Keep-params traces of the ROUTE_CASES systems, whose solves are structured."""
+    for i, case in enumerate(ROUTE_CASES):
+        A, b, fmt, p = sized_problem(1400 + i, *case)
+        trace = engine.run(A, b, fmt, p, engine.StopRule(max_sweeps=sweeps), keep_params=True)
+        yield A, b, fmt, trace
+
+
 def check_recursion_defect():
     worst = 0.0
-    count = 0
+    count = structured = 0
     for instance, trace in _rank_one_gallery_traces():
         for ctx in recursion_contexts(trace):
             report = recursion_check(instance.A, instance.b, instance.fmt, ctx)
             worst = max(worst, report.defect)
             count += 1
-    if count == 0:
+    for A, b, fmt, trace in _route_case_traces():
+        for ctx in recursion_contexts(trace):
+            worst = max(worst, recursion_check(A, b, fmt, ctx).defect)
+            structured += 1
+    if count == 0 or structured == 0:
         return False, "no replayable step pairs found"
-    return worst <= 1e-8, f"{count} step pairs replayed; max defect {worst:.2e} (tol 1e-8)"
+    return worst <= 1e-8, (
+        f"{count} gallery and {structured} structured-route step pairs replayed; "
+        f"max defect {worst:.2e} (tol 1e-8)"
+    )
 
 
 def check_tucker_closed_form():
@@ -602,6 +631,7 @@ def check_tucker_closed_form():
 
 
 def check_tangent_recursion():
+    # blambda against its known limit, the ROUTE_CASES systems against their target
     instance = gallery.blambda_example(0.3, n=4, seed=11)
     trace = engine.run(
         instance.A,
@@ -613,30 +643,28 @@ def check_tangent_recursion():
         reference_factor=instance.reference_factor,
         keep_params=True,
     )
+    replays = [(instance.A, instance.b, instance.fmt, trace, instance.reference.values, False)]
+    replays += [(A, b, fmt, tr, b.values, True) for A, b, fmt, tr in _route_case_traces()]
     worst_split = 0.0
     worst_pred = 0.0
-    count = 0
-    for ctx in recursion_contexts(trace):
-        report = recursion_check(instance.A, instance.b, instance.fmt, ctx)
-        tr = tangent_recursion(
-            report.transfer, instance.reference.values, report.v_mid.values
-        )
-        direct = stable_tangent(
-            instance.reference.values, report.transfer @ report.v_mid.values
-        )
-        worst_split = max(
-            worst_split, abs(tr.tan_predicted - tr.tan_out) / max(tr.tan_out, 1e-300)
-        )
-        actual = stable_tangent(instance.reference.values, report.v_next.values)
-        worst_pred = max(
-            worst_pred,
-            abs(direct - actual) / max(actual, 1e-300),
-        )
-        count += 1
-    ok = worst_split <= 1e-12 and worst_pred <= 1e-8 and count > 0
+    count = structured = 0
+    for A, b, fmt, trace, reference, on_structured in replays:
+        for ctx in recursion_contexts(trace):
+            report = recursion_check(A, b, fmt, ctx)
+            tr = tangent_recursion(report.transfer, reference, report.v_mid.values)
+            direct = stable_tangent(reference, report.transfer @ report.v_mid.values)
+            worst_split = max(
+                worst_split, abs(tr.tan_predicted - tr.tan_out) / max(tr.tan_out, 1e-300)
+            )
+            actual = stable_tangent(reference, report.v_next.values)
+            worst_pred = max(worst_pred, abs(direct - actual) / max(actual, 1e-300))
+            count += 1
+            structured += on_structured
+    ok = worst_split <= 1e-12 and worst_pred <= 1e-8 and count > structured > 0
     return ok, (
-        f"{count} transfers; split factorization deviation {worst_split:.2e} "
-        f"(tol 1e-12), transfer vs committed tangent {worst_pred:.2e} (tol 1e-8)"
+        f"{count} transfers ({structured} on structured-route systems); split "
+        f"factorization deviation {worst_split:.2e} (tol 1e-12), transfer vs "
+        f"committed tangent {worst_pred:.2e} (tol 1e-8)"
     )
 
 

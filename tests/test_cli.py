@@ -26,6 +26,7 @@ from alskit.cli import (
 )
 from alskit.gallery import LABELS, SPECS
 from alskit.tensors import SPD_VERIFY_CAP
+from alskit.verification import sized_problem
 
 DEGENERATE_PROBLEM = {
     "problem": {
@@ -472,6 +473,40 @@ def test_non_spd_operator_above_verify_cap_is_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "[mohlenkamp]" in captured.out
     assert "not positive definite" in captured.err
+
+
+def test_overflowing_unfolding_factor_exits_one_with_a_message(tmp_path, capsys, monkeypatch):
+    # finite parameters whose CP unfolding factor overflows: an error, not a hang
+    real = engine._thin_svd
+
+    def finite_only(a):
+        # fails instead of handing gesdd a matrix it may never return from
+        assert np.isfinite(a).all(), "non-finite matrix handed to the SVD"
+        return real(a)
+
+    monkeypatch.setattr(engine, "_thin_svd", finite_only)
+    A, b, fmt, p = sized_problem(44, "cp", (8, 8, 8), 3)
+    blocks = [p[mu].copy() for mu in range(fmt.num_blocks)]
+    blocks[0][:8] *= 1e-300
+    blocks[1][0] = blocks[2][0] = 1e200
+    doc = {
+        "problem": {
+            "dims": [8, 8, 8],
+            "format": "cp",
+            "ranks": [3],
+            "operator": {"kind": "modewise", "factors": [f.tolist() for f in A.factors]},
+            "target": {"dense": b.values.tolist()},
+            "init": [block.tolist() for block in blocks],
+        },
+        "max_sweeps": 1,
+    }
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(doc))
+    with np.errstate(over="ignore"):
+        assert run_cli(["run", "--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: [custom] SVD did not converge"]
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import aslinearoperator
 
 from alskit.diagnostics import (
     MicroStepRecord,
@@ -21,13 +22,13 @@ from alskit.diagnostics import (
     stable_tangent,
     tangent_recursion,
 )
-from alskit import engine
+from alskit import diagnostics, engine
 from alskit.engine import StopRule, micro_step, run
-from alskit.formats import CpFormat, ParamSystem
+from alskit.formats import CpFormat, MultilinearFormat, ParamSystem, materialize_W
 from alskit.gallery import blambda_example, desilva_lim, mohlenkamp_example
 from alskit.oracle import finite_diff_grad
 from alskit.tensors import DenseOperator, DenseTensor, IdentityOperator, ModeWiseOperator, Shape
-from alskit.verification import random_problem
+from alskit.verification import ROUTE_CASES, random_problem, sized_problem
 
 
 def spd(rng, m):
@@ -345,6 +346,48 @@ def test_materialize_M_rejects_equal_blocks():
         materialize_M(instance.fmt, instance.b, instance.init, 1, 1)
 
 
+def _custom_tucker_problem(seed):
+    # a custom format with no unfolding factors: a fixed core times one
+    # factor matrix per mode, each factor a block
+    rng = np.random.default_rng(seed)
+    dims, core_dims = (3, 4, 3), (2, 2, 3)
+    core = rng.standard_normal(core_dims)
+
+    def tucker(blocks):
+        t = core
+        for block, m, c in zip(blocks, dims, core_dims):
+            t = np.tensordot(t, block.reshape(m, c), axes=(0, 1))
+        return t.ravel()
+
+    shape = Shape(dims)
+    fmt = MultilinearFormat(shape, [m * c for m, c in zip(dims, core_dims)], tucker)
+    p = ParamSystem([rng.standard_normal(fmt.block_dim(mu)) for mu in range(fmt.num_blocks)])
+    b = DenseTensor(shape, rng.standard_normal(shape.size))
+    return ModeWiseOperator([spd(rng, m) for m in dims]), b, fmt, p
+
+
+@settings(deadline=None, max_examples=40)
+@given(kind=st.sampled_from(["cp", "tt", "custom"]), seed=st.integers(0, 2**16))
+def test_coupling_map_is_the_probed_coupling_matrix(kind, seed):
+    if kind == "custom":
+        A, b, fmt, p = _custom_tucker_problem(seed)
+    else:
+        A, b, fmt, p = random_problem(seed, kind=kind)
+    rng = np.random.default_rng(seed)
+    mu, nu = rng.choice(fmt.num_blocks, size=2, replace=False)
+    x = rng.standard_normal(fmt.block_dim(nu))
+    M = materialize_M(fmt, b, p, mu, nu)
+    got = engine.local_solve(A, b, fmt, p, mu, 1e-12).coupling(nu, x)
+    assert np.linalg.norm(got - M @ x) <= 1e-13 * np.linalg.norm(M) * np.linalg.norm(x)
+
+
+def test_coupling_map_rejects_equal_blocks():
+    instance = blambda_example(0.3, n=4, seed=11)
+    sol = engine.local_solve(instance.A, instance.b, instance.fmt, instance.init, 1, 1e-12)
+    with pytest.raises(ValueError, match="distinct blocks"):
+        sol.coupling(1, np.ones(4))
+
+
 # ---------------------------------------------------------------------------
 # step-pair replays
 
@@ -374,17 +417,24 @@ def test_recursion_check_defect_is_tiny_on_rank_one_instance():
     report = recursion_check(instance.A, instance.b, instance.fmt, contexts[0])
     assert report.defect < 1e-10
     assert report.transfer.shape == (64, 64)
-    # the transfer matrix actually maps the mid iterate to the next one
+    # scipy's iterative solvers take the map as it is
+    linear = aslinearoperator(report.transfer)
+    assert linear.dtype == np.float64
+    assert np.array_equal(linear @ report.v_mid.values, report.transfer @ report.v_mid.values)
+    # the transfer map actually takes the mid iterate to the next one
     assert np.allclose(
         report.transfer @ report.v_mid.values, report.v_next.values, atol=1e-10
     )
 
 
-def test_recursion_check_size_cap():
-    instance = blambda_example(0.3, n=7, seed=11)  # N = 343 > 256
+def test_recursion_check_runs_past_the_former_size_cap():
+    # the transfer map is matrix-free, so N = 343 (once above the cap of
+    # 256) replays like any other size
+    instance = blambda_example(0.3, n=7, seed=11)
     ctx = RecursionContext(sweep=2, mu=1, params=instance.init)
-    with pytest.raises(ValueError, match="capped at N = 256"):
-        recursion_check(instance.A, instance.b, instance.fmt, ctx)
+    report = recursion_check(instance.A, instance.b, instance.fmt, ctx)
+    assert report.transfer.shape == (343, 343)
+    assert report.defect < 1e-10
 
 
 def _replay_problem(name):
@@ -411,7 +461,10 @@ def test_replay_iterates_are_the_committed_micro_steps(name):
         assert np.array_equal(report.v_next.values, v_next.values)
 
 
-def test_replay_solves_each_block_once(monkeypatch):
+@pytest.mark.parametrize("n", [4, 6])
+def test_replay_solves_each_block_once(monkeypatch, n):
+    # one W and one basis per solve, whatever the block dimension: the
+    # coupling is one contraction, not a probe per parameter of block mu-1
     calls = []
 
     def counting(name, real):
@@ -423,10 +476,69 @@ def test_replay_solves_each_block_once(monkeypatch):
 
     for name in ("lowdin_basis", "materialize_W", "micro_step"):
         monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
-    instance = blambda_example(0.3, n=4, seed=11)
-    recursion_check(instance.A, instance.b, instance.fmt, RecursionContext(2, 1, instance.init))
-    # materialize_M probes through its own binding, not the solver's
+    monkeypatch.setattr(diagnostics, "materialize_W", counting("materialize_W", materialize_W))
+    instance = blambda_example(0.3, n=n, seed=11)
+    ctx = RecursionContext(2, 1, instance.init)
+    report = recursion_check(instance.A, instance.b, instance.fmt, ctx)
+    report.transfer @ report.v_mid.values
     assert sorted(calls) == ["lowdin_basis"] * 2 + ["materialize_W"] * 2
+
+
+def _dense_transfer(A, b, fmt, ctx):
+    """N = W_mu G^+ M H^+ W_{mu-1}^T from materialize_W, materialize_M and np.linalg.pinv."""
+    mu = ctx.mu
+    W0 = materialize_W(fmt, ctx.params, mu - 1)
+    K0 = W0.T @ A.apply_matrix(W0)
+    p1 = ctx.params.replace(mu - 1, np.linalg.pinv(K0, hermitian=True) @ (W0.T @ b.values))
+    W1 = materialize_W(fmt, p1, mu)
+    G_pinv = np.linalg.pinv(W1.T @ A.apply_matrix(W1), hermitian=True)
+    H_pinv = np.linalg.pinv(W0.T @ W0, hermitian=True)
+    M = materialize_M(fmt, b, p1, mu, mu - 1)
+    return W1 @ G_pinv @ M @ H_pinv @ W0.T, (W0, W1)
+
+
+TRANSFER_CASES = {
+    "cp": lambda: sized_problem(70, "cp", (4, 3, 5), 2),
+    "tt": lambda: sized_problem(71, "tt", (3, 4, 3), (2, 3)),
+    "custom": lambda: _custom_tucker_problem(70),
+    "structured": lambda: sized_problem(72, *ROUTE_CASES[3]),
+}
+
+
+@pytest.mark.parametrize("name", list(TRANSFER_CASES))
+def test_transfer_map_is_the_dense_transfer_matrix(name):
+    A, b, fmt, p = TRANSFER_CASES[name]()
+    route = "structured" if name == "structured" else "formed"
+    assert {engine.local_solve(A, b, fmt, p, mu, 1e-12).route for mu in range(3)} == {route}
+    rng = np.random.default_rng(73)
+    for mu in (1, 2):
+        ctx = RecursionContext(2, mu, p)
+        report = recursion_check(A, b, fmt, ctx)
+        N, blocks_W = _dense_transfer(A, b, fmt, ctx)
+        # both sides take Gram pseudo-inverses, which err by ~cond(W)^2 u
+        assert all(np.linalg.cond(W) < 100 for W in blocks_W)
+        assert report.transfer.shape == N.shape
+        for _ in range(3):
+            v = rng.standard_normal(fmt.shape.size)
+            want = N @ v
+            assert np.linalg.norm(report.transfer @ v - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_structured_replay_forms_no_W(monkeypatch, case):
+    A, b, fmt, p = sized_problem(74, *case)
+    trace = run(A, b, fmt, p, StopRule(max_sweeps=2), keep_params=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("W formed")
+
+    for module in (engine, diagnostics):
+        monkeypatch.setattr(module, "materialize_W", refuse)
+    monkeypatch.setattr(engine, "lowdin_basis", refuse)
+    for ctx in recursion_contexts(trace):
+        report = recursion_check(A, b, fmt, ctx)
+        assert report.defect < 1e-10
+        tangent_recursion(report.transfer, b.values, report.v_mid.values)
 
 
 @pytest.mark.parametrize(

@@ -312,7 +312,7 @@ def _rel(got, want):
 def test_default_route_above_thresholds_matches_the_textbook_step(case):
     A, b, fmt, p = sized_problem(39, *case)
     for mu in range(fmt.num_blocks):
-        assert engine.local_solve(A, b, fmt, p, mu, 1e-12).W is None  # structured
+        assert engine.local_solve(A, b, fmt, p, mu, 1e-12).route == "structured"
         p_new, v_new, _, rec = micro_step(A, b, fmt, p, mu)
         block, v_want, want = _textbook_step(A, b, fmt, p, mu)
         f, decrement, grad_norm, rank, resid_orth, pmax = want
@@ -359,7 +359,7 @@ def _dense_problem():
 
 BELOW_THRESHOLDS = {
     "small": lambda: _lean_step_case("tt", "modewise"),
-    # N = 512 > RECURSION_SIZE_CAP, but N k^2 = 3.3e4: the gallery's blambda size
+    # N = 512, but N k^2 = 3.3e4 <= STRUCTURED_MIN_GRAM_FLOPS: the gallery's blambda size
     "narrow": lambda: sized_problem(43, "cp", (8, 8, 8), 1, "identity"),
     "dense": _dense_problem,
     "custom": _custom_outer_problem,
@@ -458,7 +458,7 @@ def test_dist_a_from_the_images_is_the_energy_norm_of_the_step(monkeypatch, case
     A, b, fmt, p = sized_problem(50, *case)
     if route == "formed":
         _formed_route(monkeypatch)
-    assert (engine.local_solve(A, b, fmt, p, 0, 1e-12).W is None) == (route == "structured")
+    assert engine.local_solve(A, b, fmt, p, 0, 1e-12).route == route
     trace = run(A, b, fmt, p, StopRule(max_sweeps=3), keep_params=True)
     assert trace.sweeps == 3
     vs = _sweep_iterates(fmt, trace)
@@ -515,7 +515,7 @@ def test_run_carrying_A_v_matches_standalone_micro_steps(case, zero_block):
     want = []
     for k in range(1, trace.sweeps + 1):
         for mu in range(fmt.num_blocks):
-            assert engine.local_solve(A, b, fmt, p, mu, 1e-12).W is None  # structured
+            assert engine.local_solve(A, b, fmt, p, mu, 1e-12).route == "structured"
             p, _, _, rec = micro_step(A, b, fmt, p, mu, sweep=k)
             want.append(rec)
     assert len(trace.records) == len(want)
@@ -538,7 +538,7 @@ def _record_fields(rec):
 def test_degenerate_step_above_thresholds_matches_the_formed_route(monkeypatch, kind, rank):
     A, b, fmt, p = sized_problem(44, kind, (8, 8, 8), rank)
     p = p.replace(1, np.zeros(fmt.block_dim(1)))  # W of blocks 0 and 2 vanishes
-    assert engine.local_solve(A, b, fmt, p, 0, 1e-12).W is None
+    assert engine.local_solve(A, b, fmt, p, 0, 1e-12).route == "structured"
     structured = micro_step(A, b, fmt, p, 0)
     traced = run(A, b, fmt, p, StopRule(max_sweeps=5))
     _formed_route(monkeypatch)
@@ -556,7 +556,7 @@ def test_bad_targets_above_thresholds_raise_the_same_errors(monkeypatch, route):
     A, b, fmt, p = sized_problem(45, "cp", (8, 8, 8), 3)
     if route == "formed":
         _formed_route(monkeypatch)
-    assert (engine.local_solve(A, b, fmt, p, 0, 1e-12).W is None) == (route == "structured")
+    assert engine.local_solve(A, b, fmt, p, 0, 1e-12).route == route
     with pytest.raises(ValueError, match="objective undefined for zero target"):
         micro_step(A, DenseTensor.zeros(b.shape), fmt, p, 0)
     values = b.values.copy()
@@ -584,7 +584,7 @@ def test_micro_step_rejects_a_non_finite_solver_output(monkeypatch, route, field
         return dataclasses.replace(sol, **{field: values})
 
     monkeypatch.setattr(engine, "local_solve", broken)
-    assert (real(A, b, fmt, p, 0, 1e-12).W is None) == (route == "structured")
+    assert real(A, b, fmt, p, 0, 1e-12).route == route
     with pytest.raises(ValueError, match="tensor entries must be finite"):
         micro_step(A, b, fmt, p, 0)
 
@@ -629,6 +629,36 @@ def test_non_finite_unfolding_factor_fails_as_with_numpys_svd(monkeypatch, kind,
     assert got == _structured_outcome(A, b, fmt, p, 1)
     if value != value:  # NaN: gesdd reports an illegal argument, numpy a non-convergence
         assert got == (np.linalg.LinAlgError, "SVD did not converge")
+
+
+def _overflowing_factor_problem():
+    """Finite CP parameters whose mode-0 unfolding factor overflows to one inf entry.
+
+    U(p) multiplies in another order and stays finite.  LAPACK gesdd
+    never returned on this factor.
+    """
+    A, b, fmt, p = sized_problem(44, "cp", (8, 8, 8), 3)
+    blocks = [p[mu].copy() for mu in range(fmt.num_blocks)]
+    blocks[0][:8] *= 1e-300  # column 0 of the mode-0 factor
+    blocks[1][0] = blocks[2][0] = 1e200
+    return A, b, fmt, ParamSystem(blocks)
+
+
+def test_overflowing_unfolding_factor_fails_before_the_svd(monkeypatch):
+    A, b, fmt, p = _overflowing_factor_problem()
+    real = engine._thin_svd
+
+    def finite_only(a):
+        # fails instead of handing gesdd a matrix it may never return from
+        assert np.isfinite(a).all(), "non-finite matrix handed to the SVD"
+        return real(a)
+
+    monkeypatch.setattr(engine, "_thin_svd", finite_only)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(evaluate(fmt, p).values).all()
+        assert not np.isfinite(fmt.unfolding_factors(p.blocks, 0)[0]).all()
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            run(A, b, fmt, p, StopRule(max_sweeps=1))
 
 
 def _mp_min_norm_block(mp, A, b, fmt, p, mu):
