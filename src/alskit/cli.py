@@ -253,6 +253,11 @@ def _check_settings(job: dict):
     job["stop"] = StopRule(job["max_sweeps"], job["f_tol"], job["grad_tol"], job["angle_tol"])
 
 
+# The build and the solve run with numpy's floating-point warnings off: an
+# overflow or invalid operation reaches the user as the one "error:" line of
+# a finiteness check, not as warning lines before it.  The state is
+# thread-local, so the decorator sets it in every --jobs worker too.
+@np.errstate(all="ignore")
 def _job_from_config(doc: dict, overrides: dict) -> dict:
     job = {name: default for name, _, default, _ in RUN_SETTINGS}
     known = ("gallery", "problem", "args", *job)
@@ -281,6 +286,7 @@ def _job_from_config(doc: dict, overrides: dict) -> dict:
     return job
 
 
+@np.errstate(all="ignore")
 def _execute_job(job: dict) -> tuple[int, list[str], str | None]:
     """Solve one job; returns (exit code, stdout lines, stderr error line)."""
     instance = job["instance"]

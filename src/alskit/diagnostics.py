@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .formats import ParamSystem, TensorFormat, evaluate, materialize_W
-from .tensors import DenseTensor, SpdOperator, inner
+from .tensors import DenseTensor, SpdOperator, inner, vector_norm
 
 # defaults shared by the solver, the diagnostics and the CLI
 EPS_RANK_DEFAULT = 1e-12  # relative Gram eigenvalue cut of the Löwdin basis
@@ -75,16 +75,15 @@ def stable_tangent(reference, vec) -> float:
     """
     ref = np.asarray(reference, dtype=float).ravel()
     v = np.asarray(vec, dtype=float).ravel()
-    nref = float(np.linalg.norm(ref))
-    nv = float(np.linalg.norm(v))
+    nref = vector_norm(ref)
+    nv = vector_norm(v)
     if nref == 0.0 or nv == 0.0:
         raise ValueError("tangent angle undefined for a zero vector")
     ref_hat = ref / nref
     c = float(ref_hat @ v)
     if abs(c) <= COS_CUTOFF * nv:
         return float("inf")
-    s = float(np.linalg.norm(v - c * ref_hat))
-    return s / abs(c)
+    return vector_norm(v - c * ref_hat) / abs(c)
 
 
 @dataclass

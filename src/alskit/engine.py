@@ -4,7 +4,8 @@ Each micro-step freezes all parameter blocks but one and solves the
 Galerkin system of the remaining linear map W.  ``local_solve`` takes one
 of two routes to the same system.  The formed route materializes W,
 orthonormalizes its range from the eigendecomposition of the Gram matrix
-W^T W (Löwdin) and forms G = V^T A V.  The structured route, for CP and
+W^T W (Löwdin; LAPACK dsyevd, called directly like the other LAPACK
+routines here) and forms G = V^T A V.  The structured route, for CP and
 TT formats with an identity or mode-wise operator, never forms an N x k
 array: it works on the thin SVDs of the small frozen factors of W
 (``TensorFormat.unfolding_factors``), where W^T W = Z^T Z (x) I.  Its
@@ -22,14 +23,17 @@ image without re-scanning them: a non-finite entry in either makes the
 new objective non-finite, and that one scalar is checked.  A sweep visits
 the blocks in order; ``run`` repeats sweeps until a stop rule fires.  The
 iterate's image A v is handed from step to step, so a structured step
-applies no full operator and a formed step applies one.  For a verified
-operator ``run`` also takes the energy distance between sweep iterates
-from the two carried images, so a run above the route threshold applies
-A once in all.
+applies no full operator and a formed step applies one; the target's
+squared norm <b, b> is handed on the same way, and the parameter system
+carries its block norms, so a step measures only the block it writes.
+For a verified operator ``run`` also takes the energy distance between
+sweep iterates from the two carried images, so a run above the route
+threshold applies A once in all.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,6 +65,7 @@ from .tensors import (
     a_norm,
     inner,
     kron_apply,
+    vector_norm,
 )
 
 ANGLE_MODES = ("auto", "factor", "full", "none")
@@ -68,10 +73,16 @@ ANGLE_MODES = ("auto", "factor", "full", "none")
 # local_solve takes the structured route above this size alone: it bounds
 # the formed route's Gram work N * k^2.  Both routes carry the same maps
 # (LocalSolve), so the transfer-map replay needs no size bound of its own.
-# Timed per micro-step on one BLAS thread (2-vCPU Xeon), the formed route
-# is as fast as the structured one at N = 512, k = 8 with the identity
-# (N k^2 = 3.3e4), and slower in every CP and TT case measured from 1.3e5
-# up (by 1.06x to 3x).
+# Timed per micro-step on one BLAS thread (2-vCPU host, best of 30 x 40
+# calls with the two routes interleaved), the structured route is 1.1x to
+# 1.2x faster on the gallery's largest blocks, blambda's N = 512, k = 8
+# with the identity (N k^2 = 3.3e4; 81-98 us against 110-113 us), and
+# the formed route 1.1x to 1.2x faster on its small ones, N <= 64 and
+# k <= 4 (desilva_lim 84-86 us against 99-102 us, tucker 85-87 against
+# 95-97).  From N k^2 = 1.3e5 up the structured route was faster in every
+# CP and TT case measured (by 1.06x to 3x).  The threshold stays where it
+# is: the route decides how a step rounds, so moving it would change the
+# gallery's outputs bit for bit.
 STRUCTURED_MIN_GRAM_FLOPS = 1e5
 
 
@@ -81,11 +92,14 @@ class LowdinBasis:
 
     ``transform`` maps projected coordinates back to block parameters:
     V = W @ transform, and transform @ transform.T is the pseudo-inverse
-    of the Gram matrix W^T W.  ``delta`` holds the retained Gram
-    eigenvalues in descending order.  ``orth_defect``, the measured
-    departure of V^T V from the identity (observed, not enforced), is
-    computed from V on first read: the solver never reads it, so a
-    micro-step does not pay its N * rank^2 product.
+    of the Gram matrix W^T W.  Its columns are the kept Gram eigenvectors,
+    largest eigenvalue first, scaled by delta^-1/2 and stored in Fortran
+    order (the layout of ``np.linalg.eigh``'s vectors after a column mask,
+    so products with it are the same BLAS calls).  ``delta`` holds the
+    retained Gram eigenvalues in descending order.  ``orth_defect``, the
+    measured departure of V^T V from the identity (observed, not
+    enforced), is computed from V on first read: the solver never reads
+    it, so a micro-step does not pay its N * rank^2 product.
     """
 
     V: np.ndarray
@@ -111,24 +125,38 @@ def lowdin_basis(W: np.ndarray, eps_rank: float = EPS_RANK_DEFAULT) -> LowdinBas
 
     Gram eigenvalues delta_i <= eps_rank * delta_1 are discarded; if no
     positive eigenvalue remains (W numerically zero) the basis is empty,
-    of rank 0: the step is degenerate.
+    of rank 0: the step is degenerate.  The Gram matrix is decomposed by
+    LAPACK dsyevd on its lower triangle, the routine and triangle that
+    ``np.linalg.eigh`` uses, called directly to skip the wrapper.  A
+    non-finite Gram matrix (finite parameters can overflow into W) raises
+    numpy's LinAlgError("Eigenvalues did not converge") before LAPACK
+    sees it.
     """
     W = np.asarray(W, dtype=float)
     check_eps_rank(eps_rank)
     n = W.shape[1]
+    if n == 0:
+        return _empty_basis(W.shape[0], n)
     H = W.T @ W
     H = 0.5 * (H + H.T)
-    vals, vecs = np.linalg.eigh(H)
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    if n == 0 or vals[0] <= 0.0:
-        empty = np.zeros((W.shape[0], 0))
-        return LowdinBasis(empty, np.zeros((n, 0)), np.zeros(0), 0)
-    keep = vals > eps_rank * vals[0]
-    vals = np.ascontiguousarray(vals[keep])
-    vecs = vecs[:, keep]
-    transform = vecs / np.sqrt(vals)
-    return LowdinBasis(W @ transform, transform, vals, int(vals.size))
+    if not np.isfinite(H).all():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    vals, vecs, info = lapack.dsyevd(H, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    # ascending: the largest eigenvalue is last, the kept ones a suffix
+    ascending = vals.tolist()
+    if ascending[-1] <= 0.0:
+        return _empty_basis(W.shape[0], n)
+    rank = n - bisect.bisect_right(ascending, eps_rank * ascending[-1])
+    vals = vals[::-1][:rank].copy()
+    # Fortran order, as LowdinBasis says
+    transform = np.divide(vecs[:, ::-1][:, :rank], np.sqrt(vals), order="F")
+    return LowdinBasis(W @ transform, transform, vals, rank)
+
+
+def _empty_basis(N: int, n: int) -> LowdinBasis:
+    return LowdinBasis(np.zeros((N, 0)), np.zeros((n, 0)), np.zeros(0), 0)
 
 
 def _cholesky_solve(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -414,21 +442,24 @@ def micro_step(
     v_old: DenseTensor | None = None,
     f_old: float | None = None,
     Av_old: DenseTensor | None = None,
+    b2: float | None = None,
 ) -> tuple[ParamSystem, DenseTensor, DenseTensor, MicroStepRecord]:
     """Exact update of block mu; returns (new params, new iterate, its image, record).
 
     ``local_solve`` solves the projected SPD system V^T A V y = V^T b.
     The block written back is the minimum-norm representative, orthogonal
     to the kernel of W.  A degenerate step (W = 0) leaves the parameters
-    unchanged.  The incoming iterate v_old, its objective and its image
-    ``Av_old`` = A v_old are computed when not given.  The new iterate's
-    image A v_new comes from the structured solve, or from one apply on
-    the formed route; a sweep hands it to the next step as ``Av_old``.
+    unchanged.  The incoming iterate v_old, its objective, its image
+    ``Av_old`` = A v_old and the target's squared norm ``b2`` = <b, b> are
+    computed when not given.  The new iterate's image A v_new comes from
+    the structured solve, or from one apply on the formed route; a sweep
+    hands it to the next step as ``Av_old``.
     The new iterate and image are wrapped unscanned; a non-finite entry
     in either makes f_new non-finite, and then the entries are checked
     and the usual ValueError("tensor entries must be finite") is raised.
     """
-    b2 = inner(b, b)
+    if b2 is None:
+        b2 = inner(b, b)
     if b2 == 0.0:
         raise ValueError("objective undefined for zero target")
     if v_old is None:
@@ -440,7 +471,7 @@ def micro_step(
 
     resid_old = b.values - Av_old.values
     sol = local_solve(A, b, fmt, p, mu, eps_rank)
-    grad = float(np.linalg.norm(sol.adjoint(resid_old)))
+    grad = vector_norm(sol.adjoint(resid_old))
     if sol.rank == 0:  # degenerate: keep p, v, A v and f
         p_new, v_new, Av_new, f_new, resid_orth = p, v_old, Av_old, f_old, grad
     else:
@@ -451,7 +482,7 @@ def micro_step(
         if not math.isfinite(f_new):  # a non-finite entry, or an overflow of f alone
             DenseTensor(b.shape, v_new.values)
             DenseTensor(b.shape, Av_new.values)
-        resid_orth = float(np.linalg.norm(sol.adjoint(b.values - Av_new.values)))
+        resid_orth = vector_norm(sol.adjoint(b.values - Av_new.values))
     record = MicroStepRecord(
         sweep=sweep,
         mu=mu,
@@ -477,8 +508,11 @@ def sweep(
     f: float | None = None,
     Av: DenseTensor | None = None,
     snapshots: list | None = None,
+    b2: float | None = None,
 ) -> tuple[ParamSystem, DenseTensor, DenseTensor, list[MicroStepRecord]]:
     """One pass over all blocks in order; returns (params, iterate v, A v, records)."""
+    if b2 is None:
+        b2 = inner(b, b)
     if v is None:
         v = evaluate(fmt, p)
     if Av is None:
@@ -490,7 +524,7 @@ def sweep(
         if snapshots is not None:
             snapshots.append(p)
         p, v, Av, rec = micro_step(
-            A, b, fmt, p, mu, eps_rank, sweep=sweep_index, v_old=v, f_old=f, Av_old=Av
+            A, b, fmt, p, mu, eps_rank, sweep=sweep_index, v_old=v, f_old=f, Av_old=Av, b2=b2
         )
         f = rec.f
         records.append(rec)
@@ -598,6 +632,7 @@ def run(
     v = evaluate(fmt, p)
     Av = A.apply(v)
     f = objective(A, b, v, Av)
+    b2 = inner(b, b)
     initial_f = f
     initial_pmax = p.max_norm()
 
@@ -624,7 +659,7 @@ def run(
         v_prev, Av_prev = v, Av
         f_prev = f
         p, v, Av, recs = sweep(
-            A, b, fmt, p, eps_rank, sweep_index=k, v=v, f=f, Av=Av, snapshots=snapshots
+            A, b, fmt, p, eps_rank, sweep_index=k, v=v, f=f, Av=Av, snapshots=snapshots, b2=b2
         )
         f = recs[-1].f
         records.extend(recs)

@@ -15,28 +15,51 @@ works without forming W at all.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-from .tensors import DenseTensor, Shape
+from .tensors import DenseTensor, Shape, vector_norm
 
 
 def _frozen_block(vec) -> np.ndarray:
     """Read-only flat float64 copy of vec; rejects NaN and inf."""
     arr = np.array(vec, dtype=float).ravel()
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("parameter entries must be finite")
     arr.flags.writeable = False
     return arr
 
 
-class ParamSystem:
-    """Tuple of flat parameter blocks (immutable float64 copies)."""
+def _diagonal(a: np.ndarray, ax1: int, ax2: int) -> np.ndarray:
+    """Writable view of the diagonal of a over two axes ax1 < ax2 of equal length.
 
-    __slots__ = ("blocks",)
+    The view keeps the axes of a, with ``ax2`` dropped: entry
+    (..., i at ax1, ...) is a[..., i at ax1, ..., i at ax2, ...].  Unlike
+    ``np.diagonal``, which moves the diagonal to the end and is read-only,
+    it can be assigned to.
+    """
+    strides = list(a.strides)
+    strides[ax1] += strides.pop(ax2)
+    shape = a.shape[:ax2] + a.shape[ax2 + 1:]
+    return np.ndarray(shape, a.dtype, a, strides=strides)
+
+
+class ParamSystem:
+    """Tuple of flat parameter blocks (immutable float64 copies).
+
+    The block norms are computed once, when a block enters the system,
+    and carried: ``replace`` computes only the new block's norm.
+    """
+
+    __slots__ = ("blocks", "_norms")
 
     def __init__(self, blocks):
-        object.__setattr__(self, "blocks", tuple(_frozen_block(vec) for vec in blocks))
+        blocks = tuple(_frozen_block(vec) for vec in blocks)
+        with np.errstate(over="ignore"):  # construction measures, it does not warn
+            norms = tuple(vector_norm(b) for b in blocks)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_norms", norms)
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamSystem is immutable")
@@ -51,19 +74,23 @@ class ParamSystem:
         """New system with block mu replaced.
 
         The other blocks are already frozen copies and are shared, not
-        copied; only the new block is copied and checked.
+        copied, and so are their norms; only the new block is copied,
+        checked and measured.
         """
         blocks = list(self.blocks)
-        blocks[mu] = _frozen_block(vec)
+        norms = list(self._norms)
+        blocks[mu] = block = _frozen_block(vec)
+        norms[mu] = vector_norm(block)
         new = object.__new__(type(self))
         object.__setattr__(new, "blocks", tuple(blocks))
+        object.__setattr__(new, "_norms", tuple(norms))
         return new
 
     def norms(self) -> list[float]:
-        return [float(np.linalg.norm(b)) for b in self.blocks]
+        return list(self._norms)
 
     def max_norm(self) -> float:
-        return max(self.norms())
+        return max(self._norms)
 
     def __repr__(self):
         sizes = tuple(b.size for b in self.blocks)
@@ -183,11 +210,15 @@ class CpFormat(TensorFormat):
         of ``_evaluate_blocks``.
         """
         r = self.rank
-        kr = np.ones((1, r))
+        kr = None
         for nu, (b, m) in enumerate(zip(blocks, self.shape.dims)):
             if nu != mu:
-                kr = (kr[:, None, :] * b.reshape((m, r), order="F")[None]).reshape(-1, r)
-        return [kr]
+                factor = b.reshape(r, m).T  # the (m, r) factor matrix, a view
+                if kr is None:  # the product's first term, in the factor's layout
+                    kr = factor.copy(order="K")
+                else:
+                    kr = (kr[:, None, :] * factor[None]).reshape(-1, r)
+        return [np.ones((1, r)) if kr is None else kr]
 
     def block_from_unfolding(self, F: np.ndarray, mu: int) -> np.ndarray:
         return F.ravel(order="F")
@@ -206,11 +237,10 @@ class CpFormat(TensorFormat):
         r = self.rank
         (kr,) = self.unfolding_factors(blocks, mu)
         m = dims[mu]
-        left = int(np.prod(dims[:mu]))
+        left = math.prod(dims[:mu])
         # W[(left, i, right), (j, i')] is kr[(left, right), j] if i == i', else 0
         W = np.zeros((left, m, kr.shape[0] // left, r, m))
-        diag = np.arange(m)
-        W[:, diag, :, :, diag] = kr.reshape(left, -1, r)
+        _diagonal(W, 1, 4)[...] = kr.reshape(left, 1, -1, r)
         return W.reshape(self.shape.size, self.block_dim(mu))
 
 
@@ -289,8 +319,7 @@ class TtFormat(TensorFormat):
         P, Qt = self.unfolding_factors(blocks, mu)
         m = dims[mu]
         W = np.zeros((P.shape[0], m, Qt.shape[0], ranks[mu], m, ranks[mu + 1]))
-        diag = np.arange(m)
-        W[:, diag, :, :, diag, :] = P[:, None, :, None] * Qt[None, :, None, :]
+        _diagonal(W, 1, 4)[...] = (P[:, None, :, None] * Qt[None, :, None, :])[:, None]
         return W.reshape(self.shape.size, self.block_dim(mu))
 
 

@@ -67,7 +67,7 @@ class DenseTensor:
             raise ValueError(
                 f"incompatible shapes: {vals.size} values for shape with N={shape.size}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("tensor entries must be finite")
         vals = np.ascontiguousarray(vals)
         vals.flags.writeable = False
@@ -294,6 +294,16 @@ def kron_apply(factors, M: np.ndarray) -> np.ndarray:
             view[...] = buf
             outer *= m
     return out
+
+
+def vector_norm(x: np.ndarray) -> float:
+    """Euclidean norm of a flat contiguous float vector, bitwise ``np.linalg.norm``'s.
+
+    For such a vector ``np.linalg.norm`` is sqrt(x . x); these are the same
+    two operations without its dispatch.  Squares that overflow give inf,
+    as there.
+    """
+    return math.sqrt(x.dot(x))
 
 
 def inner(u: DenseTensor, v: DenseTensor) -> float:

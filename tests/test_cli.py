@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -507,6 +508,72 @@ def test_overflowing_unfolding_factor_exits_one_with_a_message(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: [custom] SVD did not converge"]
+
+
+def test_overflowing_gram_matrix_exits_one_with_a_message(tmp_path, capsys):
+    # finite parameters whose formed W, and so its Gram matrix, overflows
+    A, b, fmt, p = sized_problem(44, "cp", (4, 4, 4), 3, "identity")
+    blocks = [p[mu].copy() for mu in range(fmt.num_blocks)]
+    blocks[0][:4] *= 1e-300
+    blocks[1][0] = blocks[2][0] = 1e200
+    doc = {
+        "problem": {
+            "dims": [4, 4, 4],
+            "format": "cp",
+            "ranks": [3],
+            "operator": {"kind": "identity"},
+            "target": {"dense": b.values.tolist()},
+            "init": [block.tolist() for block in blocks],
+        },
+        "max_sweeps": 1,
+    }
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["run", "--config", str(cfg)]) == EXIT_USAGE
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: [custom] Eigenvalues did not converge"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["--gallery", "blambda", "--lambda", "inf"],
+            "error: cannot build 'blambda': tensor entries must be finite",
+        ),
+        (["--gallery", "mohlenkamp", "--tau", "1e308"], "error: [mohlenkamp] tensor entries must be finite"),
+    ],
+    ids=["build", "solve"],
+)
+def test_overflow_reaches_stderr_as_one_error_line(args, message):
+    # numpy's warnings go to the process's stderr, so run a real process
+    src = str(Path(alskit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "alskit", "run", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [message]
+
+
+def test_overflow_in_jobs_workers_warns_nothing(tmp_path, capsys):
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({"gallery": "mohlenkamp", "args": {"tau": 1e308}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["run", "--config", str(cfg), "--config", str(cfg), "--jobs", "2"])
+    assert code == EXIT_USAGE
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err.splitlines() == ["error: [mohlenkamp] tensor entries must be finite"] * 2
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from alskit import engine
@@ -104,6 +106,87 @@ def test_lowdin_orth_defect_is_the_eager_formula_read_lazily():
     assert basis.orth_defect == want
     assert vars(basis)["orth_defect"] == want  # cached after the first read
     assert lowdin_basis(np.zeros((3, 2))).orth_defect == 0.0
+
+
+def _eigh_lowdin(W, eps_rank):
+    """The Löwdin basis through np.linalg.eigh and a boolean mask, the reference."""
+    n = W.shape[1]
+    H = W.T @ W
+    H = 0.5 * (H + H.T)
+    vals, vecs = np.linalg.eigh(H)
+    vals = vals[::-1]
+    vecs = vecs[:, ::-1]
+    if n == 0 or vals[0] <= 0.0:
+        return np.zeros((W.shape[0], 0)), np.zeros((n, 0)), np.zeros(0), 0
+    keep = vals > eps_rank * vals[0]
+    vals = np.ascontiguousarray(vals[keep])
+    vecs = vecs[:, keep]
+    transform = vecs / np.sqrt(vals)
+    return W @ transform, transform, vals, int(vals.size)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(0, 9),
+    kind=st.sampled_from(["random", "zero", "duplicated", "graded"]),
+    eps_rank=st.sampled_from([0.0, 1e-12, 1e-3]),
+    seed=st.integers(0, 2**16),
+)
+def test_lowdin_basis_is_bitwise_the_eigh_reference(rows, cols, kind, eps_rank, seed):
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((rows, cols))
+    if kind == "zero":
+        W[:] = 0.0
+    elif kind == "duplicated" and cols > 1:
+        W[:, -1] = W[:, 0]
+    elif kind == "graded":
+        W *= np.logspace(0, -9, cols)
+    for cut in (W, W[:, :1]):  # and its single column
+        basis = lowdin_basis(cut, eps_rank)
+        V, transform, delta, rank = _eigh_lowdin(cut, eps_rank)
+        assert basis.rank == rank
+        assert basis.V.shape == V.shape and np.array_equal(basis.V, V)
+        assert basis.transform.shape == transform.shape
+        assert np.array_equal(basis.transform, transform)
+        assert np.array_equal(basis.delta, delta)
+        # the same layout, so the products a step takes with it agree bit for bit
+        y = rng.standard_normal(rank)
+        assert np.array_equal(basis.transform @ y, transform @ y)
+        assert np.array_equal(basis.V @ y, V @ y)
+
+
+def _overflowing_gram_problem():
+    """Finite CP parameters below the route threshold whose W overflows.
+
+    U(p) multiplies in another order and stays finite; the Gram matrix
+    of W at block 0 holds inf and NaN entries.
+    """
+    A, b, fmt, p = sized_problem(44, "cp", (4, 4, 4), 3, "identity")
+    blocks = [p[mu].copy() for mu in range(fmt.num_blocks)]
+    blocks[0][:4] *= 1e-300  # column 0 of the mode-0 factor
+    blocks[1][0] = blocks[2][0] = 1e200
+    return A, b, fmt, ParamSystem(blocks)
+
+
+def test_non_finite_gram_fails_before_the_eigensolver(monkeypatch):
+    A, b, fmt, p = _overflowing_gram_problem()
+    real = engine.lapack.dsyevd
+
+    def finite_only(a, *args, **kwargs):
+        assert np.isfinite(a).all(), "non-finite matrix handed to the eigensolver"
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(engine.lapack, "dsyevd", finite_only)
+    with np.errstate(all="ignore"):
+        assert np.isfinite(evaluate(fmt, p).values).all()
+        W = materialize_W(fmt, p, 0)
+        assert not np.isfinite(W).all()
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            lowdin_basis(W)
+        # the outcome np.linalg.eigh gave on this Gram matrix
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            run(A, b, fmt, p, StopRule(max_sweeps=1))
 
 
 # ---------------------------------------------------------------------------

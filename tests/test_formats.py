@@ -1,5 +1,7 @@
 """Parameter systems, CP/TT/custom formats, and materialized block maps."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,36 @@ def test_param_system_is_immutable():
         p.blocks = ()
     with pytest.raises(ValueError):
         p[0][0] = 9.0  # numpy read-only buffer
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    sizes=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+    steps=st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1.0, 1e-160, 1e150])), max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_carried_norms_are_bitwise_np_linalg_norm(sizes, steps, seed):
+    rng = np.random.default_rng(seed)
+    p = ParamSystem([rng.standard_normal(n) for n in sizes])
+    for mu, scale in [(None, None), *steps]:
+        if mu is not None:
+            mu %= len(sizes)
+            p = p.replace(mu, scale * rng.standard_normal(sizes[mu]))
+        want = [float(np.linalg.norm(block)) for block in p.blocks]
+        assert p.norms() == want
+        assert p.max_norm() == max(want)
+
+
+def test_overflowing_block_norm_is_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = ParamSystem([[1e200, 1.0], [3.0, 4.0]])
+    assert p.norms() == [float("inf"), 5.0]
+    assert p.max_norm() == float("inf")
+    with np.errstate(over="ignore"):
+        assert float(np.linalg.norm(p[0])) == float("inf")
+        q = ParamSystem([[1.0], [2.0]]).replace(1, [1e300, 1e300])
+    assert q.norms() == [1.0, float("inf")]
 
 
 def test_param_system_copies_input():
@@ -273,6 +305,69 @@ def test_tt_local_map_matches_probe(dims, rank, zero_block, seed):
         want = TensorFormat.local_map(fmt, blocks, mu)
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def _fancy_cp_local_map(fmt, blocks, mu):
+    """CP's (Khatri-Rao factor, W) built from ones and by a two-array scatter."""
+    dims, r = fmt.shape.dims, fmt.rank
+    kr = np.ones((1, r))
+    for nu, (b, m) in enumerate(zip(blocks, dims)):
+        if nu != mu:
+            kr = (kr[:, None, :] * b.reshape((m, r), order="F")[None]).reshape(-1, r)
+    m = dims[mu]
+    left = int(np.prod(dims[:mu]))
+    W = np.zeros((left, m, kr.shape[0] // left, r, m))
+    diag = np.arange(m)
+    W[:, diag, :, :, diag] = kr.reshape(left, -1, r)
+    return kr, W.reshape(fmt.shape.size, fmt.block_dim(mu))
+
+
+def _fancy_tt_local_map(fmt, blocks, mu):
+    """TT's W from its interfaces by a two-array scatter."""
+    P, Qt = fmt.unfolding_factors(blocks, mu)
+    m = fmt.shape.dims[mu]
+    W = np.zeros((P.shape[0], m, Qt.shape[0], fmt.ranks[mu], m, fmt.ranks[mu + 1]))
+    diag = np.arange(m)
+    W[:, diag, :, :, diag, :] = P[:, None, :, None] * Qt[None, :, None, :]
+    return W.reshape(fmt.shape.size, fmt.block_dim(mu))
+
+
+def _signed_zero_blocks(fmt, rng, zero_block):
+    """Random blocks with +0 and -0 entries, so that W holds zeros of both signs."""
+    blocks = _random_blocks(fmt, rng, zero_block)
+    for block in blocks:
+        hit = rng.random(block.size) < 0.3
+        block[hit] = np.where(rng.random(hit.sum()) < 0.5, -0.0, 0.0)
+    return blocks
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(deadline=None, max_examples=40)
+@given(**local_map_cases)
+def test_cp_local_map_is_bitwise_the_scatter_assembly(dims, rank, zero_block, seed):
+    rng = np.random.default_rng(seed)
+    fmt = CpFormat(Shape(tuple(dims)), rank)
+    blocks = _signed_zero_blocks(fmt, rng, zero_block)
+    for mu in range(fmt.num_blocks):
+        kr, W = _fancy_cp_local_map(fmt, blocks, mu)
+        (got_kr,) = fmt.unfolding_factors(blocks, mu)
+        # the same layout too, so the products taken with it agree bit for bit
+        assert _same_bits(got_kr, kr) and got_kr.strides == kr.strides
+        assert _same_bits(fmt.local_map(blocks, mu), W)
+
+
+@settings(deadline=None, max_examples=40)
+@given(**local_map_cases)
+def test_tt_local_map_is_bitwise_the_scatter_assembly(dims, rank, zero_block, seed):
+    rng = np.random.default_rng(seed)
+    ranks = tuple(int(x) for x in rng.integers(1, rank + 1, size=len(dims) - 1))
+    fmt = TtFormat(Shape(tuple(dims)), ranks)
+    blocks = _signed_zero_blocks(fmt, rng, zero_block)
+    for mu in range(fmt.num_blocks):
+        assert _same_bits(fmt.local_map(blocks, mu), _fancy_tt_local_map(fmt, blocks, mu))
 
 
 def test_custom_format_local_map_is_the_probe():
