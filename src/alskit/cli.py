@@ -278,6 +278,11 @@ def _job_from_config(doc: dict, overrides: dict) -> dict:
     if "problem" in doc:
         if "gallery" in doc:
             raise CliError("config cannot give both 'gallery' and 'problem'")
+        given = (["args"] if "args" in doc else []) + [
+            flag for key, flag, *_ in GALLERY_FLAGS if key in overrides
+        ]
+        if given:
+            raise CliError(f"a 'problem' config takes no gallery arguments, got {', '.join(given)}")
         job["instance"] = _instance_from_problem_doc(doc["problem"])
     elif "gallery" in doc:
         job["instance"] = _instance_from_gallery(doc["gallery"], gallery_args)

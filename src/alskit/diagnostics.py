@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .formats import ParamSystem, TensorFormat, evaluate, materialize_W
+from .formats import ParamSystem, TensorFormat, check_block, evaluate, materialize_W
 from .tensors import DenseTensor, SpdOperator, inner, vector_norm
 
 # defaults shared by the solver, the diagnostics and the CLI
@@ -262,8 +262,9 @@ def materialize_M(
     matrix is multilinear in the remaining blocks and satisfies
     M(mu, nu) = M(nu, mu)^T.  Built by probing, one column per basis
     vector of block nu.  The replay applies M without forming it
-    (``engine.LocalSolve.coupling``); this probe is its dense reference.
+    (``engine.coupling``); this probe is its dense reference.
     """
+    check_block(fmt, p, nu)  # materialize_W checks mu
     if mu == nu:
         raise ValueError("coupling needs two distinct blocks")
     dim_nu = fmt.block_dim(nu)
@@ -296,7 +297,8 @@ class RecursionContext:
 class TransferOperator:
     """A matrix-free N x N transfer map: ``transfer @ v`` and ``shape``.
 
-    ``matvec`` applies the map to a flat tensor.  With ``shape``,
+    ``matvec`` applies the map to a flat tensor; ``transfer @ v`` takes
+    exactly shape (N,) and rejects any other.  With ``shape``,
     ``matvec`` and ``dtype`` the map is what
     ``scipy.sparse.linalg.aslinearoperator`` takes.
     """
@@ -306,7 +308,10 @@ class TransferOperator:
     dtype = np.dtype(float)
 
     def __matmul__(self, v) -> np.ndarray:
-        return self.matvec(np.asarray(v, dtype=float))
+        v = np.asarray(v, dtype=float)
+        if v.shape != self.shape[1:]:
+            raise ValueError(f"transfer map takes shape ({self.shape[1]},), got shape {v.shape}")
+        return self.matvec(v)
 
 
 @dataclass(frozen=True)
@@ -334,9 +339,10 @@ def recursion_check(
 
         N = W_mu G^+ M H^+ W_{mu-1}^T,
 
-    G^+ the energy pseudo-inverse at block mu, M the coupling of blocks
-    (mu, mu-1) against b, and H^+ the Gram pseudo-inverse at block mu-1,
-    all maps of the same two solves (``engine.LocalSolve``).  N is applied
+    G^+ the energy pseudo-inverse at block mu and H^+ the Gram
+    pseudo-inverse at block mu-1, maps of the same two solves
+    (``engine.LocalSolve``), and M the coupling of blocks (mu, mu-1)
+    against b (``engine.coupling``).  N is applied
     matrix-free, on whichever route each solve takes: the replay forms no
     N x N array and probes no coupling.  The relative defect should sit
     at rounding level.
@@ -356,7 +362,7 @@ def recursion_check(
 
     def matvec(v):
         x = prev.gram_pinv(prev.adjoint(v))
-        return cur.forward(cur.energy_pinv(cur.coupling(mu - 1, x)))
+        return cur.forward(cur.energy_pinv(engine.coupling(fmt, b, p1, mu, mu - 1, x)))
 
     n = fmt.shape.size
     transfer = TransferOperator((n, n), matvec)

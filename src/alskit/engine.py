@@ -5,16 +5,18 @@ Galerkin system of the remaining linear map W.  ``local_solve`` takes one
 of two routes to the same system.  The formed route materializes W,
 orthonormalizes its range from the eigendecomposition of the Gram matrix
 W^T W (Löwdin; LAPACK dsyevd, called directly like the other LAPACK
-routines here) and forms G = V^T A V.  The structured route, for CP and
-TT formats with an identity or mode-wise operator, never forms an N x k
-array: it works on the thin SVDs of the small frozen factors of W
-(``TensorFormat.unfolding_factors``), where W^T W = Z^T Z (x) I.  Its
-projected operator is the Kronecker product G = S (x) K_mu, which it
-never forms either: it solves S Y K_mu = R with one Cholesky solve per
-factor, and it gets A applied to the new iterate from the same factors.
+routines here) and forms G = V^T A V.  The structured route, for a
+factored format (CP, TT, or any format that declares unfolding factors,
+see ``formats``) with an identity or mode-wise operator, never forms an
+N x k array: it works on the thin SVDs of the small unfolding factors of
+W, where W^T W = Z^T Z (x) I.  Its projected operator is the Kronecker
+product G = S (x) K_mu, which it never forms either: it solves
+S Y K_mu = R with one Cholesky solve per factor, and it gets A applied
+to the new iterate from the same factors.
 Either route returns, next to the solution, the maps the system is made
-of (``LocalSolve``): W, W^T, the Gram and energy pseudo-inverses and the
-coupling to another block, which the transfer-map replay chains.  Both
+of (``LocalSolve``): W, W^T and the Gram and energy pseudo-inverses.
+The transfer-map replay chains them with ``coupling``, the coupling of
+two blocks against the target, which depends on (b, p) alone.  Both
 routes solve their SPD systems with LAPACK's Cholesky routines
 (potrf/potrs, which scipy's cho_factor/cho_solve wrap, called directly
 to skip the wrappers' checks); ``micro_step`` writes back the
@@ -55,7 +57,11 @@ from .formats import (
     TensorFormat,
     check_block,
     evaluate,
+    fold,
+    kron,
+    kron_all,
     materialize_W,
+    unfold,
 )
 from .tensors import (
     DenseTensor,
@@ -70,19 +76,9 @@ from .tensors import (
 
 ANGLE_MODES = ("auto", "factor", "full", "none")
 
-# local_solve takes the structured route above this size alone: it bounds
-# the formed route's Gram work N * k^2.  Both routes carry the same maps
-# (LocalSolve), so the transfer-map replay needs no size bound of its own.
-# Timed per micro-step on one BLAS thread (2-vCPU host, best of 30 x 40
-# calls with the two routes interleaved), the structured route is 1.1x to
-# 1.2x faster on the gallery's largest blocks, blambda's N = 512, k = 8
-# with the identity (N k^2 = 3.3e4; 81-98 us against 110-113 us), and
-# the formed route 1.1x to 1.2x faster on its small ones, N <= 64 and
-# k <= 4 (desilva_lim 84-86 us against 99-102 us, tucker 85-87 against
-# 95-97).  From N k^2 = 1.3e5 up the structured route was faster in every
-# CP and TT case measured (by 1.06x to 3x).  The threshold stays where it
-# is: the route decides how a step rounds, so moving it would change the
-# gallery's outputs bit for bit.
+# local_solve takes the structured route when the formed route's Gram work
+# N * k^2 exceeds this.  It stays where it is because the route decides how
+# a step rounds: moving it would change the gallery's outputs bit for bit.
 STRUCTURED_MIN_GRAM_FLOPS = 1e5
 
 
@@ -194,10 +190,7 @@ class LocalSolve:
     - ``forward(q)`` is W q and ``adjoint(x)`` is W^T x;
     - ``gram_pinv(q)`` is T T^T q, the pseudo-inverse of W^T W;
     - ``energy_pinv(q)`` is T G^-1 T^T q, the pseudo-inverse of W^T A W,
-      from the solve's own Cholesky factors;
-    - ``coupling(nu, q)`` is W(p with block nu := q)^T b for a block
-      nu != mu: the coupling matrix of blocks (mu, nu) against b, applied
-      to q (see ``diagnostics.materialize_M``).
+      from the solve's own Cholesky factors.
 
     The two pseudo-inverses are None at rank 0.  ``route`` is "formed" or
     "structured".  The formed route's maps are products with its W and
@@ -215,57 +208,32 @@ class LocalSolve:
     adjoint: Callable[[np.ndarray], np.ndarray]
     gram_pinv: Callable[[np.ndarray], np.ndarray] | None
     energy_pinv: Callable[[np.ndarray], np.ndarray] | None
-    coupling: Callable[[int, np.ndarray], np.ndarray]
     route: str
     image: np.ndarray | None = None
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices, without its n-dimensional bookkeeping."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+def coupling(
+    fmt: TensorFormat, b: DenseTensor, p: ParamSystem, mu: int, nu: int, q: np.ndarray
+) -> np.ndarray:
+    """W_mu(p with block nu := q)^T b: the coupling of blocks (mu, nu) against b, applied to q.
 
-
-def _kron_all(factors: list[np.ndarray]) -> np.ndarray:
-    """Z, the Kronecker product of the unfolding factors, in order."""
-    Z = factors[0]
-    for factor in factors[1:]:
-        Z = _kron(Z, factor)
-    return Z
-
-
-def _unfolding(fmt: TensorFormat, mu: int):
-    """(unfold, fold): a flat tensor to its m_mu x (N / m_mu) mode-mu unfolding, and back."""
-    dims = fmt.shape.dims
-    m, left = dims[mu], math.prod(dims[:mu])
-
-    def unfold(x):
-        return x.reshape(left, m, -1).transpose(1, 0, 2).reshape(m, -1)
-
-    def fold(x):
-        return x.reshape(m, left, -1).transpose(1, 0, 2).ravel()
-
-    return unfold, fold
-
-
-def _coupling(fmt: TensorFormat, b: DenseTensor, p: ParamSystem, mu: int):
-    """The map (nu, q) -> W_mu(p with block nu := q)^T b, one adjoint per call.
-
-    CP and TT contract the unfolding of b with the modified system's
-    unfolding factors; any other format forms the modified W once.
+    The coupling belongs to (b, p), not to a solve; the transfer-map
+    replay applies it between two solves' maps, and
+    ``diagnostics.materialize_M`` is its dense reference.  A factored
+    format contracts the unfolding of b with the unfolding factors of the
+    modified system; any other format forms the modified W once.
     """
-
-    def coupling(nu: int, q: np.ndarray) -> np.ndarray:
-        if nu == mu:
-            raise ValueError("coupling needs two distinct blocks")
-        system = p.replace(nu, q)
-        check_block(fmt, system, mu)
-        factors = fmt.unfolding_factors(system.blocks, mu)
-        if factors is None:
-            return materialize_W(fmt, system, mu).T @ b.values
-        unfold, _ = _unfolding(fmt, mu)
-        return fmt.block_from_unfolding(unfold(b.values) @ _kron_all(factors), mu)
-
-    return coupling
+    check_block(fmt, p, nu)
+    if nu == mu:
+        raise ValueError("coupling needs two distinct blocks")
+    system = p.replace(nu, q)
+    check_block(fmt, system, mu)
+    factors = fmt.unfolding_factors(system.blocks, mu)
+    if factors is None:
+        return materialize_W(fmt, system, mu).T @ b.values
+    dims = fmt.shape.dims
+    F = unfold(b.values, math.prod(dims[:mu]), dims[mu]) @ kron_all(factors)
+    return fmt.block_from_unfolding(F, mu)
 
 
 def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -291,9 +259,8 @@ def formed_solve(
     W = materialize_W(fmt, p, mu)
     basis = lowdin_basis(W, eps_rank)
     maps = (W.__matmul__, W.T.__matmul__)
-    coupling = _coupling(fmt, b, p, mu)
     if basis.rank == 0:
-        return LocalSolve(0, None, None, *maps, None, None, coupling, "formed")
+        return LocalSolve(0, None, None, *maps, None, None, "formed")
     V, T = basis.V, basis.transform
     G = V.T @ A.apply_matrix(V)
     G = 0.5 * (G + G.T)
@@ -306,7 +273,7 @@ def formed_solve(
         return T @ _cholesky_apply(factor, T.T @ q)
 
     return LocalSolve(
-        basis.rank, T @ y, V @ y, *maps, gram_pinv, energy_pinv, coupling, "formed"
+        basis.rank, T @ y, V @ y, *maps, gram_pinv, energy_pinv, "formed"
     )
 
 
@@ -346,33 +313,33 @@ def structured_solve(
     factors = fmt.unfolding_factors(p.blocks, mu)
     if factors is None:
         return None
-    unfold, fold = _unfolding(fmt, mu)
-    Z = _kron_all(factors)
+    dims = fmt.shape.dims
+    m, left = dims[mu], math.prod(dims[:mu])
+    Z = kron_all(factors)
 
     def to_block(F):
         return fmt.block_from_unfolding(F, mu)
 
     def forward(q):
-        return fold(fmt.block_to_unfolding(q, mu) @ Z.T)
+        return fold(fmt.block_to_unfolding(q, mu) @ Z.T, left, m)
 
     def adjoint(x):
-        return to_block(unfold(x) @ Z)
+        return to_block(unfold(x, left, m) @ Z)
 
-    coupling = _coupling(fmt, b, p, mu)
     kept = []
     for factor in factors:
         if not np.isfinite(factor).all():
             raise np.linalg.LinAlgError("SVD did not converge")
         Uf, sigma, Xt = _thin_svd(factor)
         if sigma[0] == 0.0:
-            return LocalSolve(0, None, None, forward, adjoint, None, None, coupling, "structured")
+            return LocalSolve(0, None, None, forward, adjoint, None, None, "structured")
         # a factor's direction that fails the cut on its own fails it in every product
         ratio_f = (sigma / sigma[0]) ** 2
         cut = ratio_f > eps_rank
         kept.append((Uf[:, cut], Xt[cut].T / sigma[cut], ratio_f[cut]))
     U, T, ratio = kept[0]
     for Uf, Tf, ratio_f in kept[1:]:
-        U, T, ratio = _kron(U, Uf), _kron(T, Tf), np.outer(ratio, ratio_f).ravel()
+        U, T, ratio = kron(U, Uf), kron(T, Tf), np.outer(ratio, ratio_f).ravel()
     keep = ratio > eps_rank
     U, T = U[:, keep], T[:, keep]
 
@@ -384,13 +351,13 @@ def structured_solve(
         if others:
             AU = kron_apply(others, U)
     S = U.T @ AU
-    Y, S_factor = _cholesky_solve(0.5 * (S + S.T), U.T @ unfold(b.values).T)
+    Y, S_factor = _cholesky_solve(0.5 * (S + S.T), U.T @ unfold(b.values, left, m).T)
     if K_mu is not None:
         Y, K_factor = _cholesky_solve(0.5 * (K_mu + K_mu.T), Y.T)
         Y = Y.T
     block = to_block((T @ Y).T)
-    iterate = fold(Y.T @ U.T)
-    image = iterate if K_mu is None else fold((K_mu @ Y.T) @ AU.T)
+    iterate = fold(Y.T @ U.T, left, m)
+    image = iterate if K_mu is None else fold((K_mu @ Y.T) @ AU.T, left, m)
 
     def gram_pinv(q):
         FT = fmt.block_to_unfolding(q, mu) @ T
@@ -403,8 +370,7 @@ def structured_solve(
         return to_block((T @ X).T)
 
     return LocalSolve(
-        Y.size, block, iterate, forward, adjoint, gram_pinv, energy_pinv, coupling, "structured",
-        image,
+        Y.size, block, iterate, forward, adjoint, gram_pinv, energy_pinv, "structured", image,
     )
 
 
@@ -415,8 +381,8 @@ def local_solve(
 
     The structured route is taken when the formed route's Gram work
     N * k^2 exceeds STRUCTURED_MIN_GRAM_FLOPS and ``structured_solve`` has
-    structure to use (CP or TT with an identity or mode-wise operator);
-    every other system is formed.  Either route returns the same maps
+    structure to use (a factored format with an identity or mode-wise
+    operator); every other system is formed.  Either route returns the same maps
     (``LocalSolve``), so a caller that reads them, such as the
     transfer-map replay, works on both.
     """

@@ -3,13 +3,18 @@
 A format is a map U(p_1, ..., p_L) from L flat parameter blocks into the
 dense tensor space, linear in each block separately.  That multilinearity
 is what the solver exploits: freezing all blocks but one leaves a linear
-map W, returned by ``TensorFormat.local_map``.  CP and TT build W from
-their structure (a Khatri-Rao product, respectively the left and right
-interface matrices, placed on the identity of the free mode); the generic
-fallback, used by custom formats, probes the standard basis one column
-at a time.  CP and TT also hand out those small frozen factors themselves
-(``unfolding_factors``), from which the engine's structured local solve
-works without forming W at all.
+map W, returned by ``TensorFormat.local_map``.
+
+A factored format declares its evaluation, its unfolding factors and the
+layout of its blocks: block mu is a flat (a, m_mu, c) core in C order,
+and ``block_axes(mu)`` gives (a, c), (r, 1) for CP and (r_{mu-1}, r_mu)
+for TT.  The mode-mu unfolding of U(..., q, ...) is F Z^T, with
+F = ``unfold(q, a, m_mu)`` and Z = ``kron_all(unfolding_factors)``.  The
+base class derives the rest from these, W included; the engine's
+structured solve uses the same factors without forming W.  A format
+without unfolding factors gets W from ``probe_map``, one evaluation per
+basis vector of the block, which is also the reference the assembled
+maps are checked against.
 """
 
 from __future__ import annotations
@@ -43,6 +48,33 @@ def _diagonal(a: np.ndarray, ax1: int, ax2: int) -> np.ndarray:
     strides[ax1] += strides.pop(ax2)
     shape = a.shape[:ax2] + a.shape[ax2 + 1:]
     return np.ndarray(shape, a.dtype, a, strides=strides)
+
+
+def unfold(x: np.ndarray, a: int, m: int) -> np.ndarray:
+    """x viewed as (a, m, rest), with the middle axis moved first: an m x (x.size / m) matrix.
+
+    A block core (a, m_mu, c) unfolds to its F, with columns over (a, c);
+    a flat tensor unfolds along mode mu with a = m_1 ... m_{mu-1}.
+    """
+    return x.reshape(a, m, -1).transpose(1, 0, 2).reshape(m, -1)
+
+
+def fold(X: np.ndarray, a: int, m: int) -> np.ndarray:
+    """Inverse of ``unfold``: the flat array whose unfolding is the m-row matrix X."""
+    return X.reshape(m, a, -1).transpose(1, 0, 2).ravel()
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, without its n-dimensional bookkeeping."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+
+
+def kron_all(factors: list[np.ndarray]) -> np.ndarray:
+    """Z, the Kronecker product of the unfolding factors, in order."""
+    Z = factors[0]
+    for factor in factors[1:]:
+        Z = kron(Z, factor)
+    return Z
 
 
 class ParamSystem:
@@ -98,57 +130,67 @@ class ParamSystem:
 
 
 class TensorFormat:
-    """Base class: a multilinear parameterization of dense tensors."""
+    """Base class: a multilinear parameterization of dense tensors.
+
+    A factored format defines ``_evaluate_blocks``, ``block_axes`` and
+    ``unfolding_factors``; a format without unfolding factors defines
+    ``block_dim`` instead, and its local map is probed.
+    """
 
     name = "abstract"
     shape: Shape
     num_blocks: int
 
+    def block_axes(self, mu: int) -> tuple[int, int]:
+        """(a, c): flat block mu is an (a, m_mu, c) core in C order."""
+        raise NotImplementedError
+
     def block_dim(self, mu: int) -> int:
         """Length of flat parameter block mu (0-based)."""
-        raise NotImplementedError
+        a, c = self.block_axes(mu)
+        return a * self.shape.dims[mu] * c
 
     def _evaluate_blocks(self, blocks) -> np.ndarray:
         raise NotImplementedError
-
-    def local_map(self, blocks, mu: int) -> np.ndarray:
-        """Matrix (N, block_dim(mu)) of q -> U(..., blocks[mu-1], q, blocks[mu+1], ...).
-
-        Generic fallback: one evaluation per standard basis vector of
-        block mu.  Formats with known structure override it; this probe is
-        the reference their overrides are checked against.
-        """
-        dim = self.block_dim(mu)
-        blocks = list(blocks)
-        W = np.empty((self.shape.size, dim))
-        probe = np.zeros(dim)
-        for j in range(dim):
-            probe[j] = 1.0
-            blocks[mu] = probe
-            W[:, j] = self._evaluate_blocks(blocks)
-            probe[j] = 0.0
-        return W
 
     def unfolding_factors(self, blocks, mu: int) -> list[np.ndarray] | None:
         """Small frozen factors of the local map of block mu; None if unknown.
 
         The mode-mu unfolding of U(..., q, ...) (m_mu rows; columns over
-        the other modes, in order) is F Z^T, where F is block q as an
-        m_mu x s matrix (``block_from_unfolding`` maps F back to the flat
-        block, ``block_to_unfolding`` the block to F) and Z is the
-        Kronecker product of the returned factors.
-        So W^T W = Z^T Z (x) I, and W is never needed to solve the block.
-        Formats without known structure return None.
+        the other modes, in order) is F Z^T, where F is block q as its
+        m_mu x (a c) unfolding (``block_to_unfolding``) and Z the
+        Kronecker product of the returned factors (``kron_all``), with
+        rows over the other modes and columns over (a, c).  So
+        W^T W = Z^T Z (x) I, and W is never needed to solve the block.
         """
         return None
 
-    def block_from_unfolding(self, F: np.ndarray, mu: int) -> np.ndarray:
-        """Flat block mu from its m_mu x s unfolding matrix F."""
-        raise NotImplementedError
-
     def block_to_unfolding(self, q: np.ndarray, mu: int) -> np.ndarray:
-        """Inverse of ``block_from_unfolding``: flat block mu as its m_mu x s matrix F."""
-        raise NotImplementedError
+        """Flat block mu as its m_mu x (a c) unfolding matrix F."""
+        return unfold(q, self.block_axes(mu)[0], self.shape.dims[mu])
+
+    def block_from_unfolding(self, F: np.ndarray, mu: int) -> np.ndarray:
+        """Inverse of ``block_to_unfolding``: flat block mu from its unfolding F."""
+        return fold(F, self.block_axes(mu)[0], self.shape.dims[mu])
+
+    def local_map(self, blocks, mu: int) -> np.ndarray:
+        """Matrix (N, block_dim(mu)) of q -> U(..., blocks[mu-1], q, blocks[mu+1], ...).
+
+        Z of the unfolding factors placed on the identity of mode mu: entry
+        ((l, i, r), (a, i', c)) is Z[(l, r), (a, c)] if i == i', else 0,
+        with l and r over the modes left and right of mu.  A format
+        without unfolding factors gets ``probe_map``.
+        """
+        factors = self.unfolding_factors(blocks, mu)
+        if factors is None:
+            return probe_map(self, blocks, mu)
+        Z = kron_all(factors)
+        dims = self.shape.dims
+        m, left = dims[mu], math.prod(dims[:mu])
+        a, c = self.block_axes(mu)
+        W = np.zeros((left, m, Z.shape[0] // left, a, m, c))
+        _diagonal(W, 1, 4)[...] = Z.reshape(left, 1, -1, a, c)
+        return W.reshape(self.shape.size, a * m * c)
 
     def check_params(self, p: ParamSystem):
         if len(p) != self.num_blocks:
@@ -169,8 +211,9 @@ class TensorFormat:
 class CpFormat(TensorFormat):
     """Sum of r rank-one terms; block mu is an m_mu x r factor matrix.
 
-    Flat block layout is column-major: entries of term j are contiguous,
-    so ``vec.reshape((m_mu, r), order="F")`` recovers the factor matrix.
+    Flat block layout is column-major, the (r, m_mu, 1) core: entries of
+    term j are contiguous, so ``vec.reshape((m_mu, r), order="F")``
+    recovers the factor matrix.
     """
 
     name = "cp"
@@ -183,8 +226,8 @@ class CpFormat(TensorFormat):
         self.rank = rank
         self.num_blocks = shape.ndim
 
-    def block_dim(self, mu: int) -> int:
-        return self.shape.dims[mu] * self.rank
+    def block_axes(self, mu: int) -> tuple[int, int]:
+        return self.rank, 1
 
     def factor_matrix(self, p: ParamSystem, mu: int) -> np.ndarray:
         """Block mu reshaped to (m_mu, rank)."""
@@ -220,29 +263,6 @@ class CpFormat(TensorFormat):
                     kr = (kr[:, None, :] * factor[None]).reshape(-1, r)
         return [np.ones((1, r)) if kr is None else kr]
 
-    def block_from_unfolding(self, F: np.ndarray, mu: int) -> np.ndarray:
-        return F.ravel(order="F")
-
-    def block_to_unfolding(self, q: np.ndarray, mu: int) -> np.ndarray:
-        return q.reshape((self.shape.dims[mu], self.rank), order="F")
-
-    def local_map(self, blocks, mu: int) -> np.ndarray:
-        """Khatri-Rao product of the frozen factors placed on the identity.
-
-        Column i + m_mu * j is the rank-one term j with its mode-mu factor
-        replaced by e_i.  The Khatri-Rao product multiplies in the order of
-        ``_evaluate_blocks``, so W equals the probed matrix exactly.
-        """
-        dims = self.shape.dims
-        r = self.rank
-        (kr,) = self.unfolding_factors(blocks, mu)
-        m = dims[mu]
-        left = math.prod(dims[:mu])
-        # W[(left, i, right), (j, i')] is kr[(left, right), j] if i == i', else 0
-        W = np.zeros((left, m, kr.shape[0] // left, r, m))
-        _diagonal(W, 1, 4)[...] = kr.reshape(left, 1, -1, r)
-        return W.reshape(self.shape.size, self.block_dim(mu))
-
 
 class TtFormat(TensorFormat):
     """Tensor train: block mu is a core of shape (r_{mu-1}, m_mu, r_mu).
@@ -265,8 +285,8 @@ class TtFormat(TensorFormat):
         self.ranks = (1,) + ranks + (1,)
         self.num_blocks = shape.ndim
 
-    def block_dim(self, mu: int) -> int:
-        return self.ranks[mu] * self.shape.dims[mu] * self.ranks[mu + 1]
+    def block_axes(self, mu: int) -> tuple[int, int]:
+        return self.ranks[mu], self.ranks[mu + 1]
 
     def core(self, p: ParamSystem, mu: int) -> np.ndarray:
         """Block mu reshaped to (r_{mu-1}, m_mu, r_mu)."""
@@ -299,28 +319,6 @@ class TtFormat(TensorFormat):
         for nu in range(self.num_blocks - 1, mu, -1):
             Q = blocks[nu].reshape(-1, ranks[nu + 1]) @ Q.reshape(ranks[nu + 1], -1)
         return [P, Q.reshape(ranks[mu + 1], -1).T]
-
-    def block_from_unfolding(self, F: np.ndarray, mu: int) -> np.ndarray:
-        # columns of F run over (a, c), the core is stored as (a, i, c)
-        return F.reshape(-1, self.ranks[mu], self.ranks[mu + 1]).transpose(1, 0, 2).ravel()
-
-    def block_to_unfolding(self, q: np.ndarray, mu: int) -> np.ndarray:
-        return q.reshape(self.ranks[mu], -1, self.ranks[mu + 1]).transpose(1, 0, 2).reshape(
-            self.shape.dims[mu], -1
-        )
-
-    def local_map(self, blocks, mu: int) -> np.ndarray:
-        """Left interface (x) identity (x) right interface.
-
-        Entry ((l, i, q), (a, i', c)) is P[l, a] * Q[c, q] if i == i', else
-        0, with P and Q the interfaces of ``unfolding_factors``.
-        """
-        dims, ranks = self.shape.dims, self.ranks
-        P, Qt = self.unfolding_factors(blocks, mu)
-        m = dims[mu]
-        W = np.zeros((P.shape[0], m, Qt.shape[0], ranks[mu], m, ranks[mu + 1]))
-        _diagonal(W, 1, 4)[...] = (P[:, None, :, None] * Qt[None, :, None, :])[:, None]
-        return W.reshape(self.shape.size, self.block_dim(mu))
 
 
 class MultilinearFormat(TensorFormat):
@@ -368,12 +366,31 @@ def check_block(fmt: TensorFormat, p: ParamSystem, mu: int):
         raise ValueError(f"block index {mu} out of range [0, {fmt.num_blocks})")
 
 
+def probe_map(fmt: TensorFormat, blocks, mu: int) -> np.ndarray:
+    """The local map of block mu by probing: one evaluation per basis vector of the block.
+
+    The local map of a format without unfolding factors, and the
+    reference the assembled maps of the factored formats are checked
+    against.
+    """
+    dim = fmt.block_dim(mu)
+    blocks = list(blocks)
+    W = np.empty((fmt.shape.size, dim))
+    probe = np.zeros(dim)
+    for j in range(dim):
+        probe[j] = 1.0
+        blocks[mu] = probe
+        W[:, j] = fmt._evaluate_blocks(blocks)
+        probe[j] = 0.0
+    return W
+
+
 def materialize_W(fmt: TensorFormat, p: ParamSystem, mu: int) -> np.ndarray:
     """Matrix of the linear map q -> U(..., p_{mu-1}, q, p_{mu+1}, ...).
 
-    Shape is (N, block_dim(mu)).  Built by ``fmt.local_map``: CP and TT
-    assemble it from their structure, any other multilinear format by
-    probing the standard basis of block mu.
+    Shape is (N, block_dim(mu)).  Built by ``fmt.local_map``: a factored
+    format assembles it from its unfolding factors, any other multilinear
+    format probes the standard basis of block mu.
     """
     check_block(fmt, p, mu)
     return fmt.local_map(p.blocks, mu)

@@ -35,6 +35,7 @@ from .formats import (
     TtFormat,
     evaluate,
     materialize_W,
+    probe_map,
 )
 from .tensors import (
     DenseTensor,
@@ -259,8 +260,8 @@ def _relative_deviation(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def check_structured_vs_probe(trials: int = 20):
-    # CP/TT local maps and the batched mode-wise apply against the generic
-    # probe and column-by-column paths of the base classes, and the
+    # CP/TT local maps against probe_map, the batched mode-wise apply
+    # against the column-by-column path of the base class, and the
     # structured local solve, with the image A @ iterate it returns,
     # against the formed one and a full apply, and a 2-sweep run's dist_a,
     # taken from the carried images, against a_norm(A, v - v_prev)
@@ -281,7 +282,7 @@ def check_structured_vs_probe(trials: int = 20):
                 blocks[int(rng.integers(0, d))][:] = 0.0  # rank-deficient W
             for mu in range(d):
                 got = fmt.local_map(blocks, mu)
-                want = TensorFormat.local_map(fmt, blocks, mu)
+                want = probe_map(fmt, blocks, mu)
                 if fmt is cp:
                     cp_mismatch += not np.array_equal(got, want)
                 else:

@@ -308,6 +308,49 @@ def test_config_rejects_gallery_and_problem_together(tmp_path, capsys):
     assert "both" in capsys.readouterr().err
 
 
+README_PROBLEM = {
+    "problem": {
+        "dims": [2, 2],
+        "format": "cp",
+        "ranks": [1],
+        "target": {"dense": [1.0, 0.5, 0.5, 2.0]},
+        "init": [[1.0, 1.0], [1.0, 0.5]],
+    },
+    "max_sweeps": 5,
+}
+
+
+@pytest.mark.parametrize(
+    "args, flags, given",
+    [
+        ({"lam": 3}, ["--lambda", "0.3", "--seed", "4"], "args, --lambda, --seed"),
+        ({"lam": 3}, [], "args"),
+        ({}, [], "args"),
+        (None, ["--tau", "1.5"], "--tau"),
+        (None, ["--dims", "2,2"], "--dims"),
+    ],
+    ids=["args_and_flags", "args", "empty_args", "tau_flag", "dims_flag"],
+)
+def test_problem_config_rejects_gallery_arguments(tmp_path, capsys, no_solve, args, flags, given):
+    doc = dict(README_PROBLEM)
+    if args is not None:
+        doc["args"] = args
+    cfg = tmp_path / "prob.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["run", "--config", str(cfg), *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: a 'problem' config takes no gallery arguments, got {given}"
+    ]
+    assert captured.out == ""
+
+
+def test_readme_problem_config_solves(tmp_path):
+    cfg = tmp_path / "prob.json"
+    cfg.write_text(json.dumps(README_PROBLEM))
+    assert run_cli(["run", "--config", str(cfg)]) == EXIT_OK
+
+
 def test_config_rejects_unknown_gallery_args(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"gallery": "mohlenkamp", "args": {"lam": 0.3}}))

@@ -1,5 +1,7 @@
 """Objective, gradients, angles, rate classification, monitors, replays."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -377,15 +379,29 @@ def test_coupling_map_is_the_probed_coupling_matrix(kind, seed):
     mu, nu = rng.choice(fmt.num_blocks, size=2, replace=False)
     x = rng.standard_normal(fmt.block_dim(nu))
     M = materialize_M(fmt, b, p, mu, nu)
-    got = engine.local_solve(A, b, fmt, p, mu, 1e-12).coupling(nu, x)
+    got = engine.coupling(fmt, b, p, mu, nu, x)
     assert np.linalg.norm(got - M @ x) <= 1e-13 * np.linalg.norm(M) * np.linalg.norm(x)
 
 
 def test_coupling_map_rejects_equal_blocks():
     instance = blambda_example(0.3, n=4, seed=11)
-    sol = engine.local_solve(instance.A, instance.b, instance.fmt, instance.init, 1, 1e-12)
     with pytest.raises(ValueError, match="distinct blocks"):
-        sol.coupling(1, np.ones(4))
+        engine.coupling(instance.fmt, instance.b, instance.init, 1, 1, np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "past_the_end"])
+def test_coupling_rejects_a_block_index_out_of_range(bad):
+    # block -1 would alias block 2, and block 3 is past the end
+    rng = np.random.default_rng(12)
+    fmt = CpFormat(Shape((10, 10, 10)), 1)
+    p = ParamSystem([rng.standard_normal(10) for _ in range(3)])
+    b = DenseTensor(fmt.shape, rng.standard_normal(fmt.shape.size))
+    message = re.escape(f"block index {bad} out of range [0, 3)")
+    for mu, nu in ((2, bad), (bad, 0)):
+        with pytest.raises(ValueError, match=message):
+            materialize_M(fmt, b, p, mu, nu)
+        with pytest.raises(ValueError, match=message):
+            engine.coupling(fmt, b, p, mu, nu, np.ones(10))
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +538,23 @@ def test_transfer_map_is_the_dense_transfer_matrix(name):
             v = rng.standard_normal(fmt.shape.size)
             want = N @ v
             assert np.linalg.norm(report.transfer @ v - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name", ["cp", "structured"])
+def test_transfer_map_takes_exactly_a_flat_tensor(name):
+    A, b, fmt, p = TRANSFER_CASES[name]()
+    assert engine.local_solve(A, b, fmt, p, 1, 1e-12).route == ("formed" if name == "cp" else name)
+    transfer = recursion_check(A, b, fmt, RecursionContext(2, 1, p)).transfer
+    n = fmt.shape.size
+    for shape in [(n, 1), (1, n), (2, n), (n - 1,), (n + 1,), ()]:
+        with pytest.raises(ValueError, match=re.escape(f"takes shape ({n},), got shape {shape}")):
+            transfer @ np.ones(shape)
+    # scipy's wrapper hands matvec columns of shape (n, 1)
+    linear = aslinearoperator(transfer)
+    V = np.random.default_rng(75).standard_normal((n, 3))
+    want = np.column_stack([transfer @ v for v in V.T])
+    assert np.array_equal(linear.matvec(V[:, 0]), want[:, 0])
+    assert np.linalg.norm(linear.matmat(V) - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("case", ROUTE_CASES, ids=lambda c: "-".join(map(str, c)))

@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from alskit import engine
-from alskit.diagnostics import objective, recursion_contexts
+from alskit.diagnostics import objective, recursion_check, recursion_contexts
 from alskit.engine import StopRule, lowdin_basis, micro_step, run, sweep
 from alskit.formats import (
     CpFormat,
     MultilinearFormat,
     ParamSystem,
+    TensorFormat,
     TtFormat,
     evaluate,
     materialize_W,
+    probe_map,
 )
 from alskit.gallery import mohlenkamp_example
 from alskit.oracle import brute_least_squares
@@ -1102,3 +1104,83 @@ def test_run_custom_format_counterexample_no_angle():
     trace = run(IdentityOperator(shape), b, fmt, init, StopRule(max_sweeps=20))
     assert trace.sweep_f[-1] <= trace.initial_f + TOL
     assert trace.termination in ("f_stalled", "grad_small", "max_sweeps")
+
+
+# ---------------------------------------------------------------------------
+# a factored format declared by the contract alone
+
+
+class FixedCoreTucker(TensorFormat):
+    """A fixed core times one factor matrix per mode, each factor a block.
+
+    It declares only what a factored format needs: its evaluation, the
+    block axes (block mu is the m_mu x t_mu factor stored row-major, the
+    (1, m_mu, t_mu) core) and the unfolding factors.  Its one factor is
+    the evaluation with the identity for block mu, unfolded along mode mu,
+    so the contractions run in the order of the evaluation.
+    """
+
+    def __init__(self, core, dims):
+        self.core = np.asarray(core, dtype=float)
+        self.shape = Shape(tuple(dims))
+        self.num_blocks = self.shape.ndim
+
+    def block_axes(self, mu):
+        return 1, self.core.shape[mu]
+
+    def _contract(self, mats):
+        t = self.core
+        for mat in mats:
+            t = np.tensordot(t, mat, axes=(0, 1))
+        return t
+
+    def _matrices(self, blocks):
+        return [b.reshape(m, -1) for b, m in zip(blocks, self.shape.dims)]
+
+    def _evaluate_blocks(self, blocks):
+        return self._contract(self._matrices(blocks)).ravel()
+
+    def unfolding_factors(self, blocks, mu):
+        mats = self._matrices(blocks)
+        mats[mu] = np.eye(self.core.shape[mu])
+        t = np.moveaxis(self._contract(mats), mu, -1)
+        return [t.reshape(-1, self.core.shape[mu])]
+
+
+def _tucker_problem(seed, dims, core_dims):
+    rng = np.random.default_rng(seed)
+    fmt = FixedCoreTucker(rng.standard_normal(core_dims), dims)
+    p = ParamSystem([rng.standard_normal(fmt.block_dim(mu)) for mu in range(fmt.num_blocks)])
+    A = ModeWiseOperator([spd(rng, m) for m in dims])
+    return A, DenseTensor(fmt.shape, rng.standard_normal(fmt.shape.size)), fmt, p
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    dims=st.lists(st.integers(2, 6), min_size=2, max_size=4),
+    core_size=st.integers(2, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_contract_only_format_assembles_the_probed_map_exactly(dims, core_size, seed):
+    # sizes from 2 up: a mode or core of size 1 turns numpy's products
+    # into matrix-vector ones, which round the probe differently
+    _, _, fmt, p = _tucker_problem(seed, dims, [core_size] * len(dims))
+    for mu in range(fmt.num_blocks):
+        got = materialize_W(fmt, p, mu)
+        assert got.shape == (fmt.shape.size, dims[mu] * core_size)
+        assert np.array_equal(got, probe_map(fmt, p.blocks, mu))
+
+
+def test_contract_only_format_solves_on_the_structured_route():
+    A, b, fmt, p = _tucker_problem(5, (8, 8, 8), (3, 3, 3))
+    for mu in range(fmt.num_blocks):
+        assert fmt.shape.size * fmt.block_dim(mu) ** 2 > engine.STRUCTURED_MIN_GRAM_FLOPS
+        structured = engine.local_solve(A, b, fmt, p, mu, 1e-12)
+        formed = engine.formed_solve(A, b, fmt, p, mu, 1e-12)
+        assert structured.route == "structured" and structured.rank == formed.rank
+        assert np.linalg.norm(structured.block - formed.block) <= 1e-12 * np.linalg.norm(formed.block)
+    trace = run(A, b, fmt, p, StopRule(max_sweeps=3), keep_params=True)
+    contexts = list(recursion_contexts(trace))
+    assert len(contexts) == 4
+    for ctx in contexts:
+        assert recursion_check(A, b, fmt, ctx).defect <= 1e-10

@@ -1,5 +1,6 @@
 """Parameter systems, CP/TT/custom formats, and materialized block maps."""
 
+import math
 import warnings
 
 import numpy as np
@@ -11,12 +12,14 @@ from alskit.formats import (
     CpFormat,
     MultilinearFormat,
     ParamSystem,
-    TensorFormat,
     TtFormat,
     evaluate,
+    fold,
     materialize_W,
     params_from_json,
     params_to_json,
+    probe_map,
+    unfold,
 )
 from alskit.tensors import Shape
 
@@ -290,7 +293,7 @@ def test_cp_local_map_equals_probe_exactly(dims, rank, zero_block, seed):
     for mu in range(fmt.num_blocks):
         got = fmt.local_map(blocks, mu)
         assert got.shape == (fmt.shape.size, fmt.block_dim(mu))
-        assert np.array_equal(got, TensorFormat.local_map(fmt, blocks, mu))
+        assert np.array_equal(got, probe_map(fmt, blocks, mu))
 
 
 @settings(deadline=None, max_examples=40)
@@ -302,9 +305,44 @@ def test_tt_local_map_matches_probe(dims, rank, zero_block, seed):
     blocks = _random_blocks(fmt, rng, zero_block)
     for mu in range(fmt.num_blocks):
         got = fmt.local_map(blocks, mu)
-        want = TensorFormat.local_map(fmt, blocks, mu)
+        want = probe_map(fmt, blocks, mu)
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    dims=local_map_cases["dims"], rank=local_map_cases["rank"], seed=local_map_cases["seed"]
+)
+def test_unfoldings_round_trip(dims, rank, seed):
+    rng = np.random.default_rng(seed)
+    shape = Shape(tuple(dims))
+    ranks = tuple(int(x) for x in rng.integers(1, rank + 1, size=len(dims) - 1))
+    for fmt in (CpFormat(shape, rank), TtFormat(shape, ranks)):
+        for mu, m in enumerate(dims):
+            a, c = fmt.block_axes(mu)
+            q = rng.standard_normal(fmt.block_dim(mu))
+            F = rng.standard_normal((m, a * c))
+            # F[i, (a, c)] is entry (a, i, c) of the block's core
+            want = q.reshape(a, m, c).transpose(1, 0, 2).reshape(m, a * c)
+            assert np.array_equal(fmt.block_to_unfolding(q, mu), want)
+            assert np.array_equal(fmt.block_from_unfolding(fmt.block_to_unfolding(q, mu), mu), q)
+            assert np.array_equal(fmt.block_to_unfolding(fmt.block_from_unfolding(F, mu), mu), F)
+    x = rng.standard_normal(shape.size)
+    for mu, m in enumerate(dims):
+        left = math.prod(dims[:mu])
+        X = unfold(x, left, m)
+        assert np.array_equal(X, np.moveaxis(x.reshape(dims), mu, 0).reshape(m, -1))
+        assert np.array_equal(fold(X, left, m), x)
+        Y = rng.standard_normal(X.shape)
+        assert np.array_equal(unfold(fold(Y, left, m), left, m), Y)
+
+
+def test_cp_block_unfolding_is_the_factor_matrix():
+    fmt = CpFormat(Shape((3, 4)), 2)
+    p = ParamSystem([np.arange(6.0), np.arange(8.0)])
+    assert fmt.block_axes(1) == (2, 1)
+    assert np.array_equal(fmt.block_to_unfolding(p[1], 1), fmt.factor_matrix(p, 1))
 
 
 def _fancy_cp_local_map(fmt, blocks, mu):
