@@ -31,7 +31,7 @@ from .diagnostics import (
     effective_window,
     rate_estimate,
 )
-from .engine import ANGLE_MODES, StopRule, check_eps_rank, run
+from .engine import StopRule, check_eps_rank, run
 from .formats import ParamSystem, format_from_doc
 from .gallery import ProblemInstance
 from .tensors import (
@@ -196,6 +196,11 @@ def _instance_from_gallery(label: str, args: dict) -> ProblemInstance:
         raise CliError(f"cannot build {label!r}: {exc}") from exc
 
 
+# --angle-mode: which of the instance's references ``run`` gets, and so which
+# tangent it tracks; "auto" passes both, and ``run`` takes the factor first
+ANGLE_MODES = ("auto", "factor", "full", "none")
+
+
 # run settings: (name, argparse type or the allowed values, default, help);
 # the flag is the name with dashes, and a config file takes the name as key
 RUN_SETTINGS = (
@@ -294,8 +299,12 @@ def _job_from_config(doc: dict, overrides: dict) -> dict:
 @np.errstate(all="ignore")
 def _execute_job(job: dict) -> tuple[int, list[str], str | None]:
     """Solve one job; returns (exit code, stdout lines, stderr error line)."""
-    instance = job["instance"]
+    instance, mode = job["instance"], job["angle_mode"]
     try:
+        if mode == "factor" and instance.reference_factor is None:
+            raise ValueError("angle mode 'factor' needs a reference factor")
+        if mode == "full" and instance.reference is None:
+            raise ValueError("angle mode 'full' needs a reference tensor")
         trace = run(
             instance.A,
             instance.b,
@@ -303,9 +312,8 @@ def _execute_job(job: dict) -> tuple[int, list[str], str | None]:
             instance.init,
             job["stop"],
             eps_rank=job["eps_rank"],
-            reference=instance.reference,
-            reference_factor=instance.reference_factor,
-            angle_mode=job["angle_mode"],
+            reference=instance.reference if mode in ("auto", "full") else None,
+            reference_factor=instance.reference_factor if mode in ("auto", "factor") else None,
         )
     except ValueError as exc:
         # e.g. an operator above the SPD check cap that is not definite
@@ -317,8 +325,7 @@ def _execute_job(job: dict) -> tuple[int, list[str], str | None]:
         f"f={trace.sweep_f[-1]!r}"
     ]
     series = trace.tangent_series()
-    finite = [t for t in series if np.isfinite(t)]
-    if finite and len(finite) == len(series):
+    if series:
         window = effective_window(len(series), job["rate_window"])
         try:
             est = rate_estimate(series, window=window)
@@ -327,8 +334,6 @@ def _execute_job(job: dict) -> tuple[int, list[str], str | None]:
             )
         except ValueError as exc:
             lines.append(f"  rate: unavailable ({exc})")
-    elif series:
-        lines.append("  rate: unavailable (non-finite tangents in series)")
     flags = ",".join(report.flags) if report.flags else "none"
     lines.append(
         f"  monitors: growth_ratio={report.growth_ratio:.6g} "
@@ -363,6 +368,17 @@ def _combine_codes(codes) -> int:
     return EXIT_OK
 
 
+def _read_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CliError(f"config {path} must be a JSON object")
+    return doc
+
+
 def cmd_run(args) -> int:
     overrides = {}
     for key, *_ in (*GALLERY_FLAGS, *RUN_SETTINGS):
@@ -374,20 +390,14 @@ def cmd_run(args) -> int:
     try:
         if args.jobs < 1:
             raise CliError(f"jobs must be >= 1, got {args.jobs}")
-        if args.config:
-            for path in args.config:
-                try:
-                    with open(path) as fh:
-                        doc = json.load(fh)
-                except (OSError, json.JSONDecodeError) as exc:
-                    raise CliError(f"cannot read config {path}: {exc}") from exc
-                if not isinstance(doc, dict):
-                    raise CliError(f"config {path} must be a JSON object")
-                jobs.append(_job_from_config(doc, overrides))
-        else:
-            if not args.gallery:
-                raise CliError("need --gallery LABEL or --config FILE")
-            jobs.append(_job_from_config({"gallery": args.gallery}, overrides))
+        if not (args.config or args.gallery):
+            raise CliError("need --gallery LABEL or --config FILE")
+        # read lazily: a config's job is checked before the next file is read
+        docs = map(_read_config, args.config) if args.config else [{}]
+        for doc in docs:
+            if args.gallery:  # the flag wins over a config's label, like every flag
+                doc["gallery"] = args.gallery
+            jobs.append(_job_from_config(doc, overrides))
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,12 +22,15 @@ routes solve their SPD systems with LAPACK's Cholesky routines
 to skip the wrappers' checks); ``micro_step`` writes back the
 minimum-norm block update, and wraps the solver's new iterate and its
 image without re-scanning them: a non-finite entry in either makes the
-new objective non-finite, and that one scalar is checked.  A sweep visits
-the blocks in order; ``run`` repeats sweeps until a stop rule fires.  The
-iterate's image A v is handed from step to step, so a structured step
-applies no full operator and a formed step applies one; the target's
-squared norm <b, b> is handed on the same way, and the parameter system
-carries its block norms, so a step measures only the block it writes.
+new objective non-finite, and that one scalar is checked.  ``run`` is the
+solver loop: each sweep calls ``micro_step`` on the blocks in order, and
+sweeps repeat until a stop rule fires.  The references passed to ``run``
+choose the tracked tangent: a reference factor, else a reference tensor,
+else none.  The iterate's image A v is handed from step to step, so a
+structured step applies no full operator and a formed step applies one;
+the target's squared norm <b, b> is handed on the same way, and the
+parameter system carries its block norms, so a step measures only the
+block it writes.
 For a verified operator ``run`` also takes the energy distance between
 sweep iterates from the two carried images, so a run above the route
 threshold applies A once in all.
@@ -73,8 +76,6 @@ from .tensors import (
     kron_apply,
     vector_norm,
 )
-
-ANGLE_MODES = ("auto", "factor", "full", "none")
 
 # local_solve takes the structured route when the formed route's Gram work
 # N * k^2 exceeds this.  It stays where it is because the route decides how
@@ -418,7 +419,7 @@ def micro_step(
     unchanged.  The incoming iterate v_old, its objective, its image
     ``Av_old`` = A v_old and the target's squared norm ``b2`` = <b, b> are
     computed when not given.  The new iterate's image A v_new comes from
-    the structured solve, or from one apply on the formed route; a sweep
+    the structured solve, or from one apply on the formed route; ``run``
     hands it to the next step as ``Av_old``.
     The new iterate and image are wrapped unscanned; a non-finite entry
     in either makes f_new non-finite, and then the entries are checked
@@ -460,41 +461,6 @@ def micro_step(
         param_norm_max=p_new.max_norm(),
     )
     return p_new, v_new, Av_new, record
-
-
-def sweep(
-    A: SpdOperator,
-    b: DenseTensor,
-    fmt: TensorFormat,
-    p: ParamSystem,
-    eps_rank: float = EPS_RANK_DEFAULT,
-    *,
-    sweep_index: int = 0,
-    v: DenseTensor | None = None,
-    f: float | None = None,
-    Av: DenseTensor | None = None,
-    snapshots: list | None = None,
-    b2: float | None = None,
-) -> tuple[ParamSystem, DenseTensor, DenseTensor, list[MicroStepRecord]]:
-    """One pass over all blocks in order; returns (params, iterate v, A v, records)."""
-    if b2 is None:
-        b2 = inner(b, b)
-    if v is None:
-        v = evaluate(fmt, p)
-    if Av is None:
-        Av = A.apply(v)
-    if f is None:
-        f = objective(A, b, v, Av)
-    records = []
-    for mu in range(fmt.num_blocks):
-        if snapshots is not None:
-            snapshots.append(p)
-        p, v, Av, rec = micro_step(
-            A, b, fmt, p, mu, eps_rank, sweep=sweep_index, v_old=v, f_old=f, Av_old=Av, b2=b2
-        )
-        f = rec.f
-        records.append(rec)
-    return p, v, Av, records
 
 
 def energy_distance(
@@ -542,31 +508,6 @@ class StopRule:
             object.__setattr__(self, "angle_tol", None)
 
 
-def _resolve_angle_mode(
-    angle_mode: str,
-    fmt: TensorFormat,
-    reference: DenseTensor | None,
-    reference_factor,
-) -> str:
-    if angle_mode not in ANGLE_MODES:
-        raise ValueError(f"unknown angle mode {angle_mode!r}")
-    if angle_mode == "auto":
-        if reference_factor is not None:
-            angle_mode = "factor"
-        elif reference is not None:
-            angle_mode = "full"
-        else:
-            return "none"
-    if angle_mode == "factor":
-        if reference_factor is None:
-            raise ValueError("angle mode 'factor' needs a reference factor")
-        if not (isinstance(fmt, CpFormat) and fmt.rank == 1):
-            raise ValueError("factor angles need a rank-one cp format")
-    if angle_mode == "full" and reference is None:
-        raise ValueError("angle mode 'full' needs a reference tensor")
-    return angle_mode
-
-
 def run(
     A: SpdOperator,
     b: DenseTensor,
@@ -577,22 +518,33 @@ def run(
     *,
     reference: DenseTensor | None = None,
     reference_factor=None,
-    angle_mode: str = "auto",
     keep_params: bool = False,
 ) -> RunTrace:
-    """Sweep until a stop rule fires; returns the full trace.
+    """The solver loop: sweeps of micro-steps until a stop rule fires; returns the trace.
 
-    Per sweep the trace records the objective, the tangent of the angle
-    to the reference (factor or full-tensor, per ``angle_mode``), and the
-    energy-norm distance between consecutive sweep iterates
-    (``energy_distance``).
+    Sweep k calls ``micro_step`` on each block in order and hands it the
+    carried iterate, its image A v, its objective and <b, b>; with
+    ``keep_params`` the parameters are recorded before each step.  Per
+    sweep the trace records the objective, the tangent of the angle to a
+    reference and the energy-norm distance between consecutive sweep
+    iterates (``energy_distance``).  The references given choose the
+    tangent: ``reference_factor`` the angle of the first factor (a
+    rank-one CP format only), else ``reference`` the angle of the full
+    tensor, else none; ``RunTrace.angle_mode`` is "factor", "full" or
+    "none" accordingly.
     """
     fmt.check_params(init)
-    mode = _resolve_angle_mode(angle_mode, fmt, reference, reference_factor)
     if reference_factor is not None:
+        if not (isinstance(fmt, CpFormat) and fmt.rank == 1):
+            raise ValueError("factor angles need a rank-one cp format")
         reference_factor = np.asarray(reference_factor, dtype=float).ravel()
-        if mode == "factor" and reference_factor.size != fmt.shape.dims[0]:
+        if reference_factor.size != fmt.shape.dims[0]:
             raise ValueError("reference factor length must match mode-1 size")
+        mode, ref = "factor", reference_factor
+    elif reference is not None:
+        mode, ref = "full", reference.values
+    else:
+        mode, ref = "none", None
 
     p = init
     v = evaluate(fmt, p)
@@ -609,28 +561,24 @@ def run(
     dist_a: list[float] = []
     termination = "max_sweeps"
 
-    def current_tangent() -> float | None:
-        if mode == "factor":
-            p1 = p[0]
-            if not np.any(p1):
-                return None
-            return stable_tangent(reference_factor, p1)
-        if mode == "full":
-            if not np.any(v.values):
-                return None
-            return stable_tangent(reference.values, v.values)
-        return None
-
     for k in range(1, stop.max_sweeps + 1):
-        v_prev, Av_prev = v, Av
-        f_prev = f
-        p, v, Av, recs = sweep(
-            A, b, fmt, p, eps_rank, sweep_index=k, v=v, f=f, Av=Av, snapshots=snapshots, b2=b2
-        )
-        f = recs[-1].f
+        v_prev, Av_prev, f_prev = v, Av, f
+        recs = []
+        for mu in range(fmt.num_blocks):
+            if snapshots is not None:
+                snapshots.append(p)
+            p, v, Av, rec = micro_step(
+                A, b, fmt, p, mu, eps_rank, sweep=k, v_old=v, f_old=f, Av_old=Av, b2=b2
+            )
+            f = rec.f
+            recs.append(rec)
         records.extend(recs)
 
-        tan = current_tangent()
+        tan = None
+        if ref is not None:
+            x = p[0] if mode == "factor" else v.values
+            if np.any(x):
+                tan = stable_tangent(ref, x)
         sweep_f.append(f)
         sweep_tangent.append(tan)
         dist_a.append(energy_distance(A, v, v_prev, Av, Av_prev))

@@ -52,10 +52,6 @@ class ProblemInstance:
             self.reference_factor = rf
 
 
-def _cp_rank1_init(vectors) -> ParamSystem:
-    return ParamSystem([np.asarray(vec, dtype=float).ravel() for vec in vectors])
-
-
 def mohlenkamp_example(tau: float = 0.4) -> ProblemInstance:
     """Weighted two-term orthogonal target 2 e1^(x3) + e2^(x3), init (tau, 1)^(x3).
 
@@ -72,7 +68,7 @@ def mohlenkamp_example(tau: float = 0.4) -> ProblemInstance:
     e2 = np.array([0.0, 1.0])
     b = rank_one_sum(shape, [(2.0, [e1, e1, e1]), (1.0, [e2, e2, e2])])
     start = np.array([tau, 1.0])
-    init = _cp_rank1_init([start, start, start])
+    init = ParamSystem([start, start, start])
     if tau < 0.5:
         ref_vec, ref_weight = e2, 1.0
     elif tau > 0.5:
@@ -120,7 +116,7 @@ def blambda_example(lam: float = 0.46, n: int = 8, seed: int = 7) -> ProblemInst
     )
     start = p + 0.3 * q
     start /= np.linalg.norm(start)
-    init = _cp_rank1_init([start, start, start])
+    init = ParamSystem([start, start, start])
     in_range = lam <= 0.5
     return ProblemInstance(
         label="blambda",
@@ -175,7 +171,7 @@ def totally_orthogonal(r: int = 2, dims=(4, 4, 4), seed: int = 0) -> ProblemInst
         A=IdentityOperator(shape),
         b=b,
         fmt=CpFormat(shape, 1),
-        init=_cp_rank1_init(init_vecs),
+        init=ParamSystem(init_vecs),
         reference=reference,
         reference_factor=factors[0][:, 0].copy(),
         extra={"weights": weights, "factors": factors},
@@ -280,7 +276,7 @@ def tucker_target(core: DenseTensor, factors) -> ProblemInstance:
         A=IdentityOperator(shape),
         b=b,
         fmt=CpFormat(shape, 1),
-        init=_cp_rank1_init(init_vecs),
+        init=ParamSystem(init_vecs),
         extra={"core": core, "factors": factors},
     )
 

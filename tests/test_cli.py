@@ -351,6 +351,23 @@ def test_readme_problem_config_solves(tmp_path):
     assert run_cli(["run", "--config", str(cfg)]) == EXIT_OK
 
 
+def test_gallery_flag_replaces_a_config_label(tmp_path, capsys):
+    cfg = tmp_path / "g.json"
+    cfg.write_text(json.dumps({"gallery": "mohlenkamp", "max_sweeps": 3}))
+    assert run_cli(["run", "--gallery", "blambda", "--config", str(cfg)]) == EXIT_OK
+    (first, *_) = capsys.readouterr().out.splitlines()
+    assert first.startswith("[blambda] sweeps=3 ")
+
+
+def test_gallery_flag_next_to_a_problem_config_is_one_error_line(tmp_path, capsys, no_solve):
+    cfg = tmp_path / "prob.json"
+    cfg.write_text(json.dumps(README_PROBLEM))
+    assert run_cli(["run", "--gallery", "blambda", "--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: config cannot give both 'gallery' and 'problem'"]
+    assert captured.out == ""
+
+
 def test_config_rejects_unknown_gallery_args(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"gallery": "mohlenkamp", "args": {"lam": 0.3}}))
@@ -627,6 +644,14 @@ def test_overflow_in_jobs_workers_warns_nothing(tmp_path, capsys):
             ["--gallery", "desilva_lim", "--angle-mode", "factor"],
             "error: [desilva_lim] angle mode 'factor' needs a reference factor",
         ),
+        (
+            ["--gallery", "blambda", "--lambda", "0.7", "--angle-mode", "factor"],
+            "error: [blambda] angle mode 'factor' needs a reference factor",
+        ),
+        (
+            ["--gallery", "tucker", "--angle-mode", "full"],
+            "error: [tucker] angle mode 'full' needs a reference tensor",
+        ),
     ],
 )
 def test_solver_rejections_are_usage_errors(args, message, capsys):
@@ -690,7 +715,28 @@ def test_angle_mode_choices_are_the_engine_modes():
         if isinstance(action.choices, dict)
     ]
     (mode,) = [a for a in run_parser._actions if a.dest == "angle_mode"]
-    assert tuple(mode.choices) == engine.ANGLE_MODES
+    assert tuple(mode.choices) == cli.ANGLE_MODES == ("auto", "factor", "full", "none")
+
+
+@pytest.mark.parametrize(
+    "mode, reference, reference_factor",
+    [("auto", True, True), ("factor", False, True), ("full", True, False), ("none", False, False)],
+)
+def test_angle_mode_chooses_the_references_run_gets(monkeypatch, mode, reference, reference_factor):
+    calls = []
+
+    def keep(*args, **kwargs):
+        calls.append(kwargs)
+        return engine.run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", keep)
+    argv = ["run", "--gallery", "mohlenkamp", "--max-sweeps", "2", "--angle-mode", mode]
+    assert run_cli(argv) == EXIT_OK
+    (kwargs,) = calls
+    assert (kwargs["reference"] is not None, kwargs["reference_factor"] is not None) == (
+        reference,
+        reference_factor,
+    )
 
 
 def test_parser_is_built_once_per_process():
@@ -841,6 +887,25 @@ def test_rate_line_reports_classification(capsys):
     out = capsys.readouterr().out
     assert "rate: linear" in out
     assert "q_hat=0.847" in out
+
+
+def test_rate_line_with_an_infinite_tangent_is_unavailable(tmp_path, capsys):
+    # the iterate ends on e1 (x) e1, orthogonal to the reference factor e2
+    cfg = tmp_path / "orthogonal.json"
+    problem = {
+        "dims": [2, 2],
+        "format": "cp",
+        "ranks": [1],
+        "target": {"dense": [1, 0, 0, 0]},
+        "init": [[1, 0], [1, 0]],
+        "reference_factor": [0, 1],
+    }
+    cfg.write_text(json.dumps({"problem": problem, "max_sweeps": 4}))
+    assert run_cli(["run", "--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "[custom] sweeps=1 termination=grad_small f=-0.5",
+        "  rate: unavailable (tangent series must be finite and nonnegative)",
+    ]
 
 
 @pytest.mark.parametrize(

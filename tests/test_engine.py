@@ -10,7 +10,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from alskit import engine
 from alskit.diagnostics import objective, recursion_check, recursion_contexts
-from alskit.engine import StopRule, lowdin_basis, micro_step, run, sweep
+from alskit.engine import StopRule, lowdin_basis, micro_step, run
 from alskit.formats import (
     CpFormat,
     MultilinearFormat,
@@ -839,7 +839,7 @@ def test_micro_step_rejects_non_finite_projected_system():
 
 
 # ---------------------------------------------------------------------------
-# sweep
+# one sweep of run
 
 
 def test_sweep_visits_blocks_in_order_and_chains_f():
@@ -849,19 +849,25 @@ def test_sweep_visits_blocks_in_order_and_chains_f():
     p = ParamSystem([rng.standard_normal(fmt.block_dim(mu)) for mu in range(3)])
     b = DenseTensor(shape, rng.standard_normal(8))
     A = IdentityOperator(shape)
-    p1, v1, _, recs = sweep(A, b, fmt, p, sweep_index=7)
+    trace = run(A, b, fmt, p, StopRule(max_sweeps=1), keep_params=True)
+    recs = trace.records
     assert [rec.mu for rec in recs] == [0, 1, 2]
-    assert all(rec.sweep == 7 for rec in recs)
-    fs = [objective(A, b, v1)]
-    assert recs[-1].f == pytest.approx(fs[0], abs=TOL)
-    decs = [rec.decrement for rec in recs]
-    assert all(d <= TOL for d in decs)
+    assert all(rec.sweep == 1 for rec in recs)
+    assert recs[-1].f == pytest.approx(objective(A, b, trace.final_v), abs=TOL)
+    # each step starts from the objective the step before it ended on
+    starts = [trace.initial_f] + [rec.f for rec in recs[:-1]]
+    assert [rec.decrement for rec in recs] == [rec.f - f0 for rec, f0 in zip(recs, starts)]
+    assert all(rec.decrement <= TOL for rec in recs)
+    # step mu writes block mu and nothing else
+    after = trace.param_snapshots[1:] + [trace.final_params]
+    for mu, (before, written) in enumerate(zip(trace.param_snapshots, after)):
+        assert all(written[nu] is before[nu] for nu in range(3) if nu != mu)
 
 
 def test_sweep_collects_snapshots_before_each_step():
     instance = mohlenkamp_example(0.4)
-    snaps = []
-    sweep(instance.A, instance.b, instance.fmt, instance.init, snapshots=snaps)
+    args = (instance.A, instance.b, instance.fmt, instance.init, StopRule(max_sweeps=1))
+    snaps = run(*args, keep_params=True).param_snapshots
     assert len(snaps) == 3
     for mu in range(3):
         assert np.array_equal(snaps[0][mu], instance.init[mu])
@@ -998,7 +1004,6 @@ def test_run_full_angle_mode():
         instance.init,
         StopRule(max_sweeps=3),
         reference=instance.reference,
-        angle_mode="full",
     )
     assert trace.angle_mode == "full"
     series = trace.tangent_series()
@@ -1019,12 +1024,8 @@ def test_run_auto_mode_without_references_tracks_nothing():
 def test_run_angle_mode_errors():
     instance = mohlenkamp_example(0.4)
     args = (instance.A, instance.b, instance.fmt, instance.init, StopRule(max_sweeps=1))
-    with pytest.raises(ValueError, match="needs a reference factor"):
-        run(*args, angle_mode="factor")
-    with pytest.raises(ValueError, match="needs a reference tensor"):
-        run(*args, angle_mode="full")
-    with pytest.raises(ValueError, match="unknown angle mode"):
-        run(*args, angle_mode="sideways")
+    with pytest.raises(ValueError, match="reference factor length must match mode-1 size"):
+        run(*args, reference_factor=[1.0, 0.0, 0.0])
     rank2 = CpFormat(Shape((2, 2)), 2)
     p2 = ParamSystem([np.ones(4), np.ones(4)])
     b2 = DenseTensor(Shape((2, 2)), np.ones(4))
@@ -1036,7 +1037,6 @@ def test_run_angle_mode_errors():
             p2,
             StopRule(max_sweeps=1),
             reference_factor=[1.0, 0.0],
-            angle_mode="factor",
         )
 
 
