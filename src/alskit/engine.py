@@ -11,10 +11,10 @@ see ``formats``) with an identity or mode-wise operator, never forms an
 N x k array: it works on the thin SVDs of the small unfolding factors of
 W, where W^T W = Z^T Z (x) I.  Its projected operator is the Kronecker
 product G = S (x) K_mu, which it never forms either: it solves
-S Y K_mu = R with one Cholesky solve per factor, and it gets A applied
-to the new iterate from the same factors.
-Either route returns, next to the solution, the maps the system is made
-of (``LocalSolve``): W, W^T and the Gram and energy pseudo-inverses.
+S Y K_mu = R with one Cholesky solve per factor.
+Either route returns, next to the solution and its image A V y (from the
+A V its G is made of), the maps the system is made of (``LocalSolve``):
+W, W^T and the Gram and energy pseudo-inverses.
 The transfer-map replay chains them with ``coupling``, the coupling of
 two blocks against the target, which depends on (b, p) alone.  Both
 routes solve their SPD systems with LAPACK's Cholesky routines
@@ -26,14 +26,13 @@ new objective non-finite, and that one scalar is checked.  ``run`` is the
 solver loop: each sweep calls ``micro_step`` on the blocks in order, and
 sweeps repeat until a stop rule fires.  The references passed to ``run``
 choose the tracked tangent: a reference factor, else a reference tensor,
-else none.  The iterate's image A v is handed from step to step, so a
-structured step applies no full operator and a formed step applies one;
-the target's squared norm <b, b> is handed on the same way, and the
-parameter system carries its block norms, so a step measures only the
-block it writes.
+else none.  The iterate's image A v is handed from step to step, so no
+step applies the full operator; the target's squared norm <b, b> is
+handed on the same way, and the parameter system carries its block
+norms, so a step measures only the block it writes.
 For a verified operator ``run`` also takes the energy distance between
-sweep iterates from the two carried images, so a run above the route
-threshold applies A once in all.
+sweep iterates from the two carried images, so a run applies A once in
+all on either route, and an unverified operator once more per sweep.
 """
 
 from __future__ import annotations
@@ -55,10 +54,10 @@ from .diagnostics import (
     stable_tangent,
 )
 from .formats import (
-    CpFormat,
     ParamSystem,
     TensorFormat,
     check_block,
+    check_reference_factor,
     evaluate,
     fold,
     kron,
@@ -185,8 +184,9 @@ class LocalSolve:
 
     G y = V^T b with G = V^T A V on an orthonormal basis V = W T of
     range(W), of dimension ``rank``.  ``block`` is the minimum-norm new
-    block T y and ``iterate`` the new flat tensor V y; at rank 0 both are
-    None.  The maps take a flat block-mu vector q or a flat tensor x:
+    block T y, ``iterate`` the new flat tensor V y and ``image`` its image
+    A V y, from the A V that G is made of; at rank 0 all three are None.
+    The maps take a flat block-mu vector q or a flat tensor x:
 
     - ``forward(q)`` is W q and ``adjoint(x)`` is W^T x;
     - ``gram_pinv(q)`` is T T^T q, the pseudo-inverse of W^T W;
@@ -196,10 +196,9 @@ class LocalSolve:
     The two pseudo-inverses are None at rank 0.  ``route`` is "formed" or
     "structured".  The formed route's maps are products with its W and
     Löwdin transform T.  The structured route's are contractions of
-    unfoldings with the small factors, and it also returns ``image``, the
-    flat tensor A @ iterate, which the formed route leaves None.  The maps
-    are closures over arrays the solve holds, so a micro-step that never
-    applies them pays nothing for them.
+    unfoldings with the small factors.  The maps are closures over arrays
+    the solve holds, so a micro-step that never applies them pays nothing
+    for them.
     """
 
     rank: int
@@ -255,7 +254,8 @@ def formed_solve(
 ) -> LocalSolve:
     """The Galerkin system of block mu on the formed W and its Löwdin basis.
 
-    G = V^T A V (symmetrized); the new block is basis.transform @ y.
+    G = V^T (A V) (symmetrized); the new block is basis.transform @ y, the
+    iterate V y and its image (A V) y: the iterate itself for the identity.
     """
     W = materialize_W(fmt, p, mu)
     basis = lowdin_basis(W, eps_rank)
@@ -263,9 +263,11 @@ def formed_solve(
     if basis.rank == 0:
         return LocalSolve(0, None, None, *maps, None, None, "formed")
     V, T = basis.V, basis.transform
-    G = V.T @ A.apply_matrix(V)
+    AV = A.apply_matrix(V)
+    G = V.T @ AV
     G = 0.5 * (G + G.T)
     y, factor = _cholesky_solve(G, V.T @ b.values)
+    iterate = V @ y
 
     def gram_pinv(q):
         return T @ (T.T @ q)
@@ -273,9 +275,8 @@ def formed_solve(
     def energy_pinv(q):
         return T @ _cholesky_apply(factor, T.T @ q)
 
-    return LocalSolve(
-        basis.rank, T @ y, V @ y, *maps, gram_pinv, energy_pinv, "formed"
-    )
+    image = iterate if AV is V else AV @ y
+    return LocalSolve(basis.rank, T @ y, iterate, *maps, gram_pinv, energy_pinv, "formed", image)
 
 
 def structured_solve(
@@ -419,8 +420,8 @@ def micro_step(
     unchanged.  The incoming iterate v_old, its objective, its image
     ``Av_old`` = A v_old and the target's squared norm ``b2`` = <b, b> are
     computed when not given.  The new iterate's image A v_new comes from
-    the structured solve, or from one apply on the formed route; ``run``
-    hands it to the next step as ``Av_old``.
+    the solve on either route, so the step applies no full operator;
+    ``run`` hands it to the next step as ``Av_old``.
     The new iterate and image are wrapped unscanned; a non-finite entry
     in either makes f_new non-finite, and then the entries are checked
     and the usual ValueError("tensor entries must be finite") is raised.
@@ -444,7 +445,7 @@ def micro_step(
     else:
         p_new = p.replace(mu, sol.block)
         v_new = DenseTensor._wrap(b.shape, sol.iterate)
-        Av_new = A.apply(v_new) if sol.image is None else DenseTensor._wrap(b.shape, sol.image)
+        Av_new = v_new if sol.image is sol.iterate else DenseTensor._wrap(b.shape, sol.image)
         f_new = (0.5 * inner(Av_new, v_new) - inner(b, v_new)) / b2
         if not math.isfinite(f_new):  # a non-finite entry, or an overflow of f alone
             DenseTensor(b.shape, v_new.values)
@@ -535,12 +536,7 @@ def run(
     """
     fmt.check_params(init)
     if reference_factor is not None:
-        if not (isinstance(fmt, CpFormat) and fmt.rank == 1):
-            raise ValueError("factor angles need a rank-one cp format")
-        reference_factor = np.asarray(reference_factor, dtype=float).ravel()
-        if reference_factor.size != fmt.shape.dims[0]:
-            raise ValueError("reference factor length must match mode-1 size")
-        mode, ref = "factor", reference_factor
+        mode, ref = "factor", check_reference_factor(fmt, reference_factor)
     elif reference is not None:
         mode, ref = "full", reference.values
     else:

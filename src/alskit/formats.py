@@ -366,6 +366,16 @@ def check_block(fmt: TensorFormat, p: ParamSystem, mu: int):
         raise ValueError(f"block index {mu} out of range [0, {fmt.num_blocks})")
 
 
+def check_reference_factor(fmt: TensorFormat, reference_factor) -> np.ndarray:
+    """The reference of a first-factor angle as a flat float vector, checked against fmt."""
+    if not (isinstance(fmt, CpFormat) and fmt.rank == 1):
+        raise ValueError("factor angles need a rank-one cp format")
+    reference_factor = np.asarray(reference_factor, dtype=float).ravel()
+    if reference_factor.size != fmt.shape.dims[0]:
+        raise ValueError("reference factor length must match mode-1 size")
+    return reference_factor
+
+
 def probe_map(fmt: TensorFormat, blocks, mu: int) -> np.ndarray:
     """The local map of block mu by probing: one evaluation per basis vector of the block.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formats import CpFormat, MultilinearFormat, ParamSystem, TensorFormat
+from .formats import CpFormat, MultilinearFormat, ParamSystem, TensorFormat, check_reference_factor
 from .tensors import DenseTensor, IdentityOperator, Shape, SpdOperator, rank_one_sum
 
 @dataclass
@@ -46,10 +46,7 @@ class ProblemInstance:
         if self.reference is not None and self.reference.shape.dims != self.b.shape.dims:
             raise ValueError("incompatible shapes: reference vs target")
         if self.reference_factor is not None:
-            rf = np.asarray(self.reference_factor, dtype=float).ravel()
-            if rf.size != self.fmt.shape.dims[0]:
-                raise ValueError("reference factor length must match mode-1 size")
-            self.reference_factor = rf
+            self.reference_factor = check_reference_factor(self.fmt, self.reference_factor)
 
 
 def mohlenkamp_example(tau: float = 0.4) -> ProblemInstance:

@@ -221,9 +221,9 @@ class DenseOperator(SpdOperator):
 class ModeWiseOperator(SpdOperator):
     """Kronecker product A_1 (x) ... (x) A_d with per-mode SPD factors.
 
-    ``apply`` contracts one factor per mode.  ``apply_matrix`` applies the
-    operator to all k columns of an (N, k) block at once through
-    ``kron_apply`` instead of one ``apply`` per column.
+    ``apply`` and ``apply_matrix`` are both ``kron_apply``, the n-mode
+    product with one factor per mode (Kolda & Bader 2009), on one column
+    or on all k columns of an (N, k) block at once.
     """
 
     variant = "modewise"
@@ -243,12 +243,7 @@ class ModeWiseOperator(SpdOperator):
 
     def apply(self, v: DenseTensor) -> DenseTensor:
         self._check_operand(v)
-        t = v.as_array()
-        d = self.shape.ndim
-        for nu, mat in enumerate(self.factors):
-            # contract factor with mode nu, then restore the axis order
-            t = np.moveaxis(np.tensordot(mat, t, axes=(1, nu)), 0, nu)
-        return DenseTensor(v.shape, t.ravel())
+        return DenseTensor(v.shape, kron_apply(self.factors, v.values[:, None]))
 
     def apply_matrix(self, M: np.ndarray) -> np.ndarray:
         M = np.asarray(M, dtype=float)

@@ -261,9 +261,9 @@ def _relative_deviation(got: np.ndarray, want: np.ndarray) -> float:
 
 def check_structured_vs_probe(trials: int = 20):
     # CP/TT local maps against probe_map, the batched mode-wise apply
-    # against the column-by-column path of the base class, and the
-    # structured local solve, with the image A @ iterate it returns,
-    # against the formed one and a full apply, and a 2-sweep run's dist_a,
+    # against the column-by-column path of the base class, the structured
+    # local solve against the formed one, the image A @ iterate each route
+    # returns against a full apply, and a 2-sweep run's dist_a,
     # taken from the carried images, against a_norm(A, v - v_prev)
     rng = np.random.default_rng(108)
     cp_mismatch = 0
@@ -294,7 +294,7 @@ def check_structured_vs_probe(trials: int = 20):
             _relative_deviation(A.apply_matrix(M), SpdOperator.apply_matrix(A, M)),
         )
     blocks_solved = rank_mismatch = formed_default = 0
-    worst_solve = worst_image = worst_dist = 0.0
+    worst_solve = worst_image = worst_formed_image = worst_dist = 0.0
     for i, case in enumerate(ROUTE_CASES):
         A, b, fmt, p = sized_problem(110 + i, *case)
         trace = engine.run(A, b, fmt, p, engine.StopRule(max_sweeps=2), keep_params=True)
@@ -320,13 +320,15 @@ def check_structured_vs_probe(trials: int = 20):
             )
             image = A.apply(DenseTensor(b.shape, structured.iterate)).values
             worst_image = max(worst_image, _relative_deviation(structured.image, image))
+            image = A.apply(DenseTensor(b.shape, formed.iterate)).values
+            worst_formed_image = max(worst_formed_image, _relative_deviation(formed.image, image))
     ok = (
         cp_mismatch == 0
         and worst_tt <= 1e-14
         and worst_apply <= 1e-14
         and rank_mismatch == formed_default == 0
         and worst_solve <= 1e-12
-        and worst_image <= 1e-12
+        and max(worst_image, worst_formed_image) <= 1e-12
         and worst_dist <= 1e-12
     )
     return ok, (
@@ -336,8 +338,9 @@ def check_structured_vs_probe(trials: int = 20):
         f"solve on {blocks_solved} blocks above the route threshold: rank "
         f"mismatches {rank_mismatch}, blocks defaulting to the formed route "
         f"{formed_default}, block/iterate/f deviation {worst_solve:.2e}, "
-        f"A @ iterate deviation from a full apply {worst_image:.2e}, run dist_a "
-        f"from the images against a_norm(A, v - v_prev) {worst_dist:.2e} (tol 1e-12)"
+        f"A @ iterate deviation from a full apply {worst_image:.2e} structured, "
+        f"{worst_formed_image:.2e} formed, run dist_a from the images against "
+        f"a_norm(A, v - v_prev) {worst_dist:.2e} (tol 1e-12)"
     )
 
 

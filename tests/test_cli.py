@@ -889,6 +889,32 @@ def test_rate_line_reports_classification(capsys):
     assert "q_hat=0.847" in out
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (
+            {"format": "tt", "ranks": [1, 1], "reference_factor": [0, 1]},
+            "factor angles need a rank-one cp format",
+        ),
+        ({"reference_factor": [0, 1, 0]}, "reference factor length must match mode-1 size"),
+        ({"init": [[0.0, 0.0], [1.0, 0.0]]}, "parameter system has 2 blocks, format needs 3"),
+        ({"init": [[0.0, 0.0], [0.0], [1.0, 0.0]]}, "block 1 has length 1, expected 2"),
+    ],
+    ids=["tt_reference_factor", "reference_factor_length", "init_blocks", "init_length"],
+)
+def test_bad_problem_document_fails_before_any_job_solves(tmp_path, capsys, no_solve, change, message):
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"gallery": "mohlenkamp", "max_sweeps": 2}))
+    doc = json.loads(json.dumps(DEGENERATE_PROBLEM))
+    doc["problem"].update(change)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli(["run", "--config", str(ok), "--config", str(bad)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: malformed problem document: {message}"]
+    assert captured.out == ""
+
+
 def test_rate_line_with_an_infinite_tangent_is_unavailable(tmp_path, capsys):
     # the iterate ends on e1 (x) e1, orthogonal to the reference factor e2
     cfg = tmp_path / "orthogonal.json"

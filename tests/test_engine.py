@@ -308,7 +308,10 @@ def test_micro_step_grad_norm_is_pre_update():
 
 
 def _textbook_step(A, b, fmt, p, mu, eps_rank=1e-12):
-    """The micro-step as first written: eager V^T V and scipy's Cholesky."""
+    """The micro-step written plainly: eager V^T V and scipy's Cholesky.
+
+    The new image is (A V) y, from the A V that G is made of.
+    """
     b2 = inner(b, b)
     v_old = evaluate(fmt, p)
     f_old = objective(A, b, v_old)
@@ -324,12 +327,13 @@ def _textbook_step(A, b, fmt, p, mu, eps_rank=1e-12):
     transform = vecs[:, keep] / np.sqrt(vals)
     V = W @ transform
     assert np.max(np.abs(V.T @ V - np.eye(vals.size))) < 1e-10
-    G = V.T @ A.apply_matrix(V)
+    AV = A.apply_matrix(V)
+    G = V.T @ AV
     G = 0.5 * (G + G.T)
     y = cho_solve(cho_factor(G, lower=True), V.T @ b.values)
     block = transform @ y
     v_new = DenseTensor(b.shape, V @ y)
-    Av_new = A.apply(v_new)
+    Av_new = DenseTensor(b.shape, AV @ y)
     f_new = (0.5 * inner(Av_new, v_new) - inner(b, v_new)) / b2
     resid_orth = float(np.linalg.norm(W.T @ (b.values - Av_new.values)))
     pmax = max(float(np.linalg.norm(q)) for q in (*p.blocks[:mu], block, *p.blocks[mu + 1:]))
@@ -504,6 +508,8 @@ def test_above_thresholds_a_run_applies_A_once(monkeypatch, case):
 
 @pytest.mark.parametrize("name", ["small", "narrow"])
 def test_below_thresholds_a_run_applies_A_once_per_step_plus_once(monkeypatch, name):
+    # the formed steps take A v_new from the A V of their solve as well,
+    # so a run below the thresholds applies A once in all
     if name == "small":
         A, b, fmt, p = _lean_step_case("tt", "modewise")
     else:
@@ -511,7 +517,7 @@ def test_below_thresholds_a_run_applies_A_once_per_step_plus_once(monkeypatch, n
     calls = _count_applies(monkeypatch)
     trace = run(A, b, fmt, p, StopRule(max_sweeps=3))
     assert trace.sweeps == 3 and not any(r.degenerate for r in trace.records)
-    assert len(calls) == len(trace.records) + 1
+    assert len(calls) == 1
 
 
 def _unverified_dense_problem():
@@ -524,12 +530,66 @@ def _unverified_dense_problem():
 
 def test_unverified_dense_run_applies_A_once_per_step_plus_once_per_sweep(monkeypatch):
     # an unverified operator may be indefinite, so dist_a applies it to
-    # v - v_prev and checks the radicand
+    # v - v_prev and checks the radicand; the steps apply it nowhere
     A, b, fmt, p = _unverified_dense_problem()
     calls = _count_applies(monkeypatch, DenseOperator)
     trace = run(A, b, fmt, p, StopRule(max_sweeps=3))
     assert trace.sweeps == 3 and not any(r.degenerate for r in trace.records)
-    assert len(calls) == len(trace.records) + 1 + trace.sweeps
+    assert len(calls) == 1 + trace.sweeps
+
+
+def _apply_count_problem(operator):
+    if operator == "dense":
+        return _dense_problem()
+    if operator == "dense-unverified":
+        return _unverified_dense_problem()
+    return sized_problem(47, "tt", (7, 8, 6), (3, 4), operator)
+
+
+@pytest.mark.parametrize(
+    "operator, route",
+    [
+        ("identity", "formed"),
+        ("identity", "structured"),
+        ("modewise", "formed"),
+        ("modewise", "structured"),
+        ("dense", "formed"),
+        ("dense-unverified", "formed"),
+    ],
+)
+def test_a_run_applies_A_once_plus_once_per_sweep_if_unverified(monkeypatch, operator, route):
+    # the initial iterate's image serves its objective and the first
+    # step; every step takes A v_new from its solve, on either route, and
+    # only an unverified operator is applied again, to v - v_prev, per sweep
+    A, b, fmt, p = _apply_count_problem(operator)
+    if route == "formed":
+        _formed_route(monkeypatch)
+    real, routes = engine.local_solve, set()
+
+    def recorded(*args):
+        sol = real(*args)
+        routes.add(sol.route)
+        return sol
+
+    monkeypatch.setattr(engine, "local_solve", recorded)
+    calls = _count_applies(monkeypatch, type(A))
+    trace = run(A, b, fmt, p, StopRule(max_sweeps=3))
+    assert routes == {route}
+    assert trace.sweeps == 3 and not any(r.degenerate for r in trace.records)
+    assert len(calls) == 1 + (0 if A.verified else trace.sweeps)
+
+
+@pytest.mark.parametrize("operator", LEAN_OPERATORS)
+@pytest.mark.parametrize("kind", LEAN_KINDS)
+def test_formed_image_is_a_full_apply_to_the_iterate(kind, operator):
+    # the bound of verify's structured-vs-probe check on the formed route
+    A, b, fmt, p = _lean_step_case(kind, operator)
+    for mu in range(fmt.num_blocks):
+        sol = engine.formed_solve(A, b, fmt, p, mu, 1e-12)
+        want = A.apply(DenseTensor(b.shape, sol.iterate)).values
+        assert _rel(sol.image, want) <= 1e-12
+        if operator == "identity":
+            assert sol.image is sol.iterate
 
 
 def _sweep_iterates(fmt, trace):
@@ -652,7 +712,8 @@ def test_bad_targets_above_thresholds_raise_the_same_errors(monkeypatch, route):
 
 
 @pytest.mark.parametrize(
-    "route, field", [("structured", "iterate"), ("structured", "image"), ("formed", "iterate")]
+    "route, field",
+    [("structured", "iterate"), ("structured", "image"), ("formed", "iterate"), ("formed", "image")],
 )
 def test_micro_step_rejects_a_non_finite_solver_output(monkeypatch, route, field):
     # the new iterate and image are wrapped unscanned; the finiteness of

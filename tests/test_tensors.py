@@ -198,6 +198,15 @@ def test_modewise_matches_kron():
     assert np.allclose(A.apply(v).values, K @ v.values, atol=1e-10)
 
 
+@settings(deadline=None, max_examples=40)
+@given(dims=st.lists(st.integers(1, 6), min_size=1, max_size=4), seed=st.integers(0, 2**16))
+def test_modewise_apply_is_bitwise_apply_matrix_on_one_column(dims, seed):
+    rng = np.random.default_rng(seed)
+    A = ModeWiseOperator([random_spd(rng, m) for m in dims])
+    v = DenseTensor(A.shape, rng.standard_normal(A.shape.size))
+    assert np.array_equal(A.apply(v).values, A.apply_matrix(v.values[:, None])[:, 0])
+
+
 def test_modewise_validates_factors():
     with pytest.raises(ValueError, match="not symmetric"):
         ModeWiseOperator([[[1.0, 1.0], [0.0, 1.0]]])
