@@ -445,7 +445,7 @@ def micro_step(
     else:
         p_new = p.replace(mu, sol.block)
         v_new = DenseTensor._wrap(b.shape, sol.iterate)
-        Av_new = v_new if sol.image is sol.iterate else DenseTensor._wrap(b.shape, sol.image)
+        Av_new = DenseTensor._wrap(b.shape, sol.image)
         f_new = (0.5 * inner(Av_new, v_new) - inner(b, v_new)) / b2
         if not math.isfinite(f_new):  # a non-finite entry, or an overflow of f alone
             DenseTensor(b.shape, v_new.values)

@@ -507,7 +507,7 @@ def test_above_thresholds_a_run_applies_A_once(monkeypatch, case):
 
 
 @pytest.mark.parametrize("name", ["small", "narrow"])
-def test_below_thresholds_a_run_applies_A_once_per_step_plus_once(monkeypatch, name):
+def test_below_thresholds_a_run_applies_A_once(monkeypatch, name):
     # the formed steps take A v_new from the A V of their solve as well,
     # so a run below the thresholds applies A once in all
     if name == "small":
@@ -528,7 +528,7 @@ def _unverified_dense_problem():
     return A, b, fmt, p
 
 
-def test_unverified_dense_run_applies_A_once_per_step_plus_once_per_sweep(monkeypatch):
+def test_unverified_dense_run_applies_A_once_plus_once_per_sweep(monkeypatch):
     # an unverified operator may be indefinite, so dist_a applies it to
     # v - v_prev and checks the radicand; the steps apply it nowhere
     A, b, fmt, p = _unverified_dense_problem()

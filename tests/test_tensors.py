@@ -226,6 +226,9 @@ def test_apply_matrix_agrees_with_columnwise_apply():
         [A.apply(DenseTensor(A.shape, M[:, j])).values for j in range(3)]
     )
     assert np.allclose(got, want, atol=TOL)
+    # apply is apply_matrix on one column, so the dense Kronecker product
+    # is the independent reference
+    assert np.allclose(got, functools.reduce(np.kron, A.factors) @ M, atol=TOL)
 
 
 @settings(deadline=None, max_examples=40)
@@ -239,8 +242,8 @@ def test_modewise_apply_matrix_matches_generic_path(dims, k, seed):
     A = ModeWiseOperator([random_spd(rng, m) for m in dims])
     M = rng.standard_normal((A.shape.size, k))
     got = A.apply_matrix(M)
-    want = SpdOperator.apply_matrix(A, M)
-    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    for want in (SpdOperator.apply_matrix(A, M), functools.reduce(np.kron, A.factors) @ M):
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_modewise_apply_matrix_edge_cases():
