@@ -37,7 +37,6 @@ all on either route, and an unverified operator once more per sweep.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -141,10 +140,9 @@ def lowdin_basis(W: np.ndarray, eps_rank: float = EPS_RANK_DEFAULT) -> LowdinBas
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     # ascending: the largest eigenvalue is last, the kept ones a suffix
-    ascending = vals.tolist()
-    if ascending[-1] <= 0.0:
+    if vals[-1] <= 0.0:
         return _empty_basis(W.shape[0], n)
-    rank = n - bisect.bisect_right(ascending, eps_rank * ascending[-1])
+    rank = int(np.count_nonzero(vals > eps_rank * vals[-1]))
     vals = vals[::-1][:rank].copy()
     # Fortran order, as LowdinBasis says
     transform = np.divide(vecs[:, ::-1][:, :rank], np.sqrt(vals), order="F")
@@ -286,8 +284,9 @@ def structured_solve(
 
     The mode-mu unfolding of the block's image is F Z^T, Z the Kronecker
     product of ``fmt.unfolding_factors`` (the CP Khatri-Rao factor, or
-    the TT interfaces P and Q^T).  Each factor gets a thin SVD; since
-    W^T W = Z^T Z (x) I, keeping the products of singular values with
+    the TT interfaces a core has: P and Q^T, one of them at an end).  Each
+    factor gets a thin SVD, and their products get one rank cut: since
+    W^T W = Z^T Z (x) I, keeping the products with
     sigma^2 > eps_rank * sigma_1^2 is the formed route's Gram cut.  The
     kept left singular vectors U_k give V = U_k (x) I, so that
     G = S (x) K_mu with S = U_k^T (K_L (x) K_R) U_k from a mode-wise apply
@@ -328,20 +327,20 @@ def structured_solve(
     def adjoint(x):
         return to_block(unfold(x, left, m) @ Z)
 
-    kept = []
-    for factor in factors:
-        if not np.isfinite(factor).all():
-            raise np.linalg.LinAlgError("SVD did not converge")
-        Uf, sigma, Xt = _thin_svd(factor)
-        if sigma[0] == 0.0:
-            return LocalSolve(0, None, None, forward, adjoint, None, None, "structured")
-        # a factor's direction that fails the cut on its own fails it in every product
-        ratio_f = (sigma / sigma[0]) ** 2
-        cut = ratio_f > eps_rank
-        kept.append((Uf[:, cut], Xt[cut].T / sigma[cut], ratio_f[cut]))
-    U, T, ratio = kept[0]
-    for Uf, Tf, ratio_f in kept[1:]:
-        U, T, ratio = kron(U, Uf), kron(T, Tf), np.outer(ratio, ratio_f).ravel()
+    # a direction that the one cut below drops may divide by a zero (or
+    # tiny) singular value; its non-finite columns are dropped with it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        svds = []
+        for factor in factors:
+            if not np.isfinite(factor).all():
+                raise np.linalg.LinAlgError("SVD did not converge")
+            Uf, sigma, Xt = _thin_svd(factor)
+            if sigma[0] == 0.0:
+                return LocalSolve(0, None, None, forward, adjoint, None, None, "structured")
+            svds.append((Uf, Xt.T / sigma, (sigma / sigma[0]) ** 2))
+        U, T, ratio = svds[0]
+        for Uf, Tf, ratio_f in svds[1:]:
+            U, T, ratio = kron(U, Uf), kron(T, Tf), np.outer(ratio, ratio_f).ravel()
     keep = ratio > eps_rank
     U, T = U[:, keep], T[:, keep]
 

@@ -10,11 +10,13 @@ layout of its blocks: block mu is a flat (a, m_mu, c) core in C order,
 and ``block_axes(mu)`` gives (a, c), (r, 1) for CP and (r_{mu-1}, r_mu)
 for TT.  The mode-mu unfolding of U(..., q, ...) is F Z^T, with
 F = ``unfold(q, a, m_mu)`` and Z = ``kron_all(unfolding_factors)``.  The
-base class derives the rest from these, W included; the engine's
-structured solve uses the same factors without forming W.  A format
-without unfolding factors gets W from ``probe_map``, one evaluation per
-basis vector of the block, which is also the reference the assembled
-maps are checked against.
+factors are the ones the block has: the Khatri-Rao product of the other
+CP factors; the interfaces P and Q^T of an interior TT core, and only Q^T
+or P at the first or last core.  The base class derives the rest from
+these, W included; the engine's structured solve uses the same factors
+without forming W.  A format without unfolding factors gets W from
+``probe_map``, one evaluation per basis vector of the block, which is
+also the reference the assembled maps are checked against.
 """
 
 from __future__ import annotations
@@ -34,20 +36,6 @@ def _frozen_block(vec) -> np.ndarray:
         raise ValueError("parameter entries must be finite")
     arr.flags.writeable = False
     return arr
-
-
-def _diagonal(a: np.ndarray, ax1: int, ax2: int) -> np.ndarray:
-    """Writable view of the diagonal of a over two axes ax1 < ax2 of equal length.
-
-    The view keeps the axes of a, with ``ax2`` dropped: entry
-    (..., i at ax1, ...) is a[..., i at ax1, ..., i at ax2, ...].  Unlike
-    ``np.diagonal``, which moves the diagonal to the end and is read-only,
-    it can be assigned to.
-    """
-    strides = list(a.strides)
-    strides[ax1] += strides.pop(ax2)
-    shape = a.shape[:ax2] + a.shape[ax2 + 1:]
-    return np.ndarray(shape, a.dtype, a, strides=strides)
 
 
 def unfold(x: np.ndarray, a: int, m: int) -> np.ndarray:
@@ -178,8 +166,10 @@ class TensorFormat:
 
         Z of the unfolding factors placed on the identity of mode mu: entry
         ((l, i, r), (a, i', c)) is Z[(l, r), (a, c)] if i == i', else 0,
-        with l and r over the modes left and right of mu.  A format
-        without unfolding factors gets ``probe_map``.
+        with l and r over the modes left and right of mu.  Z is written
+        through ``np.einsum("lirkic->lirkc", W)``, a writable view of the
+        diagonal over the two mode-mu axes.  A format without unfolding
+        factors gets ``probe_map``.
         """
         factors = self.unfolding_factors(blocks, mu)
         if factors is None:
@@ -189,7 +179,7 @@ class TensorFormat:
         m, left = dims[mu], math.prod(dims[:mu])
         a, c = self.block_axes(mu)
         W = np.zeros((left, m, Z.shape[0] // left, a, m, c))
-        _diagonal(W, 1, 4)[...] = Z.reshape(left, 1, -1, a, c)
+        np.einsum("lirkic->lirkc", W)[...] = Z.reshape(left, 1, -1, a, c)
         return W.reshape(self.shape.size, a * m * c)
 
     def check_params(self, p: ParamSystem):
@@ -305,20 +295,25 @@ class TtFormat(TensorFormat):
         return t.reshape(self.shape.dims).ravel()
 
     def unfolding_factors(self, blocks, mu: int) -> list[np.ndarray]:
-        """The interfaces [P, Q^T] of block mu.
+        """The interfaces block mu has: [P, Q^T] inside, [Q^T] first, [P] last.
 
         P (L x r_{mu-1}) is the product of the cores left of mu, Q
-        (r_mu x R) the product of the cores right of it.
+        (r_mu x R) the product of the cores right of it.  An end core has
+        no cores on its outer side, so it hands over one interface; a
+        one-core train hands over the 1 x 1 factor P = [1].
         """
         ranks = self.ranks
         P = np.ones((1, 1))
         for nu in range(mu):
             P = P.reshape(-1, ranks[nu]) @ blocks[nu].reshape(ranks[nu], -1)
         P = P.reshape(-1, ranks[mu])
+        if mu == self.num_blocks - 1:
+            return [P]
         Q = np.ones((1, 1))
         for nu in range(self.num_blocks - 1, mu, -1):
             Q = blocks[nu].reshape(-1, ranks[nu + 1]) @ Q.reshape(ranks[nu + 1], -1)
-        return [P, Q.reshape(ranks[mu + 1], -1).T]
+        # int: an np.int64 mu compares to an np.bool_, which cannot slice
+        return [P, Q.reshape(ranks[mu + 1], -1).T][int(mu == 0):]
 
 
 class MultilinearFormat(TensorFormat):

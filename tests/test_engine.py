@@ -1,6 +1,7 @@
 """The solver core: Löwdin bases, micro-steps, sweeps, stop rules, run traces."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from alskit.formats import (
     TensorFormat,
     TtFormat,
     evaluate,
+    kron,
     materialize_W,
     probe_map,
+    unfold,
 )
 from alskit.gallery import mohlenkamp_example
 from alskit.oracle import brute_least_squares
@@ -871,6 +874,90 @@ def test_structured_block_on_non_minimal_tt_ranks_is_the_minimum_norm_block():
         want = _mp_min_norm_block(mp, A, b, fmt, p, mu)
         assert _rel(sol.block, want) <= 1e-13
     assert engine.structured_solve(A, b, fmt, p, 1, 1e-12).rank < fmt.block_dim(1)
+
+
+def _precut_basis(factors, eps_rank):
+    """(U, T) of the structured route with a cut on each factor before the cut on the products."""
+    kept = []
+    for factor in factors:
+        Uf, sigma, Xt = engine._thin_svd(factor)
+        ratio = (sigma / sigma[0]) ** 2
+        cut = ratio > eps_rank
+        kept.append((Uf[:, cut], Xt[cut].T / sigma[cut], ratio[cut]))
+    U, T, ratio = kept[0]
+    for Uf, Tf, ratio_f in kept[1:]:
+        U, T, ratio = kron(U, Uf), kron(T, Tf), np.outer(ratio, ratio_f).ravel()
+    keep = ratio > eps_rank
+    return U[:, keep], T[:, keep]
+
+
+def _kept_directions(factor, eps_rank=1e-12):
+    sigma = engine._thin_svd(factor)[1]
+    return int(np.count_nonzero((sigma / sigma[0]) ** 2 > eps_rank))
+
+
+def _tt_with_left_slice(seed, dims, value):
+    """Mode-wise TT problem, ranks (3, 3), whose core 0 has its third rank slice set by value(core)."""
+    A, b, fmt, p = sized_problem(seed, "tt", dims, (3, 3))
+    blocks = [p[mu].copy() for mu in range(fmt.num_blocks)]
+    core = blocks[0].reshape(1, dims[0], 3)
+    core[..., 2] = value(core)
+    return A, b, fmt, ParamSystem(blocks)
+
+
+def _both_routes(monkeypatch, A, b, fmt, p, mu):
+    structured = micro_step(A, b, fmt, p, mu)
+    with monkeypatch.context() as patch:
+        _formed_route(patch)
+        formed = micro_step(A, b, fmt, p, mu)
+    return structured, formed
+
+
+def test_one_cut_on_two_interfaces_keeps_the_precut_columns(monkeypatch):
+    # core 0's third rank slice copies its first, so at mu = 1 the left
+    # interface P keeps 2 of its 3 directions and Q^T all 3: the two
+    # factors are cut together
+    A, b, fmt, p = _tt_with_left_slice(47, (4, 5, 4), lambda core: core[..., 0])
+    factors = fmt.unfolding_factors(p.blocks, 1)
+    assert [_kept_directions(f) for f in factors] == [2, 3]
+    U, T = _precut_basis(factors, 1e-12)
+    rhs = []
+    real = engine._cholesky_solve
+
+    def spy(G, r):
+        rhs.append(r)
+        return real(G, r)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_cholesky_solve", spy)
+        sol = engine.structured_solve(A, b, fmt, p, 1, 1e-12)
+    # the kept columns of U through the right-hand side U^T unfold(b)^T,
+    # those of T through the Gram pseudo-inverse T T^T
+    assert np.array_equal(rhs[0], U.T @ unfold(b.values, 4, 5).T)
+    q = np.random.default_rng(47).standard_normal(fmt.block_dim(1))
+    F = fmt.block_to_unfolding(q, 1)
+    assert np.array_equal(sol.gram_pinv(q), fmt.block_from_unfolding((F @ T) @ T.T, 1))
+    structured, formed = _both_routes(monkeypatch, A, b, fmt, p, 1)
+    assert engine.local_solve(A, b, fmt, p, 1, 1e-12).route == "structured"
+    assert structured[3].W_rank == formed[3].W_rank == sol.rank == 30
+    assert _rel(structured[0][1], formed[0][1]) <= TOL
+    assert _rel(structured[1].values, formed[1].values) <= TOL
+    assert structured[3].f == pytest.approx(formed[3].f, rel=TOL)
+
+
+def test_a_zero_singular_value_is_cut_without_a_warning(monkeypatch):
+    # a zero rank slice gives P an exactly zero singular value; the cut on
+    # the products drops it, and the division by it warns about nothing
+    A, b, fmt, p = _tt_with_left_slice(48, (6, 7, 6), lambda core: 0.0)
+    P, _ = fmt.unfolding_factors(p.blocks, 1)
+    assert engine._thin_svd(P)[1][-1] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        structured, formed = _both_routes(monkeypatch, A, b, fmt, p, 1)
+    assert structured[3].W_rank == formed[3].W_rank == 2 * 3 * 7
+    assert _rel(structured[0][1], formed[0][1]) <= TOL
+    assert _rel(structured[1].values, formed[1].values) <= TOL
+    assert structured[3].f == pytest.approx(formed[3].f, rel=TOL)
 
 
 def test_micro_step_non_spd_operator_above_verify_cap_raises():

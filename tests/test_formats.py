@@ -15,6 +15,7 @@ from alskit.formats import (
     TtFormat,
     evaluate,
     fold,
+    kron_all,
     materialize_W,
     params_from_json,
     params_to_json,
@@ -361,8 +362,11 @@ def _fancy_cp_local_map(fmt, blocks, mu):
 
 
 def _fancy_tt_local_map(fmt, blocks, mu):
-    """TT's W from its interfaces by a two-array scatter."""
-    P, Qt = fmt.unfolding_factors(blocks, mu)
+    """TT's W from its interfaces by a two-array scatter; a missing end interface is [1]."""
+    factors = fmt.unfolding_factors(blocks, mu)
+    one = np.ones((1, 1))
+    P = one if mu == 0 else factors[0]
+    Qt = one if mu == fmt.num_blocks - 1 else factors[-1]
     m = fmt.shape.dims[mu]
     W = np.zeros((P.shape[0], m, Qt.shape[0], fmt.ranks[mu], m, fmt.ranks[mu + 1]))
     diag = np.arange(m)
@@ -406,6 +410,41 @@ def test_tt_local_map_is_bitwise_the_scatter_assembly(dims, rank, zero_block, se
     blocks = _signed_zero_blocks(fmt, rng, zero_block)
     for mu in range(fmt.num_blocks):
         assert _same_bits(fmt.local_map(blocks, mu), _fancy_tt_local_map(fmt, blocks, mu))
+
+
+@pytest.mark.parametrize("dims", [(5,), (4, 5), (4, 5, 3), (3, 4, 2, 3)])
+def test_unfolding_factors_are_the_interfaces_a_block_has(dims):
+    d = len(dims)
+    rng = np.random.default_rng(d)
+    shape = Shape(dims)
+    tt = TtFormat(shape, (2, 3, 2)[: d - 1])
+    cp = CpFormat(shape, 3)
+    for fmt in (tt, cp):
+        blocks = _random_blocks(fmt, rng, None)
+        for mu in range(d):
+            factors = fmt.unfolding_factors(blocks, mu)
+            a, c = fmt.block_axes(mu)
+            assert kron_all(factors).shape == (shape.size // dims[mu], a * c)
+            if fmt is cp:
+                assert len(factors) == 1
+            elif d == 1:
+                assert len(factors) == 1 and np.array_equal(factors[0], np.ones((1, 1)))
+            elif mu == 0:  # Q^T alone
+                (Qt,) = factors
+                assert Qt.shape == (math.prod(dims[1:]), tt.ranks[1])
+            elif mu == d - 1:  # P alone
+                (P,) = factors
+                assert P.shape == (math.prod(dims[:-1]), tt.ranks[-2])
+            else:
+                P, Qt = factors
+                assert P.shape == (math.prod(dims[:mu]), tt.ranks[mu])
+                assert Qt.shape == (math.prod(dims[mu + 1:]), tt.ranks[mu + 1])
+    # a numpy integer block index selects the same factors
+    tt_blocks = _random_blocks(tt, rng, None)
+    for mu in range(d):
+        want = tt.unfolding_factors(tt_blocks, mu)
+        got = tt.unfolding_factors(tt_blocks, np.int64(mu))
+        assert len(got) == len(want) and all(map(np.array_equal, got, want))
 
 
 def test_custom_format_local_map_is_the_probe():

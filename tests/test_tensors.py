@@ -222,13 +222,15 @@ def test_apply_matrix_agrees_with_columnwise_apply():
     A = ModeWiseOperator([random_spd(rng, m) for m in dims])
     M = rng.standard_normal((4, 3))
     got = A.apply_matrix(M)
-    want = np.column_stack(
+    columnwise = np.column_stack(
         [A.apply(DenseTensor(A.shape, M[:, j])).values for j in range(3)]
     )
-    assert np.allclose(got, want, atol=TOL)
     # apply is apply_matrix on one column, so the dense Kronecker product
-    # is the independent reference
-    assert np.allclose(got, functools.reduce(np.kron, A.factors) @ M, atol=TOL)
+    # is the independent reference; relative, with no rtol slack to hide
+    # a rounding-level error in one mode's product
+    want = functools.reduce(np.kron, A.factors) @ M
+    for x in (got, columnwise):
+        assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.norm(want)
 
 
 @settings(deadline=None, max_examples=40)
