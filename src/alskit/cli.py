@@ -8,7 +8,8 @@ serialized with repr() so identical runs produce identical bytes.
 one of them takes, and `run` rejects any other gallery flag for it.  The
 run settings come from one table, ``RUN_SETTINGS``: each row is a flag and
 a config key.  A bad setting, from a config file or a flag, exits 1 before
-any solve starts; a config value must already have the setting's type.
+any solve starts; a config value must already have the setting's type, and
+an output path must name a file in a directory that exists.
 """
 
 from __future__ import annotations
@@ -227,8 +228,10 @@ def _check_settings(job: dict):
 
     Values are checked, not converted: an integer setting takes an integer,
     a number setting an integer (stored as a float) or a float; a bool or
-    a string is neither.  Builds the job's StopRule, which checks the stop
-    settings.  A null from a config file turns off a setting that can be off.
+    a string is neither.  An output path is resolved (``ALSKIT_OUTPUT_DIR``)
+    and must name a file in a directory that exists.  Builds the job's
+    StopRule, which checks the stop settings.  A null from a config file
+    turns off a setting that can be off.
     """
     for name, kind, default, _ in RUN_SETTINGS:
         val = job[name]
@@ -240,6 +243,12 @@ def _check_settings(job: dict):
         elif kind is str:
             if not isinstance(val, str):
                 raise CliError(f"{name} must be a file path, got {val!r}")
+            if val:  # resolved once, so the write goes where the check looked
+                path = job[name] = _resolve_output(val)
+                if os.path.isdir(path):
+                    raise CliError(f"{name} {path!r} is a directory")
+                if not os.path.isdir(os.path.dirname(path) or "."):
+                    raise CliError(f"{name} {path!r} is in a directory that does not exist")
         else:
             # type(), not isinstance(): a JSON true is not the integer 1
             ok = type(val) is int or (kind is float and type(val) is float)
@@ -344,14 +353,15 @@ def _execute_job(job: dict) -> tuple[int, list[str], str | None]:
     if instance.flags:
         lines.append(f"  instance flags: {','.join(instance.flags)}")
 
-    if job.get("output"):
-        path = _resolve_output(job["output"])
-        write_trace_csv(trace, instance.fmt.num_blocks, path)
-        lines.append(f"  trace: {path}")
-    if job.get("dump_target"):
-        path = _resolve_output(job["dump_target"])
-        write_target_csv(instance.b, path)
-        lines.append(f"  target: {path}")
+    try:
+        if job.get("output"):
+            write_trace_csv(trace, instance.fmt.num_blocks, job["output"])
+            lines.append(f"  trace: {job['output']}")
+        if job.get("dump_target"):
+            write_target_csv(instance.b, job["dump_target"])
+            lines.append(f"  target: {job['dump_target']}")
+    except OSError as exc:  # e.g. a directory that went away or is not writable
+        return EXIT_USAGE, [], f"error: [{instance.label}] {exc}"
 
     code = EXIT_OK
     if report.unbounded_suspect:

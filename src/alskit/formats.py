@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .tensors import DenseTensor, Shape, vector_norm
+from .tensors import DenseTensor, Shape, rank_one_sum, vector_norm
 
 
 def _frozen_block(vec) -> np.ndarray:
@@ -228,13 +228,8 @@ class CpFormat(TensorFormat):
             b.reshape((m, self.rank), order="F")
             for b, m in zip(blocks, self.shape.dims)
         ]
-        out = np.zeros(self.shape.dims)
-        for j in range(self.rank):
-            t = mats[0][:, j]
-            for mat in mats[1:]:
-                t = np.multiply.outer(t, mat[:, j])
-            out += t
-        return out.ravel()
+        terms = [(1.0, [mat[:, j] for mat in mats]) for j in range(self.rank)]
+        return rank_one_sum(self.shape, terms).values
 
     def unfolding_factors(self, blocks, mu: int) -> list[np.ndarray]:
         """The Khatri-Rao product of the frozen factors, (N / m_mu) x r.

@@ -131,28 +131,26 @@ def _check_same_shape(u: DenseTensor, v: DenseTensor):
 
 
 class SpdOperator:
-    """Base for symmetric positive definite operators on a tensor space."""
+    """Base for symmetric positive definite operators on a tensor space.
+
+    A subclass defines one product, ``apply_matrix`` on an (N, k) block;
+    ``apply`` is that product on one column.
+    """
 
     variant = "abstract"
     shape: Shape
     verified: bool
 
     def apply(self, v: DenseTensor) -> DenseTensor:
-        raise NotImplementedError
-
-    def apply_matrix(self, M: np.ndarray) -> np.ndarray:
-        """Apply to every column of an (N, k) matrix."""
-        M = np.asarray(M, dtype=float)
-        out = np.empty_like(M)
-        for j in range(M.shape[1]):
-            out[:, j] = self.apply(DenseTensor(self.shape, M[:, j])).values
-        return out
-
-    def _check_operand(self, v: DenseTensor):
         if v.shape.dims != self.shape.dims:
             raise ValueError(
                 f"incompatible shapes: operator on {self.shape.dims}, operand {v.shape.dims}"
             )
+        return DenseTensor(v.shape, self.apply_matrix(v.values[:, None]))
+
+    def apply_matrix(self, M: np.ndarray) -> np.ndarray:
+        """Apply to every column of an (N, k) matrix."""
+        raise NotImplementedError
 
     def __repr__(self):
         return f"{type(self).__name__}(dims={self.shape.dims}, verified={self.verified})"
@@ -164,10 +162,6 @@ class IdentityOperator(SpdOperator):
     def __init__(self, shape: Shape):
         self.shape = shape
         self.verified = True
-
-    def apply(self, v: DenseTensor) -> DenseTensor:
-        self._check_operand(v)
-        return v
 
     def apply_matrix(self, M: np.ndarray) -> np.ndarray:
         return np.asarray(M, dtype=float)
@@ -210,10 +204,6 @@ class DenseOperator(SpdOperator):
         if self.verified:
             _check_definite(self.matrix, "operator matrix")
 
-    def apply(self, v: DenseTensor) -> DenseTensor:
-        self._check_operand(v)
-        return DenseTensor(v.shape, self.matrix @ v.values)
-
     def apply_matrix(self, M: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(M, dtype=float)
 
@@ -221,9 +211,9 @@ class DenseOperator(SpdOperator):
 class ModeWiseOperator(SpdOperator):
     """Kronecker product A_1 (x) ... (x) A_d with per-mode SPD factors.
 
-    ``apply`` and ``apply_matrix`` are both ``kron_apply``, the n-mode
-    product with one factor per mode (Kolda & Bader 2009), on one column
-    or on all k columns of an (N, k) block at once.
+    ``apply_matrix`` is ``kron_apply``, the n-mode product with one factor
+    per mode (Kolda & Bader 2009), on all k columns of an (N, k) block at
+    once.
     """
 
     variant = "modewise"
@@ -240,10 +230,6 @@ class ModeWiseOperator(SpdOperator):
         self.factors = mats
         self.shape = Shape(tuple(m.shape[0] for m in mats))
         self.verified = True
-
-    def apply(self, v: DenseTensor) -> DenseTensor:
-        self._check_operand(v)
-        return DenseTensor(v.shape, kron_apply(self.factors, v.values[:, None]))
 
     def apply_matrix(self, M: np.ndarray) -> np.ndarray:
         M = np.asarray(M, dtype=float)
@@ -333,13 +319,14 @@ def rank_one_sum(shape: Shape, terms) -> DenseTensor:
             )
         t = None
         for nu, vec in enumerate(vectors):
-            arr = np.asarray(vec, dtype=float).ravel()
+            arr = np.array(vec, dtype=float).ravel()  # a copy, so t is the term's own
             if arr.size != shape.dims[nu]:
                 raise ValueError(
                     f"mode {nu} vector has length {arr.size}, expected {shape.dims[nu]}"
                 )
             t = arr if t is None else np.multiply.outer(t, arr)
-        out += float(coeff) * t
+        t *= float(coeff)  # in place: a new N-sized array per term costs more than the term
+        out += t
     return DenseTensor(shape, out.ravel())
 
 

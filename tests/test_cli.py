@@ -443,6 +443,53 @@ def test_integer_config_value_for_a_number_setting_becomes_a_float():
     assert type(job["f_tol"]) is float and type(job["max_sweeps"]) is int
 
 
+@pytest.mark.parametrize("where", ["--output", "--dump-target", "config"])
+@pytest.mark.parametrize("bad", ["missing", "directory"])
+def test_unwritable_output_path_is_one_error_line_before_any_solve(
+    tmp_path, capsys, no_solve, where, bad
+):
+    path = str(tmp_path / "gone" / "x.csv") if bad == "missing" else str(tmp_path)
+    name = "dump_target" if where == "--dump-target" else "output"
+    if where == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gallery": "mohlenkamp", "output": path}))
+        args = ["--config", str(cfg)]
+    else:
+        args = ["--gallery", "mohlenkamp", where, path]
+    assert run_cli(["run", *args]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    reason = "is in a directory that does not exist" if bad == "missing" else "is a directory"
+    assert captured.err.splitlines() == [f"error: {name} {path!r} {reason}"]
+    assert captured.out == ""
+
+
+def test_write_error_is_that_jobs_one_error_line(tmp_path, capsys, monkeypatch):
+    write = cli.write_trace_csv
+    locked = str(tmp_path / "locked.csv")
+
+    def refuse_locked(trace, num_blocks, path):
+        if path == locked:
+            raise PermissionError(13, "Permission denied", path)
+        write(trace, num_blocks, path)
+
+    monkeypatch.setattr(cli, "write_trace_csv", refuse_locked)
+    cfgs = []
+    for name in ("ok", "locked"):
+        cfg = tmp_path / f"{name}.json"
+        doc = {"gallery": "mohlenkamp", "max_sweeps": 2, "output": str(tmp_path / f"{name}.csv")}
+        cfg.write_text(json.dumps(doc))
+        cfgs.append(str(cfg))
+    code = run_cli(["run", "--config", cfgs[0], "--config", cfgs[1], "--jobs", "2"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: [mohlenkamp] [Errno 13] Permission denied: {locked!r}"
+    ]
+    assert captured.out.count("[mohlenkamp]") == 1
+    assert f"  trace: {tmp_path / 'ok.csv'}" in captured.out.splitlines()
+    assert (tmp_path / "ok.csv").read_text().startswith(CSV_HEADER)
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_jobs_below_one_is_one_error_line(capsys, no_solve, jobs):
     assert run_cli(["run", "--gallery", "mohlenkamp", "--jobs", jobs]) == EXIT_USAGE

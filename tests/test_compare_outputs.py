@@ -1,9 +1,13 @@
 """The output comparison tool's verdicts: bit for bit, in ULP, or in text."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+
+import alskit
+import alskit.cli
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
 _spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
@@ -30,3 +34,25 @@ def test_difference_is_none_only_bit_for_bit():
     assert compare_outputs.difference(*signed) == "differs in the sign of a zero"
     other = compare_outputs._text_output("f = 0.25 after 3 sweeps (stalled)\n")
     assert compare_outputs.difference(other, text) == "differs in its text"
+
+
+def test_listing_outputs_cover_the_gallery_and_every_describe():
+    outputs = compare_outputs.listing_outputs(alskit)
+    labels = alskit.gallery.LABELS
+    assert sorted(outputs) == sorted(["gallery listing", *(f"describe {label}" for label in labels)])
+    for label in labels:
+        skeleton, numbers = outputs[f"describe {label}"]
+        assert skeleton.endswith("\n--- stderr\n\n--- exit #\n") and numbers[-1] == 0
+        assert compare_outputs.NUMBER.sub("#", alskit.gallery.SPECS[label].details) in skeleton
+    assert outputs["gallery listing"][0].count("\n") == len(labels) + 4
+
+
+def test_a_changed_spec_text_is_flagged(monkeypatch):
+    label = alskit.gallery.LABELS[0]
+    want = compare_outputs.listing_outputs(alskit)
+    spec = alskit.gallery.SPECS[label]
+    changed_spec = dataclasses.replace(spec, summary=spec.summary + "!")
+    monkeypatch.setitem(alskit.gallery.SPECS, label, changed_spec)
+    got = compare_outputs.listing_outputs(alskit)
+    changed = [name for name in got if compare_outputs.difference(got[name], want[name])]
+    assert changed == ["gallery listing"]

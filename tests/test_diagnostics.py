@@ -31,11 +31,7 @@ from alskit.gallery import blambda_example, desilva_lim, mohlenkamp_example
 from alskit.oracle import finite_diff_grad
 from alskit.tensors import DenseOperator, DenseTensor, IdentityOperator, ModeWiseOperator, Shape
 from alskit.verification import ROUTE_CASES, random_problem, sized_problem
-
-
-def spd(rng, m):
-    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-    return (Q * rng.uniform(0.5, 2.0, size=m)) @ Q.T
+from alskit.verification import random_spd_matrix as spd
 
 
 # ---------------------------------------------------------------------------

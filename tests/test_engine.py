@@ -37,13 +37,9 @@ from alskit.tensors import (
     inner,
 )
 from alskit.verification import ROUTE_CASES, sized_problem
+from alskit.verification import random_spd_matrix as spd
 
 TOL = 1e-12
-
-
-def spd(rng, m):
-    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-    return (Q * rng.uniform(0.5, 2.0, size=m)) @ Q.T
 
 
 # ---------------------------------------------------------------------------
@@ -982,8 +978,9 @@ def test_micro_step_rejects_non_finite_projected_system():
     fmt = CpFormat(shape, 1)
     p = ParamSystem([np.ones(2), np.ones(3)])
     b = DenseTensor(shape, np.arange(1.0, 7.0))
+    # the identity's image of v is v; given, only the block product is broken
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-        micro_step(BrokenBlockApply(shape), b, fmt, p, 0)
+        micro_step(BrokenBlockApply(shape), b, fmt, p, 0, Av_old=evaluate(fmt, p))
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,27 @@ def test_cp_local_map_equals_probe_exactly(dims, rank, zero_block, seed):
         assert np.array_equal(got, probe_map(fmt, blocks, mu))
 
 
+def _outer_product_loop(fmt, blocks):
+    # CP evaluation as one outer-product chain per term, summed in term order
+    mats = [b.reshape((m, fmt.rank), order="F") for b, m in zip(blocks, fmt.shape.dims)]
+    out = np.zeros(fmt.shape.dims)
+    for j in range(fmt.rank):
+        t = mats[0][:, j]
+        for mat in mats[1:]:
+            t = np.multiply.outer(t, mat[:, j])
+        out += t
+    return out.ravel()
+
+
+@settings(deadline=None, max_examples=40)
+@given(**local_map_cases)
+def test_cp_evaluation_is_bitwise_the_outer_product_loop(dims, rank, zero_block, seed):
+    rng = np.random.default_rng(seed)
+    fmt = CpFormat(Shape(tuple(dims)), rank)
+    blocks = _random_blocks(fmt, rng, zero_block)
+    assert np.array_equal(fmt._evaluate_blocks(blocks), _outer_product_loop(fmt, blocks))
+
+
 @settings(deadline=None, max_examples=40)
 @given(**local_map_cases)
 def test_tt_local_map_matches_probe(dims, rank, zero_block, seed):

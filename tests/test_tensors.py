@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alskit.engine import StopRule, run
+from alskit.formats import CpFormat, ParamSystem
 from alskit.tensors import (
     ENTRY_CAP,
     KRON_CHUNK_ENTRIES,
@@ -23,13 +25,9 @@ from alskit.tensors import (
     kron_apply,
     rank_one_sum,
 )
+from alskit.verification import random_spd_matrix as random_spd
 
 TOL = 1e-12
-
-
-def random_spd(rng, m):
-    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-    return (Q * rng.uniform(0.5, 2.0, size=m)) @ Q.T
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +154,7 @@ def test_identity_operator():
     shape = Shape((2, 3))
     A = IdentityOperator(shape)
     v = DenseTensor(shape, np.arange(6, dtype=float))
-    assert A.apply(v) is v
+    assert np.array_equal(A.apply(v).values, v.values)
     assert A.verified
 
 
@@ -244,8 +242,8 @@ def test_modewise_apply_matrix_matches_generic_path(dims, k, seed):
     A = ModeWiseOperator([random_spd(rng, m) for m in dims])
     M = rng.standard_normal((A.shape.size, k))
     got = A.apply_matrix(M)
-    for want in (SpdOperator.apply_matrix(A, M), functools.reduce(np.kron, A.factors) @ M):
-        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    want = functools.reduce(np.kron, A.factors) @ M
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_modewise_apply_matrix_edge_cases():
@@ -330,6 +328,63 @@ def test_kron_apply_in_chunks_is_bitwise_the_slab_loop(dims, k):
     assert np.array_equal(kron_apply(factors, M), _slab_loop_kron_apply(factors, M))
 
 
+# ---------------------------------------------------------------------------
+# one product per operator: apply is apply_matrix on one column
+
+
+class PositiveDiagonal(SpdOperator):
+    """The least an operator defines: its shape, its flag and apply_matrix."""
+
+    variant = "diagonal"
+
+    def __init__(self, shape, diag):
+        self.shape = shape
+        self.verified = True
+        self.diag = np.asarray(diag, dtype=float)
+
+    def apply_matrix(self, M):
+        return self.diag[:, None] * M
+
+
+def shipped_operators(rng, dims):
+    n = int(np.prod(dims))
+    return [
+        IdentityOperator(Shape(dims)),
+        DenseOperator(Shape(dims), random_spd(rng, n)),
+        ModeWiseOperator([random_spd(rng, m) for m in dims]),
+    ]
+
+
+def test_an_operator_that_defines_only_apply_matrix_runs_like_its_dense_matrix():
+    rng = np.random.default_rng(11)
+    shape = Shape((3, 4, 2))
+    d = rng.uniform(0.5, 2.0, size=shape.size)
+    b = DenseTensor(shape, rng.standard_normal(shape.size))
+    fmt = CpFormat(shape, 2)
+    init = ParamSystem([rng.standard_normal(fmt.block_dim(mu)) for mu in range(3)])
+    stop = StopRule(max_sweeps=4)
+    got = run(PositiveDiagonal(shape, d), b, fmt, init, stop)
+    want = run(DenseOperator(shape, np.diag(d)), b, fmt, init, stop)
+    assert got.records == want.records and len(got.records) == 12
+    assert np.array_equal(got.final_v.values, want.final_v.values)
+
+
+@pytest.mark.parametrize("dims", [(5,), (2, 3), (3, 1, 4)])
+def test_apply_is_bitwise_apply_matrix_on_one_column(dims):
+    rng = np.random.default_rng(12)
+    for A in shipped_operators(rng, dims):
+        v = DenseTensor(A.shape, rng.standard_normal(A.shape.size))
+        assert np.array_equal(A.apply(v).values, A.apply_matrix(v.values[:, None])[:, 0])
+
+
+def test_apply_rejects_a_wrong_shaped_operand():
+    rng = np.random.default_rng(13)
+    for A in [*shipped_operators(rng, (2, 3)), PositiveDiagonal(Shape((2, 3)), np.ones(6))]:
+        for dims in [(3, 2), (6,)]:
+            with pytest.raises(ValueError, match="incompatible shapes"):
+                A.apply(DenseTensor.zeros(Shape(dims)))
+
+
 def test_energy_inner_and_norm():
     rng = np.random.default_rng(6)
     dims = (3, 2)
@@ -355,6 +410,27 @@ def test_rank_one_sum_single_term():
 
 def test_rank_one_sum_empty_is_zero():
     assert rank_one_sum(Shape((2, 3)), []).norm() == 0.0
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    coeffs=st.lists(st.sampled_from([1.0, -0.0, -2.5, 1e-300, 3.0e200, 0.1]), max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_rank_one_sum_is_bitwise_the_scaled_outer_product_chain(dims, coeffs, seed):
+    rng = np.random.default_rng(seed)
+    terms = [(c, [rng.standard_normal(m) for m in dims]) for c in coeffs]
+    kept = [[vec.copy() for vec in vectors] for _, vectors in terms]
+    want = np.zeros(dims)
+    for c, vectors in terms:
+        t = vectors[0]
+        for vec in vectors[1:]:
+            t = np.multiply.outer(t, vec)
+        want += c * t
+    got = rank_one_sum(Shape(tuple(dims)), terms).values
+    assert np.array_equal(got, want.ravel())
+    assert all(np.array_equal(a, b) for (_, vs), ks in zip(terms, kept) for a, b in zip(vs, ks))
 
 
 def test_rank_one_sum_validates_terms():

@@ -7,6 +7,9 @@ Run from anywhere; PARENT_TREE is a checkout of the tree to compare with
 runs the same inputs in its own interpreter, with its own ``src`` first on
 the path and one BLAS thread:
 
+- listing: stdout, stderr and exit code of ``alskit gallery`` and of
+  ``alskit describe LABEL`` for every gallery label, the text that
+  ``gallery.SPECS`` drives;
 - gallery: stdout, stderr, exit code and ``--output`` CSV of
   ``alskit run --gallery LABEL`` for every gallery label at its defaults,
   and for ``blambda`` at lambda 0.1, 0.3 and 0.5;
@@ -69,6 +72,14 @@ def _cli(alskit, argv) -> str:
     return f"{out.getvalue()}\n--- stderr\n{err.getvalue()}\n--- exit {code}\n"
 
 
+def listing_outputs(alskit) -> dict:
+    """``alskit gallery`` and ``alskit describe LABEL`` for every label, by name."""
+    outputs = {"gallery listing": _text_output(_cli(alskit, ["gallery"]))}
+    for label in alskit.gallery.LABELS:
+        outputs[f"describe {label}"] = _text_output(_cli(alskit, ["describe", label]))
+    return outputs
+
+
 def _trace_output(trace):
     """(text, numbers) of a run trace: its records, sweep series and final state."""
     tangents = trace.sweep_tangent
@@ -96,7 +107,7 @@ def collect(tree: Path) -> dict:
     import alskit.cli
     import workloads
 
-    outputs = {}
+    outputs = listing_outputs(alskit)
     for label in alskit.gallery.LABELS:
         runs = GALLERY_RUNS if label == "blambda" else [[]]
         for args in runs:
