@@ -405,11 +405,17 @@ def tangent_recursion(
     its coordinate c along the reference and the norm s of its orthogonal
     complement part, the image tangent factors as
     (q_s / q_c) * tan_in where q_s and q_c are the complement and axis
-    amplification factors.
+    amplification factors.  A zero or non-finite reference, which has no
+    angle to split along, raises ValueError.
     """
     ref = np.asarray(reference, dtype=float).ravel()
     v = np.asarray(v_mid, dtype=float).ravel()
-    ref_hat = ref / np.linalg.norm(ref)
+    if not np.isfinite(ref).all():
+        raise ValueError("tangent recursion needs a finite reference")
+    nref = np.linalg.norm(ref)
+    if nref == 0.0:
+        raise ValueError("tangent angle undefined for a zero vector")
+    ref_hat = ref / nref
     c = float(ref_hat @ v)
     s = float(np.linalg.norm(v - c * ref_hat))
     if c == 0.0 or s == 0.0:

@@ -37,6 +37,7 @@ all on either route, and an unverified operator once more per sweep.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,6 +71,7 @@ from .tensors import (
     ModeWiseOperator,
     SpdOperator,
     a_norm,
+    all_finite,
     inner,
     kron_apply,
     vector_norm,
@@ -81,7 +83,7 @@ from .tensors import (
 STRUCTURED_MIN_GRAM_FLOPS = 1e5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LowdinBasis:
     """Orthonormal basis V of range(W) with its back-transform.
 
@@ -101,6 +103,11 @@ class LowdinBasis:
     transform: np.ndarray
     delta: np.ndarray
     rank: int
+
+    def __init__(self, V, transform, delta, rank):
+        # one update of the instance dict: a frozen dataclass's own __init__
+        # makes one object.__setattr__ call per field, on every micro-step
+        vars(self).update(V=V, transform=transform, delta=delta, rank=rank)
 
     @cached_property
     def orth_defect(self) -> float:
@@ -132,21 +139,42 @@ def lowdin_basis(W: np.ndarray, eps_rank: float = EPS_RANK_DEFAULT) -> LowdinBas
     n = W.shape[1]
     if n == 0:
         return _empty_basis(W.shape[0], n)
-    H = W.T @ W
-    H = 0.5 * (H + H.T)
-    if not np.isfinite(H).all():
+    H, finite = _gram(W)
+    if not (finite or np.isfinite(H).all()):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    vals, vecs, info = lapack.dsyevd(H, lower=1)
+    # H is exactly symmetric, so H.T is H in Fortran order: LAPACK works in
+    # it in place, without the copy f2py would make of a C-ordered array
+    vals, vecs, info = lapack.dsyevd(H.T, lower=1, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     # ascending: the largest eigenvalue is last, the kept ones a suffix
     if vals[-1] <= 0.0:
         return _empty_basis(W.shape[0], n)
-    rank = int(np.count_nonzero(vals > eps_rank * vals[-1]))
+    rank = n - bisect.bisect_right(vals.tolist(), eps_rank * vals[-1])
     vals = vals[::-1][:rank].copy()
     # Fortran order, as LowdinBasis says
     transform = np.divide(vecs[:, ::-1][:, :rank], np.sqrt(vals), order="F")
     return LowdinBasis(W @ transform, transform, vals, rank)
+
+
+def _gram(X: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(H, finite): H = X^T X, bitwise 0.5 * (H + H^T), and whether H is known finite.
+
+    numpy computes X.T @ X with BLAS syrk, whose result is exactly
+    symmetric, so the symmetrization returns H unchanged unless an entry
+    reaches half the double range, where it overflows to inf.  An entry
+    of a Gram matrix is at most the mean of its two diagonal entries
+    (Cauchy-Schwarz, up to a few rounding errors), so a doubled trace
+    that is finite rules that out, and every NaN and inf entry with it:
+    H is returned as computed, known finite.  Otherwise H is symmetrized,
+    which turns such an entry into inf, and its entries are the caller's
+    to scan.
+    """
+    H = X.T @ X
+    trace = sum(H.diagonal().tolist())  # Python floats: an overflow is inf, not a warning
+    if math.isfinite(trace + trace):
+        return H, True
+    return 0.5 * (H + H.T), False
 
 
 def _empty_basis(N: int, n: int) -> LowdinBasis:
@@ -160,9 +188,10 @@ def _cholesky_solve(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndar
     ``cho_factor(G, lower=True)`` and ``cho_solve``, so y is identical to
     theirs; ``factor`` holds the lower Cholesky factor for ``_cholesky_apply``.
     An unverified operator (above the SPD check cap) that is not positive
-    definite surfaces here as a ValueError.
+    definite surfaces here as a ValueError, and so does a non-finite entry
+    in G or rhs (``all_finite``).
     """
-    if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
+    if not (all_finite(G) and all_finite(rhs)):
         raise ValueError("array must not contain infs or NaNs")
     factor, info = lapack.dpotrf(G, lower=1, clean=0)
     if info != 0:
@@ -176,7 +205,7 @@ def _cholesky_apply(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lapack.dpotrs(factor, rhs, lower=1)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LocalSolve:
     """The solved Galerkin system of one block, and the maps it is made of.
 
@@ -208,6 +237,15 @@ class LocalSolve:
     energy_pinv: Callable[[np.ndarray], np.ndarray] | None
     route: str
     image: np.ndarray | None = None
+
+    def __init__(
+        self, rank, block, iterate, forward, adjoint, gram_pinv, energy_pinv, route, image=None
+    ):
+        # as LowdinBasis: one dict update in place of nine object.__setattr__ calls
+        vars(self).update(
+            rank=rank, block=block, iterate=iterate, forward=forward, adjoint=adjoint,
+            gram_pinv=gram_pinv, energy_pinv=energy_pinv, route=route, image=image,
+        )
 
 
 def coupling(
@@ -252,8 +290,9 @@ def formed_solve(
 ) -> LocalSolve:
     """The Galerkin system of block mu on the formed W and its Löwdin basis.
 
-    G = V^T (A V) (symmetrized); the new block is basis.transform @ y, the
-    iterate V y and its image (A V) y: the iterate itself for the identity.
+    G = V^T (A V) (symmetrized; for the identity the exactly symmetric
+    ``_gram`` of V); the new block is basis.transform @ y, the iterate V y
+    and its image (A V) y: the iterate itself for the identity.
     """
     W = materialize_W(fmt, p, mu)
     basis = lowdin_basis(W, eps_rank)
@@ -262,8 +301,11 @@ def formed_solve(
         return LocalSolve(0, None, None, *maps, None, None, "formed")
     V, T = basis.V, basis.transform
     AV = A.apply_matrix(V)
-    G = V.T @ AV
-    G = 0.5 * (G + G.T)
+    if AV is V:
+        G = _gram(V)[0]
+    else:
+        G = V.T @ AV
+        G = 0.5 * (G + G.T)
     y, factor = _cholesky_solve(G, V.T @ b.values)
     iterate = V @ y
 
@@ -332,7 +374,7 @@ def structured_solve(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         svds = []
         for factor in factors:
-            if not np.isfinite(factor).all():
+            if not all_finite(factor):
                 raise np.linalg.LinAlgError("SVD did not converge")
             Uf, sigma, Xt = _thin_svd(factor)
             if sigma[0] == 0.0:
@@ -444,7 +486,8 @@ def micro_step(
     else:
         p_new = p.replace(mu, sol.block)
         v_new = DenseTensor._wrap(b.shape, sol.iterate)
-        Av_new = DenseTensor._wrap(b.shape, sol.image)
+        # the identity's image is the iterate itself: one immutable tensor for both
+        Av_new = v_new if sol.image is sol.iterate else DenseTensor._wrap(b.shape, sol.image)
         f_new = (0.5 * inner(Av_new, v_new) - inner(b, v_new)) / b2
         if not math.isfinite(f_new):  # a non-finite entry, or an overflow of f alone
             DenseTensor(b.shape, v_new.values)
@@ -487,8 +530,9 @@ class StopRule:
     they fire only on exact stalls unless widened.  ``angle_tol`` is a
     strict < test on the per-sweep tangent; None or a nonpositive value
     disables it.  A NaN tolerance, which would silently switch its test
-    off, is rejected.  Reason priority: degenerate, angle_small,
-    grad_small, f_stalled, max_sweeps.
+    off, is rejected, and so is a ``max_sweeps`` that is not an integer.
+    Reason priority: degenerate, angle_small, grad_small, f_stalled,
+    max_sweeps.
     """
 
     max_sweeps: int
@@ -497,6 +541,9 @@ class StopRule:
     angle_tol: float | None = None
 
     def __post_init__(self):
+        # numpy integers are integers; a bool is not, as on the command line
+        if isinstance(self.max_sweeps, bool) or not isinstance(self.max_sweeps, (int, np.integer)):
+            raise ValueError(f"max_sweeps must be an integer, got {self.max_sweeps!r}")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
         for name in ("f_tol", "grad_tol"):

@@ -23,19 +23,27 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 
-from .tensors import DenseTensor, Shape, rank_one_sum, vector_norm
+from .tensors import DenseTensor, Shape, rank_one_values, vector_norm
 
 
-def _frozen_block(vec) -> np.ndarray:
-    """Read-only flat float64 copy of vec; rejects NaN and inf."""
+def _frozen_block(vec) -> tuple[np.ndarray, float]:
+    """Read-only flat float64 copy of vec and its norm; rejects NaN and inf.
+
+    A finite norm has no NaN or inf entry under it, so the entries are
+    scanned only when the norm is not finite: a non-finite entry, or
+    finite entries whose squares overflow (such a block is kept, with
+    norm inf).
+    """
     arr = np.array(vec, dtype=float).ravel()
-    if not np.isfinite(arr).all():
+    norm = vector_norm(arr)
+    if not (math.isfinite(norm) or np.isfinite(arr).all()):
         raise ValueError("parameter entries must be finite")
-    arr.flags.writeable = False
-    return arr
+    arr.setflags(write=False)
+    return arr, norm
 
 
 def unfold(x: np.ndarray, a: int, m: int) -> np.ndarray:
@@ -75,11 +83,10 @@ class ParamSystem:
     __slots__ = ("blocks", "_norms")
 
     def __init__(self, blocks):
-        blocks = tuple(_frozen_block(vec) for vec in blocks)
         with np.errstate(over="ignore"):  # construction measures, it does not warn
-            norms = tuple(vector_norm(b) for b in blocks)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_norms", norms)
+            frozen = [_frozen_block(vec) for vec in blocks]
+        object.__setattr__(self, "blocks", tuple(block for block, _ in frozen))
+        object.__setattr__(self, "_norms", tuple(norm for _, norm in frozen))
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamSystem is immutable")
@@ -99,8 +106,7 @@ class ParamSystem:
         """
         blocks = list(self.blocks)
         norms = list(self._norms)
-        blocks[mu] = block = _frozen_block(vec)
-        norms[mu] = vector_norm(block)
+        blocks[mu], norms[mu] = _frozen_block(vec)
         new = object.__new__(type(self))
         object.__setattr__(new, "blocks", tuple(blocks))
         object.__setattr__(new, "_norms", tuple(norms))
@@ -182,7 +188,14 @@ class TensorFormat:
         np.einsum("lirkic->lirkc", W)[...] = Z.reshape(left, 1, -1, a, c)
         return W.reshape(self.shape.size, a * m * c)
 
+    @cached_property
+    def _block_sizes(self) -> tuple[int, ...]:
+        return tuple(self.block_dim(mu) for mu in range(self.num_blocks))
+
     def check_params(self, p: ParamSystem):
+        """Reject a parameter system whose block lengths do not fit the format."""
+        if tuple(b.size for b in p.blocks) == self._block_sizes:
+            return
         if len(p) != self.num_blocks:
             raise ValueError(
                 f"parameter system has {len(p)} blocks, format needs {self.num_blocks}"
@@ -229,7 +242,7 @@ class CpFormat(TensorFormat):
             for b, m in zip(blocks, self.shape.dims)
         ]
         terms = [(1.0, [mat[:, j] for mat in mats]) for j in range(self.rank)]
-        return rank_one_sum(self.shape, terms).values
+        return rank_one_values(self.shape.dims, terms)
 
     def unfolding_factors(self, blocks, mu: int) -> list[np.ndarray]:
         """The Khatri-Rao product of the frozen factors, (N / m_mu) x r.

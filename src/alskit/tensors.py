@@ -70,7 +70,7 @@ class DenseTensor:
         if not np.isfinite(vals).all():
             raise ValueError("tensor entries must be finite")
         vals = np.ascontiguousarray(vals)
-        vals.flags.writeable = False
+        vals.setflags(write=False)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "values", vals)
 
@@ -78,7 +78,7 @@ class DenseTensor:
     def _wrap(cls, shape: Shape, values: np.ndarray) -> "DenseTensor":
         """Read-only view of a flat float64 vector of length shape.size, unscanned."""
         vals = np.ascontiguousarray(values).ravel()
-        vals.flags.writeable = False
+        vals.setflags(write=False)
         self = object.__new__(cls)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "values", vals)
@@ -287,10 +287,21 @@ def vector_norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
+def all_finite(x: np.ndarray) -> bool:
+    """``np.isfinite(x).all()``, from one sum first.
+
+    A finite sum has no NaN or inf term, so the entries are scanned only
+    when the sum is not finite: a non-finite entry, or finite entries
+    whose sum overflows (which numpy warns about, as about any overflow).
+    """
+    return math.isfinite(np.add.reduce(x, None)) or bool(np.isfinite(x).all())
+
+
 def inner(u: DenseTensor, v: DenseTensor) -> float:
     """Euclidean inner product on the tensor space."""
-    _check_same_shape(u, v)
-    return float(np.dot(u.values, v.values))
+    if u.shape.dims != v.shape.dims:
+        _check_same_shape(u, v)
+    return float(u.values.dot(v.values))
 
 
 def a_norm(A: SpdOperator, v: DenseTensor) -> float:
@@ -309,25 +320,42 @@ def rank_one_sum(shape: Shape, terms) -> DenseTensor:
     """Dense tensor sum_j c_j * v_{j,1} (x) ... (x) v_{j,d}.
 
     ``terms`` is a list of (coefficient, [d mode vectors]); an empty list
-    yields the zero tensor.
+    yields the zero tensor.  Each term is checked against the shape, and
+    ``rank_one_values`` adds them up.
     """
-    out = np.zeros(shape.dims)
+    checked = []
     for coeff, vectors in terms:
         if len(vectors) != shape.ndim:
             raise ValueError(
                 f"term supplies {len(vectors)} vectors for {shape.ndim} modes"
             )
-        t = None
+        arrs = []
         for nu, vec in enumerate(vectors):
-            arr = np.array(vec, dtype=float).ravel()  # a copy, so t is the term's own
+            arr = np.asarray(vec, dtype=float).ravel()
             if arr.size != shape.dims[nu]:
                 raise ValueError(
                     f"mode {nu} vector has length {arr.size}, expected {shape.dims[nu]}"
                 )
-            t = arr if t is None else np.multiply.outer(t, arr)
-        t *= float(coeff)  # in place: a new N-sized array per term costs more than the term
+            arrs.append(arr)
+        checked.append((float(coeff), arrs))
+    return DenseTensor(shape, rank_one_values(shape.dims, checked))
+
+
+def rank_one_values(dims: tuple[int, ...], terms) -> np.ndarray:
+    """The flat values of ``rank_one_sum``, for terms that need no checks.
+
+    Each term is a float coefficient and one flat float vector per mode,
+    of the lengths in ``dims``.  The term is the outer-product chain of
+    its vectors, scaled in place and added, in term order.
+    """
+    out = np.zeros(dims)
+    for coeff, vectors in terms:
+        t = vectors[0].copy()  # the term's own: a one-mode term is scaled in place
+        for vec in vectors[1:]:
+            t = np.multiply.outer(t, vec)
+        t *= coeff  # in place: a new N-sized array per term costs more than the term
         out += t
-    return DenseTensor(shape, out.ravel())
+    return out.ravel()
 
 
 def index_value_rows(v: DenseTensor):

@@ -56,3 +56,30 @@ def test_a_changed_spec_text_is_flagged(monkeypatch):
     got = compare_outputs.listing_outputs(alskit)
     changed = [name for name in got if compare_outputs.difference(got[name], want[name])]
     assert changed == ["gallery listing"]
+
+
+def test_error_outputs_are_one_error_line_and_exit_one():
+    outputs = compare_outputs.error_outputs(alskit)
+    messages = {
+        "error blambda --lambda 1e308": "error: [blambda] Eigenvalues did not converge",
+        "error mohlenkamp --tau 1e308": "error: [mohlenkamp] tensor entries must be finite",
+        "error overflow svd": "error: [custom] SVD did not converge",
+        "error overflow gram": "error: [custom] Eigenvalues did not converge",
+    }
+    assert sorted(outputs) == sorted(messages)
+    for name, message in messages.items():
+        skeleton, numbers = outputs[name]
+        assert skeleton == f"\n--- stderr\n{message}\n\n--- exit #\n"
+        assert numbers.tolist() == [1.0]  # the exit code
+
+
+def test_a_changed_error_message_is_flagged(monkeypatch):
+    want = compare_outputs.error_outputs(alskit)
+
+    def reworded(W, eps_rank):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge!")
+
+    monkeypatch.setattr(alskit.engine, "lowdin_basis", reworded)
+    got = compare_outputs.error_outputs(alskit)
+    changed = sorted(name for name in got if compare_outputs.difference(got[name], want[name]))
+    assert changed == ["error blambda --lambda 1e308", "error overflow gram"]

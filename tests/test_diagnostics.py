@@ -1,6 +1,7 @@
 """Objective, gradients, angles, rate classification, monitors, replays."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -604,6 +605,24 @@ def test_tangent_recursion_factorization():
         rel=1e-12,
     )
     assert tr.q_s > 0.0 and tr.q_c > 0.0
+
+
+def test_tangent_recursion_rejects_a_zero_reference_without_a_warning():
+    # dividing by the zero norm would return NaN in every field
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^tangent angle undefined for a zero vector$"):
+            tangent_recursion(np.eye(27), np.zeros(27), np.ones(27))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tangent_recursion_rejects_a_non_finite_reference(bad):
+    reference = np.ones(27)
+    reference[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^tangent recursion needs a finite reference$"):
+            tangent_recursion(np.eye(27), reference, np.arange(27.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The solver core: Löwdin bases, micro-steps, sweeps, stop rules, run traces."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from alskit import engine
-from alskit.diagnostics import objective, recursion_check, recursion_contexts
+from alskit.diagnostics import EPS_RANK_DEFAULT, objective, recursion_check, recursion_contexts
 from alskit.engine import StopRule, lowdin_basis, micro_step, run
 from alskit.formats import (
     CpFormat,
@@ -188,6 +189,143 @@ def test_non_finite_gram_fails_before_the_eigensolver(monkeypatch):
         # the outcome np.linalg.eigh gave on this Gram matrix
         with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
             run(A, b, fmt, p, StopRule(max_sweeps=1))
+
+
+# ---------------------------------------------------------------------------
+# each check once: a scalar first, the full scan only when it is not finite
+
+BAD_ENTRIES = st.sampled_from(
+    [np.nan, np.inf, -np.inf, 1e308, -1e308, 8.9e307, 9.0e307, 1e200, 1.0]
+)
+
+
+def _spoiled(rng, x, entries):
+    """x with the given entries written at random places."""
+    flat = x.reshape(-1)
+    for entry in entries:
+        flat[rng.integers(flat.size)] = entry
+    return x
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    k=st.integers(1, 5),
+    cols=st.integers(1, 3),
+    g_entries=st.lists(BAD_ENTRIES, max_size=3),
+    rhs_entries=st.lists(BAD_ENTRIES, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_cholesky_solve_rejects_exactly_the_non_finite_systems(
+    k, cols, g_entries, rhs_entries, seed
+):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((k, k))
+    G = _spoiled(rng, X @ X.T + k * np.eye(k), g_entries)
+    rhs = _spoiled(rng, rng.standard_normal((k, cols) if cols > 1 else k), rhs_entries)
+    finite = np.isfinite(G).all() and np.isfinite(rhs).all()
+    with np.errstate(all="ignore"):
+        try:
+            engine._cholesky_solve(G, rhs)
+        except ValueError as exc:
+            assert (str(exc) == "array must not contain infs or NaNs") == (not finite)
+        else:
+            assert finite
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 5),
+    entries=st.lists(
+        st.sampled_from([np.nan, np.inf, -np.inf, 1e160, 1e154, 9.5e153, 6e153, -6e153, 3e153]),
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_lowdin_basis_rejects_exactly_the_grams_the_symmetrization_overflows(
+    rows, cols, entries, seed
+):
+    # symmetrizing H = W^T W turns an entry at or above half the double
+    # range into inf: such a Gram matrix raises like a non-finite one
+    rng = np.random.default_rng(seed)
+    W = _spoiled(rng, rng.standard_normal((rows, cols)), entries)
+    with np.errstate(all="ignore"):
+        H = W.T @ W
+        H = 0.5 * (H + H.T)
+        try:
+            basis = lowdin_basis(W)
+        except np.linalg.LinAlgError as exc:
+            assert str(exc) == "Eigenvalues did not converge"
+            assert not np.isfinite(H).all()
+        else:
+            assert np.isfinite(H).all()
+            V, transform, delta, rank = _eigh_lowdin(W, EPS_RANK_DEFAULT)
+            assert basis.rank == rank
+            assert np.array_equal(basis.transform, transform)
+            assert np.array_equal(basis.V, V)
+
+
+def test_a_gram_entry_above_half_the_double_range_still_fails_to_converge():
+    # H = [[a^2, -a^2], [-a^2, a^2]] sums to 0, yet 2 a^2 overflows
+    a = 9.5e153
+    for W in (np.array([[a, -a]]), np.array([[a, 1.0], [0.0, 1.0]])):
+        H = W.T @ W
+        assert np.isfinite(H).all() and np.abs(H).max() > np.finfo(float).max / 2
+        with np.errstate(all="ignore"), pytest.raises(
+            np.linalg.LinAlgError, match="^Eigenvalues did not converge$"
+        ):
+            lowdin_basis(W)
+    # below half the range, with a trace that overflows when doubled: no error
+    b = 6e153
+    basis = lowdin_basis(np.diag([b, b, b]))
+    assert basis.rank == 3 and np.array_equal(basis.delta, [b * b] * 3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(rows=st.integers(1, 400), cols=st.integers(1, 40), seed=st.integers(0, 2**16))
+def test_gram_products_are_exactly_symmetric(rows, cols, seed):
+    # numpy computes X.T @ X with BLAS syrk; the solver relies on H == H.T bit for bit
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((rows, cols)) * np.logspace(0, -6, cols)
+    for X in (W, np.asfortranarray(W), W[::2, ::2]):
+        H = X.T @ X
+        assert np.array_equal(H, H.T)
+    H = W.T @ W
+    V = lowdin_basis(W, 0.0).V
+    G = V.T @ V
+    assert np.array_equal(G, G.T)
+    gram, finite = engine._gram(W)
+    assert finite and np.array_equal(gram, H)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    exponents=st.lists(st.integers(-40, 0), min_size=1, max_size=7),
+    zeros=st.integers(0, 2),
+    eps_exponent=st.one_of(st.none(), st.integers(-80, -1)),
+    seed=st.integers(0, 2**16),
+)
+def test_rank_cut_keeps_the_eigenvalues_strictly_above_the_threshold(
+    exponents, zeros, eps_exponent, seed
+):
+    # powers of two on a diagonal: exact Gram eigenvalues, some exactly at
+    # the threshold eps_rank * delta_1, which are dropped
+    rng = np.random.default_rng(seed)
+    diag = [2.0 ** e for e in exponents] + [0.0] * zeros
+    W = np.diag(rng.permutation(diag))
+    eps_rank = 0.0 if eps_exponent is None else 2.0 ** eps_exponent
+    basis = lowdin_basis(W, eps_rank)
+    vals = engine.lapack.dsyevd(W.T @ W, lower=1)[0]
+    assert basis.rank == int(np.count_nonzero(vals > eps_rank * vals[-1]))
+    assert basis.rank == sum(d * d > eps_rank * max(diag) ** 2 for d in diag)
+
+
+def test_rank_cut_drops_an_eigenvalue_exactly_at_the_threshold():
+    W = np.diag([1.0, 2.0**-5, 2.0**-6])
+    assert lowdin_basis(W, 2.0**-10).rank == 1  # 2^-10 is the threshold itself
+    assert lowdin_basis(W, 2.0**-11).rank == 2
+    assert lowdin_basis(W, 0.0).rank == 3
+    assert lowdin_basis(np.diag([1.0, 0.0]), 0.0).rank == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1033,6 +1171,30 @@ def test_stop_rule_validation():
     for name in ("f_tol", "grad_tol", "angle_tol"):
         with pytest.raises(ValueError, match=f"{name} must be"):
             StopRule(max_sweeps=1, **{name: float("nan")})
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [(2.5, "2.5"), (True, "True"), (float("nan"), "nan"), (3.0, "3.0"), ("3", "'3'")],
+)
+def test_stop_rule_rejects_a_max_sweeps_that_is_not_an_integer(value, shown):
+    # run would die in range() with a TypeError; the CLI's wording instead
+    message = f"^max_sweeps must be an integer, got {re.escape(shown)}$"
+    with pytest.raises(ValueError, match=message):
+        StopRule(max_sweeps=value)
+
+
+def test_stop_rule_takes_numpy_integers():
+    for value in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert StopRule(max_sweeps=value).max_sweeps == 2
+    with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
+        StopRule(max_sweeps=np.int64(0))
+    shape = Shape((2, 3))
+    fmt = CpFormat(shape, 1)
+    p = ParamSystem([np.ones(2), np.ones(3)])
+    b = DenseTensor(shape, np.arange(1.0, 7.0))
+    trace = run(IdentityOperator(shape), b, fmt, p, StopRule(max_sweeps=np.int64(2)))
+    assert trace.sweeps == 2
 
 
 def test_stop_rule_nonpositive_angle_tol_disables():

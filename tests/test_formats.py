@@ -109,6 +109,38 @@ def test_param_system_replace_shares_frozen_blocks_and_checks_the_new_one():
         q.blocks = ()
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    size=st.integers(1, 6),
+    entries=st.lists(
+        st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e200, 1e160, 1.0]), max_size=4
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_param_system_rejects_exactly_the_non_finite_blocks(size, entries, seed):
+    # a finite norm rules out NaN and inf; an overflowing one is scanned
+    rng = np.random.default_rng(seed)
+    vec = rng.standard_normal(size)
+    for entry in entries:
+        vec[rng.integers(size)] = entry
+    finite = bool(np.isfinite(vec).all())
+    makers = (
+        lambda: ParamSystem([vec, [1.0]]),
+        lambda: ParamSystem([[1.0], [2.0]]).replace(0, vec),
+    )
+    with np.errstate(over="ignore"):
+        want = float(np.linalg.norm(vec))
+        for make in makers:
+            try:
+                p = make()
+            except ValueError as exc:
+                assert str(exc) == "parameter entries must be finite" and not finite
+            else:
+                assert finite
+                assert p.norms()[0] == want  # inf when the squares overflow
+                assert np.array_equal(p[0], vec)
+
+
 # ---------------------------------------------------------------------------
 # CP format
 
@@ -137,6 +169,23 @@ def test_cp_rank_two_sums_terms():
     # columns (e1, e2) in both modes: e1(x)e1 + e2(x)e2 = identity matrix
     blocks = [np.eye(2).ravel(order="F")] * 2
     assert np.allclose(evaluate(fmt, ParamSystem(blocks)).as_array(), np.eye(2), atol=TOL)
+
+
+def test_cp_evaluation_scans_its_values_once(monkeypatch):
+    fmt = CpFormat(Shape((3, 4, 5)), 2)
+    rng = np.random.default_rng(5)
+    p = ParamSystem([rng.standard_normal(fmt.block_dim(mu)) for mu in range(3)])
+    want = evaluate(fmt, p).values
+    scanned = []
+    isfinite = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        scanned.append(np.size(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    assert np.array_equal(evaluate(fmt, p).values, want)
+    assert scanned == [60]
 
 
 def test_cp_rejects_bad_rank():
@@ -230,6 +279,12 @@ def test_check_params_validates_count_and_length():
         fmt.check_params(ParamSystem([[1.0, 0.0]]))
     with pytest.raises(ValueError, match="block 1 has length 3"):
         fmt.check_params(ParamSystem([[1.0, 0.0], [1.0, 0.0, 0.0]]))
+    tt = TtFormat(Shape((2, 3, 2)), (2, 2))
+    tt.check_params(ParamSystem([np.ones(4), np.ones(12), np.ones(4)]))
+    with pytest.raises(ValueError, match=r"^block 1 has length 11, expected 12$"):
+        tt.check_params(ParamSystem([np.ones(4), np.ones(11), np.ones(5)]))
+    with pytest.raises(ValueError, match=r"^parameter system has 4 blocks, format needs 3$"):
+        tt.check_params(ParamSystem([np.ones(4), np.ones(12), np.ones(4), np.ones(1)]))
 
 
 def test_param_dim_range_check():

@@ -14,6 +14,11 @@ the path and one BLAS thread:
   ``alskit run --gallery LABEL`` for every gallery label at its defaults,
   and for ``blambda`` at lambda 0.1, 0.3 and 0.5;
 - verify: stdout, stderr and exit code of ``alskit verify``;
+- errors: stdout, stderr and exit code of runs that fail on overflow:
+  ``run --gallery blambda --lambda 1e308``, ``run --gallery mohlenkamp
+  --tau 1e308``, and the two configs of finite CP parameters whose
+  unfolding factor (structured route, an SVD) or formed Gram matrix
+  overflows, built as ``tests/test_cli.py`` builds them;
 - ladder: the ``modewise_ladder`` problems on seeds 3, 7 and 101, solved as
   the benchmark solves them: every micro-step record, ``sweep_f``,
   ``dist_a``, the final parameters and the final iterate;
@@ -34,6 +39,7 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import json
 import os
 import pickle
 import re
@@ -80,6 +86,47 @@ def listing_outputs(alskit) -> dict:
     return outputs
 
 
+def _overflow_config(alskit, dims, operator) -> dict:
+    """A one-sweep CP config whose finite parameters overflow in the first step's W."""
+    m = dims[0]
+    A, b, fmt, p = alskit.verification.sized_problem(44, "cp", dims, 3, operator)
+    blocks = [p[mu].copy() for mu in range(fmt.num_blocks)]
+    blocks[0][:m] *= 1e-300  # column 0 of the mode-0 factor
+    blocks[1][0] = blocks[2][0] = 1e200
+    if operator == "identity":
+        op = {"kind": "identity"}
+    else:
+        op = {"kind": "modewise", "factors": [f.tolist() for f in A.factors]}
+    problem = {
+        "dims": list(dims),
+        "format": "cp",
+        "ranks": [3],
+        "operator": op,
+        "target": {"dense": b.values.tolist()},
+        "init": [block.tolist() for block in blocks],
+    }
+    return {"problem": problem, "max_sweeps": 1}
+
+
+def error_outputs(alskit) -> dict:
+    """Runs that end in an overflow error, by name: stdout, stderr and exit code."""
+    outputs = {}
+    for label, flag in (("blambda", "--lambda"), ("mohlenkamp", "--tau")):
+        argv = ["run", "--gallery", label, flag, "1e308"]
+        outputs[f"error {label} {flag} 1e308"] = _text_output(_cli(alskit, argv))
+    configs = {
+        "svd": _overflow_config(alskit, (8, 8, 8), "modewise"),
+        "gram": _overflow_config(alskit, (4, 4, 4), "identity"),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in configs.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            argv = ["run", "--config", str(path)]
+            outputs[f"error overflow {name}"] = _text_output(_cli(alskit, argv))
+    return outputs
+
+
 def _trace_output(trace):
     """(text, numbers) of a run trace: its records, sweep series and final state."""
     tangents = trace.sweep_tangent
@@ -105,6 +152,7 @@ def collect(tree: Path) -> dict:
     sys.path.insert(0, str(tree / "src"))
     import alskit
     import alskit.cli
+    import alskit.verification
     import workloads
 
     outputs = listing_outputs(alskit)
@@ -118,6 +166,7 @@ def collect(tree: Path) -> dict:
             os.remove("trace.csv")
             outputs[" ".join(["gallery", label, *args])] = _text_output(text)
     outputs["verify"] = _text_output(_cli(alskit, ["verify"]))
+    outputs.update(error_outputs(alskit))
 
     for seed in LADDER_SEEDS:
         stop = alskit.StopRule(max_sweeps=workloads.LADDER_SWEEPS)
