@@ -8,8 +8,9 @@ serialized with repr() so identical runs produce identical bytes.
 one of them takes, and `run` rejects any other gallery flag for it.  The
 run settings come from one table, ``RUN_SETTINGS``: each row is a flag and
 a config key.  A bad setting, from a config file or a flag, exits 1 before
-any solve starts; a config value must already have the setting's type, and
-an output path must name a file in a directory that exists.
+any solve starts; a config value must already have the setting's type (a
+gallery argument under ``args`` the type of its flag), and an output path
+must name a file in a directory that exists.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .tensors import (
     IdentityOperator,
     ModeWiseOperator,
     Shape,
+    check_int,
     index_value_rows,
     rank_one_sum,
 )
@@ -189,8 +191,13 @@ GALLERY_FLAGS = (
 
 
 def _instance_from_gallery(label: str, args: dict) -> ProblemInstance:
+    """The gallery instance of ``label``; each argument must have its flag's type."""
     if label not in gallery.LABELS:
         raise CliError(f"unknown gallery label {label!r}")
+    args = dict(args)
+    for key, _, kind, _ in GALLERY_FLAGS:
+        if key in args:
+            args[key] = _typed_value(key, kind, args[key])
     try:
         return gallery.get_instance(label, **args)
     except (TypeError, ValueError) as exc:
@@ -223,6 +230,29 @@ RUN_SETTINGS = (
 )
 
 
+def _typed_value(name: str, kind, val):
+    """A config value as the flag of type ``kind`` parses it, or a usage error.
+
+    An integer takes an integer (``check_int``), a number an integer
+    (returned as a float) or a float, and a comma-separated integer list
+    a JSON array of integers; a bool or a string is none of them.
+    """
+    try:
+        if kind is _int_tuple:
+            if not isinstance(val, (list, tuple)):
+                raise ValueError
+            return tuple(check_int(m, name) for m in val)
+        if kind is int:
+            return check_int(val, name)
+        # type(), not isinstance(): a JSON true is not the integer 1
+        if type(val) not in (int, float):
+            raise ValueError
+        return float(val)
+    except (ValueError, OverflowError):
+        what = {int: "an integer", float: "a number"}.get(kind, "a list of integers")
+        raise CliError(f"{name} must be {what}, got {val!r}") from None
+
+
 def _check_settings(job: dict):
     """Check the run settings in place; a bad value is a usage error.
 
@@ -250,15 +280,7 @@ def _check_settings(job: dict):
                 if not os.path.isdir(os.path.dirname(path) or "."):
                     raise CliError(f"{name} {path!r} is in a directory that does not exist")
         else:
-            # type(), not isinstance(): a JSON true is not the integer 1
-            ok = type(val) is int or (kind is float and type(val) is float)
-            try:
-                if not ok:
-                    raise TypeError
-                job[name] = kind(val)
-            except (TypeError, OverflowError):
-                what = "an integer" if kind is int else "a number"
-                raise CliError(f"{name} must be {what}, got {val!r}") from None
+            job[name] = _typed_value(name, kind, val)
     check_eps_rank(job["eps_rank"])
     if job["rate_window"] < 1:
         raise CliError(f"rate_window must be >= 1, got {job['rate_window']!r}")

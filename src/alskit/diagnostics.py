@@ -79,11 +79,16 @@ def stable_tangent(reference, vec) -> float:
     nv = vector_norm(v)
     if nref == 0.0 or nv == 0.0:
         raise ValueError("tangent angle undefined for a zero vector")
-    ref_hat = ref / nref
-    c = float(ref_hat @ v)
+    c, s = _split(ref / nref, v)
     if abs(c) <= COS_CUTOFF * nv:
         return float("inf")
-    return vector_norm(v - c * ref_hat) / abs(c)
+    return s / abs(c)
+
+
+def _split(ref_hat: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """(c, s): v = c * ref_hat + (a part of norm s orthogonal to the unit vector ref_hat)."""
+    c = float(ref_hat @ v)
+    return c, vector_norm(v - c * ref_hat)
 
 
 @dataclass
@@ -412,18 +417,15 @@ def tangent_recursion(
     v = np.asarray(v_mid, dtype=float).ravel()
     if not np.isfinite(ref).all():
         raise ValueError("tangent recursion needs a finite reference")
-    nref = np.linalg.norm(ref)
+    nref = vector_norm(ref)
     if nref == 0.0:
         raise ValueError("tangent angle undefined for a zero vector")
     ref_hat = ref / nref
-    c = float(ref_hat @ v)
-    s = float(np.linalg.norm(v - c * ref_hat))
+    c, s = _split(ref_hat, v)
     if c == 0.0 or s == 0.0:
         raise ValueError("tangent recursion needs nonzero axis and complement parts")
     tan_in = s / abs(c)
-    w = transfer @ v
-    c_out = float(ref_hat @ w)
-    s_out = float(np.linalg.norm(w - c_out * ref_hat))
+    c_out, s_out = _split(ref_hat, transfer @ v)
     if c_out == 0.0:
         raise ValueError("transfer image orthogonal to the reference")
     tan_out = s_out / abs(c_out)

@@ -13,8 +13,9 @@ W, where W^T W = Z^T Z (x) I.  Its projected operator is the Kronecker
 product G = S (x) K_mu, which it never forms either: it solves
 S Y K_mu = R with one Cholesky solve per factor.
 Either route returns, next to the solution and its image A V y (from the
-A V its G is made of), the maps the system is made of (``LocalSolve``):
-W, W^T and the Gram and energy pseudo-inverses.
+A V its G is made of), the maps the system is made of: W, W^T and the
+Gram and energy pseudo-inverses.  That record, ``LocalSolve``, and the
+Löwdin basis, ``LowdinBasis``, are named tuples.
 The transfer-map replay chains them with ``coupling``, the coupling of
 two blocks against the target, which depends on (b, p) alone.  Both
 routes solve their SPD systems with LAPACK's Cholesky routines
@@ -24,12 +25,13 @@ minimum-norm block update, and wraps the solver's new iterate and its
 image without re-scanning them: a non-finite entry in either makes the
 new objective non-finite, and that one scalar is checked.  ``run`` is the
 solver loop: each sweep calls ``micro_step`` on the blocks in order, and
-sweeps repeat until a stop rule fires.  The references passed to ``run``
-choose the tracked tangent: a reference factor, else a reference tensor,
-else none.  The iterate's image A v is handed from step to step, so no
-step applies the full operator; the target's squared norm <b, b> is
-handed on the same way, and the parameter system carries its block
-norms, so a step measures only the block it writes.
+sweeps repeat until ``StopRule.termination`` names a reason to stop.
+The references passed to ``run`` choose the tracked tangent: a reference
+factor, else a reference tensor, else none.  The iterate's image A v is
+handed from step to step, so no step applies the full operator; the
+target's squared norm <b, b> is handed on the same way, and the
+parameter system carries its block norms, so a step measures only the
+block it writes.
 For a verified operator ``run`` also takes the energy distance between
 sweep iterates from the two carried images, so a run applies A once in
 all on either route, and an unverified operator once more per sweep.
@@ -40,8 +42,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -57,6 +58,7 @@ from .formats import (
     ParamSystem,
     TensorFormat,
     check_block,
+    check_reference,
     check_reference_factor,
     evaluate,
     fold,
@@ -72,6 +74,7 @@ from .tensors import (
     SpdOperator,
     a_norm,
     all_finite,
+    check_int,
     inner,
     kron_apply,
     vector_norm,
@@ -83,8 +86,7 @@ from .tensors import (
 STRUCTURED_MIN_GRAM_FLOPS = 1e5
 
 
-@dataclass(frozen=True, init=False)
-class LowdinBasis:
+class LowdinBasis(NamedTuple):
     """Orthonormal basis V of range(W) with its back-transform.
 
     ``transform`` maps projected coordinates back to block parameters:
@@ -95,7 +97,7 @@ class LowdinBasis:
     so products with it are the same BLAS calls).  ``delta`` holds the
     retained Gram eigenvalues in descending order.  ``orth_defect``, the
     measured departure of V^T V from the identity (observed, not
-    enforced), is computed from V on first read: the solver never reads
+    enforced), is computed from V on each read: the solver never reads
     it, so a micro-step does not pay its N * rank^2 product.
     """
 
@@ -104,12 +106,7 @@ class LowdinBasis:
     delta: np.ndarray
     rank: int
 
-    def __init__(self, V, transform, delta, rank):
-        # one update of the instance dict: a frozen dataclass's own __init__
-        # makes one object.__setattr__ call per field, on every micro-step
-        vars(self).update(V=V, transform=transform, delta=delta, rank=rank)
-
-    @cached_property
+    @property
     def orth_defect(self) -> float:
         if self.rank == 0:
             return 0.0
@@ -205,8 +202,7 @@ def _cholesky_apply(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lapack.dpotrs(factor, rhs, lower=1)[0]
 
 
-@dataclass(frozen=True, init=False)
-class LocalSolve:
+class LocalSolve(NamedTuple):
     """The solved Galerkin system of one block, and the maps it is made of.
 
     G y = V^T b with G = V^T A V on an orthonormal basis V = W T of
@@ -237,15 +233,6 @@ class LocalSolve:
     energy_pinv: Callable[[np.ndarray], np.ndarray] | None
     route: str
     image: np.ndarray | None = None
-
-    def __init__(
-        self, rank, block, iterate, forward, adjoint, gram_pinv, energy_pinv, route, image=None
-    ):
-        # as LowdinBasis: one dict update in place of nine object.__setattr__ calls
-        vars(self).update(
-            rank=rank, block=block, iterate=iterate, forward=forward, adjoint=adjoint,
-            gram_pinv=gram_pinv, energy_pinv=energy_pinv, route=route, image=image,
-        )
 
 
 def coupling(
@@ -531,8 +518,9 @@ class StopRule:
     strict < test on the per-sweep tangent; None or a nonpositive value
     disables it.  A NaN tolerance, which would silently switch its test
     off, is rejected, and so is a ``max_sweeps`` that is not an integer.
-    Reason priority: degenerate, angle_small, grad_small, f_stalled,
-    max_sweeps.
+    ``termination`` decides, after each sweep, whether the run stops and
+    why, in the reason priority degenerate, angle_small, grad_small,
+    f_stalled, max_sweeps.
     """
 
     max_sweeps: int
@@ -541,10 +529,7 @@ class StopRule:
     angle_tol: float | None = None
 
     def __post_init__(self):
-        # numpy integers are integers; a bool is not, as on the command line
-        if isinstance(self.max_sweeps, bool) or not isinstance(self.max_sweeps, (int, np.integer)):
-            raise ValueError(f"max_sweeps must be an integer, got {self.max_sweeps!r}")
-        if self.max_sweeps < 1:
+        if check_int(self.max_sweeps, "max_sweeps") < 1:
             raise ValueError("max_sweeps must be >= 1")
         for name in ("f_tol", "grad_tol"):
             if not getattr(self, name) >= 0:  # NaN fails too
@@ -553,6 +538,27 @@ class StopRule:
             if np.isnan(self.angle_tol):
                 raise ValueError("angle_tol must be a number, got nan")
             object.__setattr__(self, "angle_tol", None)
+
+    def termination(self, sweep: int, records, tan: float | None, f_change: float) -> str | None:
+        """The reason the run stops after this sweep, or None to go on.
+
+        ``records`` are the sweep's micro-step records, ``tan`` its
+        tangent (None when untracked or undefined) and ``f_change`` the
+        objective change |f_k - f_{k-1}| over it.  The reasons are tested
+        in priority order; an infinite or NaN tangent is never below
+        ``angle_tol``.
+        """
+        if any(rec.degenerate for rec in records):
+            return "degenerate"
+        if self.angle_tol is not None and tan is not None and tan < self.angle_tol:
+            return "angle_small"
+        if max(rec.grad_norm for rec in records) <= self.grad_tol:
+            return "grad_small"
+        if f_change <= self.f_tol:
+            return "f_stalled"
+        if sweep >= self.max_sweeps:
+            return "max_sweeps"
+        return None
 
 
 def run(
@@ -567,7 +573,7 @@ def run(
     reference_factor=None,
     keep_params: bool = False,
 ) -> RunTrace:
-    """The solver loop: sweeps of micro-steps until a stop rule fires; returns the trace.
+    """The solver loop: sweeps of micro-steps until ``stop`` names a reason; returns the trace.
 
     Sweep k calls ``micro_step`` on each block in order and hands it the
     carried iterate, its image A v, its objective and <b, b>; with
@@ -578,12 +584,15 @@ def run(
     tangent: ``reference_factor`` the angle of the first factor (a
     rank-one CP format only), else ``reference`` the angle of the full
     tensor, else none; ``RunTrace.angle_mode`` is "factor", "full" or
-    "none" accordingly.
+    "none" accordingly.  A reference with no angle to measure (see
+    ``check_reference_factor`` and ``check_reference``) raises before the
+    first step.
     """
     fmt.check_params(init)
     if reference_factor is not None:
         mode, ref = "factor", check_reference_factor(fmt, reference_factor)
     elif reference is not None:
+        check_reference(reference, b.shape)
         mode, ref = "full", reference.values
     else:
         mode, ref = "none", None
@@ -601,7 +610,6 @@ def run(
     sweep_f: list[float] = []
     sweep_tangent: list[float | None] = []
     dist_a: list[float] = []
-    termination = "max_sweeps"
 
     for k in range(1, stop.max_sweeps + 1):
         v_prev, Av_prev, f_prev = v, Av, f
@@ -625,22 +633,8 @@ def run(
         sweep_tangent.append(tan)
         dist_a.append(energy_distance(A, v, v_prev, Av, Av_prev))
 
-        if any(r.degenerate for r in recs):
-            termination = "degenerate"
-            break
-        if (
-            stop.angle_tol is not None
-            and tan is not None
-            and np.isfinite(tan)
-            and tan < stop.angle_tol
-        ):
-            termination = "angle_small"
-            break
-        if max(r.grad_norm for r in recs) <= stop.grad_tol:
-            termination = "grad_small"
-            break
-        if abs(f - f_prev) <= stop.f_tol:
-            termination = "f_stalled"
+        termination = stop.termination(k, recs, tan, abs(f - f_prev))
+        if termination is not None:
             break
 
     return RunTrace(

@@ -14,7 +14,8 @@ factors are the ones the block has: the Khatri-Rao product of the other
 CP factors; the interfaces P and Q^T of an interior TT core, and only Q^T
 or P at the first or last core.  The base class derives the rest from
 these, W included; the engine's structured solve uses the same factors
-without forming W.  A format without unfolding factors gets W from
+without forming W, and a TT evaluation is the last core's interface P
+times that core.  A format without unfolding factors gets W from
 ``probe_map``, one evaluation per basis vector of the block, which is
 also the reference the assembled maps are checked against.
 """
@@ -23,11 +24,10 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
 
 import numpy as np
 
-from .tensors import DenseTensor, Shape, rank_one_values, vector_norm
+from .tensors import DenseTensor, Shape, check_int, rank_one_values, vector_norm
 
 
 def _frozen_block(vec) -> tuple[np.ndarray, float]:
@@ -128,12 +128,21 @@ class TensorFormat:
 
     A factored format defines ``_evaluate_blocks``, ``block_axes`` and
     ``unfolding_factors``; a format without unfolding factors defines
-    ``block_dim`` instead, and its local map is probed.
+    ``block_dim`` instead, and its local map is probed.  A subclass sets
+    its own fields and then calls ``TensorFormat.__init__``, which keeps
+    the block lengths that ``check_params`` compares.
     """
 
     name = "abstract"
     shape: Shape
     num_blocks: int
+    # a subclass that sets shape and num_blocks itself is checked block by block
+    _block_sizes: tuple[int, ...] | None = None
+
+    def __init__(self, shape: Shape, num_blocks: int):
+        self.shape = shape
+        self.num_blocks = num_blocks
+        self._block_sizes = tuple(self.block_dim(mu) for mu in range(num_blocks))
 
     def block_axes(self, mu: int) -> tuple[int, int]:
         """(a, c): flat block mu is an (a, m_mu, c) core in C order."""
@@ -188,10 +197,6 @@ class TensorFormat:
         np.einsum("lirkic->lirkc", W)[...] = Z.reshape(left, 1, -1, a, c)
         return W.reshape(self.shape.size, a * m * c)
 
-    @cached_property
-    def _block_sizes(self) -> tuple[int, ...]:
-        return tuple(self.block_dim(mu) for mu in range(self.num_blocks))
-
     def check_params(self, p: ParamSystem):
         """Reject a parameter system whose block lengths do not fit the format."""
         if tuple(b.size for b in p.blocks) == self._block_sizes:
@@ -222,12 +227,11 @@ class CpFormat(TensorFormat):
     name = "cp"
 
     def __init__(self, shape: Shape, rank: int):
-        rank = int(rank)
+        rank = check_int(rank, "cp rank")
         if rank < 1:
             raise ValueError("cp rank must be >= 1")
-        self.shape = shape
         self.rank = rank
-        self.num_blocks = shape.ndim
+        super().__init__(shape, shape.ndim)
 
     def block_axes(self, mu: int) -> tuple[int, int]:
         return self.rank, 1
@@ -272,16 +276,15 @@ class TtFormat(TensorFormat):
     name = "tt"
 
     def __init__(self, shape: Shape, ranks):
-        ranks = tuple(int(r) for r in ranks)
+        ranks = tuple(check_int(r, "tt rank") for r in ranks)
         if len(ranks) != shape.ndim - 1:
             raise ValueError(
                 f"tt needs {shape.ndim - 1} internal ranks, got {len(ranks)}"
             )
         if any(r < 1 for r in ranks):
             raise ValueError("tt ranks must be >= 1")
-        self.shape = shape
         self.ranks = (1,) + ranks + (1,)
-        self.num_blocks = shape.ndim
+        super().__init__(shape, shape.ndim)
 
     def block_axes(self, mu: int) -> tuple[int, int]:
         return self.ranks[mu], self.ranks[mu + 1]
@@ -293,14 +296,10 @@ class TtFormat(TensorFormat):
         )
 
     def _evaluate_blocks(self, blocks) -> np.ndarray:
-        cores = [
-            b.reshape((self.ranks[mu], self.shape.dims[mu], self.ranks[mu + 1]))
-            for mu, b in enumerate(blocks)
-        ]
-        t = cores[0]  # shape (1, m_1, r_1)
-        for core in cores[1:]:
-            t = np.tensordot(t, core, axes=(t.ndim - 1, 0))
-        return t.reshape(self.shape.dims).ravel()
+        """The interface P of the last core (its one unfolding factor) times that core."""
+        last = self.num_blocks - 1
+        (P,) = self.unfolding_factors(blocks, last)
+        return (P @ blocks[last].reshape(self.ranks[last], -1)).ravel()
 
     def unfolding_factors(self, blocks, mu: int) -> list[np.ndarray]:
         """The interfaces block mu has: [P, Q^T] inside, [Q^T] first, [P] last.
@@ -335,14 +334,13 @@ class MultilinearFormat(TensorFormat):
     name = "custom"
 
     def __init__(self, shape: Shape, block_dims, func, name: str = "custom"):
-        dims = tuple(int(n) for n in block_dims)
+        dims = tuple(check_int(n, "block dim") for n in block_dims)
         if len(dims) < 1 or any(n < 1 for n in dims):
             raise ValueError("block dims must be positive")
-        self.shape = shape
         self._block_dims = dims
         self._func = func
-        self.num_blocks = len(dims)
         self.name = name
+        super().__init__(shape, len(dims))
 
     def block_dim(self, mu: int) -> int:
         return self._block_dims[mu]
@@ -370,13 +368,28 @@ def check_block(fmt: TensorFormat, p: ParamSystem, mu: int):
 
 
 def check_reference_factor(fmt: TensorFormat, reference_factor) -> np.ndarray:
-    """The reference of a first-factor angle as a flat float vector, checked against fmt."""
+    """The reference of a first-factor angle as a flat float vector, checked against fmt.
+
+    A factor with a NaN or inf entry, or of norm 0, has no angle to measure.
+    """
     if not (isinstance(fmt, CpFormat) and fmt.rank == 1):
         raise ValueError("factor angles need a rank-one cp format")
     reference_factor = np.asarray(reference_factor, dtype=float).ravel()
     if reference_factor.size != fmt.shape.dims[0]:
         raise ValueError("reference factor length must match mode-1 size")
+    if not np.isfinite(reference_factor).all():
+        raise ValueError("reference factor must be finite")
+    if vector_norm(reference_factor) == 0.0:
+        raise ValueError("reference factor must be nonzero")
     return reference_factor
+
+
+def check_reference(reference: DenseTensor, shape: Shape):
+    """Reject a reference tensor of another shape, or of norm 0 (no angle to measure)."""
+    if reference.shape.dims != shape.dims:
+        raise ValueError("incompatible shapes: reference vs target")
+    if reference.norm() == 0.0:
+        raise ValueError("reference must be nonzero")
 
 
 def probe_map(fmt: TensorFormat, blocks, mu: int) -> np.ndarray:
@@ -433,8 +446,8 @@ def params_to_json(fmt: TensorFormat, p: ParamSystem) -> str:
 def format_from_doc(doc) -> TensorFormat:
     """CP or TT format from ``format``, ``dims`` and ``ranks`` (one for CP, d-1 for TT)."""
     kind = doc["format"]
-    shape = Shape(tuple(int(m) for m in doc["dims"]))
-    ranks = [int(r) for r in doc["ranks"]]
+    shape = Shape(tuple(doc["dims"]))
+    ranks = list(doc["ranks"])
     if kind == "cp":
         if len(ranks) != 1:
             raise ValueError("cp document needs exactly one rank")

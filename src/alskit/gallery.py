@@ -18,8 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formats import CpFormat, MultilinearFormat, ParamSystem, TensorFormat, check_reference_factor
-from .tensors import DenseTensor, IdentityOperator, Shape, SpdOperator, rank_one_sum
+from .formats import (
+    CpFormat,
+    MultilinearFormat,
+    ParamSystem,
+    TensorFormat,
+    check_reference,
+    check_reference_factor,
+)
+from .tensors import DenseTensor, IdentityOperator, Shape, SpdOperator, check_int, rank_one_sum
 
 @dataclass
 class ProblemInstance:
@@ -43,8 +50,8 @@ class ProblemInstance:
         if self.b.norm() == 0.0:
             raise ValueError("target must be nonzero")
         self.fmt.check_params(self.init)
-        if self.reference is not None and self.reference.shape.dims != self.b.shape.dims:
-            raise ValueError("incompatible shapes: reference vs target")
+        if self.reference is not None:
+            check_reference(self.reference, self.b.shape)
         if self.reference_factor is not None:
             self.reference_factor = check_reference_factor(self.fmt, self.reference_factor)
 
@@ -101,10 +108,11 @@ def blambda_example(lam: float = 0.46, n: int = 8, seed: int = 7) -> ProblemInst
     lam = float(lam)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
+    n = check_int(n, "n")
     if n < 2:
         raise ValueError("need n >= 2 for two orthonormal directions")
     shape = Shape((n, n, n))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed"))
     Q, _ = np.linalg.qr(rng.standard_normal((n, 2)))
     p, q = Q[:, 0].copy(), Q[:, 1].copy()
     b = rank_one_sum(
@@ -135,8 +143,8 @@ def totally_orthogonal(r: int = 2, dims=(4, 4, 4), seed: int = 0) -> ProblemInst
     factors are seeded random orthonormal columns.  The start is biased
     toward the dominant term, whose factor is the angle reference.
     """
-    shape = Shape(tuple(int(m) for m in dims))
-    r = int(r)
+    shape = Shape(tuple(dims))
+    r = check_int(r, "r")
     if r < 1:
         raise ValueError("need at least one term")
     if r > min(shape.dims):
@@ -144,7 +152,7 @@ def totally_orthogonal(r: int = 2, dims=(4, 4, 4), seed: int = 0) -> ProblemInst
             f"r too large for dims: {r} terms need every mode size >= {r}"
         )
     weights = np.arange(r, 0, -1, dtype=float)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed"))
     factors = []
     for m in shape.dims:
         Q, _ = np.linalg.qr(rng.standard_normal((m, r)))
@@ -183,7 +191,7 @@ def desilva_lim(n: int = 2) -> ProblemInstance:
     start is the first element of the classic diverging sequence,
     (x+y)^(x3) - x^(x3), split over two rank-one columns.
     """
-    n = int(n)
+    n = check_int(n, "n")
     if n < 2:
         raise ValueError("need n >= 2")
     shape = Shape((n, n, n))
@@ -306,8 +314,8 @@ def tucker_coupling_closed_form(instance: ProblemInstance, p: ParamSystem) -> np
 
 def default_tucker_args(dims, t_dims, seed: int):
     """Seeded super-diagonal core plus random orthonormal factors."""
-    dims = tuple(int(m) for m in dims)
-    t_dims = tuple(int(t) for t in t_dims)
+    dims = tuple(check_int(m, "mode size") for m in dims)
+    t_dims = tuple(check_int(t, "core mode size") for t in t_dims)
     if len(t_dims) != len(dims):
         raise ValueError("core order must match mode count")
     if any(t > m for t, m in zip(t_dims, dims)):
@@ -316,7 +324,7 @@ def default_tucker_args(dims, t_dims, seed: int):
     core_arr = np.zeros(t_dims)
     for j in range(r):
         core_arr[(j,) * len(t_dims)] = float(r - j)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed"))
     factors = []
     for m, t in zip(dims, t_dims):
         Q, _ = np.linalg.qr(rng.standard_normal((m, t)))

@@ -10,8 +10,7 @@ Kronecker product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,15 +23,30 @@ PSD_CLAMP = 1e-14
 KRON_CHUNK_ENTRIES = 2**15
 
 
+def check_int(value, what: str) -> int:
+    """value as an int if it is an integer, else ValueError naming ``what``.
+
+    The one rule for a count from outside (a mode size, a rank, a block
+    length, a gallery argument, a sweep limit): a Python or numpy integer
+    is taken, a bool, a float (even 3.0) or a string is not, so nothing
+    is truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Shape:
     """Mode sizes (m_1, ..., m_d) of a tensor space with entry count N = prod(dims)."""
 
     dims: tuple[int, ...]
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dims = tuple(int(m) for m in self.dims)
+        dims = tuple(check_int(m, "mode size") for m in self.dims)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "size", math.prod(dims))
         if len(dims) < 1:
             raise ValueError("shape needs at least one mode")
         if any(m < 1 for m in dims):
@@ -43,10 +57,6 @@ class Shape:
     @property
     def ndim(self) -> int:
         return len(self.dims)
-
-    @cached_property
-    def size(self) -> int:
-        return math.prod(self.dims)
 
 
 class DenseTensor:
@@ -168,8 +178,14 @@ class IdentityOperator(SpdOperator):
 
 
 def _check_symmetric(mat: np.ndarray, what: str):
-    """Reject a matrix that is not symmetric to SYMMETRY_RTOL of its largest entry."""
+    """Reject a matrix with a NaN or inf entry, or not symmetric to SYMMETRY_RTOL.
+
+    The tolerance is relative to the largest magnitude, which is NaN or
+    inf exactly when an entry is.
+    """
     scale = np.max(np.abs(mat))
+    if not np.isfinite(scale):
+        raise ValueError(f"{what} entries must be finite")
     if np.max(np.abs(mat - mat.T)) > SYMMETRY_RTOL * max(scale, 1e-300):
         raise ValueError(f"{what} is not symmetric")
 

@@ -438,6 +438,51 @@ def test_bad_config_setting_is_one_error_line(tmp_path, capsys, no_solve, doc, m
     assert captured.out == ""
 
 
+GALLERY_ARG_CASES = {
+    "fractional_r": ("totally_orthogonal", {"r": 2.7}, "r must be an integer, got 2.7"),
+    "fractional_n": ("desilva_lim", {"n": 2.9}, "n must be an integer, got 2.9"),
+    "fractional_dims": (
+        "totally_orthogonal",
+        {"dims": [4.5, 4, 4]},
+        "dims must be a list of integers, got [4.5, 4, 4]",
+    ),
+    "dims_string": (
+        "totally_orthogonal",
+        {"dims": "4,4,4"},
+        "dims must be a list of integers, got '4,4,4'",
+    ),
+    "lam_string": ("blambda", {"lam": "0.3"}, "lam must be a number, got '0.3'"),
+    "bool_seed": ("blambda", {"seed": True}, "seed must be an integer, got True"),
+    "bool_tau": ("mohlenkamp", {"tau": False}, "tau must be a number, got False"),
+}
+
+
+@pytest.mark.parametrize(
+    "gallery, args, message", GALLERY_ARG_CASES.values(), ids=GALLERY_ARG_CASES.keys()
+)
+def test_config_gallery_args_take_the_types_of_their_flags(
+    tmp_path, capsys, no_solve, gallery, args, message
+):
+    # each ran before, truncated or parsed; as flags each exits 1
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"gallery": gallery, "args": args}))
+    assert run_cli(["run", "--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+
+
+def test_config_gallery_args_build_the_instance_their_flags_build():
+    args = {"r": 2, "dims": [3, 4, 3], "seed": 9}
+    job = cli._job_from_config({"gallery": "totally_orthogonal", "args": args}, {})
+    flags = {**args, "dims": (3, 4, 3)}  # as --dims parses it
+    flag_job = cli._job_from_config({"gallery": "totally_orthogonal"}, flags)
+    assert np.array_equal(job["instance"].b.values, flag_job["instance"].b.values)
+    blambda = cli._job_from_config({"gallery": "blambda", "args": {"lam": 0}}, {})
+    want = alskit.gallery.blambda_example(0.0).b.values
+    assert np.array_equal(blambda["instance"].b.values, want)
+
+
 def test_integer_config_value_for_a_number_setting_becomes_a_float():
     job = cli._job_from_config({"gallery": "mohlenkamp", "f_tol": 0, "max_sweeps": 3}, {})
     assert type(job["f_tol"]) is float and type(job["max_sweeps"]) is int
@@ -946,8 +991,33 @@ def test_rate_line_reports_classification(capsys):
         ({"reference_factor": [0, 1, 0]}, "reference factor length must match mode-1 size"),
         ({"init": [[0.0, 0.0], [1.0, 0.0]]}, "parameter system has 2 blocks, format needs 3"),
         ({"init": [[0.0, 0.0], [0.0], [1.0, 0.0]]}, "block 1 has length 1, expected 2"),
+        ({"reference_factor": [float("nan"), 1.0]}, "reference factor must be finite"),
+        ({"reference_factor": [0, 0]}, "reference factor must be nonzero"),
+        ({"reference": {"dense": [0.0] * 8}}, "reference must be nonzero"),
+        ({"dims": [2.7, 2, 2]}, "mode size must be an integer, got 2.7"),
+        ({"ranks": [1.9]}, "cp rank must be an integer, got 1.9"),
+        (
+            {"operator": {"kind": "modewise", "factors": [np.diag([1.0, np.inf]).tolist()] * 3}},
+            "mode-0 factor entries must be finite",
+        ),
+        (
+            {"operator": {"kind": "dense", "matrix": np.diag([1.0] * 7 + [np.nan]).tolist()}},
+            "operator matrix entries must be finite",
+        ),
     ],
-    ids=["tt_reference_factor", "reference_factor_length", "init_blocks", "init_length"],
+    ids=[
+        "tt_reference_factor",
+        "reference_factor_length",
+        "init_blocks",
+        "init_length",
+        "nan_reference_factor",
+        "zero_reference_factor",
+        "zero_reference",
+        "fractional_dims",
+        "fractional_rank",
+        "inf_modewise_factor",
+        "nan_dense_matrix",
+    ],
 )
 def test_bad_problem_document_fails_before_any_job_solves(tmp_path, capsys, no_solve, change, message):
     ok = tmp_path / "ok.json"

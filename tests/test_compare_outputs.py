@@ -65,12 +65,17 @@ def test_error_outputs_are_one_error_line_and_exit_one():
         "error mohlenkamp --tau 1e308": "error: [mohlenkamp] tensor entries must be finite",
         "error overflow svd": "error: [custom] SVD did not converge",
         "error overflow gram": "error: [custom] Eigenvalues did not converge",
+        "error nan reference factor": "error: malformed problem document: "
+        "reference factor must be finite",
+        "error inf modewise factor": "error: malformed problem document: "
+        "mode-0 factor entries must be finite",
+        "error fractional dims": "error: malformed problem document: "
+        "mode size must be an integer, got 2.7",
     }
     assert sorted(outputs) == sorted(messages)
     for name, message in messages.items():
-        skeleton, numbers = outputs[name]
-        assert skeleton == f"\n--- stderr\n{message}\n\n--- exit #\n"
-        assert numbers.tolist() == [1.0]  # the exit code
+        want = compare_outputs._text_output(f"\n--- stderr\n{message}\n\n--- exit 1\n")
+        assert compare_outputs.difference(outputs[name], want) is None, name
 
 
 def test_a_changed_error_message_is_flagged(monkeypatch):

@@ -1,6 +1,5 @@
 """The solver core: Löwdin bases, micro-steps, sweeps, stop rules, run traces."""
 
-import dataclasses
 import re
 import warnings
 
@@ -11,7 +10,13 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from alskit import engine
-from alskit.diagnostics import EPS_RANK_DEFAULT, objective, recursion_check, recursion_contexts
+from alskit.diagnostics import (
+    EPS_RANK_DEFAULT,
+    MicroStepRecord,
+    objective,
+    recursion_check,
+    recursion_contexts,
+)
 from alskit.engine import StopRule, lowdin_basis, micro_step, run
 from alskit.formats import (
     CpFormat,
@@ -98,15 +103,16 @@ def test_lowdin_rejects_eps_rank_outside_unit_interval(eps_rank):
     assert lowdin_basis(np.diag([1.0, 0.5]), eps_rank=np.nextafter(1.0, 0.0)).rank == 1
 
 
-def test_lowdin_orth_defect_is_the_eager_formula_read_lazily():
+def test_lowdin_orth_defect_is_computed_from_V_on_each_read():
     rng = np.random.default_rng(37)
     W = rng.standard_normal((7, 4))
     W[:, 3] = W[:, 1]
     basis = lowdin_basis(W)
-    assert "orth_defect" not in vars(basis)  # not computed by the step
+    assert basis._fields == ("V", "transform", "delta", "rank")  # no stored defect
     want = float(np.max(np.abs(basis.V.T @ basis.V - np.eye(basis.rank))))
     assert basis.orth_defect == want
-    assert vars(basis)["orth_defect"] == want  # cached after the first read
+    doubled = basis._replace(V=2.0 * basis.V)  # read from the V it holds
+    assert doubled.orth_defect == float(np.max(np.abs(4.0 * (basis.V.T @ basis.V) - np.eye(3))))
     assert lowdin_basis(np.zeros((3, 2))).orth_defect == 0.0
 
 
@@ -864,7 +870,7 @@ def test_micro_step_rejects_a_non_finite_solver_output(monkeypatch, route, field
         sol = real(*args)
         values = getattr(sol, field).copy()
         values[5] = np.inf
-        return dataclasses.replace(sol, **{field: values})
+        return sol._replace(**{field: values})
 
     monkeypatch.setattr(engine, "local_solve", broken)
     assert real(A, b, fmt, p, 0, 1e-12).route == route
@@ -1197,6 +1203,29 @@ def test_stop_rule_takes_numpy_integers():
     assert trace.sweeps == 2
 
 
+def _sweep(grad_norm=1.0, degenerate=False):
+    rec = MicroStepRecord(1, 0, -0.5, -0.1, grad_norm, 0 if degenerate else 1, 0.0, 1.0)
+    return [rec, MicroStepRecord(1, 1, -0.5, 0.0, 0.0, 1, 0.0, 1.0)]
+
+
+def test_stop_rule_termination_follows_the_reason_priority():
+    stop = StopRule(max_sweeps=3, f_tol=1e-9, grad_tol=1e-6, angle_tol=1e-3)
+    # every reason fires at once: the first in the priority order wins
+    everything = (3, _sweep(grad_norm=0.0, degenerate=True), 0.0, 0.0)
+    assert stop.termination(*everything) == "degenerate"
+    assert stop.termination(3, _sweep(grad_norm=0.0), 0.0, 0.0) == "angle_small"
+    assert stop.termination(3, _sweep(grad_norm=0.0), None, 0.0) == "grad_small"
+    assert stop.termination(3, _sweep(), None, 0.0) == "f_stalled"
+    assert stop.termination(3, _sweep(), None, 1.0) == "max_sweeps"
+    assert stop.termination(2, _sweep(), None, 1.0) is None
+    # the tolerances: f and grad inclusive, the angle strict and finite
+    assert stop.termination(1, _sweep(grad_norm=1e-6), None, 1.0) == "grad_small"
+    assert stop.termination(1, _sweep(), None, 1e-9) == "f_stalled"
+    for tan in (1e-3, float("inf"), float("nan")):
+        assert stop.termination(1, _sweep(), tan, 1.0) is None
+    assert StopRule(max_sweeps=3).termination(1, _sweep(), 0.0, 1.0) is None  # angle test off
+
+
 def test_stop_rule_nonpositive_angle_tol_disables():
     assert StopRule(max_sweeps=1, angle_tol=-5.0).angle_tol is None
     assert StopRule(max_sweeps=1, angle_tol=0.0).angle_tol is None
@@ -1345,6 +1374,42 @@ def test_run_angle_mode_errors():
             StopRule(max_sweeps=1),
             reference_factor=[1.0, 0.0],
         )
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"reference_factor": [np.nan, 1.0]}, "reference factor must be finite"),
+        ({"reference_factor": [np.inf, 1.0]}, "reference factor must be finite"),
+        ({"reference_factor": [0.0, 0.0]}, "reference factor must be nonzero"),
+        (
+            {"reference_factor": [0.0, 0.0], "reference": "target"},
+            "reference factor must be nonzero",
+        ),
+        ({"reference": "zero"}, "reference must be nonzero"),
+        ({"reference": "other shape"}, "incompatible shapes: reference vs target"),
+    ],
+    ids=["nan_factor", "inf_factor", "zero_factor", "zero_factor_and_tensor", "zero", "shape"],
+)
+def test_run_rejects_a_bad_reference_before_any_step(monkeypatch, kwargs, message):
+    # a NaN factor ran to a trace of nan tangents; a zero one failed after a sweep
+    instance = mohlenkamp_example(0.4)
+    shape = instance.b.shape
+    tensors = {
+        "target": instance.b,
+        "zero": DenseTensor.zeros(shape),
+        "other shape": DenseTensor(Shape((2, 4)), np.ones(8)),
+    }
+    if "reference" in kwargs:
+        kwargs = {**kwargs, "reference": tensors[kwargs["reference"]]}
+
+    def refuse(*args, **kw):
+        raise AssertionError("a micro-step ran")
+
+    monkeypatch.setattr(engine, "micro_step", refuse)
+    args = (instance.A, instance.b, instance.fmt, instance.init, StopRule(max_sweeps=2))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(*args, **kwargs)
 
 
 def test_run_keep_params_enables_replay():

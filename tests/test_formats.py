@@ -1,6 +1,8 @@
 """Parameter systems, CP/TT/custom formats, and materialized block maps."""
 
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -246,6 +248,29 @@ def test_tt_validates_ranks():
         TtFormat(Shape((2, 2)), (0,))
 
 
+@pytest.mark.parametrize("bad", [1.9, 2.0, True, "2"])
+def test_ranks_and_block_dims_must_be_integers(bad):
+    shape = Shape((2, 2))
+    shown = re.escape(repr(bad))
+    with pytest.raises(ValueError, match=f"^cp rank must be an integer, got {shown}$"):
+        CpFormat(shape, bad)
+    with pytest.raises(ValueError, match=f"^tt rank must be an integer, got {shown}$"):
+        TtFormat(shape, (bad,))
+    with pytest.raises(ValueError, match=f"^block dim must be an integer, got {shown}$"):
+        MultilinearFormat(shape, (2, bad), lambda blocks: np.zeros(4))
+    doc = {"format": "cp", "dims": [2, 2], "ranks": [1], "blocks": [[1.0, 0.0], [0.0, 1.0]]}
+    for key, value, what in [("dims", [bad, 2], "mode size"), ("ranks", [bad], "cp rank")]:
+        with pytest.raises(ValueError, match=f"^{what} must be an integer, got {shown}$"):
+            params_from_json(json.dumps({**doc, key: value}))
+
+
+def test_numpy_integer_ranks_are_integers():
+    shape = Shape(np.array([2, 3]))
+    assert CpFormat(shape, np.int64(2)).rank == 2
+    assert TtFormat(shape, np.array([3])).ranks == (1, 3, 1)
+    assert type(shape.dims[0]) is int and shape.size == 6
+
+
 # ---------------------------------------------------------------------------
 # custom formats
 
@@ -371,6 +396,26 @@ def test_cp_evaluation_is_bitwise_the_outer_product_loop(dims, rank, zero_block,
     fmt = CpFormat(Shape(tuple(dims)), rank)
     blocks = _random_blocks(fmt, rng, zero_block)
     assert np.array_equal(fmt._evaluate_blocks(blocks), _outer_product_loop(fmt, blocks))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    dims=local_map_cases["dims"],
+    rank=st.integers(1, 4),
+    zero_block=local_map_cases["zero_block"],
+    seed=local_map_cases["seed"],
+)
+def test_tt_evaluation_is_bitwise_the_local_map_of_the_last_core(dims, rank, zero_block, seed):
+    # one-core trains (dims of length 1) and rank-1 trains included
+    rng = np.random.default_rng(seed)
+    ranks = tuple(int(x) for x in rng.integers(1, rank + 1, size=len(dims) - 1))
+    fmt = TtFormat(Shape(tuple(dims)), ranks)
+    blocks = _random_blocks(fmt, rng, zero_block)
+    last = fmt.num_blocks - 1
+    Z = kron_all(fmt.unfolding_factors(blocks, last))
+    F = fmt.block_to_unfolding(blocks[last], last)
+    want = fold(F @ Z.T, Z.shape[0], dims[last])  # W q of the last core's local map
+    assert np.array_equal(evaluate(fmt, ParamSystem(blocks)).values, want)
 
 
 @settings(deadline=None, max_examples=40)

@@ -277,3 +277,46 @@ def test_instance_rejects_mismatched_pieces():
             fmt=instance.fmt,
             init=instance.init,
         )
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"reference": "zero"}, "reference must be nonzero"),
+        ({"reference_factor": [np.nan, 1.0]}, "reference factor must be finite"),
+        ({"reference_factor": [0.0, 0.0]}, "reference factor must be nonzero"),
+    ],
+    ids=["zero_reference", "nan_factor", "zero_factor"],
+)
+def test_instance_rejects_a_reference_with_no_angle(change, message):
+    instance = mohlenkamp_example(0.4)
+    from alskit.gallery import ProblemInstance
+
+    if change.get("reference") == "zero":
+        change = {"reference": DenseTensor.zeros(instance.b.shape)}
+    pieces = dict(label="bad", A=instance.A, b=instance.b, fmt=instance.fmt, init=instance.init)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ProblemInstance(**pieces, **change)
+
+
+@pytest.mark.parametrize(
+    "label, kwargs, message",
+    [
+        ("totally_orthogonal", {"r": 2.7}, "r must be an integer, got 2.7"),
+        ("totally_orthogonal", {"dims": (4.5, 4, 4)}, "mode size must be an integer, got 4.5"),
+        ("desilva_lim", {"n": 2.9}, "n must be an integer, got 2.9"),
+        ("blambda", {"n": 8.0}, "n must be an integer, got 8.0"),
+        ("blambda", {"seed": True}, "seed must be an integer, got True"),
+        ("tucker", {"t_dims": (2, 2, 1.5)}, "core mode size must be an integer, got 1.5"),
+    ],
+)
+def test_gallery_integer_arguments_are_not_truncated(label, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        get_instance(label, **kwargs)
+
+
+def test_gallery_takes_numpy_integer_arguments():
+    got = totally_orthogonal(np.int64(2), np.array([3, 4, 3]), seed=np.int64(9))
+    want = totally_orthogonal(2, (3, 4, 3), seed=9)
+    assert np.array_equal(got.b.values, want.b.values)
+    assert desilva_lim(np.int32(3)).b.shape.dims == (3, 3, 3)

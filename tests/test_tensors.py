@@ -1,6 +1,7 @@
 """Dense tensors, SPD operators, and the inner-product helpers."""
 
 import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from alskit.formats import CpFormat, ParamSystem
 from alskit.tensors import (
     ENTRY_CAP,
     KRON_CHUNK_ENTRIES,
+    SPD_VERIFY_CAP,
     DenseOperator,
     DenseTensor,
     IdentityOperator,
@@ -20,6 +22,7 @@ from alskit.tensors import (
     Shape,
     SpdOperator,
     a_norm,
+    check_int,
     index_value_rows,
     inner,
     kron_apply,
@@ -53,6 +56,22 @@ def test_shape_rejects_bad_dims():
         Shape(())
     with pytest.raises(ValueError, match=">= 1"):
         Shape((2, 0))
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, "2", None])
+def test_mode_sizes_and_counts_must_be_integers(bad):
+    # nothing is truncated: 2.7 is not the mode size 2
+    message = f"^mode size must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        Shape((bad, 2, 2))
+    with pytest.raises(ValueError, match="^count must be an integer"):
+        check_int(bad, "count")
+
+
+def test_numpy_integers_are_integers():
+    for value in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert check_int(value, "count") == 3 and type(check_int(value, "count")) is int
+    assert Shape((np.int64(2), 3)).dims == (2, 3)
 
 
 def test_shape_entry_cap():
@@ -176,6 +195,21 @@ def test_dense_operator_rejects_asymmetric_and_indefinite():
         DenseOperator(shape, [[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(ValueError, match="incompatible shapes"):
         DenseOperator(shape, np.eye(3))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_operators_reject_non_finite_entries_when_built(value):
+    # NaN and inf slipped past the symmetry test, and PSD verification
+    # stops at SPD_VERIFY_CAP
+    with pytest.raises(ValueError, match="^mode-1 factor entries must be finite$"):
+        ModeWiseOperator([np.eye(2), np.diag([1.0, value]), np.eye(2)])
+    with pytest.raises(ValueError, match="^operator matrix entries must be finite$"):
+        DenseOperator(Shape((2, 2)), np.diag([1.0, 1.0, 1.0, value]))
+    n = SPD_VERIFY_CAP + 1  # an operator that is trusted, not verified
+    mat = np.eye(n)
+    mat[n - 1, n - 1] = value
+    with pytest.raises(ValueError, match="^operator matrix entries must be finite$"):
+        DenseOperator(Shape((n,)), mat)
 
 
 def test_large_dense_operator_is_unverified():

@@ -18,7 +18,9 @@ the path and one BLAS thread:
   ``run --gallery blambda --lambda 1e308``, ``run --gallery mohlenkamp
   --tau 1e308``, and the two configs of finite CP parameters whose
   unfolding factor (structured route, an SVD) or formed Gram matrix
-  overflows, built as ``tests/test_cli.py`` builds them;
+  overflows, built as ``tests/test_cli.py`` builds them; and of three
+  problem documents rejected before any solve: a NaN reference factor,
+  an inf entry in a mode-wise operator factor, and fractional dims;
 - ladder: the ``modewise_ladder`` problems on seeds 3, 7 and 101, solved as
   the benchmark solves them: every micro-step record, ``sweep_f``,
   ``dist_a``, the final parameters and the final iterate;
@@ -108,22 +110,42 @@ def _overflow_config(alskit, dims, operator) -> dict:
     return {"problem": problem, "max_sweeps": 1}
 
 
+def _bad_problem_config(change: dict) -> dict:
+    """A one-sweep rank-one CP config on (2, 1) with ``change`` applied to its problem document."""
+    problem = {
+        "dims": [2, 1],
+        "format": "cp",
+        "ranks": [1],
+        "target": {"dense": [1.0, 0.5]},
+        "init": [[1.0, 1.0], [1.0]],
+    }
+    return {"problem": {**problem, **change}, "max_sweeps": 1}
+
+
 def error_outputs(alskit) -> dict:
-    """Runs that end in an overflow error, by name: stdout, stderr and exit code."""
+    """Runs that end in an error, by name: stdout, stderr and exit code."""
     outputs = {}
     for label, flag in (("blambda", "--lambda"), ("mohlenkamp", "--tau")):
         argv = ["run", "--gallery", label, flag, "1e308"]
         outputs[f"error {label} {flag} 1e308"] = _text_output(_cli(alskit, argv))
     configs = {
-        "svd": _overflow_config(alskit, (8, 8, 8), "modewise"),
-        "gram": _overflow_config(alskit, (4, 4, 4), "identity"),
+        "error overflow svd": _overflow_config(alskit, (8, 8, 8), "modewise"),
+        "error overflow gram": _overflow_config(alskit, (4, 4, 4), "identity"),
     }
+    # problem documents rejected before any solve
+    inf_operator = {"kind": "modewise", "factors": [[[1.0, 0.0], [0.0, float("inf")]], [[1.0]]]}
+    bad_problems = {
+        "nan reference factor": {"reference_factor": [float("nan"), 1.0]},
+        "inf modewise factor": {"operator": inf_operator},
+        "fractional dims": {"dims": [2.7, 1]},
+    }
+    for name, change in bad_problems.items():
+        configs[f"error {name}"] = _bad_problem_config(change)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, doc in configs.items():
-            path = Path(tmp) / f"{name}.json"
+        for i, (name, doc) in enumerate(configs.items()):
+            path = Path(tmp) / f"{i}.json"
             path.write_text(json.dumps(doc))
-            argv = ["run", "--config", str(path)]
-            outputs[f"error overflow {name}"] = _text_output(_cli(alskit, argv))
+            outputs[name] = _text_output(_cli(alskit, ["run", "--config", str(path)]))
     return outputs
 
 
