@@ -43,6 +43,7 @@ from .tensors import (
     ModeWiseOperator,
     Shape,
     check_int,
+    check_numbers,
     index_value_rows,
     rank_one_sum,
 )
@@ -124,9 +125,9 @@ def write_target_csv(b: DenseTensor, path: str):
 
 def _tensor_from_doc(doc, shape: Shape) -> DenseTensor:
     if "dense" in doc:
-        return DenseTensor(shape, np.asarray(doc["dense"], dtype=float).ravel())
+        return DenseTensor(shape, check_numbers(doc["dense"], "dense"))
     if "terms" in doc:
-        terms = [(t["coeff"], t["vectors"]) for t in doc["terms"]]
+        terms = check_numbers([(t["coeff"], t["vectors"]) for t in doc["terms"]], "terms")
         return rank_one_sum(shape, terms)
     raise CliError("tensor document needs 'dense' or 'terms'")
 
@@ -136,9 +137,9 @@ def _operator_from_doc(doc, shape: Shape):
     if kind == "identity":
         return IdentityOperator(shape)
     if kind == "dense":
-        return DenseOperator(shape, np.asarray(doc["matrix"], dtype=float))
+        return DenseOperator(shape, check_numbers(doc["matrix"], "matrix"))
     if kind == "modewise":
-        return ModeWiseOperator([np.asarray(f, dtype=float) for f in doc["factors"]])
+        return ModeWiseOperator(check_numbers(doc["factors"], "factors"))
     raise CliError(f"unknown operator kind {kind!r}")
 
 
@@ -148,11 +149,13 @@ def _instance_from_problem_doc(doc) -> ProblemInstance:
         shape = fmt.shape
         A = _operator_from_doc(doc.get("operator", {}), shape)
         b = _tensor_from_doc(doc["target"], shape)
-        init = ParamSystem(doc["init"])
+        init = ParamSystem(check_numbers(doc["init"], "init"))
         reference = None
         if "reference" in doc:
             reference = _tensor_from_doc(doc["reference"], shape)
         reference_factor = doc.get("reference_factor")
+        if reference_factor is not None:
+            check_numbers(reference_factor, "reference_factor")
         return ProblemInstance(
             label=doc.get("label", "custom"),
             A=A,
@@ -164,7 +167,7 @@ def _instance_from_problem_doc(doc) -> ProblemInstance:
         )
     except CliError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"malformed problem document: {exc}") from exc
 
 

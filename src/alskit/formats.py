@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .tensors import DenseTensor, Shape, check_int, rank_one_values, vector_norm
+from .tensors import DenseTensor, Shape, check_int, check_numbers, rank_one_values, vector_norm
 
 
 def _frozen_block(vec) -> tuple[np.ndarray, float]:
@@ -462,9 +462,8 @@ def params_from_json(text: str) -> tuple[TensorFormat, ParamSystem]:
     doc = json.loads(text)
     try:
         fmt = format_from_doc(doc)
-        blocks = doc["blocks"]
-    except (KeyError, TypeError) as exc:
+        p = ParamSystem(check_numbers(doc["blocks"], "blocks"))
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed parameter document: {exc}") from exc
-    p = ParamSystem(blocks)
     fmt.check_params(p)
     return fmt, p

@@ -286,21 +286,14 @@ def tucker_target(core: DenseTensor, factors) -> ProblemInstance:
     )
 
 
-def tucker_coupling_closed_form(instance: ProblemInstance, p: ParamSystem) -> np.ndarray:
-    """Predicted coupling matrix between the first and last blocks.
-
-    Evaluates B_1 Gamma B_d^T scaled by the product of the middle block
-    norms, where Gamma contracts the core with the normalized middle
-    blocks; matches the probed coupling matrix at any rank-one iterate.
-    """
-    core = instance.extra["core"]
+def tucker_middle_contraction(instance: ProblemInstance, p: ParamSystem):
+    """(Gamma, scale): the core contracted with the normalized middle blocks; their norm product."""
     factors = instance.extra["factors"]
     d = len(factors)
     if d < 2:
         raise ValueError("closed form needs at least two modes")
-    t = core.as_array()
+    t = instance.extra["core"].as_array()
     scale = 1.0
-    # contract middle modes with normalized block vectors
     for mu in range(1, d - 1):
         vec = p[mu]
         nv = np.linalg.norm(vec)
@@ -309,7 +302,19 @@ def tucker_coupling_closed_form(instance: ProblemInstance, p: ParamSystem) -> np
         coeff = factors[mu].T @ (vec / nv)
         t = np.tensordot(t, coeff, axes=(1, 0))
         scale *= nv
-    return scale * (factors[0] @ t @ factors[d - 1].T)
+    return t, scale
+
+
+def tucker_coupling_closed_form(instance: ProblemInstance, p: ParamSystem) -> np.ndarray:
+    """Predicted coupling matrix between the first and last blocks.
+
+    Evaluates B_1 Gamma B_d^T scaled by the product of the middle block
+    norms (``tucker_middle_contraction``); matches the probed coupling
+    matrix at any rank-one iterate.
+    """
+    factors = instance.extra["factors"]
+    t, scale = tucker_middle_contraction(instance, p)
+    return scale * (factors[0] @ t @ factors[-1].T)
 
 
 def default_tucker_args(dims, t_dims, seed: int):

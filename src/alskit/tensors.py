@@ -36,6 +36,18 @@ def check_int(value, what: str) -> int:
     return int(value)
 
 
+def check_numbers(value, what: str):
+    """value if every entry, in lists at any depth, is an int or a float (no bool, str or None)."""
+    items = [value]
+    while items:
+        item = items.pop()
+        if isinstance(item, (list, tuple)):
+            items += item[::-1]  # popped in document order, so the first bad entry is named
+        elif type(item) not in (int, float):
+            raise ValueError(f"{what} must hold numbers only, got {item!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Shape:
     """Mode sizes (m_1, ..., m_d) of a tensor space with entry count N = prod(dims)."""
@@ -111,7 +123,7 @@ class DenseTensor:
         return self.values.reshape(self.shape.dims)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        return vector_norm(self.values)
 
     def __add__(self, other: "DenseTensor") -> "DenseTensor":
         _check_same_shape(self, other)

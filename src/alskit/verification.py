@@ -72,11 +72,8 @@ def random_problem(
         fmt = TtFormat(shape, ranks)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    p = ParamSystem(
-        [rng.standard_normal(fmt.block_dim(mu)) for mu in range(fmt.num_blocks)]
-    )
-    b = DenseTensor(shape, rng.standard_normal(shape.size))
-    return _random_operator(rng, shape, operator), b, fmt, p
+    A, b, blocks = _draw_problem(rng, fmt, operator)
+    return A, b, fmt, ParamSystem(blocks)
 
 
 def _random_operator(rng: np.random.Generator, shape: Shape, operator: str) -> SpdOperator:
@@ -85,6 +82,13 @@ def _random_operator(rng: np.random.Generator, shape: Shape, operator: str) -> S
     if operator == "modewise":
         return ModeWiseOperator([random_spd_matrix(rng, m) for m in shape.dims])
     raise ValueError(f"unknown operator kind {operator!r}")
+
+
+def _draw_problem(rng: np.random.Generator, fmt: TensorFormat, operator: str):
+    """(A, b, blocks) drawn in the one order of the seeded problems: blocks, target, operator."""
+    blocks = [rng.standard_normal(fmt.block_dim(mu)) for mu in range(fmt.num_blocks)]
+    b = DenseTensor(fmt.shape, rng.standard_normal(fmt.shape.size))
+    return _random_operator(rng, fmt.shape, operator), b, blocks
 
 
 def sized_problem(
@@ -98,13 +102,12 @@ def sized_problem(
     rng = np.random.default_rng(seed)
     shape = Shape(tuple(dims))
     fmt = CpFormat(shape, rank) if kind == "cp" else TtFormat(shape, rank)
-    blocks = [rng.standard_normal(fmt.block_dim(mu)) for mu in range(fmt.num_blocks)]
+    A, b, blocks = _draw_problem(rng, fmt, operator)
     if duplicate:
         for block, m in zip(blocks, dims):
             mat = block.reshape((m, rank), order="F")
             mat[:, 1] = mat[:, 0]
-    b = DenseTensor(shape, rng.standard_normal(shape.size))
-    return _random_operator(rng, shape, operator), b, fmt, ParamSystem(blocks)
+    return A, b, fmt, ParamSystem(blocks)
 
 
 # Systems above the route threshold of engine.local_solve, so that their
@@ -129,15 +132,12 @@ def rank_deficient_problem(
     shape = Shape(dims)
     r = int(rng.integers(2, 4))
     fmt = CpFormat(shape, r)
-    blocks = []
-    for m in dims:
-        mat = rng.standard_normal((m, r))
+    A, b, blocks = _draw_problem(rng, fmt, "modewise")
+    for mu, m in enumerate(dims):
+        mat = blocks[mu].reshape(m, r)  # the factor as drawn, row by row
         mat[:, 1] = mat[:, 0]  # exact duplicate forces a kernel in every W
-        blocks.append(mat.ravel(order="F"))
-    p = ParamSystem(blocks)
-    b = DenseTensor(shape, rng.standard_normal(shape.size))
-    A = ModeWiseOperator([random_spd_matrix(rng, m) for m in dims])
-    return A, b, fmt, p
+        blocks[mu] = mat.ravel(order="F")
+    return A, b, fmt, ParamSystem(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +367,12 @@ def check_lowdin_properties(trials: int = 20):
     )
 
 
+def _svd_kernel(W: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the kernel of W, from its SVD, independent of the solver."""
+    _, svals, vt = np.linalg.svd(W, full_matrices=True)
+    return vt[(svals > 1e-10 * max(svals[0], 1e-300)).sum():]
+
+
 def check_min_norm_update(trials: int = 30):
     worst = 0.0
     for t in range(trials):
@@ -379,9 +385,7 @@ def check_min_norm_update(trials: int = 30):
         p_new, _, _, rec = engine.micro_step(A, b, fmt, p, mu)
         if rec.degenerate:
             continue
-        # independent kernel via SVD
-        _, svals, vt = np.linalg.svd(W, full_matrices=True)
-        null = vt[(svals > 1e-10 * svals[0]).sum():]
+        null = _svd_kernel(W)
         if null.size:
             dev = np.linalg.norm(null @ p_new[mu]) / max(
                 1e-300, np.linalg.norm(p_new[mu])
@@ -487,8 +491,7 @@ def check_oracle_equivalence(trials: int = 200):
         want = oracle.brute_least_squares(A, b, W)
         scale = max(1.0, np.linalg.norm(want))
         worst = max(worst, np.linalg.norm(p_new[mu] - want) / scale)
-        _, svals, vt = np.linalg.svd(W, full_matrices=True)
-        null = vt[(svals > 1e-10 * max(svals[0], 1e-300)).sum():]
+        null = _svd_kernel(W)
         if null.size:
             worst_kernel = max(
                 worst_kernel, np.linalg.norm(null @ p_new[mu]) / scale
@@ -550,6 +553,20 @@ def check_coupling_symmetry(trials: int = 10):
     return worst <= 1e-10, f"max transpose-pair deviation {worst:.2e} (tol 1e-10)"
 
 
+def _gallery_trace(instance: gallery.ProblemInstance, sweeps: int, references: bool):
+    """Keep-params trace of ``sweeps`` sweeps; with ``references``, the instance's go to run."""
+    return engine.run(
+        instance.A,
+        instance.b,
+        instance.fmt,
+        instance.init,
+        engine.StopRule(max_sweeps=sweeps),
+        reference=instance.reference if references else None,
+        reference_factor=instance.reference_factor if references else None,
+        keep_params=True,
+    )
+
+
 def _rank_one_gallery_traces(sweeps: int = 6):
     instances = [
         gallery.mohlenkamp_example(0.4),
@@ -558,17 +575,7 @@ def _rank_one_gallery_traces(sweeps: int = 6):
         gallery.get_instance("tucker", dims=(3, 3, 3), t_dims=(2, 2, 2), seed=3),
     ]
     for instance in instances:
-        trace = engine.run(
-            instance.A,
-            instance.b,
-            instance.fmt,
-            instance.init,
-            engine.StopRule(max_sweeps=sweeps),
-            reference=instance.reference,
-            reference_factor=instance.reference_factor,
-            keep_params=True,
-        )
-        yield instance, trace
+        yield instance, _gallery_trace(instance, sweeps, references=True)
 
 
 def _route_case_traces(sweeps: int = 3):
@@ -601,19 +608,10 @@ def check_recursion_defect():
 
 def check_tucker_closed_form():
     instance = gallery.get_instance("tucker", dims=(4, 4, 4), t_dims=(2, 2, 2), seed=3)
-    trace = engine.run(
-        instance.A,
-        instance.b,
-        instance.fmt,
-        instance.init,
-        engine.StopRule(max_sweeps=4),
-        keep_params=True,
-    )
+    trace = _gallery_trace(instance, 4, references=False)
     worst = 0.0
     diag_dev = 0.0
     d = instance.fmt.num_blocks
-    core = instance.extra["core"].as_array()
-    factors = instance.extra["factors"]
     for i, rec in enumerate(trace.records):
         if rec.mu != 0:
             continue
@@ -622,10 +620,7 @@ def check_tucker_closed_form():
         want = gallery.tucker_coupling_closed_form(instance, p)
         worst = max(worst, np.max(np.abs(M - want)) / max(1.0, np.max(np.abs(want))))
         # super-diagonal core => diagonal contracted coefficient matrix
-        t = core
-        for mu in range(1, d - 1):
-            vec = p[mu] / np.linalg.norm(p[mu])
-            t = np.tensordot(t, factors[mu].T @ vec, axes=(1, 0))
+        t, _ = gallery.tucker_middle_contraction(instance, p)
         diag_dev = max(diag_dev, np.max(np.abs(t - np.diag(np.diag(t)))))
     ok = worst <= 1e-10 and diag_dev <= 1e-12
     return ok, (
@@ -637,16 +632,7 @@ def check_tucker_closed_form():
 def check_tangent_recursion():
     # blambda against its known limit, the ROUTE_CASES systems against their target
     instance = gallery.blambda_example(0.3, n=4, seed=11)
-    trace = engine.run(
-        instance.A,
-        instance.b,
-        instance.fmt,
-        instance.init,
-        engine.StopRule(max_sweeps=6),
-        reference=instance.reference,
-        reference_factor=instance.reference_factor,
-        keep_params=True,
-    )
+    trace = _gallery_trace(instance, 6, references=True)
     replays = [(instance.A, instance.b, instance.fmt, trace, instance.reference.values, False)]
     replays += [(A, b, fmt, tr, b.values, True) for A, b, fmt, tr in _route_case_traces()]
     worst_split = 0.0
@@ -727,14 +713,7 @@ def check_rate_formula():
 
 
 def check_monitors():
-    instance = gallery.desilva_lim(2)
-    trace = engine.run(
-        instance.A,
-        instance.b,
-        instance.fmt,
-        instance.init,
-        engine.StopRule(max_sweeps=50),
-    )
+    trace = _gallery_trace(gallery.desilva_lim(2), 50, references=False)
     report_hi = assumption_monitors(trace, growth_threshold=1e6)
     report_lo = assumption_monitors(trace, growth_threshold=1.01)
     if report_hi.unbounded_suspect:

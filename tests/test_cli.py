@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import alskit
 from alskit import cli, engine
@@ -417,6 +419,8 @@ def test_flag_for_wrong_label_is_rejected(capsys):
             {"gallery": "mohlenkamp", "eps_rank": "1e-9"},
             "error: eps_rank must be a number, got '1e-9'",
         ),
+        ({"gallery": "mohlenkamp", "output": 5}, "error: output must be a file path, got 5"),
+        ({"max_sweeps": 3}, "error: config needs a 'gallery' label or a 'problem' document"),
     ],
     ids=[
         "growth_threshold",
@@ -427,6 +431,8 @@ def test_flag_for_wrong_label_is_rejected(capsys):
         "bool_int",
         "bool_window",
         "numeric_string",
+        "output_number",
+        "neither_gallery_nor_problem",
     ],
 )
 def test_bad_config_setting_is_one_error_line(tmp_path, capsys, no_solve, doc, message):
@@ -584,6 +590,12 @@ def test_malformed_config_file(tmp_path, capsys):
     assert run_cli(["run", "--config", str(cfg)]) == EXIT_USAGE
     assert "cannot read config" in capsys.readouterr().err
     assert run_cli(["run", "--config", str(tmp_path / "missing.json")]) == EXIT_USAGE
+    capsys.readouterr()
+    cfg.write_text("[1, 2]")
+    assert run_cli(["run", "--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: config {cfg} must be a JSON object"]
+    assert captured.out == ""
 
 
 def test_malformed_problem_document(tmp_path, capsys):
@@ -626,6 +638,33 @@ def test_non_spd_operator_above_verify_cap_is_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "[mohlenkamp]" in captured.out
     assert "not positive definite" in captured.err
+
+
+def test_dense_operator_above_the_check_cap_is_reported_unverified(tmp_path, capsys):
+    dims = [9, 8, 8]
+    n = int(np.prod(dims))
+    assert n > SPD_VERIFY_CAP
+    cfg = tmp_path / "large.json"
+    problem = {
+        "dims": dims,
+        "operator": {"kind": "dense", "matrix": (2.0 * np.eye(n)).tolist()},
+        "target": {"terms": [{"coeff": 1.0, "vectors": [[1.0] * m for m in dims]}]},
+        "init": [[1.0] * m for m in dims],
+    }
+    cfg.write_text(json.dumps({"problem": problem, "max_sweeps": 1}))
+    assert run_cli(["run", "--config", str(cfg)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "  warning: operator definiteness unverified (size above check cap)"
+    assert run_cli(["run", "--gallery", "mohlenkamp", "--max-sweeps", "1"]) == EXIT_OK
+    assert "warning" not in capsys.readouterr().out
+
+
+def test_flagged_instance_reports_its_flags(capsys):
+    assert run_cli(["run", "--gallery", "blambda", "--lambda", "0.6", "--max-sweeps", "2"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "  instance flags: reference-outside-range"
+    assert run_cli(["run", "--gallery", "blambda", "--lambda", "0.4", "--max-sweeps", "2"]) == EXIT_OK
+    assert "instance flags" not in capsys.readouterr().out
 
 
 def test_overflowing_unfolding_factor_exits_one_with_a_message(tmp_path, capsys, monkeypatch):
@@ -1004,6 +1043,30 @@ def test_rate_line_reports_classification(capsys):
             {"operator": {"kind": "dense", "matrix": np.diag([1.0] * 7 + [np.nan]).tolist()}},
             "operator matrix entries must be finite",
         ),
+        # numpy parses each string and bool below as a float; a document takes numbers only
+        ({"target": {"dense": ["1", 0, 0, 0, 0, 0, 0, 0]}}, "dense must hold numbers only, got '1'"),
+        (
+            {"target": {"terms": [{"coeff": "2", "vectors": [[1, 0], [1, 0], [1, 0]]}]}},
+            "terms must hold numbers only, got '2'",
+        ),
+        (
+            {"target": {"terms": [{"coeff": 1, "vectors": [[1, 0], [True, 0], [1, 0]]}]}},
+            "terms must hold numbers only, got True",
+        ),
+        ({"init": [["1", True], [0.0, 0.0], [1.0, 0.0]]}, "init must hold numbers only, got '1'"),
+        ({"init": [[0.0, 0.0], [0.0, None], [1.0, 0.0]]}, "init must hold numbers only, got None"),
+        ({"reference": {"dense": [0.0] * 7 + ["1"]}}, "dense must hold numbers only, got '1'"),
+        ({"reference_factor": [False, 1]}, "reference_factor must hold numbers only, got False"),
+        (
+            {"operator": {"kind": "dense", "matrix": [[1.0] * 8] * 7 + [[1.0] * 7 + ["1"]]}},
+            "matrix must hold numbers only, got '1'",
+        ),
+        (
+            {"operator": {"kind": "modewise", "factors": [[[1.0, 0.0], [0.0, True]]] * 3}},
+            "factors must hold numbers only, got True",
+        ),
+        ({"init": [[10**400, 0.0], [0.0, 0.0], [1.0, 0.0]]}, "int too large to convert to float"),
+        ({"operator": None}, "'NoneType' object has no attribute 'get'"),
     ],
     ids=[
         "tt_reference_factor",
@@ -1017,6 +1080,17 @@ def test_rate_line_reports_classification(capsys):
         "fractional_rank",
         "inf_modewise_factor",
         "nan_dense_matrix",
+        "string_dense_target",
+        "string_coeff",
+        "bool_term_vector",
+        "string_and_bool_init",
+        "null_init",
+        "string_reference",
+        "bool_reference_factor",
+        "string_dense_matrix",
+        "bool_modewise_factor",
+        "int_beyond_float",
+        "null_operator",
     ],
 )
 def test_bad_problem_document_fails_before_any_job_solves(tmp_path, capsys, no_solve, change, message):
@@ -1030,6 +1104,133 @@ def test_bad_problem_document_fails_before_any_job_solves(tmp_path, capsys, no_s
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: malformed problem document: {message}"]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"target": {"values": [1.0] * 8}}, "tensor document needs 'dense' or 'terms'"),
+        ({"operator": {"kind": "sparse"}}, "unknown operator kind 'sparse'"),
+    ],
+    ids=["target_without_dense_or_terms", "unknown_operator_kind"],
+)
+def test_problem_document_without_a_known_form_is_one_error_line(
+    tmp_path, capsys, no_solve, change, message
+):
+    doc = json.loads(json.dumps(DEGENERATE_PROBLEM))
+    doc["problem"].update(change)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["run", "--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+
+
+# Two valid problem documents between them covering both target forms, both
+# explicit operator kinds, both formats and both references.  Every list of
+# numbers in them but a CP rank list has two or more entries, so a list put
+# in place of one entry makes a ragged array.
+VALID_PROBLEMS = [
+    {
+        "dims": [2, 3],
+        "format": "cp",
+        "ranks": [1],
+        "operator": {
+            "kind": "modewise",
+            "factors": [[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.5, 3.0]]],
+        },
+        "target": {"dense": [1.0, 0.5, 0.25, 0.5, 2, 1.0]},
+        "init": [[1.0, 1.0], [1, 0.5, 0.25]],
+        "reference_factor": [1.0, 0.5],
+    },
+    {
+        "label": "tt",
+        "dims": [2, 2, 2],
+        "format": "tt",
+        "ranks": [2, 2],
+        "operator": {
+            "kind": "dense",
+            "matrix": (2.0 * np.eye(8) + 0.5 * (np.eye(8, k=1) + np.eye(8, k=-1))).tolist(),
+        },
+        "target": {
+            "terms": [
+                {"coeff": 2.0, "vectors": [[1.0, 0.5], [0.5, 1.0], [1, 1]]},
+                {"coeff": -1, "vectors": [[0.0, 1.0], [1.0, 0.0], [1.0, -1.0]]},
+            ]
+        },
+        "init": [[1.0, 0.5, 0.25, -0.5], [1.0, 0.0, 0.5, 0.25, 0.0, 1.0, -0.5, 0.5], [1.0, 0.5, 0.5, 1]],
+        "reference": {"dense": [1.0, 0.5, 0.5, 0.25, 0.5, 1.0, 0.25, 0.5]},
+    },
+]
+# the keys whose removal leaves a document that cannot be read
+REQUIRED_KEYS = {"dims", "target", "init", "dense", "terms", "coeff", "vectors", "factors", "matrix"}
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node of a JSON document, the root first."""
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _nodes(child, (*path, key))
+
+
+# what takes the place of one number: none of them is a number numpy would not parse
+BAD_ENTRIES = st.one_of(
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.just(float("nan")),
+    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=2),
+)
+
+
+@st.composite
+def problems_changed_in_one_place(draw):
+    """A valid problem document with one number replaced, or one required key dropped."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_PROBLEMS))))
+    nodes = list(_nodes(doc))
+    replace = draw(st.booleans())
+    if replace:
+        paths = [path for path, value in nodes if type(value) in (int, float)]
+    else:
+        paths = [path for path, _ in nodes if path and path[-1] in REQUIRED_KEYS]
+    *head, last = draw(st.sampled_from(paths))
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if replace:
+        parent[last] = draw(BAD_ENTRIES)
+    else:
+        del parent[last]
+    return doc
+
+
+@pytest.mark.parametrize("problem", VALID_PROBLEMS, ids=["cp_dense_modewise", "tt_terms_dense"])
+def test_valid_problem_documents_solve(tmp_path, capsys, problem):
+    cfg = tmp_path / "ok.json"
+    cfg.write_text(json.dumps({"problem": problem, "max_sweeps": 2}))
+    assert run_cli(["run", "--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@settings(
+    deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(problem=problems_changed_in_one_place())
+def test_a_document_changed_in_one_place_is_one_error_line(tmp_path, capsys, no_solve, problem):
+    # no_solve fails the test if the job reaches run()
+    cfg = tmp_path / "changed.json"
+    cfg.write_text(json.dumps({"problem": problem, "max_sweeps": 2}))
+    capsys.readouterr()
+    assert run_cli(["run", "--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
 
 
 def test_rate_line_with_an_infinite_tangent_is_unavailable(tmp_path, capsys):

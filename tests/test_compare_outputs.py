@@ -71,6 +71,15 @@ def test_error_outputs_are_one_error_line_and_exit_one():
         "mode-0 factor entries must be finite",
         "error fractional dims": "error: malformed problem document: "
         "mode size must be an integer, got 2.7",
+        # each of these four solved and exited 0 before documents took numbers only
+        "error string dense target": "error: malformed problem document: "
+        "dense must hold numbers only, got '1'",
+        "error string coeff": "error: malformed problem document: "
+        "terms must hold numbers only, got '2'",
+        "error bool init": "error: malformed problem document: "
+        "init must hold numbers only, got True",
+        "error string operator matrix": "error: malformed problem document: "
+        "matrix must hold numbers only, got '1'",
     }
     assert sorted(outputs) == sorted(messages)
     for name, message in messages.items():

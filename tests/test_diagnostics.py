@@ -53,6 +53,11 @@ def test_objective_rejects_zero_target():
     shape = Shape((2,))
     with pytest.raises(ValueError, match="zero target"):
         objective(IdentityOperator(shape), DenseTensor.zeros(shape), DenseTensor.zeros(shape))
+    fmt = CpFormat(shape, 1)
+    with pytest.raises(ValueError, match="^objective undefined for zero target$"):
+        gradient_block(
+            IdentityOperator(shape), DenseTensor.zeros(shape), fmt, ParamSystem([[1.0, 0.0]]), 0
+        )
 
 
 def test_gradient_block_matches_finite_differences():
@@ -289,6 +294,16 @@ def test_monitors_growth_threshold_logic():
     calm = assumption_monitors(trace, growth_threshold=10.0)
     assert not calm.unbounded_suspect
     assert calm.flags == ()
+
+
+def test_monitors_growth_from_a_zero_start():
+    # no ratio to a zero initial norm: growth is inf once a block is nonzero, else 1
+    grown = assumption_monitors(_trace_with_ranks([1, 1], [0.0, 2.0], init_pmax=0.0))
+    assert grown.growth_ratio == float("inf")
+    assert grown.unbounded_suspect
+    still = assumption_monitors(_trace_with_ranks([0, 0], [0.0, 0.0], init_pmax=0.0))
+    assert still.growth_ratio == 1.0
+    assert not still.unbounded_suspect
 
 
 def test_monitors_detect_rank_drift():

@@ -605,6 +605,26 @@ def test_tt_params_json_roundtrip():
         assert np.array_equal(p[mu], p2[mu])
 
 
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([["1", 0.0], [0.0, 1.0]], "blocks must hold numbers only, got '1'"),
+        ([[1.0, True], [0.0, 1.0]], "blocks must hold numbers only, got True"),
+        ([[1.0, 0.0], [None, 1.0]], "blocks must hold numbers only, got None"),
+        ([[1.0, 0.0], "01"], "blocks must hold numbers only, got '01'"),
+        ([[10**400, 0.0], [0.0, 1.0]], "malformed parameter document: int too large to convert to float"),
+    ],
+    ids=["string", "bool", "null", "string_block", "huge_int"],
+)
+def test_params_json_takes_json_numbers_only(blocks, message):
+    # numpy would parse each of the first four as floats
+    doc = {"format": "cp", "dims": [2, 2], "ranks": [1], "blocks": blocks}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        params_from_json(json.dumps(doc))
+    fmt, p = params_from_json(json.dumps({**doc, "blocks": [[1, 0.0], [0.0, 1]]}))
+    assert fmt.shape.dims == (2, 2) and p[0].dtype == float
+
+
 def test_params_json_rejects_custom_and_malformed():
     fmt = MultilinearFormat(Shape((2,)), (2,), lambda blocks: blocks[0])
     with pytest.raises(ValueError, match="no JSON form"):

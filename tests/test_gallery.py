@@ -16,6 +16,7 @@ from alskit.gallery import (
     mohlenkamp_example,
     totally_orthogonal,
     tucker_coupling_closed_form,
+    tucker_middle_contraction,
     tucker_target,
 )
 from alskit.tensors import DenseTensor, Shape, rank_one_sum
@@ -143,6 +144,8 @@ def test_totally_orthogonal_default_weights_and_reference():
 def test_totally_orthogonal_validation():
     with pytest.raises(ValueError, match="r too large"):
         totally_orthogonal(5, (4, 4, 4))
+    with pytest.raises(ValueError, match="^need at least one term$"):
+        totally_orthogonal(0, (4, 4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +250,42 @@ def test_tucker_closed_form_matches_probed_coupling():
         assert np.max(np.abs(probed - closed)) < 1e-12
 
 
+def test_tucker_closed_form_and_its_contraction_reject_what_they_cannot_form():
+    one_mode = tucker_target(DenseTensor.from_array(np.ones(2)), [np.eye(3)[:, :2]])
+    instance = get_instance("tucker", dims=(3, 3, 3), t_dims=(2, 2, 2), seed=3)
+    zero_middle = instance.init.replace(1, np.zeros(3))
+    for form in (tucker_coupling_closed_form, tucker_middle_contraction):
+        with pytest.raises(ValueError, match="^closed form needs at least two modes$"):
+            form(one_mode, one_mode.init)
+        with pytest.raises(ValueError, match="^closed form undefined at a zero middle block$"):
+            form(instance, zero_middle)
+
+
+def test_tucker_middle_contraction_is_diagonal_for_the_super_diagonal_core():
+    instance = get_instance("tucker", dims=(4, 4, 4), t_dims=(2, 2, 2), seed=3)
+    gamma, scale = tucker_middle_contraction(instance, instance.init)
+    assert gamma.shape == (2, 2)
+    assert np.array_equal(gamma, np.diag(np.diag(gamma)))
+    assert scale == np.linalg.norm(instance.init[1])
+
+
 def test_tucker_unknown_kwargs_rejected():
     with pytest.raises(ValueError, match="unknown arguments"):
         get_instance("tucker", bogus=3)
+
+
+@pytest.mark.parametrize(
+    "dims, t_dims, message",
+    [
+        ((4, 4, 4), (2, 2), "core order must match mode count"),
+        ((4, 4, 4), (2, 5, 2), "core mode sizes cannot exceed tensor mode sizes"),
+    ],
+)
+def test_tucker_arguments_are_checked(dims, t_dims, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        default_tucker_args(dims, t_dims, 0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        get_instance("tucker", dims=dims, t_dims=t_dims)
 
 
 # ---------------------------------------------------------------------------

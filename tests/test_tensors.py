@@ -246,6 +246,10 @@ def test_modewise_validates_factors():
         ModeWiseOperator([np.diag([1.0, 0.0])])
     with pytest.raises(ValueError, match="at least one factor"):
         ModeWiseOperator([])
+    with pytest.raises(ValueError, match="^factor 1 is not square$"):
+        ModeWiseOperator([np.eye(2), np.ones((2, 3))])
+    with pytest.raises(ValueError, match="^factor 0 is not square$"):
+        ModeWiseOperator([np.ones(3)])
 
 
 def test_apply_matrix_agrees_with_columnwise_apply():

@@ -1,5 +1,7 @@
 """The self-check registry: happy paths, fault injection, trial scaling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,11 @@ from alskit.verification import (
     check_decrement_identity,
     check_monotone_chain,
     check_oracle_equivalence,
+    ROUTE_CASES,
     random_problem,
     rank_deficient_problem,
     run_checks,
+    sized_problem,
 )
 
 FAST_CHECKS = [
@@ -43,6 +47,86 @@ def test_problem_generators_are_seeded():
     b1 = rank_deficient_problem(7)
     b2 = rank_deficient_problem(7)
     assert np.array_equal(b1[3][0], b2[3][0])
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+# The draws of verify's problems at seeds verify uses: the function, its
+# arguments, the dims, and the digests of the blocks, the target and the
+# operator factors as float64 bytes, so a change in any draw, its order or
+# its layout fails here.
+PINNED_DRAWS = [
+    (
+        random_problem,
+        (400,),
+        (2, 2, 3, 2),
+        ("b49a7ab7951ad8d6", "0a00e2bc234c1dad", "1b290e18d604b4fd"),
+    ),
+    (
+        random_problem,
+        (500,),
+        (3, 3, 4),
+        ("49822b8df041e70b", "2fcd367e0f344cd9", "ced03c75e365636c"),
+    ),
+    (
+        random_problem,
+        (900,),
+        (2, 3, 2),
+        ("a07ecd411d2ec270", "d4fba131f894e8f9", "8b457decf3f2e791"),
+    ),
+    (
+        sized_problem,
+        (110, *ROUTE_CASES[1]),
+        (8, 8, 8),
+        ("0a64388e0da04641", "9ac7b2c3f71ee5a4", "6b588ca662df0017"),
+    ),
+    (
+        sized_problem,
+        (1100, *ROUTE_CASES[-1]),
+        (8, 8, 6),
+        ("f300cb6f70deddea", "6d52c0648314d397", "98cfa43ea98e1f6f"),
+    ),
+    (
+        sized_problem,
+        (1403, *ROUTE_CASES[3]),
+        (7, 8, 6),
+        ("221e96b2c3cc8be6", "db9d3f219b72c154", "8ba7248cd7c67cbe"),
+    ),
+    (
+        rank_deficient_problem,
+        (402,),
+        (2, 2, 4),
+        ("ffa7a7f2ac56b6cf", "e3653dceee639392", "b2c4cbd8ebddc44a"),
+    ),
+    (
+        rank_deficient_problem,
+        (901,),
+        (4, 3, 4),
+        ("34ddc8c22afddbb6", "02acbbe54632ba88", "be31696e9b3ccbc0"),
+    ),
+    (
+        rank_deficient_problem,
+        (903,),
+        (2, 4, 4),
+        ("565997279be248da", "0e61bf58fb55175b", "c56d7a479966cd6d"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "draw, args, dims, digests",
+    PINNED_DRAWS,
+    ids=[f"{draw.__name__}-{args[0]}" for draw, args, _, _ in PINNED_DRAWS],
+)
+def test_verify_problem_draws_are_pinned(draw, args, dims, digests):
+    A, b, fmt, p = draw(*args)
+    assert fmt.shape.dims == dims
+    assert (_digest(p.blocks), _digest([b.values]), _digest(A.factors)) == digests
 
 
 def test_random_problem_covers_both_formats():

@@ -18,9 +18,11 @@ the path and one BLAS thread:
   ``run --gallery blambda --lambda 1e308``, ``run --gallery mohlenkamp
   --tau 1e308``, and the two configs of finite CP parameters whose
   unfolding factor (structured route, an SVD) or formed Gram matrix
-  overflows, built as ``tests/test_cli.py`` builds them; and of three
+  overflows, built as ``tests/test_cli.py`` builds them; and of seven
   problem documents rejected before any solve: a NaN reference factor,
-  an inf entry in a mode-wise operator factor, and fractional dims;
+  an inf entry in a mode-wise operator factor, fractional dims, and a
+  string or a bool where a number belongs (a dense target entry, a term
+  coefficient, an init entry, a dense operator entry);
 - ladder: the ``modewise_ladder`` problems on seeds 3, 7 and 101, solved as
   the benchmark solves them: every micro-step record, ``sweep_f``,
   ``dist_a``, the final parameters and the final iterate;
@@ -138,6 +140,12 @@ def error_outputs(alskit) -> dict:
         "nan reference factor": {"reference_factor": [float("nan"), 1.0]},
         "inf modewise factor": {"operator": inf_operator},
         "fractional dims": {"dims": [2.7, 1]},
+        "string dense target": {"target": {"dense": ["1", "0.5"]}},
+        "string coeff": {"target": {"terms": [{"coeff": "2", "vectors": [[1.0, 0.5], [1.0]]}]}},
+        "bool init": {"init": [[1.0, True], [1.0]]},
+        "string operator matrix": {
+            "operator": {"kind": "dense", "matrix": [[1.0, 0.0], [0.0, "1"]]}
+        },
     }
     for name, change in bad_problems.items():
         configs[f"error {name}"] = _bad_problem_config(change)
