@@ -133,6 +133,8 @@ def _tensor_from_doc(doc, shape: Shape) -> DenseTensor:
 
 
 def _operator_from_doc(doc, shape: Shape):
+    if not isinstance(doc, dict):
+        raise CliError("operator must be a JSON object")
     kind = doc.get("kind", "identity")
     if kind == "identity":
         return IdentityOperator(shape)
@@ -167,7 +169,7 @@ def _instance_from_problem_doc(doc) -> ProblemInstance:
         )
     except CliError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"malformed problem document: {exc}") from exc
 
 

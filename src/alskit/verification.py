@@ -294,9 +294,8 @@ def check_structured_vs_probe(trials: int = 20):
         worst_apply = max(worst_apply, _relative_deviation(A.apply_matrix(M), K @ M))
     blocks_solved = rank_mismatch = formed_default = 0
     worst_solve = worst_image = worst_formed_image = worst_dist = 0.0
-    for i, case in enumerate(ROUTE_CASES):
-        A, b, fmt, p = sized_problem(110 + i, *case)
-        trace = engine.run(A, b, fmt, p, engine.StopRule(max_sweeps=2), keep_params=True)
+    for A, b, fmt, trace in _route_case_traces(sweeps=2, seed=110):
+        p = trace.param_snapshots[0]
         params = trace.param_snapshots[:: fmt.num_blocks] + [trace.final_params]
         vs = [evaluate(fmt, q) for q in params]
         want = [a_norm(A, v - v_prev) for v_prev, v in zip(vs, vs[1:])]
@@ -553,16 +552,16 @@ def check_coupling_symmetry(trials: int = 10):
     return worst <= 1e-10, f"max transpose-pair deviation {worst:.2e} (tol 1e-10)"
 
 
-def _gallery_trace(instance: gallery.ProblemInstance, sweeps: int, references: bool):
-    """Keep-params trace of ``sweeps`` sweeps; with ``references``, the instance's go to run."""
+def _gallery_trace(instance: gallery.ProblemInstance, sweeps: int):
+    """Keep-params trace of ``sweeps`` sweeps, with the instance's references."""
     return engine.run(
         instance.A,
         instance.b,
         instance.fmt,
         instance.init,
         engine.StopRule(max_sweeps=sweeps),
-        reference=instance.reference if references else None,
-        reference_factor=instance.reference_factor if references else None,
+        reference=instance.reference,
+        reference_factor=instance.reference_factor,
         keep_params=True,
     )
 
@@ -575,13 +574,13 @@ def _rank_one_gallery_traces(sweeps: int = 6):
         gallery.get_instance("tucker", dims=(3, 3, 3), t_dims=(2, 2, 2), seed=3),
     ]
     for instance in instances:
-        yield instance, _gallery_trace(instance, sweeps, references=True)
+        yield instance, _gallery_trace(instance, sweeps)
 
 
-def _route_case_traces(sweeps: int = 3):
+def _route_case_traces(sweeps: int = 3, seed: int = 1400):
     """Keep-params traces of the ROUTE_CASES systems, whose solves are structured."""
     for i, case in enumerate(ROUTE_CASES):
-        A, b, fmt, p = sized_problem(1400 + i, *case)
+        A, b, fmt, p = sized_problem(seed + i, *case)
         trace = engine.run(A, b, fmt, p, engine.StopRule(max_sweeps=sweeps), keep_params=True)
         yield A, b, fmt, trace
 
@@ -608,7 +607,7 @@ def check_recursion_defect():
 
 def check_tucker_closed_form():
     instance = gallery.get_instance("tucker", dims=(4, 4, 4), t_dims=(2, 2, 2), seed=3)
-    trace = _gallery_trace(instance, 4, references=False)
+    trace = _gallery_trace(instance, 4)
     worst = 0.0
     diag_dev = 0.0
     d = instance.fmt.num_blocks
@@ -632,7 +631,7 @@ def check_tucker_closed_form():
 def check_tangent_recursion():
     # blambda against its known limit, the ROUTE_CASES systems against their target
     instance = gallery.blambda_example(0.3, n=4, seed=11)
-    trace = _gallery_trace(instance, 6, references=True)
+    trace = _gallery_trace(instance, 6)
     replays = [(instance.A, instance.b, instance.fmt, trace, instance.reference.values, False)]
     replays += [(A, b, fmt, tr, b.values, True) for A, b, fmt, tr in _route_case_traces()]
     worst_split = 0.0
@@ -713,7 +712,7 @@ def check_rate_formula():
 
 
 def check_monitors():
-    trace = _gallery_trace(gallery.desilva_lim(2), 50, references=False)
+    trace = _gallery_trace(gallery.desilva_lim(2), 50)
     report_hi = assumption_monitors(trace, growth_threshold=1e6)
     report_lo = assumption_monitors(trace, growth_threshold=1.01)
     if report_hi.unbounded_suspect:

@@ -1066,7 +1066,6 @@ def test_rate_line_reports_classification(capsys):
             "factors must hold numbers only, got True",
         ),
         ({"init": [[10**400, 0.0], [0.0, 0.0], [1.0, 0.0]]}, "int too large to convert to float"),
-        ({"operator": None}, "'NoneType' object has no attribute 'get'"),
     ],
     ids=[
         "tt_reference_factor",
@@ -1090,7 +1089,6 @@ def test_rate_line_reports_classification(capsys):
         "string_dense_matrix",
         "bool_modewise_factor",
         "int_beyond_float",
-        "null_operator",
     ],
 )
 def test_bad_problem_document_fails_before_any_job_solves(tmp_path, capsys, no_solve, change, message):
@@ -1111,8 +1109,10 @@ def test_bad_problem_document_fails_before_any_job_solves(tmp_path, capsys, no_s
     [
         ({"target": {"values": [1.0] * 8}}, "tensor document needs 'dense' or 'terms'"),
         ({"operator": {"kind": "sparse"}}, "unknown operator kind 'sparse'"),
+        ({"operator": None}, "operator must be a JSON object"),
+        ({"operator": [[1.0] * 8] * 8}, "operator must be a JSON object"),
     ],
-    ids=["target_without_dense_or_terms", "unknown_operator_kind"],
+    ids=["target_without_dense_or_terms", "unknown_operator_kind", "null_operator", "list_operator"],
 )
 def test_problem_document_without_a_known_form_is_one_error_line(
     tmp_path, capsys, no_solve, change, message
