@@ -123,7 +123,14 @@ def write_target_csv(b: DenseTensor, path: str):
         fh.write("\n".join(lines) + "\n")
 
 
-def _tensor_from_doc(doc, shape: Shape) -> DenseTensor:
+def _check_object(doc, what: str):
+    """Reject a document value that is not a JSON object, naming it as the document does."""
+    if not isinstance(doc, dict):
+        raise CliError(f"{what} must be a JSON object")
+
+
+def _tensor_from_doc(doc, shape: Shape, what: str) -> DenseTensor:
+    _check_object(doc, what)
     if "dense" in doc:
         return DenseTensor(shape, check_numbers(doc["dense"], "dense"))
     if "terms" in doc:
@@ -133,8 +140,7 @@ def _tensor_from_doc(doc, shape: Shape) -> DenseTensor:
 
 
 def _operator_from_doc(doc, shape: Shape):
-    if not isinstance(doc, dict):
-        raise CliError("operator must be a JSON object")
+    _check_object(doc, "operator")
     kind = doc.get("kind", "identity")
     if kind == "identity":
         return IdentityOperator(shape)
@@ -146,15 +152,20 @@ def _operator_from_doc(doc, shape: Shape):
 
 
 def _instance_from_problem_doc(doc) -> ProblemInstance:
+    """The instance a problem document describes.
+
+    The two references are optional, and a null one is no reference.
+    """
+    _check_object(doc, "problem")
     try:
         fmt = format_from_doc({"format": "cp", "ranks": [1], **doc})
         shape = fmt.shape
         A = _operator_from_doc(doc.get("operator", {}), shape)
-        b = _tensor_from_doc(doc["target"], shape)
+        b = _tensor_from_doc(doc["target"], shape, "target")
         init = ParamSystem(check_numbers(doc["init"], "init"))
-        reference = None
-        if "reference" in doc:
-            reference = _tensor_from_doc(doc["reference"], shape)
+        reference = doc.get("reference")
+        if reference is not None:
+            reference = _tensor_from_doc(reference, shape, "reference")
         reference_factor = doc.get("reference_factor")
         if reference_factor is not None:
             check_numbers(reference_factor, "reference_factor")

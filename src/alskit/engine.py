@@ -11,7 +11,11 @@ see ``formats``) with an identity or mode-wise operator, never forms an
 N x k array: it works on the thin SVDs of the small unfolding factors of
 W, where W^T W = Z^T Z (x) I.  Its projected operator is the Kronecker
 product G = S (x) K_mu, which it never forms either: it solves
-S Y K_mu = R with one Cholesky solve per factor.
+S Y K_mu = R with one Cholesky solve per factor, K_mu's Cholesky factor
+kept by the operator.  A mode-wise operator passes through a factored
+format, A U(p) = U(K_1 p_1, ..., K_d p_d) (``modewise_blocks``), so the
+structured route takes A applied to its basis from the frozen blocks'
+factors.
 Either route returns, next to the solution and its image A V y (from the
 A V its G is made of), the maps the system is made of: W, W^T and the
 Gram and energy pseudo-inverses.  That record, ``LocalSolve``, and the
@@ -32,9 +36,13 @@ handed from step to step, so no step applies the full operator; the
 target's squared norm <b, b> is handed on the same way, and the
 parameter system carries its block norms, so a step measures only the
 block it writes.
-For a verified operator ``run`` also takes the energy distance between
-sweep iterates from the two carried images, so a run applies A once in
-all on either route, and an unverified operator once more per sweep.
+The first image comes from ``operator_image``: for a mode-wise operator
+on a factored format (CP, TT) it is an evaluation at the blocks with the
+mode factors applied, otherwise one full apply.  For a verified operator
+``run`` also takes the energy distance between sweep iterates from the
+two carried images, so a run with a mode-wise operator on CP or TT makes
+no full apply, any other run applies A once in all on either route, and
+an unverified operator once more per sweep.
 """
 
 from __future__ import annotations
@@ -76,7 +84,6 @@ from .tensors import (
     all_finite,
     check_int,
     inner,
-    kron_apply,
     vector_norm,
 )
 
@@ -272,6 +279,54 @@ def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vt
 
 
+def modewise_blocks(
+    A: ModeWiseOperator, fmt: TensorFormat, blocks, skip: int | None = None
+) -> list[np.ndarray]:
+    """The blocks with K_nu applied to the mode axis of block nu; block ``skip`` is left as it is.
+
+    Block nu of a factored format holds mode nu, and U is linear in each
+    block, so U(K_1 p_1, ..., K_d p_d) = (K_1 (x) ... (x) K_d) U(p)
+    (Kolda & Bader 2009): the operator passes through the format.  Each
+    block goes through its unfolding F to K_nu F and back.
+    """
+    return [
+        q if nu == skip else fmt.block_from_unfolding(K @ fmt.block_to_unfolding(q, nu), nu)
+        for nu, (K, q) in enumerate(zip(A.factors, blocks))
+    ]
+
+
+def frozen_image(
+    A: ModeWiseOperator, fmt: TensorFormat, blocks, mu: int, transforms
+) -> np.ndarray:
+    """A_{!=mu} Z T, for Z the Kronecker product of block mu's unfolding factors and T of ``transforms``.
+
+    A_{!=mu} is the Kronecker product of the factors K_nu, nu != mu.  The
+    unfolding factors of ``modewise_blocks`` (block mu left as it is) are
+    those of block mu with each row axis multiplied by its modes' K_nu, so
+    their Kronecker product is A_{!=mu} Z; each is multiplied by its own
+    transform before the Kronecker product is formed, one factor at a time.
+    """
+    moved = fmt.unfolding_factors(modewise_blocks(A, fmt, blocks, skip=mu), mu)
+    return kron_all([factor @ T for factor, T in zip(moved, transforms)])
+
+
+def operator_image(A: SpdOperator, fmt: TensorFormat, p: ParamSystem, v: DenseTensor) -> DenseTensor:
+    """A v for the iterate v = U(p).
+
+    For a mode-wise operator on a factored format (one that declares
+    unfolding factors) of its shape, this is the evaluation at
+    ``modewise_blocks``, with no full apply; any other operator or format
+    is applied to v.
+    """
+    if (
+        type(A) is ModeWiseOperator
+        and A.shape.dims == fmt.shape.dims
+        and type(fmt).unfolding_factors is not TensorFormat.unfolding_factors
+    ):
+        return DenseTensor(fmt.shape, fmt._evaluate_blocks(modewise_blocks(A, fmt, p.blocks)))
+    return A.apply(v)
+
+
 def formed_solve(
     A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem, mu: int, eps_rank: float
 ) -> LocalSolve:
@@ -318,14 +373,16 @@ def structured_solve(
     W^T W = Z^T Z (x) I, keeping the products with
     sigma^2 > eps_rank * sigma_1^2 is the formed route's Gram cut.  The
     kept left singular vectors U_k give V = U_k (x) I, so that
-    G = S (x) K_mu with S = U_k^T (K_L (x) K_R) U_k from a mode-wise apply
-    on U_k, and V^T b and W^T x are contractions of the unfolding with U_k
-    and Z.  G y = V^T b is solved as the matrix equation S Y K_mu = R,
-    R = U_k^T unfold(b)^T, by a Cholesky solve with S and then one with
-    K_mu (Van Loan 2000), at O(k^3 + m^3) in place of O(k^3 m^3); y is Y
-    in (kept column, i) order.  The minimum-norm block is Y T_k^T with
-    Z T_k = U_k, and the new iterate's image A V y is
-    fold(K_mu Y^T ((K_L (x) K_R) U_k)^T), from the same mode-wise apply.
+    G = S (x) K_mu with S = U_k^T A_{!=mu} U_k, and V^T b and W^T x are
+    contractions of the unfolding with U_k and Z.  Since Z T_k = U_k,
+    A_{!=mu} U_k is ``frozen_image``: the unfolding factors of the frozen
+    blocks with their mode factors applied, times T_k, and no mode-wise
+    apply to an (N / m) x k array.  G y = V^T b is solved as the matrix
+    equation S Y K_mu = R, R = U_k^T unfold(b)^T, by a Cholesky solve with
+    S and then with the operator's own Cholesky factor of K_mu (Van Loan
+    2000), at O(k^3 + m^2 k) in place of O(k^3 m^3); y is Y in
+    (kept column, i) order.  The minimum-norm block is Y T_k^T, and the
+    new iterate's image A V y is fold(K_mu Y^T (A_{!=mu} U_k)^T).
     The maps of ``LocalSolve`` act on a block through its unfolding F:
     W q = fold(F Z^T), and the pseudo-inverses multiply F by T_k, solve
     with the two Cholesky factors (energy only) and multiply by T_k^T.
@@ -356,6 +413,7 @@ def structured_solve(
     def adjoint(x):
         return to_block(unfold(x, left, m) @ Z)
 
+    K_mu = K_factor = None  # the identity
     # a direction that the one cut below drops may divide by a zero (or
     # tiny) singular value; its non-finite columns are dropped with it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -370,21 +428,18 @@ def structured_solve(
         U, T, ratio = svds[0]
         for Uf, Tf, ratio_f in svds[1:]:
             U, T, ratio = kron(U, Uf), kron(T, Tf), np.outer(ratio, ratio_f).ravel()
+        if type(A) is ModeWiseOperator:
+            K_mu, K_factor = A.factors[mu], A.cholesky[mu]
+            AU = frozen_image(A, fmt, p.blocks, mu, [Tf for _, Tf, _ in svds])
     keep = ratio > eps_rank
     U, T = U[:, keep], T[:, keep]
-
-    K_mu = K_factor = None  # the identity
-    AU = U
-    if type(A) is ModeWiseOperator:
-        K_mu = A.factors[mu]
-        others = A.factors[:mu] + A.factors[mu + 1:]
-        if others:
-            AU = kron_apply(others, U)
+    AU = U if K_mu is None else AU[:, keep]
     S = U.T @ AU
     Y, S_factor = _cholesky_solve(0.5 * (S + S.T), U.T @ unfold(b.values, left, m).T)
-    if K_mu is not None:
-        Y, K_factor = _cholesky_solve(0.5 * (K_mu + K_mu.T), Y.T)
-        Y = Y.T
+    if K_factor is not None:
+        if not all_finite(Y):
+            raise ValueError("array must not contain infs or NaNs")
+        Y = _cholesky_apply(K_factor, Y.T).T
     block = to_block((T @ Y).T)
     iterate = fold(Y.T @ U.T, left, m)
     image = iterate if K_mu is None else fold((K_mu @ Y.T) @ AU.T, left, m)
@@ -599,7 +654,7 @@ def run(
 
     p = init
     v = evaluate(fmt, p)
-    Av = A.apply(v)
+    Av = operator_image(A, fmt, p, v)
     f = objective(A, b, v, Av)
     b2 = inner(b, b)
     initial_f = f

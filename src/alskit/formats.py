@@ -5,19 +5,21 @@ dense tensor space, linear in each block separately.  That multilinearity
 is what the solver exploits: freezing all blocks but one leaves a linear
 map W, returned by ``TensorFormat.local_map``.
 
-A factored format declares its evaluation, its unfolding factors and the
-layout of its blocks: block mu is a flat (a, m_mu, c) core in C order,
-and ``block_axes(mu)`` gives (a, c), (r, 1) for CP and (r_{mu-1}, r_mu)
-for TT.  The mode-mu unfolding of U(..., q, ...) is F Z^T, with
-F = ``unfold(q, a, m_mu)`` and Z = ``kron_all(unfolding_factors)``.  The
-factors are the ones the block has: the Khatri-Rao product of the other
-CP factors; the interfaces P and Q^T of an interior TT core, and only Q^T
-or P at the first or last core.  The base class derives the rest from
-these, W included; the engine's structured solve uses the same factors
-without forming W, and a TT evaluation is the last core's interface P
-times that core.  A format without unfolding factors gets W from
-``probe_map``, one evaluation per basis vector of the block, which is
-also the reference the assembled maps are checked against.
+A factored format declares two things: the layout of its blocks and
+their unfolding factors.  Block mu is a flat (a, m_mu, c) core in C
+order, and ``block_axes(mu)`` gives (a, c), (r, 1) for CP and
+(r_{mu-1}, r_mu) for TT.  The mode-mu unfolding of U(..., q, ...) is
+F Z^T, with F = ``unfold(q, a, m_mu)`` and Z = ``kron_all(unfolding_factors)``.
+The factors are the ones the block has: the Khatri-Rao product of the
+other CP factors; the interfaces P and Q^T of an interior TT core, and
+only Q^T or P at the first or last core.  The base class derives the rest
+from these.  An evaluation is the last block's local map applied to that
+block, one product Z F^T (one GEMM for CP, the interface P times the last
+core for TT), and W is Z placed on the identity of mode mu; the engine's
+structured solve uses the same factors without forming W.  A format
+without unfolding factors declares its block lengths and its evaluation,
+and gets W from ``probe_map``, one evaluation per basis vector of the
+block, which is also the reference the assembled maps are checked against.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 
 import numpy as np
 
-from .tensors import DenseTensor, Shape, check_int, check_numbers, rank_one_values, vector_norm
+from .tensors import DenseTensor, Shape, check_int, check_numbers, vector_norm
 
 
 def _frozen_block(vec) -> tuple[np.ndarray, float]:
@@ -126,9 +128,10 @@ class ParamSystem:
 class TensorFormat:
     """Base class: a multilinear parameterization of dense tensors.
 
-    A factored format defines ``_evaluate_blocks``, ``block_axes`` and
-    ``unfolding_factors``; a format without unfolding factors defines
-    ``block_dim`` instead, and its local map is probed.  A subclass sets
+    A factored format defines ``block_axes`` and ``unfolding_factors``,
+    and the base class evaluates it and assembles its local maps; a format
+    without unfolding factors defines ``block_dim`` and ``_evaluate_blocks``
+    instead, and its local map is probed.  A subclass sets
     its own fields and then calls ``TensorFormat.__init__``, which keeps
     the block lengths that ``check_params`` compares.
     """
@@ -154,7 +157,16 @@ class TensorFormat:
         return a * self.shape.dims[mu] * c
 
     def _evaluate_blocks(self, blocks) -> np.ndarray:
-        raise NotImplementedError
+        """The last block's local map applied to that block: fold(F Z^T), computed as Z F^T.
+
+        Block L - 1 holds the last mode, the fastest in the flat order, so
+        the fold of the m x (N / m) product F Z^T is its transpose, raveled.
+        """
+        last = self.num_blocks - 1
+        factors = self.unfolding_factors(blocks, last)
+        if factors is None:
+            raise NotImplementedError("a format without unfolding factors defines its evaluation")
+        return (kron_all(factors) @ self.block_to_unfolding(blocks[last], last).T).ravel()
 
     def unfolding_factors(self, blocks, mu: int) -> list[np.ndarray] | None:
         """Small frozen factors of the local map of block mu; None if unknown.
@@ -240,19 +252,11 @@ class CpFormat(TensorFormat):
         """Block mu reshaped to (m_mu, rank)."""
         return p[mu].reshape((self.shape.dims[mu], self.rank), order="F")
 
-    def _evaluate_blocks(self, blocks) -> np.ndarray:
-        mats = [
-            b.reshape((m, self.rank), order="F")
-            for b, m in zip(blocks, self.shape.dims)
-        ]
-        terms = [(1.0, [mat[:, j] for mat in mats]) for j in range(self.rank)]
-        return rank_one_values(self.shape.dims, terms)
-
     def unfolding_factors(self, blocks, mu: int) -> list[np.ndarray]:
         """The Khatri-Rao product of the frozen factors, (N / m_mu) x r.
 
-        The product runs left to right over the frozen modes, in the order
-        of ``_evaluate_blocks``.
+        The product runs left to right over the frozen modes, so its rows
+        follow the flat order of the other modes.
         """
         r = self.rank
         kr = None
@@ -294,12 +298,6 @@ class TtFormat(TensorFormat):
         return p[mu].reshape(
             (self.ranks[mu], self.shape.dims[mu], self.ranks[mu + 1])
         )
-
-    def _evaluate_blocks(self, blocks) -> np.ndarray:
-        """The interface P of the last core (its one unfolding factor) times that core."""
-        last = self.num_blocks - 1
-        (P,) = self.unfolding_factors(blocks, last)
-        return (P @ blocks[last].reshape(self.ranks[last], -1)).ravel()
 
     def unfolding_factors(self, blocks, mu: int) -> list[np.ndarray]:
         """The interfaces block mu has: [P, Q^T] inside, [Q^T] first, [P] last.

@@ -1233,6 +1233,53 @@ def test_a_document_changed_in_one_place_is_one_error_line(tmp_path, capsys, no_
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        (None, None, "problem must be a JSON object"),
+        (None, [1.0, 0.5], "problem must be a JSON object"),
+        ("target", None, "target must be a JSON object"),
+        ("target", [1.0, 0.5], "target must be a JSON object"),
+        ("reference", [1.0, 0.5], "reference must be a JSON object"),
+        ("reference", 2.0, "reference must be a JSON object"),
+    ],
+    ids=["null_problem", "list_problem", "null_target", "list_target", "list_reference", "number_reference"],
+)
+def test_a_document_value_that_is_not_an_object_is_one_error_line(
+    tmp_path, capsys, no_solve, key, value, message
+):
+    # each object-valued key is named as the document names it (key None: the problem itself)
+    problem = json.loads(json.dumps(VALID_PROBLEMS[1]))
+    if key is None:
+        problem = value
+    else:
+        problem[key] = value
+    cfg = tmp_path / "not_an_object.json"
+    cfg.write_text(json.dumps({"problem": problem, "max_sweeps": 2}))
+    assert run_cli(["run", "--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("key, problem", [("reference", 1), ("reference_factor", 0)])
+def test_a_null_reference_is_no_reference(tmp_path, capsys, key, problem):
+    # the two optional references share one rule: null is the same as absent
+    outputs = []
+    for null in (False, True):
+        doc = json.loads(json.dumps(VALID_PROBLEMS[problem]))
+        if null:
+            doc[key] = None
+        else:
+            del doc[key]
+        cfg = tmp_path / f"null_{null}.json"
+        cfg.write_text(json.dumps({"problem": doc, "max_sweeps": 2}))
+        assert run_cli(["run", "--config", str(cfg)]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[1].err == ""
+
+
 def test_rate_line_with_an_infinite_tangent_is_unavailable(tmp_path, capsys):
     # the iterate ends on e1 (x) e1, orthogonal to the reference factor e2
     cfg = tmp_path / "orthogonal.json"

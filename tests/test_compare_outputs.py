@@ -29,11 +29,33 @@ def test_difference_is_none_only_bit_for_bit():
     assert np.array_equal(text[1], [0.25, 3.0])
     assert compare_outputs.difference(text, text) is None
     nudged = (text[0], np.array([np.nextafter(0.25, 1.0), 3.0]))
-    assert compare_outputs.difference(nudged, text) == "differs by at most 1 ULP"
+    # one ULP of 0.25 is 2^-54, against the largest magnitude 3
+    assert compare_outputs.difference(nudged, text) == (
+        f"differs by at most 1 ULP, {2.0**-54 / 3.0:.2g} relative to its largest magnitude"
+    )
     signed = ("x", np.array([-0.0])), ("x", np.array([0.0]))
     assert compare_outputs.difference(*signed) == "differs in the sign of a zero"
     other = compare_outputs._text_output("f = 0.25 after 3 sweeps (stalled)\n")
     assert compare_outputs.difference(other, text) == "differs in its text"
+
+
+def test_relative_difference_is_the_largest_gap_over_the_largest_magnitude():
+    # a rounding-level change across zero is a huge ULP count and a tiny relative one
+    want = np.array([1e-300, -2.0, 0.5])
+    got = np.array([-1e-300, -2.0, 0.5])
+    assert compare_outputs.ulp_distance(got, want) > 10**17
+    assert compare_outputs.relative_difference(got, want) == 2e-300 / 2.0
+    assert compare_outputs.difference(("x", got), ("x", want)).endswith(
+        ", 1e-300 relative to its largest magnitude"
+    )
+    assert compare_outputs.relative_difference(want, want) == 0.0
+    # the gap is over the entries that differ, the scale over both arrays' finite entries
+    assert compare_outputs.relative_difference([1.0, 4.0], [1.5, -8.0]) == 12.0 / 8.0
+    assert compare_outputs.relative_difference([np.inf, 1.0], [np.inf, 2.0]) == 0.5
+    # a NaN or inf on one side only, or a change among zeros, is infinitely far
+    assert compare_outputs.relative_difference([np.nan, 1.0], [0.0, 1.0]) == np.inf
+    assert compare_outputs.relative_difference([np.inf, 1.0], [1.0, 1.0]) == np.inf
+    assert compare_outputs.relative_difference([np.nan], [0.0]) == np.inf
 
 
 def test_listing_outputs_cover_the_gallery_and_every_describe():

@@ -41,6 +41,7 @@ from alskit.tensors import (
     Shape,
     a_norm,
     inner,
+    kron_apply,
 )
 from alskit.verification import ROUTE_CASES, sized_problem
 from alskit.verification import random_spd_matrix as spd
@@ -638,21 +639,20 @@ def _count_applies(monkeypatch, cls=ModeWiseOperator):
 @pytest.mark.parametrize(
     "case", [c for c in ROUTE_CASES if c[3] == "modewise"], ids=lambda c: "-".join(map(str, c))
 )
-def test_above_thresholds_a_run_applies_A_once(monkeypatch, case):
-    # one apply for the initial iterate, whose image serves its objective
-    # and the first step; each structured step gets A v_new from its
-    # solve, and dist_a comes from the carried images
+def test_above_thresholds_a_modewise_run_makes_no_full_apply(monkeypatch, case):
+    # the initial image is the evaluation at the blocks with the mode
+    # factors applied; each structured step gets A v_new from its solve,
+    # and dist_a comes from the carried images
     A, b, fmt, p = sized_problem(47, *case)
     calls = _count_applies(monkeypatch)
     trace = run(A, b, fmt, p, StopRule(max_sweeps=3))
     assert trace.sweeps == 3
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("name", ["small", "narrow"])
-def test_below_thresholds_a_run_applies_A_once(monkeypatch, name):
-    # the formed steps take A v_new from the A V of their solve as well,
-    # so a run below the thresholds applies A once in all
+def test_below_thresholds_a_modewise_run_makes_no_full_apply(monkeypatch, name):
+    # the formed steps take A v_new from the A V of their solve as well
     if name == "small":
         A, b, fmt, p = _lean_step_case("tt", "modewise")
     else:
@@ -660,7 +660,7 @@ def test_below_thresholds_a_run_applies_A_once(monkeypatch, name):
     calls = _count_applies(monkeypatch)
     trace = run(A, b, fmt, p, StopRule(max_sweeps=3))
     assert trace.sweeps == 3 and not any(r.degenerate for r in trace.records)
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def _unverified_dense_problem():
@@ -686,6 +686,9 @@ def _apply_count_problem(operator):
         return _dense_problem()
     if operator == "dense-unverified":
         return _unverified_dense_problem()
+    if operator == "modewise-custom":
+        _, b, fmt, p = _custom_outer_problem()
+        return ModeWiseOperator([spd(np.random.default_rng(48), 24) for _ in range(2)]), b, fmt, p
     return sized_problem(47, "tt", (7, 8, 6), (3, 4), operator)
 
 
@@ -696,6 +699,7 @@ def _apply_count_problem(operator):
         ("identity", "structured"),
         ("modewise", "formed"),
         ("modewise", "structured"),
+        ("modewise-custom", "formed"),
         ("dense", "formed"),
         ("dense-unverified", "formed"),
     ],
@@ -703,7 +707,9 @@ def _apply_count_problem(operator):
 def test_a_run_applies_A_once_plus_once_per_sweep_if_unverified(monkeypatch, operator, route):
     # the initial iterate's image serves its objective and the first
     # step; every step takes A v_new from its solve, on either route, and
-    # only an unverified operator is applied again, to v - v_prev, per sweep
+    # only an unverified operator is applied again, to v - v_prev, per sweep.
+    # A mode-wise operator on a factored format takes that first image
+    # from the blocks, with no full apply; on a custom format it applies A.
     A, b, fmt, p = _apply_count_problem(operator)
     if route == "formed":
         _formed_route(monkeypatch)
@@ -719,7 +725,8 @@ def test_a_run_applies_A_once_plus_once_per_sweep_if_unverified(monkeypatch, ope
     trace = run(A, b, fmt, p, StopRule(max_sweeps=3))
     assert routes == {route}
     assert trace.sweeps == 3 and not any(r.degenerate for r in trace.records)
-    assert len(calls) == 1 + (0 if A.verified else trace.sweeps)
+    first = 0 if operator == "modewise" else 1
+    assert len(calls) == first + (0 if A.verified else trace.sweeps)
 
 
 @pytest.mark.parametrize("operator", LEAN_OPERATORS)
@@ -1485,11 +1492,11 @@ def test_run_custom_format_counterexample_no_angle():
 class FixedCoreTucker(TensorFormat):
     """A fixed core times one factor matrix per mode, each factor a block.
 
-    It declares only what a factored format needs: its evaluation, the
-    block axes (block mu is the m_mu x t_mu factor stored row-major, the
-    (1, m_mu, t_mu) core) and the unfolding factors.  Its one factor is
-    the evaluation with the identity for block mu, unfolded along mode mu,
-    so the contractions run in the order of the evaluation.
+    It declares only what a factored format needs: the block axes (block
+    mu is the m_mu x t_mu factor stored row-major, the (1, m_mu, t_mu)
+    core) and the unfolding factors; the base class evaluates it.  Its one
+    factor is the core contracted with every factor matrix but mu's, and
+    with the identity for mode mu, unfolded along mode mu.
     """
 
     def __init__(self, core, dims):
@@ -1500,22 +1507,13 @@ class FixedCoreTucker(TensorFormat):
     def block_axes(self, mu):
         return 1, self.core.shape[mu]
 
-    def _contract(self, mats):
+    def unfolding_factors(self, blocks, mu):
+        mats = [b.reshape(m, -1) for b, m in zip(blocks, self.shape.dims)]
+        mats[mu] = np.eye(self.core.shape[mu])
         t = self.core
         for mat in mats:
             t = np.tensordot(t, mat, axes=(0, 1))
-        return t
-
-    def _matrices(self, blocks):
-        return [b.reshape(m, -1) for b, m in zip(blocks, self.shape.dims)]
-
-    def _evaluate_blocks(self, blocks):
-        return self._contract(self._matrices(blocks)).ravel()
-
-    def unfolding_factors(self, blocks, mu):
-        mats = self._matrices(blocks)
-        mats[mu] = np.eye(self.core.shape[mu])
-        t = np.moveaxis(self._contract(mats), mu, -1)
+        t = np.moveaxis(t, mu, -1)
         return [t.reshape(-1, self.core.shape[mu])]
 
 
@@ -1556,3 +1554,86 @@ def test_contract_only_format_solves_on_the_structured_route():
     assert len(contexts) == 4
     for ctx in contexts:
         assert recursion_check(A, b, fmt, ctx).defect <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the mode-wise operator through the blocks of a factored format
+#
+# Each comparison is relative to the magnitudes of the summands, the same
+# sums and products on absolute values (|A|, |blocks|, the Tucker core's
+# |core|): the two sides add the same products in other orders, so they
+# differ by a few rounding errors of those magnitudes, whatever cancels.
+
+
+def _modewise_case(kind, dims, unit_mode, zero_block, seed):
+    """A mode-wise operator and blocks of a CP, TT or fixed-core Tucker format on dims."""
+    rng = np.random.default_rng(seed)
+    dims = list(dims)
+    if unit_mode is not None:
+        dims[unit_mode % len(dims)] = 1
+    shape = Shape(tuple(dims))
+    if kind == "cp":
+        fmt = CpFormat(shape, int(rng.integers(1, 4)))
+    elif kind == "tt":
+        fmt = TtFormat(shape, tuple(int(r) for r in rng.integers(1, 4, size=len(dims) - 1)))
+    else:
+        fmt = FixedCoreTucker(rng.standard_normal(rng.integers(1, 4, size=len(dims))), dims)
+    blocks = [rng.standard_normal(fmt.block_dim(mu)) for mu in range(fmt.num_blocks)]
+    if zero_block is not None:
+        blocks[zero_block % len(blocks)][:] = 0.0
+    return ModeWiseOperator([spd(rng, m) for m in dims]), fmt, ParamSystem(blocks)
+
+
+def _magnitudes(fmt, p):
+    """The format and blocks whose values are the magnitudes of fmt's summands at p."""
+    if isinstance(fmt, FixedCoreTucker):
+        fmt = FixedCoreTucker(np.abs(fmt.core), fmt.shape.dims)
+    return fmt, ParamSystem([np.abs(block) for block in p.blocks])
+
+
+modewise_cases = dict(
+    kind=st.sampled_from(["cp", "tt", "tucker"]),
+    dims=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+    unit_mode=st.one_of(st.none(), st.integers(0, 3)),
+    zero_block=st.one_of(st.none(), st.integers(0, 3)),
+    seed=st.integers(0, 2**16),
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(**modewise_cases)
+def test_the_image_from_the_transformed_blocks_is_a_full_apply(kind, dims, unit_mode, zero_block, seed):
+    A, fmt, p = _modewise_case(kind, dims, unit_mode, zero_block, seed)
+    v = evaluate(fmt, p)
+    want = A.apply(v).values
+    got = engine.operator_image(A, fmt, p, v).values
+    abs_fmt, abs_p = _magnitudes(fmt, p)
+    scale = kron_apply([np.abs(K) for K in A.factors], evaluate(abs_fmt, abs_p).values[:, None])
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(scale)
+
+
+@settings(deadline=None, max_examples=80)
+@given(**modewise_cases)
+def test_the_frozen_image_is_the_modewise_apply_to_the_basis(kind, dims, unit_mode, zero_block, seed):
+    # the structured step's basis is U = Z T, T from each unfolding
+    # factor's thin SVD with the solver's cut; its A_{!=mu} U comes from
+    # the transformed blocks, and kron_apply gives it from U itself
+    A, fmt, p = _modewise_case(kind, dims, unit_mode, zero_block, seed)
+    abs_fmt, abs_p = _magnitudes(fmt, p)
+    for mu in range(fmt.num_blocks):
+        factors = fmt.unfolding_factors(p.blocks, mu)
+        transforms = []
+        for factor in factors:
+            _, sigma, Xt = np.linalg.svd(factor, full_matrices=False)
+            kept = sigma**2 > EPS_RANK_DEFAULT * sigma[0] ** 2
+            transforms.append(Xt[kept].T / sigma[kept])
+        T = engine.kron_all(transforms)
+        U = engine.kron_all(factors) @ T
+        got = engine.frozen_image(A, fmt, p.blocks, mu, transforms)
+        others = A.factors[:mu] + A.factors[mu + 1:]
+        want = kron_apply(others, U) if others else U
+        scale = engine.kron_all(abs_fmt.unfolding_factors(abs_p.blocks, mu)) @ np.abs(T)
+        if others:
+            scale = kron_apply([np.abs(K) for K in others], scale)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(scale)

@@ -391,11 +391,22 @@ def _outer_product_loop(fmt, blocks):
 
 @settings(deadline=None, max_examples=40)
 @given(**local_map_cases)
-def test_cp_evaluation_is_bitwise_the_outer_product_loop(dims, rank, zero_block, seed):
+def test_cp_evaluation_is_bitwise_the_local_map_of_the_last_block(dims, rank, zero_block, seed):
+    # one GEMM, as for TT below; the outer-product loop is an independent
+    # reference: both form each term's product in the same order and add
+    # `rank` terms, so they differ by at most rank * eps times the sum of
+    # the terms' magnitudes (the loop on the absolute factors)
     rng = np.random.default_rng(seed)
     fmt = CpFormat(Shape(tuple(dims)), rank)
     blocks = _random_blocks(fmt, rng, zero_block)
-    assert np.array_equal(fmt._evaluate_blocks(blocks), _outer_product_loop(fmt, blocks))
+    last = fmt.num_blocks - 1
+    Z = kron_all(fmt.unfolding_factors(blocks, last))
+    F = fmt.block_to_unfolding(blocks[last], last)
+    got = evaluate(fmt, ParamSystem(blocks)).values
+    assert np.array_equal(got, fold(F @ Z.T, Z.shape[0], dims[last]))
+    magnitudes = _outer_product_loop(fmt, [np.abs(b) for b in blocks])
+    bound = rank * np.finfo(float).eps * magnitudes
+    assert np.all(np.abs(got - _outer_product_loop(fmt, blocks)) <= bound)
 
 
 @settings(deadline=None, max_examples=60)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from alskit.engine import StopRule, run
 from alskit.formats import CpFormat, ParamSystem
@@ -250,6 +251,21 @@ def test_modewise_validates_factors():
         ModeWiseOperator([np.eye(2), np.ones((2, 3))])
     with pytest.raises(ValueError, match="^factor 0 is not square$"):
         ModeWiseOperator([np.ones(3)])
+
+
+def test_modewise_keeps_the_cholesky_factor_of_each_symmetrized_factor():
+    # the factor a structured step solves with: bitwise dpotrf of
+    # 0.5 (K + K^T); one factor is asymmetric within SYMMETRY_RTOL, so the
+    # symmetrization shows
+    rng = np.random.default_rng(12)
+    factors = [random_spd(rng, m) for m in (1, 3, 5)]
+    factors[2][0, 1] += 1e-14
+    A = ModeWiseOperator(factors)
+    assert len(A.cholesky) == len(factors)
+    for K, kept in zip(A.factors, A.cholesky):
+        want, info = lapack.dpotrf(0.5 * (K + K.T), lower=1, clean=0)
+        assert info == 0
+        assert np.array_equal(kept, want)
 
 
 def test_apply_matrix_agrees_with_columnwise_apply():

@@ -33,8 +33,10 @@ the path and one BLAS thread:
 The ladder and replay inputs are drawn by this tree's
 ``perfbench/workloads.py``, which is only read.  Each output prints
 "identical" (bit for bit) or how it differs: in its text, or by its largest
-difference in units in the last place (ULP), numbers in text included.
-Exits 1 if any output differs.
+difference in units in the last place (ULP), numbers in text included, and
+by its largest difference relative to its largest magnitude (a ULP count
+near zero can be huge for a rounding-level change).  Exits 1 if any output
+differs.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import pickle
 import re
@@ -241,6 +244,24 @@ def ulp_distance(a, b) -> int:
     return max((abs(x - y) for x, y in zip(ordinal(a), ordinal(b))), default=0)
 
 
+def relative_difference(a, b) -> float:
+    """Largest |a - b| over the entries that differ, over the largest finite magnitude in a and b.
+
+    A differing pair with a NaN or inf in it is infinitely far apart, and
+    so is any difference between arrays whose finite entries are all zero.
+    """
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    differ = a.view(np.int64) != b.view(np.int64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        gaps = np.abs(a[differ] - b[differ])
+    gap = float(np.where(np.isnan(gaps), np.inf, gaps).max(initial=0.0))
+    both = np.concatenate([a.ravel(), b.ravel()])
+    scale = float(np.abs(both[np.isfinite(both)]).max(initial=0.0))
+    if gap == 0.0:
+        return 0.0
+    return gap / scale if scale else math.inf
+
+
 def difference(got, want) -> str | None:
     """None if the two outputs are bit for bit the same, else how they differ."""
     (text, numbers), (want_text, want_numbers) = got, want
@@ -249,7 +270,10 @@ def difference(got, want) -> str | None:
     if numbers.tobytes() == want_numbers.tobytes():
         return None
     ulps = ulp_distance(numbers, want_numbers)
-    return f"differs by at most {ulps} ULP" if ulps else "differs in the sign of a zero"
+    if not ulps:
+        return "differs in the sign of a zero"
+    rel = relative_difference(numbers, want_numbers)
+    return f"differs by at most {ulps} ULP, {rel:.2g} relative to its largest magnitude"
 
 
 def _run_child(tree: Path, out: Path):
