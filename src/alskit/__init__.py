@@ -24,7 +24,7 @@ from .diagnostics import (
     stable_tangent,
     tangent_recursion,
 )
-from .engine import LowdinBasis, StopRule, lowdin_basis, micro_step, run
+from .engine import LowdinBasis, RunState, StopRule, lowdin_basis, micro_step, run
 from .formats import (
     CpFormat,
     MultilinearFormat,

@@ -24,25 +24,26 @@ The transfer-map replay chains them with ``coupling``, the coupling of
 two blocks against the target, which depends on (b, p) alone.  Both
 routes solve their SPD systems with LAPACK's Cholesky routines
 (potrf/potrs, which scipy's cho_factor/cho_solve wrap, called directly
-to skip the wrappers' checks); ``micro_step`` writes back the
+to skip the wrappers' checks).  A micro-step maps one ``RunState`` (the
+parameters, the iterate v, its image A v, the residual b - A v, the
+objective and <b, b>) to the next: ``micro_step`` writes back the
 minimum-norm block update, and wraps the solver's new iterate and its
 image without re-scanning them: a non-finite entry in either makes the
 new objective non-finite, and that one scalar is checked.  ``run`` is the
 solver loop: each sweep calls ``micro_step`` on the blocks in order, and
 sweeps repeat until ``StopRule.termination`` names a reason to stop.
 The references passed to ``run`` choose the tracked tangent: a reference
-factor, else a reference tensor, else none.  The iterate's image A v is
-handed from step to step, so no step applies the full operator; the
-target's squared norm <b, b> is handed on the same way, and the
+factor, else a reference tensor, else none.  Each step takes the new
+image from its solve, so no step applies the full operator, and the
 parameter system carries its block norms, so a step measures only the
 block it writes.
-The first image comes from ``operator_image``: for a mode-wise operator
-on a factored format (CP, TT) it is an evaluation at the blocks with the
-mode factors applied, otherwise one full apply.  For a verified operator
-``run`` also takes the energy distance between sweep iterates from the
-two carried images, so a run with a mode-wise operator on CP or TT makes
-no full apply, any other run applies A once in all on either route, and
-an unverified operator once more per sweep.
+The first state comes from ``RunState.at``: for a mode-wise operator on
+a factored format (CP, TT) its image is an evaluation at the blocks with
+the mode factors applied, otherwise one full apply.  For a verified
+operator ``run`` also takes the energy distance between sweep iterates
+from the two states' images, so a run with a mode-wise operator on CP or
+TT makes no full apply, any other run applies A once in all on either
+route, and an unverified operator once more per sweep.
 """
 
 from __future__ import annotations
@@ -310,23 +311,6 @@ def frozen_image(
     return kron_all([factor @ T for factor, T in zip(moved, transforms)])
 
 
-def operator_image(A: SpdOperator, fmt: TensorFormat, p: ParamSystem, v: DenseTensor) -> DenseTensor:
-    """A v for the iterate v = U(p).
-
-    For a mode-wise operator on a factored format (one that declares
-    unfolding factors) of its shape, this is the evaluation at
-    ``modewise_blocks``, with no full apply; any other operator or format
-    is applied to v.
-    """
-    if (
-        type(A) is ModeWiseOperator
-        and A.shape.dims == fmt.shape.dims
-        and type(fmt).unfolding_factors is not TensorFormat.unfolding_factors
-    ):
-        return DenseTensor(fmt.shape, fmt._evaluate_blocks(modewise_blocks(A, fmt, p.blocks)))
-    return A.apply(v)
-
-
 def formed_solve(
     A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem, mu: int, eps_rank: float
 ) -> LocalSolve:
@@ -481,71 +465,93 @@ def local_solve(
     return formed_solve(A, b, fmt, p, mu, eps_rank)
 
 
+class RunState(NamedTuple):
+    """The solver's state at one iterate, the input and output of a micro-step.
+
+    ``v`` is U(params), ``Av`` its image A v, ``resid`` the flat residual
+    b - A v, ``f`` the objective and ``b2`` the target's squared norm
+    <b, b>.  ``at`` is the one place a state is computed from parameters;
+    ``micro_step`` makes each next state from its solve.
+    """
+
+    params: ParamSystem
+    v: DenseTensor
+    Av: DenseTensor
+    resid: np.ndarray
+    f: float
+    b2: float
+
+    @classmethod
+    def at(cls, A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem) -> RunState:
+        """The state at U(p).
+
+        For a mode-wise operator on a factored format (one that declares
+        unfolding factors) of its shape, A v is the evaluation at
+        ``modewise_blocks``, with no full apply; any other operator or
+        format is applied to v.  ``objective`` rejects a zero target.
+        """
+        v = evaluate(fmt, p)
+        if (
+            type(A) is ModeWiseOperator
+            and A.shape.dims == fmt.shape.dims
+            and type(fmt).unfolding_factors is not TensorFormat.unfolding_factors
+        ):
+            Av = DenseTensor(fmt.shape, fmt._evaluate_blocks(modewise_blocks(A, fmt, p.blocks)))
+        else:
+            Av = A.apply(v)
+        f = objective(A, b, v, Av)
+        return cls(p, v, Av, b.values - Av.values, f, inner(b, b))
+
+
 def micro_step(
     A: SpdOperator,
     b: DenseTensor,
     fmt: TensorFormat,
-    p: ParamSystem,
+    state: RunState,
     mu: int,
     eps_rank: float = EPS_RANK_DEFAULT,
     *,
     sweep: int = 0,
-    v_old: DenseTensor | None = None,
-    f_old: float | None = None,
-    Av_old: DenseTensor | None = None,
-    b2: float | None = None,
-) -> tuple[ParamSystem, DenseTensor, DenseTensor, MicroStepRecord]:
-    """Exact update of block mu; returns (new params, new iterate, its image, record).
+) -> tuple[RunState, MicroStepRecord]:
+    """Exact update of block mu from ``state``; returns (the new state, the step's record).
 
     ``local_solve`` solves the projected SPD system V^T A V y = V^T b.
     The block written back is the minimum-norm representative, orthogonal
-    to the kernel of W.  A degenerate step (W = 0) leaves the parameters
-    unchanged.  The incoming iterate v_old, its objective, its image
-    ``Av_old`` = A v_old and the target's squared norm ``b2`` = <b, b> are
-    computed when not given.  The new iterate's image A v_new comes from
-    the solve on either route, so the step applies no full operator;
-    ``run`` hands it to the next step as ``Av_old``.
+    to the kernel of W.  The gradient W^T (b - A v) reads ``state.resid``.
+    A degenerate step (W = 0) returns ``state`` itself.  Otherwise the new
+    iterate's image A v_new comes from the solve on either route, so the
+    step applies no full operator, and b - A v_new, which the Galerkin
+    residual W^T (b - A v_new) is measured on, is the new state's residual.
     The new iterate and image are wrapped unscanned; a non-finite entry
     in either makes f_new non-finite, and then the entries are checked
     and the usual ValueError("tensor entries must be finite") is raised.
     """
-    if b2 is None:
-        b2 = inner(b, b)
-    if b2 == 0.0:
-        raise ValueError("objective undefined for zero target")
-    if v_old is None:
-        v_old = evaluate(fmt, p)
-    if Av_old is None:
-        Av_old = A.apply(v_old)
-    if f_old is None:
-        f_old = objective(A, b, v_old, Av_old)
-
-    resid_old = b.values - Av_old.values
-    sol = local_solve(A, b, fmt, p, mu, eps_rank)
-    grad = vector_norm(sol.adjoint(resid_old))
-    if sol.rank == 0:  # degenerate: keep p, v, A v and f
-        p_new, v_new, Av_new, f_new, resid_orth = p, v_old, Av_old, f_old, grad
+    sol = local_solve(A, b, fmt, state.params, mu, eps_rank)
+    grad = vector_norm(sol.adjoint(state.resid))
+    if sol.rank == 0:  # degenerate: keep the state
+        new, resid_orth = state, grad
     else:
-        p_new = p.replace(mu, sol.block)
+        p_new = state.params.replace(mu, sol.block)
         v_new = DenseTensor._wrap(b.shape, sol.iterate)
         # the identity's image is the iterate itself: one immutable tensor for both
         Av_new = v_new if sol.image is sol.iterate else DenseTensor._wrap(b.shape, sol.image)
-        f_new = (0.5 * inner(Av_new, v_new) - inner(b, v_new)) / b2
+        f_new = (0.5 * inner(Av_new, v_new) - inner(b, v_new)) / state.b2
         if not math.isfinite(f_new):  # a non-finite entry, or an overflow of f alone
             DenseTensor(b.shape, v_new.values)
             DenseTensor(b.shape, Av_new.values)
-        resid_orth = vector_norm(sol.adjoint(b.values - Av_new.values))
+        new = RunState(p_new, v_new, Av_new, b.values - Av_new.values, f_new, state.b2)
+        resid_orth = vector_norm(sol.adjoint(new.resid))
     record = MicroStepRecord(
         sweep=sweep,
         mu=mu,
-        f=f_new,
-        decrement=f_new - f_old,
-        grad_norm=grad / b2,
+        f=new.f,
+        decrement=new.f - state.f,
+        grad_norm=grad / state.b2,
         W_rank=sol.rank,
         resid_orth=resid_orth,
-        param_norm_max=p_new.max_norm(),
+        param_norm_max=new.params.max_norm(),
     )
-    return p_new, v_new, Av_new, record
+    return new, record
 
 
 def energy_distance(
@@ -630,12 +636,13 @@ def run(
 ) -> RunTrace:
     """The solver loop: sweeps of micro-steps until ``stop`` names a reason; returns the trace.
 
-    Sweep k calls ``micro_step`` on each block in order and hands it the
-    carried iterate, its image A v, its objective and <b, b>; with
-    ``keep_params`` the parameters are recorded before each step.  Per
-    sweep the trace records the objective, the tangent of the angle to a
-    reference and the energy-norm distance between consecutive sweep
-    iterates (``energy_distance``).  The references given choose the
+    The run carries one ``RunState``, from ``RunState.at(init)``: sweep k
+    calls ``micro_step`` on each block in order, each on the state the
+    step before returned; with ``keep_params`` the parameters are
+    recorded before each step.  Per sweep the trace records the
+    objective, the tangent of the angle to a reference and the
+    energy-norm distance between consecutive sweep iterates
+    (``energy_distance``).  The references given choose the
     tangent: ``reference_factor`` the angle of the first factor (a
     rank-one CP format only), else ``reference`` the angle of the full
     tensor, else none; ``RunTrace.angle_mode`` is "factor", "full" or
@@ -652,13 +659,8 @@ def run(
     else:
         mode, ref = "none", None
 
-    p = init
-    v = evaluate(fmt, p)
-    Av = operator_image(A, fmt, p, v)
-    f = objective(A, b, v, Av)
-    b2 = inner(b, b)
-    initial_f = f
-    initial_pmax = p.max_norm()
+    state = RunState.at(A, b, fmt, init)
+    initial_f = state.f
 
     records: list[MicroStepRecord] = []
     snapshots: list[ParamSystem] | None = [] if keep_params else None
@@ -667,28 +669,28 @@ def run(
     dist_a: list[float] = []
 
     for k in range(1, stop.max_sweeps + 1):
-        v_prev, Av_prev, f_prev = v, Av, f
+        # the sweep's first iterate, image and objective, not its state:
+        # holding its residual through the sweep as well took a CP 30^3
+        # r8 run from ~350 to ~650 minor page faults, ~15% of its time
+        v_prev, Av_prev, f_prev = state.v, state.Av, state.f
         recs = []
         for mu in range(fmt.num_blocks):
             if snapshots is not None:
-                snapshots.append(p)
-            p, v, Av, rec = micro_step(
-                A, b, fmt, p, mu, eps_rank, sweep=k, v_old=v, f_old=f, Av_old=Av, b2=b2
-            )
-            f = rec.f
+                snapshots.append(state.params)
+            state, rec = micro_step(A, b, fmt, state, mu, eps_rank, sweep=k)
             recs.append(rec)
         records.extend(recs)
 
         tan = None
         if ref is not None:
-            x = p[0] if mode == "factor" else v.values
+            x = state.params[0] if mode == "factor" else state.v.values
             if np.any(x):
                 tan = stable_tangent(ref, x)
-        sweep_f.append(f)
+        sweep_f.append(state.f)
         sweep_tangent.append(tan)
-        dist_a.append(energy_distance(A, v, v_prev, Av, Av_prev))
+        dist_a.append(energy_distance(A, state.v, v_prev, state.Av, Av_prev))
 
-        termination = stop.termination(k, recs, tan, abs(f - f_prev))
+        termination = stop.termination(k, recs, tan, abs(state.f - f_prev))
         if termination is not None:
             break
 
@@ -698,11 +700,11 @@ def run(
         sweeps=records[-1].sweep if records else 0,
         angle_mode=mode,
         initial_f=initial_f,
-        initial_param_norm_max=initial_pmax,
+        initial_param_norm_max=init.max_norm(),
         sweep_f=sweep_f,
         sweep_tangent=sweep_tangent,
         dist_a=dist_a,
-        final_params=p,
-        final_v=v,
+        final_params=state.params,
+        final_v=state.v,
         param_snapshots=snapshots,
     )

@@ -37,8 +37,9 @@ def _frozen_block(vec) -> tuple[np.ndarray, float]:
 
     A finite norm has no NaN or inf entry under it, so the entries are
     scanned only when the norm is not finite: a non-finite entry, or
-    finite entries whose squares overflow (such a block is kept, with
-    norm inf).
+    finite entries whose norm is beyond the double range (such a block is
+    kept, with norm inf; squares that overflow alone do not make it inf,
+    see ``vector_norm``).
     """
     arr = np.array(vec, dtype=float).ravel()
     norm = vector_norm(arr)
@@ -85,8 +86,7 @@ class ParamSystem:
     __slots__ = ("blocks", "_norms")
 
     def __init__(self, blocks):
-        with np.errstate(over="ignore"):  # construction measures, it does not warn
-            frozen = [_frozen_block(vec) for vec in blocks]
+        frozen = [_frozen_block(vec) for vec in blocks]
         object.__setattr__(self, "blocks", tuple(block for block, _ in frozen))
         object.__setattr__(self, "_norms", tuple(norm for _, norm in frozen))
 

@@ -318,13 +318,26 @@ def kron_apply(factors, M: np.ndarray) -> np.ndarray:
 
 
 def vector_norm(x: np.ndarray) -> float:
-    """Euclidean norm of a flat contiguous float vector, bitwise ``np.linalg.norm``'s.
+    """Euclidean norm of a flat contiguous float vector, without underflow or overflow.
 
-    For such a vector ``np.linalg.norm`` is sqrt(x . x); these are the same
-    two operations without its dispatch.  Squares that overflow give inf,
-    as there.
+    When x . x is a normal finite double the norm is sqrt(x . x), bitwise
+    ``np.linalg.norm``'s without its dispatch (``np.vdot`` is the same BLAS
+    dot as ``x.dot``, without its overflow warning).  Otherwise the squares
+    have underflowed or overflowed, and x is first scaled by 2^-e, 2^e the
+    power of two at its largest magnitude, so the norm is 2^e ||2^-e x||
+    (Blue 1978): a nonzero vector never reads 0, and only a norm beyond the
+    double range reads inf.  A NaN entry gives NaN and an inf entry inf,
+    and nothing warns.
     """
-    return math.sqrt(x.dot(x))
+    s = float(np.vdot(x, x))
+    if 2.0**-1022 <= s < math.inf:  # the smallest normal double; NaN fails too
+        return math.sqrt(s)
+    top = float(np.max(np.abs(x), initial=0.0))
+    if top == 0.0 or not math.isfinite(top):
+        return top
+    e = math.frexp(top)[1] - 1  # top is in [2^e, 2^(e+1))
+    y = np.ldexp(x, -e)
+    return math.sqrt(np.vdot(y, y)) * 2.0**e  # a Python float overflows to inf
 
 
 def all_finite(x: np.ndarray) -> bool:

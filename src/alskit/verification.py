@@ -381,15 +381,13 @@ def check_min_norm_update(trials: int = 30):
             A, b, fmt, p = random_problem(400 + t)
         mu = t % fmt.num_blocks
         W = materialize_W(fmt, p, mu)
-        p_new, _, _, rec = engine.micro_step(A, b, fmt, p, mu)
+        state, rec = engine.micro_step(A, b, fmt, engine.RunState.at(A, b, fmt, p), mu)
         if rec.degenerate:
             continue
         null = _svd_kernel(W)
         if null.size:
-            dev = np.linalg.norm(null @ p_new[mu]) / max(
-                1e-300, np.linalg.norm(p_new[mu])
-            )
-            worst = max(worst, dev)
+            block = state.params[mu]
+            worst = max(worst, np.linalg.norm(null @ block) / max(1e-300, np.linalg.norm(block)))
     return worst <= 1e-10, f"max kernel component {worst:.2e} (tol 1e-10)"
 
 
@@ -399,7 +397,7 @@ def check_galerkin_orthogonality(trials: int = 30):
         A, b, fmt, p = random_problem(500 + t)
         mu = t % fmt.num_blocks
         W = materialize_W(fmt, p, mu)
-        _, _, _, rec = engine.micro_step(A, b, fmt, p, mu)
+        _, rec = engine.micro_step(A, b, fmt, engine.RunState.at(A, b, fmt, p), mu)
         bound = 1e-8 * np.linalg.norm(W) * b.norm()
         worst = max(worst, rec.resid_orth / max(bound, 1e-300))
     return worst <= 1.0, f"max residual vs bound ratio {worst:.2e} (tol 1)"
@@ -410,10 +408,10 @@ def check_post_step_identities(trials: int = 30):
     for t in range(trials):
         A, b, fmt, p = random_problem(600 + t)
         mu = t % fmt.num_blocks
-        p_new, v_new, _, rec = engine.micro_step(A, b, fmt, p, mu)
+        state, rec = engine.micro_step(A, b, fmt, engine.RunState.at(A, b, fmt, p), mu)
         b2 = inner(b, b)
-        f_inner = -inner(v_new, b) / (2.0 * b2)
-        f_energy = -(a_norm(A, v_new) ** 2) / (2.0 * b2)
+        f_inner = -inner(state.v, b) / (2.0 * b2)
+        f_energy = -(a_norm(A, state.v) ** 2) / (2.0 * b2)
         worst = max(worst, abs(rec.f - f_inner), abs(rec.f - f_energy))
     return worst <= 1e-10, f"max identity deviation {worst:.2e} (tol 1e-10)"
 
@@ -434,7 +432,7 @@ def check_decrement_identity(trials: int = 30):
         cases += [(problem, mu) for mu in range(problem[2].num_blocks)]
     worst = 0.0
     for (A, b, fmt, p), mu in cases:
-        _, _, _, rec = engine.micro_step(A, b, fmt, p, mu)
+        _, rec = engine.micro_step(A, b, fmt, engine.RunState.at(A, b, fmt, p), mu)
         if rec.degenerate:
             continue
         sol = engine.local_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT)
@@ -453,14 +451,14 @@ def check_monotone_chain(trials: int = 100, sweeps: int = 3):
     worst = 0.0
     for t in range(trials):
         A, b, fmt, p = random_problem(800 + t)
-        v = evaluate(fmt, p)
-        f = objective(A, b, v)
+        f = objective(A, b, evaluate(fmt, p))
         nv = cv = None
         for k in range(sweeps):
             for mu in range(fmt.num_blocks):
-                p, v, _, rec = engine.micro_step(A, b, fmt, p, mu)
-                nv_new = a_norm(A, v)
-                cv_new = inner(v, b)
+                state, rec = engine.micro_step(A, b, fmt, engine.RunState.at(A, b, fmt, p), mu)
+                p = state.params
+                nv_new = a_norm(A, state.v)
+                cv_new = inner(state.v, b)
                 worst = max(worst, rec.f - f)
                 if nv is not None:
                     worst = max(worst, nv - nv_new, cv - cv_new)
@@ -486,15 +484,13 @@ def check_oracle_equivalence(trials: int = 200):
     cases += [(large, mu) for mu in range(large[2].num_blocks)]
     for (A, b, fmt, p), mu in cases:
         W = materialize_W(fmt, p, mu)
-        p_new, _, _, rec = engine.micro_step(A, b, fmt, p, mu)
+        state, rec = engine.micro_step(A, b, fmt, engine.RunState.at(A, b, fmt, p), mu)
         want = oracle.brute_least_squares(A, b, W)
         scale = max(1.0, np.linalg.norm(want))
-        worst = max(worst, np.linalg.norm(p_new[mu] - want) / scale)
+        worst = max(worst, np.linalg.norm(state.params[mu] - want) / scale)
         null = _svd_kernel(W)
         if null.size:
-            worst_kernel = max(
-                worst_kernel, np.linalg.norm(null @ p_new[mu]) / scale
-            )
+            worst_kernel = max(worst_kernel, np.linalg.norm(null @ state.params[mu]) / scale)
     ok = worst <= 1e-10 and worst_kernel <= 1e-10
     return ok, (
         f"{trials} instances and {large[2].num_blocks} structured-route blocks; "

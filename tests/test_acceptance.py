@@ -30,14 +30,13 @@ from alskit.diagnostics import (
     effective_window,
     full_gradient,
     materialize_M,
-    objective,
     rate_estimate,
     recursion_check,
     recursion_contexts,
     stable_tangent,
     tangent_recursion,
 )
-from alskit.engine import StopRule, lowdin_basis, micro_step, run
+from alskit.engine import RunState, StopRule, lowdin_basis, micro_step, run
 from alskit.formats import evaluate, materialize_W
 from alskit.gallery import (
     blambda_example,
@@ -199,15 +198,16 @@ def test_criterion_06_monotone_descent_suite():
         kind = "cp" if t % 2 == 0 else "tt"
         A, b, fmt, p = random_problem(800 + t, kind=kind)
         b2 = inner(b, b)
-        v = evaluate(fmt, p)
-        f = objective(A, b, v)
+        state = RunState.at(A, b, fmt, p)
+        f = state.f
         nv = cv = None
         for _ in range(3):
             for mu in range(fmt.num_blocks):
-                W = materialize_W(fmt, p, mu)
+                W = materialize_W(fmt, state.params, mu)
                 basis = lowdin_basis(W)
-                r_old = b.values - A.apply(v).values
-                p, v, _, rec = micro_step(A, b, fmt, p, mu, v_old=v, f_old=f)
+                r_old = b.values - A.apply(state.v).values
+                state, rec = micro_step(A, b, fmt, state, mu)
+                v = state.v
                 steps += 1
                 worst_chain = max(worst_chain, rec.f - f)
                 nv_new = a_norm(A, v)
@@ -249,7 +249,7 @@ def test_criterion_07_oracle_equivalence_and_min_norm():
             A, b, fmt, p = rank_deficient_problem(900 + t)
         mu = t % fmt.num_blocks
         W = materialize_W(fmt, p, mu)
-        p_new, _, _, _ = micro_step(A, b, fmt, p, mu)
+        p_new = micro_step(A, b, fmt, RunState.at(A, b, fmt, p), mu)[0].params
         want = brute_least_squares(A, b, W)
         scale = max(1.0, float(np.linalg.norm(want)))
         worst = max(worst, float(np.linalg.norm(p_new[mu] - want)) / scale)

@@ -119,3 +119,11 @@ def test_a_changed_error_message_is_flagged(monkeypatch):
     got = compare_outputs.error_outputs(alskit)
     changed = sorted(name for name in got if compare_outputs.difference(got[name], want[name]))
     assert changed == ["error blambda --lambda 1e308", "error overflow gram"]
+
+
+def test_scaled_outputs_are_finite_traces_that_do_not_stop_on_a_zero_gradient():
+    outputs = compare_outputs.scaled_outputs(alskit)
+    assert sorted(outputs) == ["scaled target 1e+150", "scaled target 1e-150"]
+    for text, numbers in outputs.values():
+        assert text.startswith("termination=") and "termination=grad_small" not in text
+        assert np.isfinite(numbers).all()

@@ -26,7 +26,7 @@ from alskit.diagnostics import (
     tangent_recursion,
 )
 from alskit import diagnostics, engine
-from alskit.engine import StopRule, micro_step, run
+from alskit.engine import RunState, StopRule, micro_step, run
 from alskit.formats import CpFormat, MultilinearFormat, ParamSystem, materialize_W
 from alskit.gallery import blambda_example, desilva_lim, mohlenkamp_example
 from alskit.oracle import finite_diff_grad
@@ -483,10 +483,10 @@ def test_replay_iterates_are_the_committed_micro_steps(name):
     assert contexts
     for ctx in contexts:
         report = recursion_check(A, b, fmt, ctx)
-        p_mid, v_mid, _, _ = micro_step(A, b, fmt, ctx.params, ctx.mu - 1)
-        _, v_next, _, _ = micro_step(A, b, fmt, p_mid, ctx.mu)
-        assert np.array_equal(report.v_mid.values, v_mid.values)
-        assert np.array_equal(report.v_next.values, v_next.values)
+        mid, _ = micro_step(A, b, fmt, RunState.at(A, b, fmt, ctx.params), ctx.mu - 1)
+        nxt, _ = micro_step(A, b, fmt, mid, ctx.mu)
+        assert np.array_equal(report.v_mid.values, mid.v.values)
+        assert np.array_equal(report.v_next.values, nxt.v.values)
 
 
 @pytest.mark.parametrize("n", [4, 6])

@@ -17,7 +17,7 @@ from alskit.diagnostics import (
     recursion_check,
     recursion_contexts,
 )
-from alskit.engine import StopRule, lowdin_basis, micro_step, run
+from alskit.engine import RunState, StopRule, lowdin_basis, micro_step, run
 from alskit.formats import (
     CpFormat,
     MultilinearFormat,
@@ -339,15 +339,20 @@ def test_rank_cut_drops_an_eigenvalue_exactly_at_the_threshold():
 # micro_step
 
 
+def _step(A, b, fmt, p, mu, **kwargs):
+    """One micro-step from the state at p: (new state, record)."""
+    return micro_step(A, b, fmt, RunState.at(A, b, fmt, p), mu, **kwargs)
+
+
 def test_micro_step_single_block_reaches_target():
     # a one-block format spans the whole space, so one step lands on b
     shape = Shape((2,))
     fmt = CpFormat(shape, 1)
     p = ParamSystem([[1.0, 1.0]])
     b = DenseTensor(shape, [3.0, -1.0])
-    p_new, v_new, _, rec = micro_step(IdentityOperator(shape), b, fmt, p, 0)
-    assert np.allclose(p_new[0], [3.0, -1.0], atol=TOL)
-    assert np.allclose(v_new.values, b.values, atol=TOL)
+    state, rec = _step(IdentityOperator(shape), b, fmt, p, 0)
+    assert np.allclose(state.params[0], [3.0, -1.0], atol=TOL)
+    assert np.allclose(state.v.values, b.values, atol=TOL)
     assert rec.f == pytest.approx(-0.5, abs=TOL)
     assert rec.decrement == pytest.approx(-0.4, abs=TOL)
     assert rec.W_rank == 2
@@ -360,9 +365,9 @@ def test_micro_step_first_block_closed_form():
     # (2 tau^2, 1) / (tau^2 + 1)^2, derived by hand from the normal equations
     tau = 0.4
     instance = mohlenkamp_example(tau)
-    p_new, _, _, rec = micro_step(instance.A, instance.b, instance.fmt, instance.init, 0)
+    state, rec = _step(instance.A, instance.b, instance.fmt, instance.init, 0)
     want = np.array([2.0 * tau**2, 1.0]) / (tau**2 + 1.0) ** 2
-    assert np.allclose(p_new[0], want, atol=1e-14)
+    assert np.allclose(state.params[0], want, atol=1e-14)
     assert rec.sweep == 0 and rec.mu == 0
     assert rec.decrement < 0.0
 
@@ -376,9 +381,9 @@ def test_micro_step_agrees_with_brute_oracle():
     p = ParamSystem([rng.standard_normal(fmt.block_dim(mu)) for mu in range(3)])
     for mu in range(3):
         W = materialize_W(fmt, p, mu)
-        p_new, _, _, _ = micro_step(A, b, fmt, p, mu)
+        state, _ = _step(A, b, fmt, p, mu)
         want = brute_least_squares(A, b, W)
-        assert np.linalg.norm(p_new[mu] - want) < 1e-10
+        assert np.linalg.norm(state.params[mu] - want) < 1e-10
 
 
 def test_micro_step_minimum_norm_on_rank_deficient_block():
@@ -391,11 +396,11 @@ def test_micro_step_minimum_norm_on_rank_deficient_block():
     p = ParamSystem([mat0.ravel(order="F"), mat1.ravel(order="F")])
     b = DenseTensor(shape, rng.standard_normal(6))
     W = materialize_W(fmt, p, 0)
-    p_new, _, _, rec = micro_step(IdentityOperator(shape), b, fmt, p, 0)
+    state, rec = _step(IdentityOperator(shape), b, fmt, p, 0)
     assert rec.W_rank < fmt.block_dim(0)
     _, svals, vt = np.linalg.svd(W)
     null = vt[(svals > 1e-10 * svals[0]).sum():]
-    assert np.max(np.abs(null @ p_new[0])) < 1e-10
+    assert np.max(np.abs(null @ state.params[0])) < 1e-10
 
 
 def test_micro_step_degenerate_leaves_params_unchanged():
@@ -405,13 +410,13 @@ def test_micro_step_degenerate_leaves_params_unchanged():
     p = ParamSystem([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     b = DenseTensor(shape, np.ones(8))
     A = IdentityOperator(shape)
-    p_new, v_new, _, rec = micro_step(A, b, fmt, p, 0)
+    state = RunState.at(A, b, fmt, p)
+    new, rec = micro_step(A, b, fmt, state, 0)
+    assert new is state and new.params is p
     assert rec.degenerate
     assert rec.W_rank == 0
     assert rec.decrement == 0.0
-    for mu in range(3):
-        assert np.array_equal(p_new[mu], p[mu])
-    assert v_new.norm() == 0.0
+    assert new.v.norm() == 0.0
     # the record carries the pre-step values
     v = evaluate(fmt, p)
     W_resid = materialize_W(fmt, p, 0).T @ (b.values - A.apply(v).values)
@@ -425,13 +430,7 @@ def test_micro_step_rejects_zero_target():
     shape = Shape((2,))
     fmt = CpFormat(shape, 1)
     with pytest.raises(ValueError, match="zero target"):
-        micro_step(
-            IdentityOperator(shape),
-            DenseTensor.zeros(shape),
-            fmt,
-            ParamSystem([[1.0, 0.0]]),
-            0,
-        )
+        _step(IdentityOperator(shape), DenseTensor.zeros(shape), fmt, ParamSystem([[1.0, 0.0]]), 0)
 
 
 def test_micro_step_grad_norm_is_pre_update():
@@ -445,7 +444,7 @@ def test_micro_step_grad_norm_is_pre_update():
     W = materialize_W(fmt, p, 0)
     v = evaluate(fmt, p)
     want = np.linalg.norm(W.T @ (b.values - v.values)) / inner(b, b)
-    _, _, _, rec = micro_step(IdentityOperator(shape), b, fmt, p, 0)
+    _, rec = _step(IdentityOperator(shape), b, fmt, p, 0)
     assert rec.grad_norm == pytest.approx(want, rel=1e-12)
     assert rec.grad_norm > 1e-3
     assert rec.resid_orth < 1e-12
@@ -483,6 +482,13 @@ def _textbook_step(A, b, fmt, p, mu, eps_rank=1e-12):
     pmax = max(float(np.linalg.norm(q)) for q in (*p.blocks[:mu], block, *p.blocks[mu + 1:]))
     record = (f_new, f_new - f_old, grad_norm, int(vals.size), resid_orth, pmax)
     return block, v_new.values, record
+
+
+def _textbook_state(A, b, fmt, p):
+    """The start state written plainly: A applied to the iterate."""
+    v = evaluate(fmt, p)
+    Av = A.apply(v)
+    return RunState(p, v, Av, b.values - Av.values, objective(A, b, v), inner(b, b))
 
 
 LEAN_KINDS = ["cp", "tt", "custom", "cp-deficient"]
@@ -525,14 +531,13 @@ def test_micro_step_is_bitwise_the_textbook_step(kind, operator):
     A, b, fmt, p = _lean_step_case(kind, operator)
     deficient = 0
     for mu in range(fmt.num_blocks):
-        p_new, v_new, _, rec = micro_step(A, b, fmt, p, mu)
+        state, rec = micro_step(A, b, fmt, _textbook_state(A, b, fmt, p), mu)
         block, v_want, want = _textbook_step(A, b, fmt, p, mu)
-        assert np.array_equal(p_new[mu], block)
-        assert np.array_equal(v_new.values, v_want)
-        got = (rec.f, rec.decrement, rec.grad_norm, rec.W_rank, rec.resid_orth, rec.param_norm_max)
-        assert got == want
+        assert np.array_equal(state.params[mu], block)
+        assert np.array_equal(state.v.values, v_want)
+        assert _record_fields(rec) == want
         deficient += rec.W_rank < fmt.block_dim(mu)
-        p = p_new
+        p = state.params
     if kind in ("custom", "cp-deficient"):
         assert deficient > 0
 
@@ -546,12 +551,12 @@ def test_default_route_above_thresholds_matches_the_textbook_step(case):
     A, b, fmt, p = sized_problem(39, *case)
     for mu in range(fmt.num_blocks):
         assert engine.local_solve(A, b, fmt, p, mu, 1e-12).route == "structured"
-        p_new, v_new, _, rec = micro_step(A, b, fmt, p, mu)
+        state, rec = micro_step(A, b, fmt, _textbook_state(A, b, fmt, p), mu)
         block, v_want, want = _textbook_step(A, b, fmt, p, mu)
         f, decrement, grad_norm, rank, resid_orth, pmax = want
         assert rec.W_rank == rank
-        assert _rel(p_new[mu], block) <= TOL
-        assert _rel(v_new.values, v_want) <= TOL
+        assert _rel(state.params[mu], block) <= TOL
+        assert _rel(state.v.values, v_want) <= TOL
         assert rec.f == pytest.approx(f, rel=TOL)
         assert rec.decrement == pytest.approx(decrement, abs=TOL * abs(f))
         assert rec.grad_norm == pytest.approx(grad_norm, rel=TOL)
@@ -559,7 +564,7 @@ def test_default_route_above_thresholds_matches_the_textbook_step(case):
         assert max(rec.resid_orth, resid_orth) <= 1e-12 * b.norm()
         if case[-1]:  # duplicated CP columns: a kernel in every W
             assert rank < fmt.block_dim(mu)
-        p = p_new
+        p = state.params
 
 
 def _count_formed_layers(monkeypatch):
@@ -796,29 +801,60 @@ def test_energy_distance_on_an_unverified_indefinite_operator_raises():
         engine.energy_distance(A, v, v_prev, zero, zero)
 
 
+def _micro_step_chain(A, b, fmt, p, sweeps):
+    """``sweeps`` sweeps chained from RunState.at by hand: (records, sweep_f, dist_a, state)."""
+    state = RunState.at(A, b, fmt, p)
+    records, sweep_f, dist_a = [], [], []
+    for k in range(1, sweeps + 1):
+        prev = state
+        for mu in range(fmt.num_blocks):
+            new, rec = micro_step(A, b, fmt, state, mu, sweep=k)
+            # the carried residual is the new image's; a degenerate step keeps the state
+            assert np.array_equal(new.resid, b.values - new.Av.values)
+            assert (new is state) == rec.degenerate
+            state = new
+            records.append(rec)
+        sweep_f.append(state.f)
+        dist_a.append(engine.energy_distance(A, state.v, prev.v, state.Av, prev.Av))
+    return records, sweep_f, dist_a, state
+
+
+def _assert_run_is_the_chain(A, b, fmt, p):
+    trace = run(A, b, fmt, p, StopRule(max_sweeps=2))
+    records, sweep_f, dist_a, state = _micro_step_chain(A, b, fmt, p, trace.sweeps)
+    assert trace.records == records
+    assert trace.sweep_f == sweep_f and trace.dist_a == dist_a
+    assert all(np.array_equal(x, y) for x, y in zip(trace.final_params.blocks, state.params.blocks))
+    assert np.array_equal(trace.final_v.values, state.v.values)
+    return trace
+
+
 @pytest.mark.parametrize("zero_block", [False, True], ids=["regular", "zero-block"])
 @pytest.mark.parametrize("case", ROUTE_CASES, ids=lambda c: "-".join(map(str, c)))
 def test_run_carrying_A_v_matches_standalone_micro_steps(case, zero_block):
-    # standalone calls evaluate the iterate and apply A to it themselves
     A, b, fmt, p = sized_problem(48, *case)
     if zero_block:
         # the first step is degenerate; its iterate, and so its image, is zero
         p = p.replace(1, np.zeros(fmt.block_dim(1)))
-    trace = run(A, b, fmt, p, StopRule(max_sweeps=2))
+    assert all(
+        engine.local_solve(A, b, fmt, p, mu, 1e-12).route == "structured"
+        for mu in range(fmt.num_blocks)
+    )
+    trace = _assert_run_is_the_chain(A, b, fmt, p)
     assert trace.records[0].degenerate == zero_block
     assert trace.sweeps == (1 if zero_block else 2)
-    want = []
-    for k in range(1, trace.sweeps + 1):
-        for mu in range(fmt.num_blocks):
-            assert engine.local_solve(A, b, fmt, p, mu, 1e-12).route == "structured"
-            p, _, _, rec = micro_step(A, b, fmt, p, mu, sweep=k)
-            want.append(rec)
-    assert len(trace.records) == len(want)
-    for got, rec in zip(trace.records, want):
-        assert (got.sweep, got.mu, got.W_rank) == (rec.sweep, rec.mu, rec.W_rank)
-        for name in ("f", "decrement", "grad_norm", "resid_orth", "param_norm_max"):
-            assert getattr(got, name) == pytest.approx(getattr(rec, name), rel=TOL)
-    assert all(np.array_equal(trace.final_params[mu], p[mu]) for mu in range(fmt.num_blocks))
+
+
+@pytest.mark.parametrize("case", ["formed", "custom"])
+def test_run_is_a_chain_of_micro_steps_on_the_formed_route(monkeypatch, case):
+    if case == "formed":
+        _formed_route(monkeypatch)
+        A, b, fmt, p = sized_problem(48, *ROUTE_CASES[1])
+    else:
+        # no unfolding factors: the start state applies the mode-wise A to v
+        A, b, fmt, p = _lean_step_case("custom", "modewise")
+    assert engine.local_solve(A, b, fmt, p, 0, 1e-12).route == "formed"
+    assert _assert_run_is_the_chain(A, b, fmt, p).sweeps == 2
 
 
 def _formed_route(monkeypatch):
@@ -834,14 +870,14 @@ def test_degenerate_step_above_thresholds_matches_the_formed_route(monkeypatch, 
     A, b, fmt, p = sized_problem(44, kind, (8, 8, 8), rank)
     p = p.replace(1, np.zeros(fmt.block_dim(1)))  # W of blocks 0 and 2 vanishes
     assert engine.local_solve(A, b, fmt, p, 0, 1e-12).route == "structured"
-    structured = micro_step(A, b, fmt, p, 0)
+    state = RunState.at(A, b, fmt, p)
+    structured = micro_step(A, b, fmt, state, 0)
     traced = run(A, b, fmt, p, StopRule(max_sweeps=5))
     _formed_route(monkeypatch)
-    formed = micro_step(A, b, fmt, p, 0)
-    assert structured[3].W_rank == 0
-    assert np.array_equal(structured[1].values, formed[1].values)
-    assert all(np.array_equal(structured[0][mu], p[mu]) for mu in range(3))
-    assert _record_fields(structured[3]) == _record_fields(formed[3])
+    formed = micro_step(A, b, fmt, state, 0)
+    assert structured[1].W_rank == 0
+    assert structured[0] is formed[0] is state
+    assert _record_fields(structured[1]) == _record_fields(formed[1])
     assert traced.termination == "degenerate" and traced.sweeps == 1
     assert run(A, b, fmt, p, StopRule(max_sweeps=5)).termination == "degenerate"
 
@@ -853,12 +889,12 @@ def test_bad_targets_above_thresholds_raise_the_same_errors(monkeypatch, route):
         _formed_route(monkeypatch)
     assert engine.local_solve(A, b, fmt, p, 0, 1e-12).route == route
     with pytest.raises(ValueError, match="objective undefined for zero target"):
-        micro_step(A, DenseTensor.zeros(b.shape), fmt, p, 0)
+        _step(A, DenseTensor.zeros(b.shape), fmt, p, 0)
     values = b.values.copy()
     values[7] = np.nan
     object.__setattr__(b, "values", values)  # past the constructor's finiteness check
     with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
-        micro_step(A, b, fmt, p, 0)
+        _step(A, b, fmt, p, 0)
 
 
 @pytest.mark.parametrize(
@@ -882,7 +918,7 @@ def test_micro_step_rejects_a_non_finite_solver_output(monkeypatch, route, field
     monkeypatch.setattr(engine, "local_solve", broken)
     assert real(A, b, fmt, p, 0, 1e-12).route == route
     with pytest.raises(ValueError, match="tensor entries must be finite"):
-        micro_step(A, b, fmt, p, 0)
+        _step(A, b, fmt, p, 0)
 
 
 def _numpy_thin_svd(a):
@@ -1053,10 +1089,12 @@ def _tt_with_left_slice(seed, dims, value):
 
 
 def _both_routes(monkeypatch, A, b, fmt, p, mu):
-    structured = micro_step(A, b, fmt, p, mu)
+    """One step from the state at p on the structured route and on the formed route."""
+    state = RunState.at(A, b, fmt, p)
+    structured = micro_step(A, b, fmt, state, mu)
     with monkeypatch.context() as patch:
         _formed_route(patch)
-        formed = micro_step(A, b, fmt, p, mu)
+        formed = micro_step(A, b, fmt, state, mu)
     return structured, formed
 
 
@@ -1086,10 +1124,10 @@ def test_one_cut_on_two_interfaces_keeps_the_precut_columns(monkeypatch):
     assert np.array_equal(sol.gram_pinv(q), fmt.block_from_unfolding((F @ T) @ T.T, 1))
     structured, formed = _both_routes(monkeypatch, A, b, fmt, p, 1)
     assert engine.local_solve(A, b, fmt, p, 1, 1e-12).route == "structured"
-    assert structured[3].W_rank == formed[3].W_rank == sol.rank == 30
-    assert _rel(structured[0][1], formed[0][1]) <= TOL
-    assert _rel(structured[1].values, formed[1].values) <= TOL
-    assert structured[3].f == pytest.approx(formed[3].f, rel=TOL)
+    assert structured[1].W_rank == formed[1].W_rank == sol.rank == 30
+    assert _rel(structured[0].params[1], formed[0].params[1]) <= TOL
+    assert _rel(structured[0].v.values, formed[0].v.values) <= TOL
+    assert structured[1].f == pytest.approx(formed[1].f, rel=TOL)
 
 
 def test_a_zero_singular_value_is_cut_without_a_warning(monkeypatch):
@@ -1101,10 +1139,10 @@ def test_a_zero_singular_value_is_cut_without_a_warning(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         structured, formed = _both_routes(monkeypatch, A, b, fmt, p, 1)
-    assert structured[3].W_rank == formed[3].W_rank == 2 * 3 * 7
-    assert _rel(structured[0][1], formed[0][1]) <= TOL
-    assert _rel(structured[1].values, formed[1].values) <= TOL
-    assert structured[3].f == pytest.approx(formed[3].f, rel=TOL)
+    assert structured[1].W_rank == formed[1].W_rank == 2 * 3 * 7
+    assert _rel(structured[0].params[1], formed[0].params[1]) <= TOL
+    assert _rel(structured[0].v.values, formed[0].v.values) <= TOL
+    assert structured[1].f == pytest.approx(formed[1].f, rel=TOL)
 
 
 def test_micro_step_non_spd_operator_above_verify_cap_raises():
@@ -1117,7 +1155,7 @@ def test_micro_step_non_spd_operator_above_verify_cap_raises():
     p = ParamSystem([np.ones(m) for m in shape.dims])
     b = DenseTensor(shape, np.ones(shape.size))
     with pytest.raises(ValueError, match="projected operator not positive definite"):
-        micro_step(A, b, fmt, p, 0)
+        _step(A, b, fmt, p, 0)
 
 
 def test_micro_step_rejects_non_finite_projected_system():
@@ -1129,9 +1167,10 @@ def test_micro_step_rejects_non_finite_projected_system():
     fmt = CpFormat(shape, 1)
     p = ParamSystem([np.ones(2), np.ones(3)])
     b = DenseTensor(shape, np.arange(1.0, 7.0))
-    # the identity's image of v is v; given, only the block product is broken
+    # from the identity's start state, only the block product is broken
+    state = RunState.at(IdentityOperator(shape), b, fmt, p)
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-        micro_step(BrokenBlockApply(shape), b, fmt, p, 0, Av_old=evaluate(fmt, p))
+        micro_step(BrokenBlockApply(shape), b, fmt, state, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1606,7 +1645,8 @@ def test_the_image_from_the_transformed_blocks_is_a_full_apply(kind, dims, unit_
     A, fmt, p = _modewise_case(kind, dims, unit_mode, zero_block, seed)
     v = evaluate(fmt, p)
     want = A.apply(v).values
-    got = engine.operator_image(A, fmt, p, v).values
+    b = DenseTensor(v.shape, np.ones(v.shape.size))  # the image does not read the target
+    got = RunState.at(A, b, fmt, p).Av.values
     abs_fmt, abs_p = _magnitudes(fmt, p)
     scale = kron_apply([np.abs(K) for K in A.factors], evaluate(abs_fmt, abs_p).values[:, None])
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(scale)

@@ -33,6 +33,17 @@ TOL = 1e-12
 # ParamSystem
 
 
+def _assert_norm(got, x):
+    """Bitwise np.linalg.norm where x . x is a normal double, else math.hypot's to 1e-15."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        squares = float(x.dot(x))
+    if 2.0**-1022 <= squares < math.inf:
+        assert got == float(np.linalg.norm(x))
+    else:
+        assert got == pytest.approx(math.hypot(*x), rel=1e-15, abs=0.0)
+
+
 def test_param_system_is_immutable():
     p = ParamSystem([[1.0, 2.0], [3.0]])
     assert len(p) == 2
@@ -55,21 +66,23 @@ def test_carried_norms_are_bitwise_np_linalg_norm(sizes, steps, seed):
         if mu is not None:
             mu %= len(sizes)
             p = p.replace(mu, scale * rng.standard_normal(sizes[mu]))
-        want = [float(np.linalg.norm(block)) for block in p.blocks]
-        assert p.norms() == want
-        assert p.max_norm() == max(want)
+        for got, block in zip(p.norms(), p.blocks):
+            _assert_norm(got, block)
+        assert p.max_norm() == max(p.norms())
 
 
 def test_overflowing_block_norm_is_inf_without_a_warning():
+    # squares that overflow do not make the norm inf; only a norm beyond the double range is
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p = ParamSystem([[1e200, 1.0], [3.0, 4.0]])
-    assert p.norms() == [float("inf"), 5.0]
+        p = ParamSystem([[1e200, 1.0], [3.0, 4.0], [1.5e308, 1.5e308]])
+        q = ParamSystem([[1.0], [2.0]]).replace(1, [1e300, 1e300])
+    assert p.norms() == [1e200, 5.0, float("inf")]
     assert p.max_norm() == float("inf")
     with np.errstate(over="ignore"):
         assert float(np.linalg.norm(p[0])) == float("inf")
-        q = ParamSystem([[1.0], [2.0]]).replace(1, [1e300, 1e300])
-    assert q.norms() == [1.0, float("inf")]
+    assert q.norms()[0] == 1.0
+    _assert_norm(q.norms()[1], [1e300, 1e300])
 
 
 def test_param_system_copies_input():
@@ -120,7 +133,7 @@ def test_param_system_replace_shares_frozen_blocks_and_checks_the_new_one():
     seed=st.integers(0, 2**16),
 )
 def test_param_system_rejects_exactly_the_non_finite_blocks(size, entries, seed):
-    # a finite norm rules out NaN and inf; an overflowing one is scanned
+    # a finite norm rules out NaN and inf; a non-finite one is scanned
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(size)
     for entry in entries:
@@ -130,17 +143,15 @@ def test_param_system_rejects_exactly_the_non_finite_blocks(size, entries, seed)
         lambda: ParamSystem([vec, [1.0]]),
         lambda: ParamSystem([[1.0], [2.0]]).replace(0, vec),
     )
-    with np.errstate(over="ignore"):
-        want = float(np.linalg.norm(vec))
-        for make in makers:
-            try:
-                p = make()
-            except ValueError as exc:
-                assert str(exc) == "parameter entries must be finite" and not finite
-            else:
-                assert finite
-                assert p.norms()[0] == want  # inf when the squares overflow
-                assert np.array_equal(p[0], vec)
+    for make in makers:
+        try:
+            p = make()
+        except ValueError as exc:
+            assert str(exc) == "parameter entries must be finite" and not finite
+        else:
+            assert finite
+            _assert_norm(p.norms()[0], vec)  # finite where the squares overflow
+            assert np.array_equal(p[0], vec)
 
 
 # ---------------------------------------------------------------------------

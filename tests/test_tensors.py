@@ -1,8 +1,10 @@
 """Dense tensors, SPD operators, and the inner-product helpers."""
 
 import functools
+import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +30,9 @@ from alskit.tensors import (
     inner,
     kron_apply,
     rank_one_sum,
+    vector_norm,
 )
+from alskit.verification import random_problem
 from alskit.verification import random_spd_matrix as random_spd
 
 TOL = 1e-12
@@ -93,6 +97,50 @@ def test_dense_tensor_roundtrip_and_norm():
     assert v.shape.dims == (2, 3)
     assert np.array_equal(v.as_array(), arr)
     assert v.norm() == pytest.approx(np.linalg.norm(arr))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    x=st.lists(st.floats(-1e3, 1e3), max_size=8),
+    k=st.integers(-600, 600),
+)
+def test_vector_norm_neither_underflows_nor_overflows(x, k):
+    # bitwise np.linalg.norm where the squares sum to a normal double;
+    # elsewhere, where sqrt(x . x) would read 0 or inf, math.hypot's
+    y = np.ldexp(np.array(x, dtype=float), k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = vector_norm(y)
+    with np.errstate(over="ignore"):
+        squares = float(y.dot(y))
+    if 2.0**-1022 <= squares < math.inf:
+        assert got == float(np.linalg.norm(y))
+    else:
+        assert got == pytest.approx(math.hypot(*y), rel=1e-15, abs=0.0)
+    assert math.isfinite(got) and (got > 0.0) == bool(np.any(y))
+
+
+def test_vector_norm_of_non_finite_and_empty_vectors():
+    assert math.isnan(vector_norm(np.array([1.0, np.nan])))
+    assert vector_norm(np.array([1.0, -np.inf])) == math.inf
+    assert vector_norm(np.array([1.5e308, 1.5e308])) == math.inf  # beyond the double range
+    assert vector_norm(np.zeros(3)) == vector_norm(np.zeros(0)) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_a_scaled_target_reads_no_zero_or_inf_norm(scale):
+    # TT (2, 4), mode-wise: block 1's W and residual scale with the target,
+    # so the squares of its gradient's entries underflow or overflow
+    A, b, fmt, p = random_problem(11)
+    stop = StopRule(max_sweeps=3)
+    plain = run(A, b, fmt, p, stop)
+    trace = run(A, DenseTensor(b.shape, scale * b.values), fmt, p, stop)
+    assert trace.termination != "grad_small"
+    for rec in trace.records:
+        assert 0.0 < rec.grad_norm < math.inf and 0.0 < rec.resid_orth < math.inf
+    # the second step's gradient is scale invariant
+    want = plain.records[1].grad_norm
+    assert trace.records[1].grad_norm == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_dense_tensor_is_immutable():

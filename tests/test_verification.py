@@ -189,9 +189,9 @@ def test_decrement_check_catches_corrupted_records(monkeypatch):
     true_step = engine.micro_step
 
     def skewed(*args, **kwargs):
-        p_new, v_new, Av_new, rec = true_step(*args, **kwargs)
+        state, rec = true_step(*args, **kwargs)
         rec.decrement += 1e-6
-        return p_new, v_new, Av_new, rec
+        return state, rec
 
     monkeypatch.setattr(engine, "micro_step", skewed)
     ok, detail = check_decrement_identity(trials=5)
@@ -202,10 +202,10 @@ def test_monotone_check_catches_ascent(monkeypatch):
     true_step = engine.micro_step
 
     def skewed(*args, **kwargs):
-        p_new, v_new, Av_new, rec = true_step(*args, **kwargs)
+        state, rec = true_step(*args, **kwargs)
         rec.f += 1e-3  # pretend the objective went up
         rec.decrement += 1e-3
-        return p_new, v_new, Av_new, rec
+        return state, rec
 
     monkeypatch.setattr(engine, "micro_step", skewed)
     ok, detail = check_monotone_chain(trials=5, sweeps=2)
@@ -215,11 +215,11 @@ def test_monotone_check_catches_ascent(monkeypatch):
 def test_oracle_check_catches_wrong_solution(monkeypatch):
     true_step = engine.micro_step
 
-    def skewed(A, b, fmt, p, mu, *args, **kwargs):
-        p_new, v_new, Av_new, rec = true_step(A, b, fmt, p, mu, *args, **kwargs)
-        bumped = p_new[mu].copy()
+    def skewed(A, b, fmt, state, mu, *args, **kwargs):
+        new, rec = true_step(A, b, fmt, state, mu, *args, **kwargs)
+        bumped = new.params[mu].copy()
         bumped[0] += 1e-4
-        return p_new.replace(mu, bumped), v_new, Av_new, rec
+        return new._replace(params=new.params.replace(mu, bumped)), rec
 
     monkeypatch.setattr(engine, "micro_step", skewed)
     ok, detail = check_oracle_equivalence(trials=6)

@@ -23,6 +23,10 @@ the path and one BLAS thread:
   an inf entry in a mode-wise operator factor, fractional dims, and a
   string or a bool where a number belongs (a dense target entry, a term
   coefficient, an init entry, a dense operator entry);
+- scaled: 3 sweeps on ``verification.random_problem(11)`` (TT (2, 4),
+  mode-wise) with its target scaled by 1e-150 and by 1e+150, where the
+  squares of the gradient's entries underflow and overflow: the trace
+  fields of the ladder below;
 - ladder: the ``modewise_ladder`` problems on seeds 3, 7 and 101, solved as
   the benchmark solves them: every micro-step record, ``sweep_f``,
   ``dist_a``, the final parameters and the final iterate;
@@ -179,6 +183,17 @@ def _trace_output(trace):
     return text, np.concatenate([np.asarray(part, dtype=float).ravel() for part in parts])
 
 
+def scaled_outputs(alskit) -> dict:
+    """Traces of ``random_problem(11)`` with its target scaled by 1e-150 and by 1e+150, by name."""
+    A, b, fmt, p = alskit.verification.random_problem(11)
+    outputs = {}
+    for scale in (1e-150, 1e150):
+        target = alskit.DenseTensor(b.shape, scale * b.values)
+        trace = alskit.run(A, target, fmt, p, alskit.StopRule(max_sweeps=3))
+        outputs[f"scaled target {scale:g}"] = _trace_output(trace)
+    return outputs
+
+
 def collect(tree: Path) -> dict:
     """Every output of the tree at ``tree``, by name."""
     sys.path.insert(0, str(HERE / "perfbench"))
@@ -200,6 +215,7 @@ def collect(tree: Path) -> dict:
             outputs[" ".join(["gallery", label, *args])] = _text_output(text)
     outputs["verify"] = _text_output(_cli(alskit, ["verify"]))
     outputs.update(error_outputs(alskit))
+    outputs.update(scaled_outputs(alskit))
 
     for seed in LADDER_SEEDS:
         stop = alskit.StopRule(max_sweeps=workloads.LADDER_SWEEPS)
