@@ -482,7 +482,7 @@ def cmd_describe(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = args.checks.split(",") if args.checks else None
+    names = None if args.checks is None else args.checks.split(",")
     try:
         results = verification.run_checks(names=names, trials=args.trials)
     except ValueError as exc:

@@ -43,25 +43,29 @@ def objective(
     return (0.5 * inner(Av, v) - inner(b, v)) / b2
 
 
+def _residual(A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem):
+    """(b - A U(p), <b, b>), what every block gradient at p reads; a zero target raises."""
+    b2 = inner(b, b)
+    if b2 == 0.0:
+        raise ValueError("objective undefined for zero target")
+    return b.values - A.apply(evaluate(fmt, p)).values, b2
+
+
 def gradient_block(
     A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem, mu: int
 ) -> np.ndarray:
     """Partial gradient of f(U(p)) with respect to block mu: -W^T(b - Av)/<b,b>."""
-    b2 = inner(b, b)
-    if b2 == 0.0:
-        raise ValueError("objective undefined for zero target")
-    W = materialize_W(fmt, p, mu)
-    v = evaluate(fmt, p)
-    resid = b.values - A.apply(v).values
-    return -(W.T @ resid) / b2
+    resid, b2 = _residual(A, b, fmt, p)
+    return -(materialize_W(fmt, p, mu).T @ resid) / b2
 
 
 def full_gradient(
     A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem
 ) -> np.ndarray:
-    """All block gradients concatenated in block order."""
+    """All block gradients concatenated in block order, from one U(p), A U(p) and <b, b>."""
+    resid, b2 = _residual(A, b, fmt, p)
     return np.concatenate(
-        [gradient_block(A, b, fmt, p, mu) for mu in range(fmt.num_blocks)]
+        [-(materialize_W(fmt, p, mu).T @ resid) / b2 for mu in range(fmt.num_blocks)]
     )
 
 

@@ -13,9 +13,9 @@ W, where W^T W = Z^T Z (x) I.  Its projected operator is the Kronecker
 product G = S (x) K_mu, which it never forms either: it solves
 S Y K_mu = R with one Cholesky solve per factor, K_mu's Cholesky factor
 kept by the operator.  A mode-wise operator passes through a factored
-format, A U(p) = U(K_1 p_1, ..., K_d p_d) (``modewise_blocks``), so the
-structured route takes A applied to its basis from the frozen blocks'
-factors.
+format, A U(p) = U(K_1 p_1, ..., K_d p_d) (``modewise_blocks``), and
+the structured route applies the other modes' factors to its kept basis
+alone (``kron_apply``).
 Either route returns, next to the solution and its image A V y (from the
 A V its G is made of), the maps the system is made of: W, W^T and the
 Gram and energy pseudo-inverses.  That record, ``LocalSolve``, and the
@@ -85,6 +85,7 @@ from .tensors import (
     all_finite,
     check_int,
     inner,
+    kron_apply,
     vector_norm,
 )
 
@@ -280,35 +281,19 @@ def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vt
 
 
-def modewise_blocks(
-    A: ModeWiseOperator, fmt: TensorFormat, blocks, skip: int | None = None
-) -> list[np.ndarray]:
-    """The blocks with K_nu applied to the mode axis of block nu; block ``skip`` is left as it is.
+def modewise_blocks(A: ModeWiseOperator, fmt: TensorFormat, blocks) -> list[np.ndarray]:
+    """The blocks with K_nu applied to the mode axis of block nu.
 
     Block nu of a factored format holds mode nu, and U is linear in each
     block, so U(K_1 p_1, ..., K_d p_d) = (K_1 (x) ... (x) K_d) U(p)
-    (Kolda & Bader 2009): the operator passes through the format.  Each
-    block goes through its unfolding F to K_nu F and back.
+    (Kolda & Bader 2009): the operator passes through the format, and
+    ``RunState.at`` takes a run's first image as the evaluation at these
+    blocks.  Each block goes through its unfolding F to K_nu F and back.
     """
     return [
-        q if nu == skip else fmt.block_from_unfolding(K @ fmt.block_to_unfolding(q, nu), nu)
+        fmt.block_from_unfolding(K @ fmt.block_to_unfolding(q, nu), nu)
         for nu, (K, q) in enumerate(zip(A.factors, blocks))
     ]
-
-
-def frozen_image(
-    A: ModeWiseOperator, fmt: TensorFormat, blocks, mu: int, transforms
-) -> np.ndarray:
-    """A_{!=mu} Z T, for Z the Kronecker product of block mu's unfolding factors and T of ``transforms``.
-
-    A_{!=mu} is the Kronecker product of the factors K_nu, nu != mu.  The
-    unfolding factors of ``modewise_blocks`` (block mu left as it is) are
-    those of block mu with each row axis multiplied by its modes' K_nu, so
-    their Kronecker product is A_{!=mu} Z; each is multiplied by its own
-    transform before the Kronecker product is formed, one factor at a time.
-    """
-    moved = fmt.unfolding_factors(modewise_blocks(A, fmt, blocks, skip=mu), mu)
-    return kron_all([factor @ T for factor, T in zip(moved, transforms)])
 
 
 def formed_solve(
@@ -358,10 +343,10 @@ def structured_solve(
     sigma^2 > eps_rank * sigma_1^2 is the formed route's Gram cut.  The
     kept left singular vectors U_k give V = U_k (x) I, so that
     G = S (x) K_mu with S = U_k^T A_{!=mu} U_k, and V^T b and W^T x are
-    contractions of the unfolding with U_k and Z.  Since Z T_k = U_k,
-    A_{!=mu} U_k is ``frozen_image``: the unfolding factors of the frozen
-    blocks with their mode factors applied, times T_k, and no mode-wise
-    apply to an (N / m) x k array.  G y = V^T b is solved as the matrix
+    contractions of the unfolding with U_k and Z.  A_{!=mu}, the
+    Kronecker product of the mode factors K_nu, nu != mu, is applied to
+    the kept columns U_k alone by ``kron_apply`` (the identity, or d = 1,
+    leaves U_k as it is).  G y = V^T b is solved as the matrix
     equation S Y K_mu = R, R = U_k^T unfold(b)^T, by a Cholesky solve with
     S and then with the operator's own Cholesky factor of K_mu (Van Loan
     2000), at O(k^3 + m^2 k) in place of O(k^3 m^3); y is Y in
@@ -397,7 +382,6 @@ def structured_solve(
     def adjoint(x):
         return to_block(unfold(x, left, m) @ Z)
 
-    K_mu = K_factor = None  # the identity
     # a direction that the one cut below drops may divide by a zero (or
     # tiny) singular value; its non-finite columns are dropped with it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -412,12 +396,15 @@ def structured_solve(
         U, T, ratio = svds[0]
         for Uf, Tf, ratio_f in svds[1:]:
             U, T, ratio = kron(U, Uf), kron(T, Tf), np.outer(ratio, ratio_f).ravel()
-        if type(A) is ModeWiseOperator:
-            K_mu, K_factor = A.factors[mu], A.cholesky[mu]
-            AU = frozen_image(A, fmt, p.blocks, mu, [Tf for _, Tf, _ in svds])
     keep = ratio > eps_rank
     U, T = U[:, keep], T[:, keep]
-    AU = U if K_mu is None else AU[:, keep]
+    K_mu = K_factor = None  # the identity
+    AU = U
+    if type(A) is ModeWiseOperator:
+        K_mu, K_factor = A.factors[mu], A.cholesky[mu]
+        others = A.factors[:mu] + A.factors[mu + 1:]
+        if others:
+            AU = kron_apply(others, U)
     S = U.T @ AU
     Y, S_factor = _cholesky_solve(0.5 * (S + S.T), U.T @ unfold(b.values, left, m).T)
     if K_factor is not None:

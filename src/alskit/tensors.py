@@ -257,10 +257,13 @@ class ModeWiseOperator(SpdOperator):
         # 45 fresh interpreters, 2-vCPU host); the engine has loaded it by then
         from scipy.linalg import lapack
 
-        self.cholesky = []
         for nu, mat in enumerate(mats):
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"factor {nu} is not square")
+        # the shape rejects a mode of size 0, which has no entry to check
+        self.shape = Shape(tuple(m.shape[0] for m in mats))
+        self.cholesky = []
+        for nu, mat in enumerate(mats):
             _check_symmetric(mat, f"mode-{nu} factor")
             _check_definite(mat, f"mode-{nu} factor")
             factor, info = lapack.dpotrf(0.5 * (mat + mat.T), lower=1, clean=0)
@@ -268,7 +271,6 @@ class ModeWiseOperator(SpdOperator):
                 raise ValueError(f"mode-{nu} factor is not positive definite (Cholesky failed)")
             self.cholesky.append(factor)
         self.factors = mats
-        self.shape = Shape(tuple(m.shape[0] for m in mats))
         self.verified = True
 
     def apply_matrix(self, M: np.ndarray) -> np.ndarray:

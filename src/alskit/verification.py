@@ -773,6 +773,8 @@ def run_checks(names=None, trials: int | None = None) -> list[CheckResult]:
         raise ValueError(f"trials must be >= 1, got {trials}")
     selected = dict(CHECKS)
     if names is not None:
+        if not "".join(names).strip():
+            raise ValueError("no check names given")
         unknown = set(names) - set(selected)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")

@@ -983,6 +983,14 @@ def test_verify_unknown_check_is_usage_error(capsys):
     assert "unknown checks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("checks", ["", " ", ",", " , "])
+def test_verify_empty_check_list_is_usage_error(capsys, checks):
+    assert run_cli(["verify", "--checks", checks]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: no check names given"]
+    assert captured.out == ""
+
+
 def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     import alskit.verification as verification
 

@@ -80,7 +80,11 @@ def test_full_gradient_concatenates_blocks():
     A = IdentityOperator(shape)
     b = DenseTensor(shape, rng.standard_normal(4))
     p = ParamSystem([rng.standard_normal(2), rng.standard_normal(2)])
+    applies = []
+    apply = A.apply
+    A.apply = lambda v: applies.append(v) or apply(v)
     g = full_gradient(A, b, fmt, p)
+    assert len(applies) == 1  # one image for all the blocks
     assert g.size == 4
     assert np.array_equal(g[:2], gradient_block(A, b, fmt, p, 0))
     assert np.array_equal(g[2:], gradient_block(A, b, fmt, p, 1))

@@ -1,5 +1,6 @@
 """The solver core: Löwdin bases, micro-steps, sweeps, stop rules, run traces."""
 
+import math
 import re
 import warnings
 
@@ -25,6 +26,7 @@ from alskit.formats import (
     TensorFormat,
     TtFormat,
     evaluate,
+    fold,
     kron,
     materialize_W,
     probe_map,
@@ -1654,26 +1656,24 @@ def test_the_image_from_the_transformed_blocks_is_a_full_apply(kind, dims, unit_
 
 @settings(deadline=None, max_examples=80)
 @given(**modewise_cases)
-def test_the_frozen_image_is_the_modewise_apply_to_the_basis(kind, dims, unit_mode, zero_block, seed):
-    # the structured step's basis is U = Z T, T from each unfolding
-    # factor's thin SVD with the solver's cut; its A_{!=mu} U comes from
-    # the transformed blocks, and kron_apply gives it from U itself
+def test_the_structured_image_is_a_full_apply_of_the_iterate(kind, dims, unit_mode, zero_block, seed):
+    # the structured step's image is K_mu Y^T (A_{!=mu} U)^T, U its kept
+    # basis; A.apply takes it from the iterate, the fold of Y^T U^T.  U's
+    # columns are some of the columns of Q, the Kronecker product of the
+    # factors' left singular vectors, and Q^T (U Y) is Y on them and a
+    # rounding error elsewhere, so |Q| |Q^T U Y| stands for |U| |Y|
     A, fmt, p = _modewise_case(kind, dims, unit_mode, zero_block, seed)
-    abs_fmt, abs_p = _magnitudes(fmt, p)
+    b = DenseTensor(fmt.shape, np.random.default_rng(seed).standard_normal(fmt.shape.size))
+    abs_factors = [np.abs(K) for K in A.factors]
     for mu in range(fmt.num_blocks):
-        factors = fmt.unfolding_factors(p.blocks, mu)
-        transforms = []
-        for factor in factors:
-            _, sigma, Xt = np.linalg.svd(factor, full_matrices=False)
-            kept = sigma**2 > EPS_RANK_DEFAULT * sigma[0] ** 2
-            transforms.append(Xt[kept].T / sigma[kept])
-        T = engine.kron_all(transforms)
-        U = engine.kron_all(factors) @ T
-        got = engine.frozen_image(A, fmt, p.blocks, mu, transforms)
-        others = A.factors[:mu] + A.factors[mu + 1:]
-        want = kron_apply(others, U) if others else U
-        scale = engine.kron_all(abs_fmt.unfolding_factors(abs_p.blocks, mu)) @ np.abs(T)
-        if others:
-            scale = kron_apply([np.abs(K) for K in others], scale)
-        assert got.shape == want.shape
-        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(scale)
+        sol = engine.structured_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT)
+        if sol.rank == 0:
+            continue
+        want = A.apply(DenseTensor(fmt.shape, sol.iterate)).values
+        left, m = math.prod(fmt.shape.dims[:mu]), fmt.shape.dims[mu]
+        Q = engine.kron_all(
+            [np.linalg.svd(f, full_matrices=False)[0] for f in fmt.unfolding_factors(p.blocks, mu)]
+        )
+        Y = Q.T @ unfold(sol.iterate, left, m).T
+        scale = kron_apply(abs_factors, fold(np.abs(Y).T @ np.abs(Q).T, left, m)[:, None])
+        assert np.linalg.norm(sol.image - want) <= 1e-14 * np.linalg.norm(scale)

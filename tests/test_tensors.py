@@ -299,6 +299,9 @@ def test_modewise_validates_factors():
         ModeWiseOperator([np.eye(2), np.ones((2, 3))])
     with pytest.raises(ValueError, match="^factor 0 is not square$"):
         ModeWiseOperator([np.ones(3)])
+    for factors in ([np.zeros((0, 0))], [np.eye(2), np.zeros((0, 0))]):
+        with pytest.raises(ValueError, match="^every mode size must be >= 1$"):
+            ModeWiseOperator(factors)
 
 
 def test_modewise_keeps_the_cholesky_factor_of_each_symmetrized_factor():
