@@ -10,12 +10,17 @@ factored format (CP, TT, or any format that declares unfolding factors,
 see ``formats``) with an identity or mode-wise operator, never forms an
 N x k array: it works on the thin SVDs of the small unfolding factors of
 W, where W^T W = Z^T Z (x) I.  Its projected operator is the Kronecker
-product G = S (x) K_mu, which it never forms either: it solves
-S Y K_mu = R with one Cholesky solve per factor, K_mu's Cholesky factor
-kept by the operator.  A mode-wise operator passes through a factored
-format, A U(p) = U(K_1 p_1, ..., K_d p_d) (``modewise_blocks``), and
-the structured route applies the other modes' factors to its kept basis
-alone (``kron_apply``).
+product G = S (x) K_mu, which it never forms either: S is the kept part
+of a Kronecker product of one small block per unfolding factor (the two
+interfaces of a TT core apart), and S Y K_mu = R is solved with one
+Cholesky solve per factor, K_mu's Cholesky factor kept by the operator.
+It reads and writes a flat tensor only in its own (L, m_mu, R) layout,
+through ``contract`` (W^T x) and ``expand`` (W q): GEMMs with the
+factors, with no transposed copy and no Kronecker basis.  A mode-wise
+operator passes through a factored format,
+A U(p) = U(K_1 p_1, ..., K_d p_d) (``modewise_blocks``), and the
+structured route applies the mode factors on each side of mu to that
+side's thin factor alone (``kron_apply``).
 Either route returns, next to the solution and its image A V y (from the
 A V its G is made of), the maps the system is made of: W, W^T and the
 Gram and energy pseudo-inverses.  That record, ``LocalSolve``, and the
@@ -70,11 +75,8 @@ from .formats import (
     check_reference,
     check_reference_factor,
     evaluate,
-    fold,
     kron,
-    kron_all,
     materialize_W,
-    unfold,
 )
 from .tensors import (
     DenseTensor,
@@ -227,8 +229,8 @@ class LocalSolve(NamedTuple):
 
     The two pseudo-inverses are None at rank 0.  ``route`` is "formed" or
     "structured".  The formed route's maps are products with its W and
-    Löwdin transform T.  The structured route's are contractions of
-    unfoldings with the small factors.  The maps are closures over arrays
+    Löwdin transform T.  The structured route's are ``contract`` and
+    ``expand`` with the small factors.  The maps are closures over arrays
     the solve holds, so a micro-step that never applies them pays nothing
     for them.
     """
@@ -252,8 +254,8 @@ def coupling(
     The coupling belongs to (b, p), not to a solve; the transfer-map
     replay applies it between two solves' maps, and
     ``diagnostics.materialize_M`` is its dense reference.  A factored
-    format contracts the unfolding of b with the unfolding factors of the
-    modified system; any other format forms the modified W once.
+    format ``contract``s b with the unfolding factors of the modified
+    system; any other format forms the modified W once.
     """
     check_block(fmt, p, nu)
     if nu == mu:
@@ -263,9 +265,64 @@ def coupling(
     factors = fmt.unfolding_factors(system.blocks, mu)
     if factors is None:
         return materialize_W(fmt, system, mu).T @ b.values
+    return contract(b.values, factors, *_mode_view(fmt, mu), *fmt.block_axes(mu)).ravel()
+
+
+def _mode_view(fmt: TensorFormat, mu: int) -> tuple[int, int, int]:
+    """(L, m_mu, R): a flat tensor viewed around mode mu, L and R the sizes on each side."""
     dims = fmt.shape.dims
-    F = unfold(b.values, math.prod(dims[:mu]), dims[mu]) @ kron_all(factors)
-    return fmt.block_from_unfolding(F, mu)
+    L, m = math.prod(dims[:mu]), dims[mu]
+    return L, m, fmt.shape.size // (L * m)
+
+
+def contract(x: np.ndarray, factors, L: int, m: int, R: int, p: int, s: int) -> np.ndarray:
+    """W^T x as a (p, m, s) core: the flat (L, m, R) tensor x contracted with unfolding factors.
+
+    ``factors`` are two, a left one (L x p) and a right one (R x s), or
+    one that spans both sides ((L R) x (p s), rows over (l, r) and
+    columns over (p, s)), as ``TensorFormat.unfolding_factors`` hands
+    them over.  x is read in its own layout: two factors take one GEMM
+    each, and a spanning factor one GEMM when a side is empty, else one
+    matmul batched over the L left indices and a sum over them.  No
+    N-sized array is transposed or copied.  Returns a view of the last
+    product where it can.
+    """
+    if len(factors) == 2:
+        left, right = factors
+        # a transposed right operand (TT's Q^T) runs BLAS's slower kernel, up to
+        # twice the time of a small product; the copy is of the factor alone
+        right = np.ascontiguousarray(right)
+        return (left.T @ (x.reshape(L * m, R) @ right).reshape(L, m * s)).reshape(p, m, s)
+    (F,) = factors
+    if R == 1:
+        return (F.T @ x.reshape(L, m)).reshape(p, s, m).transpose(0, 2, 1)
+    if L == 1:
+        G = x.reshape(m, R) @ F
+    else:  # as above: F in C order gives the batches untransposed slices
+        G = np.matmul(x.reshape(L, m, R), np.ascontiguousarray(F).reshape(L, R, -1)).sum(axis=0)
+    return G.reshape(m, p, s).transpose(1, 0, 2)
+
+
+def expand(core: np.ndarray, factors, L: int, R: int) -> np.ndarray:
+    """W q as a flat (L, m, R) tensor: the (p, m, s) core q through unfolding factors.
+
+    The other direction of ``contract``, on the same factors: one GEMM
+    per factor, or for a spanning factor with both sides non-empty one
+    matmul batched over the L left indices, written straight into the
+    tensor's own layout.
+    """
+    p, m, s = core.shape
+    if len(factors) == 2:
+        left, right = factors
+        right_t = np.ascontiguousarray(right.T)  # see ``contract``
+        return ((left @ core.reshape(p, m * s)).reshape(L * m, s) @ right_t).ravel()
+    (F,) = factors
+    if R == 1:
+        return (F @ core.transpose(0, 2, 1).reshape(p * s, m)).ravel()
+    C = core.transpose(1, 0, 2).reshape(m, p * s)
+    if L == 1:
+        return (C @ F.T).ravel()
+    return np.matmul(C, np.ascontiguousarray(F).reshape(L, R, -1).transpose(0, 2, 1)).ravel()
 
 
 def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -335,26 +392,32 @@ def structured_solve(
 ) -> LocalSolve | None:
     """The Galerkin system of block mu from the small frozen factors alone.
 
-    The mode-mu unfolding of the block's image is F Z^T, Z the Kronecker
-    product of ``fmt.unfolding_factors`` (the CP Khatri-Rao factor, or
-    the TT interfaces a core has: P and Q^T, one of them at an end).  Each
-    factor gets a thin SVD, and their products get one rank cut: since
-    W^T W = Z^T Z (x) I, keeping the products with
-    sigma^2 > eps_rank * sigma_1^2 is the formed route's Gram cut.  The
-    kept left singular vectors U_k give V = U_k (x) I, so that
-    G = S (x) K_mu with S = U_k^T A_{!=mu} U_k, and V^T b and W^T x are
-    contractions of the unfolding with U_k and Z.  A_{!=mu}, the
-    Kronecker product of the mode factors K_nu, nu != mu, is applied to
-    the kept columns U_k alone by ``kron_apply`` (the identity, or d = 1,
-    leaves U_k as it is).  G y = V^T b is solved as the matrix
-    equation S Y K_mu = R, R = U_k^T unfold(b)^T, by a Cholesky solve with
-    S and then with the operator's own Cholesky factor of K_mu (Van Loan
-    2000), at O(k^3 + m^2 k) in place of O(k^3 m^3); y is Y in
-    (kept column, i) order.  The minimum-norm block is Y T_k^T, and the
-    new iterate's image A V y is fold(K_mu Y^T (A_{!=mu} U_k)^T).
-    The maps of ``LocalSolve`` act on a block through its unfolding F:
-    W q = fold(F Z^T), and the pseudo-inverses multiply F by T_k, solve
-    with the two Cholesky factors (energy only) and multiply by T_k^T.
+    W q is ``expand`` of the block through ``fmt.unfolding_factors``
+    (the CP Khatri-Rao factor, or the TT interfaces a core has: P and Q^T,
+    one of them at an end), and W^T x is ``contract``.  Each factor gets a
+    thin SVD, and since W^T W = Z^T Z (x) I, Z the Kronecker product of the
+    factors, one cut on the products of their squared singular-value
+    ratios, sigma^2 > eps_rank * sigma_1^2, is the formed route's Gram cut.
+    Each factor keeps the leading block of directions that some kept
+    product uses: U_f of its left singular vectors, T_f = X_f Sigma_f^-1
+    of its back-transform.  The kept basis V = U_k (x) I, U_k the kept
+    columns of U_P (x) U_Q (or the one U_f), is never formed: the solve
+    works on (p, m_mu, s) cores, p and s the factors' kept directions
+    (s = 1 for one factor), with the kept products a mask on (p, s).
+    G = S (x) K_mu, S = U_k^T A_{!=mu} U_k: for two factors the kept
+    submatrix of (U_P^T K_L U_P) (x) (U_Q^T K_R U_Q), K_L and K_R the
+    Kronecker products of the mode factors left and right of mu, each
+    applied to its own U_f by ``kron_apply`` (one factor gets all the
+    others; the identity, or a side without modes, applies nothing).
+    V^T b is ``contract`` of b with the U_f; the iterate V y and its image
+    A V y are ``expand`` of the solution core with the U_f and the A U_f.
+    G y = V^T b is the matrix equation S Y K_mu = R, solved by a Cholesky
+    solve with S and then with the operator's own Cholesky factor of K_mu
+    (Van Loan 2000), at O(k^3 + m^2 k) in place of O(k^3 m^3); y is Y in
+    (kept product, i) order.  The block and the pseudo-inverses go
+    between a block and a core through the T_f the same way.  No array of
+    N / m_mu rows is formed but a factor the format hands over (a CP
+    factor, an end core's interface) and its products with the operator.
 
     A non-finite factor (finite parameters can overflow into one) raises
     numpy's LinAlgError("SVD did not converge") instead of reaching
@@ -369,61 +432,83 @@ def structured_solve(
     factors = fmt.unfolding_factors(p.blocks, mu)
     if factors is None:
         return None
-    dims = fmt.shape.dims
-    m, left = dims[mu], math.prod(dims[:mu])
-    Z = kron_all(factors)
-
-    def to_block(F):
-        return fmt.block_from_unfolding(F, mu)
+    L, m, R = _mode_view(fmt, mu)
+    a, c = fmt.block_axes(mu)
 
     def forward(q):
-        return fold(fmt.block_to_unfolding(q, mu) @ Z.T, left, m)
+        return expand(q.reshape(a, m, c), factors, L, R)
 
     def adjoint(x):
-        return to_block(unfold(x, left, m) @ Z)
+        return contract(x, factors, L, m, R, a, c).ravel()
 
-    # a direction that the one cut below drops may divide by a zero (or
-    # tiny) singular value; its non-finite columns are dropped with it
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        svds = []
-        for factor in factors:
-            if not all_finite(factor):
-                raise np.linalg.LinAlgError("SVD did not converge")
-            Uf, sigma, Xt = _thin_svd(factor)
-            if sigma[0] == 0.0:
-                return LocalSolve(0, None, None, forward, adjoint, None, None, "structured")
-            svds.append((Uf, Xt.T / sigma, (sigma / sigma[0]) ** 2))
-        U, T, ratio = svds[0]
-        for Uf, Tf, ratio_f in svds[1:]:
-            U, T, ratio = kron(U, Uf), kron(T, Tf), np.outer(ratio, ratio_f).ravel()
-    keep = ratio > eps_rank
-    U, T = U[:, keep], T[:, keep]
+    # the ratios descend, and no product of them exceeds a factor's own:
+    # the directions some kept product uses are a leading block of each
+    # factor, none of them a zero singular value (a tiny one, at an
+    # eps_rank near 0, can still overflow its column of T_f)
+    U, T, ratios = [], [], []
+    for factor in factors:
+        if not all_finite(factor):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        Uf, sigma, Xt = _thin_svd(factor)
+        if sigma[0] == 0.0:
+            return LocalSolve(0, None, None, forward, adjoint, None, None, "structured")
+        ratio = (sigma / sigma[0]) ** 2
+        n = len(ratio) - bisect.bisect_right(ratio[::-1].tolist(), eps_rank)
+        with np.errstate(over="ignore"):
+            T.append(Xt[:n].T / sigma[:n])
+        U.append(Uf[:, :n])
+        ratios.append(ratio[:n])
+    if len(U) == 2:
+        ps = (U[0].shape[1], U[1].shape[1])
+        keep = np.outer(*ratios).ravel() > eps_rank
+        keep = None if keep.all() else keep
+    else:  # gesdd's Fortran order; kron_apply and a batched matmul read C order
+        U[0] = np.ascontiguousarray(U[0])
+        ps, keep = (U[0].shape[1], 1), None
+
+    def pack(core):
+        """The kept products of a (p, m, s) core, as the rows of a (k', m) matrix."""
+        X = core.transpose(0, 2, 1).reshape(-1, m)
+        return X if keep is None else X[keep]
+
+    def unpack(X):
+        """Inverse of ``pack``: the (p, m, s) core with zeros on the dropped products."""
+        if keep is not None:
+            full = np.zeros((keep.size, m))
+            full[keep] = X
+            X = full
+        return X.reshape(ps[0], ps[1], m).transpose(0, 2, 1)
+
     K_mu = K_factor = None  # the identity
     AU = U
     if type(A) is ModeWiseOperator:
         K_mu, K_factor = A.factors[mu], A.cholesky[mu]
-        others = A.factors[:mu] + A.factors[mu + 1:]
-        if others:
-            AU = kron_apply(others, U)
-    S = U.T @ AU
-    Y, S_factor = _cholesky_solve(0.5 * (S + S.T), U.T @ unfold(b.values, left, m).T)
+        sides = (A.factors[:mu], A.factors[mu + 1:])
+        if len(U) == 1:
+            sides = (sides[0] + sides[1],)
+        AU = [kron_apply(Ks, Uf) if Ks else Uf for Ks, Uf in zip(sides, U)]
+    grams = [Uf.T @ AUf for Uf, AUf in zip(U, AU)]
+    S = grams[0] if len(grams) == 1 else kron(*grams)
+    if keep is not None:
+        S = S[np.ix_(keep, keep)]
+    Y, S_factor = _cholesky_solve(0.5 * (S + S.T), pack(contract(b.values, U, L, m, R, *ps)))
     if K_factor is not None:
         if not all_finite(Y):
             raise ValueError("array must not contain infs or NaNs")
         Y = _cholesky_apply(K_factor, Y.T).T
-    block = to_block((T @ Y).T)
-    iterate = fold(Y.T @ U.T, left, m)
-    image = iterate if K_mu is None else fold((K_mu @ Y.T) @ AU.T, left, m)
+    core = unpack(Y)
+    block = expand(core, T, a, c)
+    iterate = expand(core, U, L, R)
+    image = iterate if K_mu is None else expand(unpack((K_mu @ Y.T).T), AU, L, R)
 
     def gram_pinv(q):
-        FT = fmt.block_to_unfolding(q, mu) @ T
-        return to_block(FT @ T.T)
+        return expand(unpack(pack(contract(q, T, a, m, c, *ps))), T, a, c)
 
     def energy_pinv(q):
-        X = _cholesky_apply(S_factor, (fmt.block_to_unfolding(q, mu) @ T).T)
+        X = _cholesky_apply(S_factor, pack(contract(q, T, a, m, c, *ps)))
         if K_factor is not None:
             X = _cholesky_apply(K_factor, X.T).T
-        return to_block((T @ X).T)
+        return expand(unpack(X), T, a, c)
 
     return LocalSolve(
         Y.size, block, iterate, forward, adjoint, gram_pinv, energy_pinv, "structured", image,

@@ -177,6 +177,9 @@ class TensorFormat:
         Kronecker product of the returned factors (``kron_all``), with
         rows over the other modes and columns over (a, c).  So
         W^T W = Z^T Z (x) I, and W is never needed to solve the block.
+        The factors are one, over all the other modes ((N / m_mu) x a c),
+        or two: one over the modes left of mu (a columns) and one over
+        those right of it (c columns), which the engine keeps apart.
         """
         return None
 

@@ -18,6 +18,7 @@ import numpy as np
 from . import engine, gallery, oracle
 from .diagnostics import (
     EPS_RANK_DEFAULT,
+    RunTrace,
     assumption_monitors,
     full_gradient,
     gradient_block,
@@ -562,15 +563,20 @@ def _gallery_trace(instance: gallery.ProblemInstance, sweeps: int):
     )
 
 
-def _rank_one_gallery_traces(sweeps: int = 6):
+def _rank_one_gallery_traces() -> dict[str, tuple[gallery.ProblemInstance, RunTrace]]:
+    """The 6-sweep keep-params runs of four rank-one gallery instances, by label.
+
+    ``recursion-defect`` replays them all and ``tangent-recursion`` the
+    ``blambda`` run; ``run_checks`` hands both one cached call, so one
+    verify makes each run once.
+    """
     instances = [
         gallery.mohlenkamp_example(0.4),
         gallery.blambda_example(0.3, n=4, seed=11),
         gallery.totally_orthogonal(2, (3, 3, 3), seed=5),
         gallery.get_instance("tucker", dims=(3, 3, 3), t_dims=(2, 2, 2), seed=3),
     ]
-    for instance in instances:
-        yield instance, _gallery_trace(instance, sweeps)
+    return {instance.label: (instance, _gallery_trace(instance, 6)) for instance in instances}
 
 
 def _route_case_traces(sweeps: int = 3, seed: int = 1400):
@@ -581,10 +587,10 @@ def _route_case_traces(sweeps: int = 3, seed: int = 1400):
         yield A, b, fmt, trace
 
 
-def check_recursion_defect():
+def check_recursion_defect(gallery_traces=_rank_one_gallery_traces):
     worst = 0.0
     count = structured = 0
-    for instance, trace in _rank_one_gallery_traces():
+    for instance, trace in gallery_traces().values():
         for ctx in recursion_contexts(trace):
             report = recursion_check(instance.A, instance.b, instance.fmt, ctx)
             worst = max(worst, report.defect)
@@ -624,10 +630,9 @@ def check_tucker_closed_form():
     )
 
 
-def check_tangent_recursion():
+def check_tangent_recursion(gallery_traces=_rank_one_gallery_traces):
     # blambda against its known limit, the ROUTE_CASES systems against their target
-    instance = gallery.blambda_example(0.3, n=4, seed=11)
-    trace = _gallery_trace(instance, 6)
+    instance, trace = gallery_traces()["blambda"]
     replays = [(instance.A, instance.b, instance.fmt, trace, instance.reference.values, False)]
     replays += [(A, b, fmt, tr, b.values, True) for A, b, fmt, tr in _route_case_traces()]
     worst_split = 0.0
@@ -767,7 +772,8 @@ def run_checks(names=None, trials: int | None = None) -> list[CheckResult]:
     """Run the registered checks (all by default) and collect results.
 
     ``trials`` overrides the default trial count of every check whose
-    function takes a ``trials`` argument; the others ignore it.
+    function takes a ``trials`` argument; the others ignore it.  The
+    checks that take ``gallery_traces`` share one call's gallery runs.
     """
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -781,14 +787,15 @@ def run_checks(names=None, trials: int | None = None) -> list[CheckResult]:
         order = [n for n, _ in CHECKS if n in set(names)]
     else:
         order = [n for n, _ in CHECKS]
+    shared = {"gallery_traces": functools.cache(_rank_one_gallery_traces)}
+    if trials is not None:
+        shared["trials"] = trials
     results = []
     for name in order:
         fn = selected[name]
+        params = inspect.signature(fn).parameters
         try:
-            if trials is not None and "trials" in inspect.signature(fn).parameters:
-                ok, detail = fn(trials=trials)
-            else:
-                ok, detail = fn()
+            ok, detail = fn(**{key: value for key, value in shared.items() if key in params})
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(CheckResult(name, bool(ok), str(detail)))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from alskit import engine
+from alskit import engine, formats, tensors
 from alskit.diagnostics import (
     EPS_RANK_DEFAULT,
     MicroStepRecord,
@@ -28,6 +28,7 @@ from alskit.formats import (
     evaluate,
     fold,
     kron,
+    kron_all,
     materialize_W,
     probe_map,
     unfold,
@@ -1061,19 +1062,16 @@ def test_structured_block_on_non_minimal_tt_ranks_is_the_minimum_norm_block():
     assert engine.structured_solve(A, b, fmt, p, 1, 1e-12).rank < fmt.block_dim(1)
 
 
-def _precut_basis(factors, eps_rank):
-    """(U, T) of the structured route with a cut on each factor before the cut on the products."""
+def _precut_factors(factors, eps_rank):
+    """Each factor's (U_f, T_f, ratio), cut before the cut on the products."""
     kept = []
     for factor in factors:
         Uf, sigma, Xt = engine._thin_svd(factor)
         ratio = (sigma / sigma[0]) ** 2
-        cut = ratio > eps_rank
-        kept.append((Uf[:, cut], Xt[cut].T / sigma[cut], ratio[cut]))
-    U, T, ratio = kept[0]
-    for Uf, Tf, ratio_f in kept[1:]:
-        U, T, ratio = kron(U, Uf), kron(T, Tf), np.outer(ratio, ratio_f).ravel()
-    keep = ratio > eps_rank
-    return U[:, keep], T[:, keep]
+        n = int(np.count_nonzero(ratio > eps_rank))
+        assert np.all(ratio[:n] > eps_rank)  # descending: the cut is a leading block
+        kept.append((Uf[:, :n], Xt[:n].T / sigma[:n], ratio[:n]))
+    return kept
 
 
 def _kept_directions(factor, eps_rank=1e-12):
@@ -1107,7 +1105,8 @@ def test_one_cut_on_two_interfaces_keeps_the_precut_columns(monkeypatch):
     A, b, fmt, p = _tt_with_left_slice(47, (4, 5, 4), lambda core: core[..., 0])
     factors = fmt.unfolding_factors(p.blocks, 1)
     assert [_kept_directions(f) for f in factors] == [2, 3]
-    U, T = _precut_basis(factors, 1e-12)
+    (UP, TP, rP), (UQ, TQ, rQ) = _precut_factors(factors, 1e-12)
+    assert np.all(np.outer(rP, rQ) > 1e-12)  # every product of the kept directions is kept
     rhs = []
     real = engine._cholesky_solve
 
@@ -1118,18 +1117,65 @@ def test_one_cut_on_two_interfaces_keeps_the_precut_columns(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(engine, "_cholesky_solve", spy)
         sol = engine.structured_solve(A, b, fmt, p, 1, 1e-12)
-    # the kept columns of U through the right-hand side U^T unfold(b)^T,
-    # those of T through the Gram pseudo-inverse T T^T
-    assert np.array_equal(rhs[0], U.T @ unfold(b.values, 4, 5).T)
+    # the kept directions of P and Q^T through the right-hand side V^T b,
+    # the two-sided contraction of b in (P direction, Q direction) order,
+    # and the same rows as the kept columns of the Kronecker basis
+    core = engine.contract(b.values, [UP, UQ], 4, 5, 4, 2, 3)
+    assert np.array_equal(rhs[0], core.transpose(0, 2, 1).reshape(6, 5))
+    U, B = kron(UP, UQ), unfold(b.values, 4, 5)
+    scale = np.linalg.norm(np.abs(U).T @ np.abs(B).T)
+    assert np.linalg.norm(rhs[0] - U.T @ B.T) <= 1e-14 * scale
+    # those of T = T_P (x) T_Q through the Gram pseudo-inverse T T^T
     q = np.random.default_rng(47).standard_normal(fmt.block_dim(1))
-    F = fmt.block_to_unfolding(q, 1)
-    assert np.array_equal(sol.gram_pinv(q), fmt.block_from_unfolding((F @ T) @ T.T, 1))
+    assert np.array_equal(
+        sol.gram_pinv(q),
+        engine.expand(engine.contract(q, [TP, TQ], 3, 5, 3, 2, 3), [TP, TQ], 3, 3),
+    )
+    T, F = kron(TP, TQ), fmt.block_to_unfolding(q, 1)
+    scale = np.linalg.norm((np.abs(F) @ np.abs(T)) @ np.abs(T).T)
+    want = fmt.block_from_unfolding((F @ T) @ T.T, 1)
+    assert np.linalg.norm(sol.gram_pinv(q) - want) <= 1e-14 * scale
     structured, formed = _both_routes(monkeypatch, A, b, fmt, p, 1)
     assert engine.local_solve(A, b, fmt, p, 1, 1e-12).route == "structured"
     assert structured[1].W_rank == formed[1].W_rank == sol.rank == 30
     assert _rel(structured[0].params[1], formed[0].params[1]) <= TOL
     assert _rel(structured[0].v.values, formed[0].v.values) <= TOL
     assert structured[1].f == pytest.approx(formed[1].f, rel=TOL)
+
+
+def test_the_product_cut_drops_products_that_each_factor_keeps():
+    # both interfaces of the middle core have singular values 1, 1e-4 and
+    # 1e-5: each keeps all three directions at eps_rank 1e-12 (ratios 1,
+    # 1e-8, 1e-10), but only 5 of their 9 products do.  The reference is
+    # the solve on the kept columns of the Kronecker basis, formed
+    rng = np.random.default_rng(49)
+    dims = (6, 5, 6)
+
+    def graded():
+        Q1, Q2 = (np.linalg.qr(rng.standard_normal((n, 3)))[0] for n in (6, 3))
+        return (Q1 * [1.0, 1e-4, 1e-5]) @ Q2.T
+
+    fmt = TtFormat(Shape(dims), (3, 3))
+    p = ParamSystem([graded().ravel(), rng.standard_normal(45), graded().T.ravel()])
+    A = ModeWiseOperator([spd(rng, m) for m in dims])
+    b = DenseTensor(fmt.shape, rng.standard_normal(fmt.shape.size))
+    (UP, TP, rP), (UQ, TQ, rQ) = _precut_factors(fmt.unfolding_factors(p.blocks, 1), 1e-12)
+    keep = np.outer(rP, rQ).ravel() > 1e-12
+    assert (len(rP), len(rQ), keep.sum()) == (3, 3, 5)
+    U, T = kron(UP, UQ)[:, keep], kron(TP, TQ)[:, keep]
+    K_L, K, K_R = A.factors
+    S = U.T @ kron(K_L, K_R) @ U
+    Y = np.linalg.solve(S, np.linalg.solve(K, (U.T @ unfold(b.values, 6, 5).T).T).T)
+    sol = engine.structured_solve(A, b, fmt, p, 1, 1e-12)
+    assert sol.rank == engine.formed_solve(A, b, fmt, p, 1, 1e-12).rank == 5 * 5
+    assert _rel(sol.block, fmt.block_from_unfolding((T @ Y).T, 1)) <= TOL
+    assert _rel(sol.iterate, fold(Y.T @ U.T, 6, 5)) <= TOL
+    assert _rel(sol.image, A.apply(DenseTensor(fmt.shape, sol.iterate)).values) <= TOL
+    q = rng.standard_normal(fmt.block_dim(1))
+    F = fmt.block_to_unfolding(q, 1)
+    assert _rel(sol.gram_pinv(q), fmt.block_from_unfolding((F @ T) @ T.T, 1)) <= TOL
+    X = np.linalg.solve(S, np.linalg.solve(K, F @ T).T)
+    assert _rel(sol.energy_pinv(q), fmt.block_from_unfolding((T @ X).T, 1)) <= TOL
 
 
 def test_a_zero_singular_value_is_cut_without_a_warning(monkeypatch):
@@ -1657,8 +1703,9 @@ def test_the_image_from_the_transformed_blocks_is_a_full_apply(kind, dims, unit_
 @settings(deadline=None, max_examples=80)
 @given(**modewise_cases)
 def test_the_structured_image_is_a_full_apply_of_the_iterate(kind, dims, unit_mode, zero_block, seed):
-    # the structured step's image is K_mu Y^T (A_{!=mu} U)^T, U its kept
-    # basis; A.apply takes it from the iterate, the fold of Y^T U^T.  U's
+    # the structured step's image is A_{!=mu} (x) K_mu applied to its kept
+    # basis U (through each factor's singular vectors) times the
+    # solution Y; A.apply takes it from the iterate, U Y.  U's
     # columns are some of the columns of Q, the Kronecker product of the
     # factors' left singular vectors, and Q^T (U Y) is Y on them and a
     # rounding error elsewhere, so |Q| |Q^T U Y| stands for |U| |Y|
@@ -1671,9 +1718,77 @@ def test_the_structured_image_is_a_full_apply_of_the_iterate(kind, dims, unit_mo
             continue
         want = A.apply(DenseTensor(fmt.shape, sol.iterate)).values
         left, m = math.prod(fmt.shape.dims[:mu]), fmt.shape.dims[mu]
-        Q = engine.kron_all(
+        Q = kron_all(
             [np.linalg.svd(f, full_matrices=False)[0] for f in fmt.unfolding_factors(p.blocks, mu)]
         )
         Y = Q.T @ unfold(sol.iterate, left, m).T
         scale = kron_apply(abs_factors, fold(np.abs(Y).T @ np.abs(Q).T, left, m)[:, None])
         assert np.linalg.norm(sol.image - want) <= 1e-14 * np.linalg.norm(scale)
+
+
+@settings(deadline=None, max_examples=80)
+@given(**modewise_cases)
+def test_the_structured_maps_are_products_with_the_formed_W(kind, dims, unit_mode, zero_block, seed):
+    # forward and adjoint contract in the tensor's own layout; W
+    # assembles the Kronecker product of the same factors, so the two add
+    # the same products in other orders: compared on |W| |q| and |W|^T |x|
+    A, fmt, p = _modewise_case(kind, dims, unit_mode, zero_block, seed)
+    rng = np.random.default_rng(seed)
+    b = DenseTensor(fmt.shape, rng.standard_normal(fmt.shape.size))
+    x = rng.standard_normal(fmt.shape.size)
+    for mu in range(fmt.num_blocks):
+        sol = engine.structured_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT)
+        W = materialize_W(fmt, p, mu)
+        q = rng.standard_normal(fmt.block_dim(mu))
+        scale = np.linalg.norm(np.abs(W) @ np.abs(q))
+        assert np.linalg.norm(sol.forward(q) - W @ q) <= 1e-14 * scale
+        scale = np.linalg.norm(np.abs(W).T @ np.abs(x))
+        assert np.linalg.norm(sol.adjoint(x) - W.T @ x) <= 1e-14 * scale
+
+
+def _refuse(what, test):
+    def refuse(*args, **kwargs):
+        if test(*args):
+            raise AssertionError(what)
+        return refuse.real(*args, **kwargs)
+
+    return refuse
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in ROUTE_CASES if c[0] == "tt"], ids=lambda c: "-".join(map(str, c))
+)
+def test_the_structured_route_forms_no_kronecker_basis_on_an_interior_core(monkeypatch, case):
+    # an interior core's solve, its maps and the coupling work on the two
+    # interfaces apart: no Kronecker product of two or more factors, no
+    # N-sized unfolding, no np.einsum, and at an interior core no product
+    # with an array of N / m_mu rows.  The engine imports none of the
+    # formats' unfolding helpers; a patch on either module catches one
+    # brought back
+    A, b, fmt, p = sized_problem(75, *case)
+    N = fmt.shape.size
+    rng = np.random.default_rng(75)
+    for mu in range(fmt.num_blocks):
+        rows = N // fmt.shape.dims[mu]
+        interior = 0 < mu < fmt.num_blocks - 1
+        refusals = {
+            "kron_all": _refuse("Kronecker basis", lambda factors: len(factors) >= 2),
+            "unfold": _refuse("N-sized unfolding", lambda x, *_: np.size(x) >= N),
+            "fold": _refuse("N-sized fold", lambda x, *_: np.size(x) >= N),
+            "kron": _refuse("N / m rows", lambda a, b_: interior and len(a) * len(b_) >= rows),
+            "kron_apply": _refuse("N / m rows", lambda factors, M: interior and len(M) >= rows),
+        }
+        with monkeypatch.context() as patch:
+            for name, refuse in refusals.items():
+                refuse.real = getattr(formats, name, None) or getattr(tensors, name)
+                for module in (engine, formats):
+                    patch.setattr(module, name, refuse, raising=False)
+            patch.setattr(np, "einsum", _refuse("np.einsum", lambda *_: True))
+            sol = engine.structured_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT)
+            q = rng.standard_normal(fmt.block_dim(mu))
+            x = sol.forward(q)
+            for image in (sol.adjoint(x), sol.gram_pinv(q), sol.energy_pinv(q)):
+                assert image.shape == (fmt.block_dim(mu),)
+            nu = mu - 1 if mu else 1
+            assert engine.coupling(fmt, b, p, mu, nu, p[nu]).shape == (fmt.block_dim(mu),)
+        assert sol.route == "structured" and sol.rank > 0 and x.shape == (N,)

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from alskit import engine
+from alskit import engine, verification
 from alskit.formats import CpFormat, TtFormat
 from alskit.verification import (
     CHECKS,
@@ -230,3 +230,21 @@ def test_unpatched_checks_recover():
     # the previous monkeypatches must not leak
     ok, detail = check_decrement_identity(trials=5)
     assert ok, detail
+
+
+def test_the_replay_checks_make_each_gallery_run_once(monkeypatch):
+    # recursion-defect replays the four rank-one gallery runs and
+    # tangent-recursion the blambda one: one verify makes each run once
+    made = []
+    real = verification._gallery_trace
+
+    def counted(instance, sweeps):
+        made.append((instance.label, sweeps))
+        return real(instance, sweeps)
+
+    monkeypatch.setattr(verification, "_gallery_trace", counted)
+    results = run_checks(["recursion-defect", "tangent-recursion"])
+    assert [r.ok for r in results] == [True, True]
+    labels = ["mohlenkamp", "blambda", "totally_orthogonal", "tucker"]
+    assert made == [(label, 6) for label in labels]
+    assert run_checks(["tangent-recursion"])[0].ok  # alone, it makes its own
