@@ -54,18 +54,26 @@ def _residual(A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem)
 def gradient_block(
     A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem, mu: int
 ) -> np.ndarray:
-    """Partial gradient of f(U(p)) with respect to block mu: -W^T(b - Av)/<b,b>."""
+    """Partial gradient of f(U(p)) with respect to block mu: -W^T(b - Av)/<b,b>.
+
+    W^T is ``TensorFormat.local_adjoint``: a factored format contracts
+    the residual with its unfolding factors and forms no W.
+    """
     resid, b2 = _residual(A, b, fmt, p)
-    return -(materialize_W(fmt, p, mu).T @ resid) / b2
+    check_block(fmt, p, mu)
+    return -fmt.local_adjoint(p.blocks, mu, resid) / b2
 
 
 def full_gradient(
     A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem
 ) -> np.ndarray:
-    """All block gradients concatenated in block order, from one U(p), A U(p) and <b, b>."""
+    """All block gradients concatenated in block order, from one U(p), A U(p) and <b, b>.
+
+    Each block is ``gradient_block``'s, through ``TensorFormat.local_adjoint``.
+    """
     resid, b2 = _residual(A, b, fmt, p)
     return np.concatenate(
-        [-(materialize_W(fmt, p, mu).T @ resid) / b2 for mu in range(fmt.num_blocks)]
+        [-fmt.local_adjoint(p.blocks, mu, resid) / b2 for mu in range(fmt.num_blocks)]
     )
 
 

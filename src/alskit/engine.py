@@ -15,10 +15,10 @@ of a Kronecker product of one small block per unfolding factor (the two
 interfaces of a TT core apart), and S Y K_mu = R is solved with one
 Cholesky solve per factor, K_mu's Cholesky factor kept by the operator.
 It reads and writes a flat tensor only in its own (L, m_mu, R) layout,
-through ``contract`` (W^T x) and ``expand`` (W q): GEMMs with the
-factors, with no transposed copy and no Kronecker basis.  A mode-wise
-operator passes through a factored format,
-A U(p) = U(K_1 p_1, ..., K_d p_d) (``modewise_blocks``), and the
+through ``formats.contract`` (W^T x) and ``formats.expand`` (W q): GEMMs
+with the factors, with no transposed copy and no Kronecker basis.  A
+mode-wise operator passes through a factored format,
+A U(p) = U(K_1 p_1, ..., K_d p_d) (``RunState.at``), and the
 structured route applies the mode factors on each side of mu to that
 side's thin factor alone (``kron_apply``).
 Either route returns, next to the solution and its image A V y (from the
@@ -74,7 +74,9 @@ from .formats import (
     check_block,
     check_reference,
     check_reference_factor,
+    contract,
     evaluate,
+    expand,
     kron,
     materialize_W,
 )
@@ -253,76 +255,17 @@ def coupling(
 
     The coupling belongs to (b, p), not to a solve; the transfer-map
     replay applies it between two solves' maps, and
-    ``diagnostics.materialize_M`` is its dense reference.  A factored
-    format ``contract``s b with the unfolding factors of the modified
-    system; any other format forms the modified W once.
+    ``diagnostics.materialize_M`` is its dense reference.  It is
+    ``TensorFormat.local_adjoint`` of b at the modified system: a factored
+    format ``contract``s b with its unfolding factors, any other format
+    forms the modified W once.
     """
     check_block(fmt, p, nu)
     if nu == mu:
         raise ValueError("coupling needs two distinct blocks")
     system = p.replace(nu, q)
     check_block(fmt, system, mu)
-    factors = fmt.unfolding_factors(system.blocks, mu)
-    if factors is None:
-        return materialize_W(fmt, system, mu).T @ b.values
-    return contract(b.values, factors, *_mode_view(fmt, mu), *fmt.block_axes(mu)).ravel()
-
-
-def _mode_view(fmt: TensorFormat, mu: int) -> tuple[int, int, int]:
-    """(L, m_mu, R): a flat tensor viewed around mode mu, L and R the sizes on each side."""
-    dims = fmt.shape.dims
-    L, m = math.prod(dims[:mu]), dims[mu]
-    return L, m, fmt.shape.size // (L * m)
-
-
-def contract(x: np.ndarray, factors, L: int, m: int, R: int, p: int, s: int) -> np.ndarray:
-    """W^T x as a (p, m, s) core: the flat (L, m, R) tensor x contracted with unfolding factors.
-
-    ``factors`` are two, a left one (L x p) and a right one (R x s), or
-    one that spans both sides ((L R) x (p s), rows over (l, r) and
-    columns over (p, s)), as ``TensorFormat.unfolding_factors`` hands
-    them over.  x is read in its own layout: two factors take one GEMM
-    each, and a spanning factor one GEMM when a side is empty, else one
-    matmul batched over the L left indices and a sum over them.  No
-    N-sized array is transposed or copied.  Returns a view of the last
-    product where it can.
-    """
-    if len(factors) == 2:
-        left, right = factors
-        # a transposed right operand (TT's Q^T) runs BLAS's slower kernel, up to
-        # twice the time of a small product; the copy is of the factor alone
-        right = np.ascontiguousarray(right)
-        return (left.T @ (x.reshape(L * m, R) @ right).reshape(L, m * s)).reshape(p, m, s)
-    (F,) = factors
-    if R == 1:
-        return (F.T @ x.reshape(L, m)).reshape(p, s, m).transpose(0, 2, 1)
-    if L == 1:
-        G = x.reshape(m, R) @ F
-    else:  # as above: F in C order gives the batches untransposed slices
-        G = np.matmul(x.reshape(L, m, R), np.ascontiguousarray(F).reshape(L, R, -1)).sum(axis=0)
-    return G.reshape(m, p, s).transpose(1, 0, 2)
-
-
-def expand(core: np.ndarray, factors, L: int, R: int) -> np.ndarray:
-    """W q as a flat (L, m, R) tensor: the (p, m, s) core q through unfolding factors.
-
-    The other direction of ``contract``, on the same factors: one GEMM
-    per factor, or for a spanning factor with both sides non-empty one
-    matmul batched over the L left indices, written straight into the
-    tensor's own layout.
-    """
-    p, m, s = core.shape
-    if len(factors) == 2:
-        left, right = factors
-        right_t = np.ascontiguousarray(right.T)  # see ``contract``
-        return ((left @ core.reshape(p, m * s)).reshape(L * m, s) @ right_t).ravel()
-    (F,) = factors
-    if R == 1:
-        return (F @ core.transpose(0, 2, 1).reshape(p * s, m)).ravel()
-    C = core.transpose(1, 0, 2).reshape(m, p * s)
-    if L == 1:
-        return (C @ F.T).ravel()
-    return np.matmul(C, np.ascontiguousarray(F).reshape(L, R, -1).transpose(0, 2, 1)).ravel()
+    return fmt.local_adjoint(system.blocks, mu, b.values)
 
 
 def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -336,21 +279,6 @@ def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if info != 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     return u, s, vt
-
-
-def modewise_blocks(A: ModeWiseOperator, fmt: TensorFormat, blocks) -> list[np.ndarray]:
-    """The blocks with K_nu applied to the mode axis of block nu.
-
-    Block nu of a factored format holds mode nu, and U is linear in each
-    block, so U(K_1 p_1, ..., K_d p_d) = (K_1 (x) ... (x) K_d) U(p)
-    (Kolda & Bader 2009): the operator passes through the format, and
-    ``RunState.at`` takes a run's first image as the evaluation at these
-    blocks.  Each block goes through its unfolding F to K_nu F and back.
-    """
-    return [
-        fmt.block_from_unfolding(K @ fmt.block_to_unfolding(q, nu), nu)
-        for nu, (K, q) in enumerate(zip(A.factors, blocks))
-    ]
 
 
 def formed_solve(
@@ -432,7 +360,7 @@ def structured_solve(
     factors = fmt.unfolding_factors(p.blocks, mu)
     if factors is None:
         return None
-    L, m, R = _mode_view(fmt, mu)
+    L, m, R = fmt.mode_view(mu)
     a, c = fmt.block_axes(mu)
 
     def forward(q):
@@ -558,9 +486,12 @@ class RunState(NamedTuple):
         """The state at U(p).
 
         For a mode-wise operator on a factored format (one that declares
-        unfolding factors) of its shape, A v is the evaluation at
-        ``modewise_blocks``, with no full apply; any other operator or
-        format is applied to v.  ``objective`` rejects a zero target.
+        unfolding factors) of its shape, A v is an evaluation with no full
+        apply: block nu holds mode nu and U is linear in each block, so
+        A U(p) = U(K_1 p_1, ..., K_d p_d) (Kolda & Bader 2009), each K_nu
+        applied to the mode axis of its (a, m_nu, c) core.  Any other
+        operator or format is applied to v.  ``objective`` rejects a zero
+        target.
         """
         v = evaluate(fmt, p)
         if (
@@ -568,7 +499,11 @@ class RunState(NamedTuple):
             and A.shape.dims == fmt.shape.dims
             and type(fmt).unfolding_factors is not TensorFormat.unfolding_factors
         ):
-            Av = DenseTensor(fmt.shape, fmt._evaluate_blocks(modewise_blocks(A, fmt, p.blocks)))
+            blocks = [
+                (K @ q.reshape(fmt.block_axes(nu)[0], len(K), -1)).ravel()
+                for nu, (K, q) in enumerate(zip(A.factors, p.blocks))
+            ]
+            Av = DenseTensor(fmt.shape, fmt._evaluate_blocks(blocks))
         else:
             Av = A.apply(v)
         f = objective(A, b, v, Av)

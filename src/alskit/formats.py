@@ -6,20 +6,26 @@ is what the solver exploits: freezing all blocks but one leaves a linear
 map W, returned by ``TensorFormat.local_map``.
 
 A factored format declares two things: the layout of its blocks and
-their unfolding factors.  Block mu is a flat (a, m_mu, c) core in C
-order, and ``block_axes(mu)`` gives (a, c), (r, 1) for CP and
-(r_{mu-1}, r_mu) for TT.  The mode-mu unfolding of U(..., q, ...) is
-F Z^T, with F = ``unfold(q, a, m_mu)`` and Z = ``kron_all(unfolding_factors)``.
-The factors are the ones the block has: the Khatri-Rao product of the
-other CP factors; the interfaces P and Q^T of an interior TT core, and
-only Q^T or P at the first or last core.  The base class derives the rest
-from these.  An evaluation is the last block's local map applied to that
-block, one product Z F^T (one GEMM for CP, the interface P times the last
-core for TT), and W is Z placed on the identity of mode mu; the engine's
-structured solve uses the same factors without forming W.  A format
-without unfolding factors declares its block lengths and its evaluation,
-and gets W from ``probe_map``, one evaluation per basis vector of the
-block, which is also the reference the assembled maps are checked against.
+their unfolding factors.  One layout rule serves blocks and tensors:
+block mu is a flat (a, m_mu, c) core in C order, with ``block_axes(mu)``
+= (a, c), (r, 1) for CP and (r_{mu-1}, r_mu) for TT, and a flat tensor
+is viewed around mode mu as an (L, m_mu, R) array (``mode_view``), L and
+R the sizes of the modes left and right of mu.  The factors are the ones
+the block has: the Khatri-Rao product of the other CP factors; the
+interfaces P and Q^T of an interior TT core, and only Q^T or P at the
+first or last core.  Outside the formed W, every product with W of a
+factored format goes through the factors: ``expand`` takes a core to W q
+and ``contract`` a tensor to W^T x, both in the tensor's own layout.
+The base class derives the rest from the two declarations: an evaluation
+is ``expand`` of the last block (one GEMM, the Khatri-Rao factor times
+the last factor matrix for CP, the interface P times the last core for
+TT), ``local_adjoint`` is ``contract``, and the formed W is the
+Kronecker product Z of the factors placed on the identity of mode mu;
+the engine's structured solve uses the same two products without forming
+W.  A format without unfolding factors declares its block lengths and
+its evaluation, and gets W from ``probe_map``, one evaluation per basis
+vector of the block, which is also the reference the assembled maps are
+checked against.
 """
 
 from __future__ import annotations
@@ -49,31 +55,59 @@ def _frozen_block(vec) -> tuple[np.ndarray, float]:
     return arr, norm
 
 
-def unfold(x: np.ndarray, a: int, m: int) -> np.ndarray:
-    """x viewed as (a, m, rest), with the middle axis moved first: an m x (x.size / m) matrix.
-
-    A block core (a, m_mu, c) unfolds to its F, with columns over (a, c);
-    a flat tensor unfolds along mode mu with a = m_1 ... m_{mu-1}.
-    """
-    return x.reshape(a, m, -1).transpose(1, 0, 2).reshape(m, -1)
-
-
-def fold(X: np.ndarray, a: int, m: int) -> np.ndarray:
-    """Inverse of ``unfold``: the flat array whose unfolding is the m-row matrix X."""
-    return X.reshape(m, a, -1).transpose(1, 0, 2).ravel()
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of two matrices, without its n-dimensional bookkeeping."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
 
 
-def kron_all(factors: list[np.ndarray]) -> np.ndarray:
-    """Z, the Kronecker product of the unfolding factors, in order."""
-    Z = factors[0]
-    for factor in factors[1:]:
-        Z = kron(Z, factor)
-    return Z
+def contract(x: np.ndarray, factors, L: int, m: int, R: int, p: int, s: int) -> np.ndarray:
+    """W^T x as a (p, m, s) core: the flat (L, m, R) tensor x contracted with unfolding factors.
+
+    ``factors`` are two, a left one (L x p) and a right one (R x s), or
+    one that spans both sides ((L R) x (p s), rows over (l, r) and
+    columns over (p, s)), as ``TensorFormat.unfolding_factors`` hands
+    them over.  x is read in its own layout: two factors take one GEMM
+    each, and a spanning factor one GEMM when a side is empty, else one
+    matmul batched over the L left indices and a sum over them.  No
+    N-sized array is transposed or copied.  Returns a view of the last
+    product where it can.
+    """
+    if len(factors) == 2:
+        left, right = factors
+        # a transposed right operand (TT's Q^T) runs BLAS's slower kernel, up to
+        # twice the time of a small product; the copy is of the factor alone
+        right = np.ascontiguousarray(right)
+        return (left.T @ (x.reshape(L * m, R) @ right).reshape(L, m * s)).reshape(p, m, s)
+    (F,) = factors
+    if R == 1:
+        return (F.T @ x.reshape(L, m)).reshape(p, s, m).transpose(0, 2, 1)
+    if L == 1:
+        G = x.reshape(m, R) @ F
+    else:  # as above: F in C order gives the batches untransposed slices
+        G = np.matmul(x.reshape(L, m, R), np.ascontiguousarray(F).reshape(L, R, -1)).sum(axis=0)
+    return G.reshape(m, p, s).transpose(1, 0, 2)
+
+
+def expand(core: np.ndarray, factors, L: int, R: int) -> np.ndarray:
+    """W q as a flat (L, m, R) tensor: the (p, m, s) core q through unfolding factors.
+
+    The other direction of ``contract``, on the same factors: one GEMM
+    per factor, or for a spanning factor with both sides non-empty one
+    matmul batched over the L left indices, written straight into the
+    tensor's own layout.
+    """
+    p, m, s = core.shape
+    if len(factors) == 2:
+        left, right = factors
+        right_t = np.ascontiguousarray(right.T)  # see ``contract``
+        return ((left @ core.reshape(p, m * s)).reshape(L * m, s) @ right_t).ravel()
+    (F,) = factors
+    if R == 1:
+        return (F @ core.transpose(0, 2, 1).reshape(p * s, m)).ravel()
+    C = core.transpose(1, 0, 2).reshape(m, p * s)
+    if L == 1:
+        return (C @ F.T).ravel()
+    return np.matmul(C, np.ascontiguousarray(F).reshape(L, R, -1).transpose(0, 2, 1)).ravel()
 
 
 class ParamSystem:
@@ -129,11 +163,12 @@ class TensorFormat:
     """Base class: a multilinear parameterization of dense tensors.
 
     A factored format defines ``block_axes`` and ``unfolding_factors``,
-    and the base class evaluates it and assembles its local maps; a format
-    without unfolding factors defines ``block_dim`` and ``_evaluate_blocks``
-    instead, and its local map is probed.  A subclass sets
-    its own fields and then calls ``TensorFormat.__init__``, which keeps
-    the block lengths that ``check_params`` compares.
+    and the base class evaluates it, applies the adjoints of its local
+    maps and assembles them; a format without unfolding factors defines
+    ``block_dim`` and ``_evaluate_blocks`` instead, and its local map is
+    probed.  A subclass sets its own fields and then calls
+    ``TensorFormat.__init__``, which keeps the block lengths that
+    ``check_params`` compares.
     """
 
     name = "abstract"
@@ -156,40 +191,51 @@ class TensorFormat:
         a, c = self.block_axes(mu)
         return a * self.shape.dims[mu] * c
 
+    def mode_view(self, mu: int) -> tuple[int, int, int]:
+        """(L, m_mu, R): a flat tensor viewed around mode mu, L and R the sizes on each side."""
+        dims = self.shape.dims
+        L, m = math.prod(dims[:mu]), dims[mu]
+        return L, m, self.shape.size // (L * m)
+
     def _evaluate_blocks(self, blocks) -> np.ndarray:
-        """The last block's local map applied to that block: fold(F Z^T), computed as Z F^T.
+        """The last block's local map applied to that block: ``expand`` of the last core.
 
         Block L - 1 holds the last mode, the fastest in the flat order, so
-        the fold of the m x (N / m) product F Z^T is its transpose, raveled.
+        R = 1 and the product is one GEMM of the factor with the core.
         """
         last = self.num_blocks - 1
         factors = self.unfolding_factors(blocks, last)
         if factors is None:
             raise NotImplementedError("a format without unfolding factors defines its evaluation")
-        return (kron_all(factors) @ self.block_to_unfolding(blocks[last], last).T).ravel()
+        L, m, R = self.mode_view(last)
+        a, c = self.block_axes(last)
+        return expand(blocks[last].reshape(a, m, c), factors, L, R)
 
     def unfolding_factors(self, blocks, mu: int) -> list[np.ndarray] | None:
         """Small frozen factors of the local map of block mu; None if unknown.
 
-        The mode-mu unfolding of U(..., q, ...) (m_mu rows; columns over
-        the other modes, in order) is F Z^T, where F is block q as its
-        m_mu x (a c) unfolding (``block_to_unfolding``) and Z the
-        Kronecker product of the returned factors (``kron_all``), with
-        rows over the other modes and columns over (a, c).  So
-        W^T W = Z^T Z (x) I, and W is never needed to solve the block.
-        The factors are one, over all the other modes ((N / m_mu) x a c),
-        or two: one over the modes left of mu (a columns) and one over
-        those right of it (c columns), which the engine keeps apart.
+        With the tensor viewed as (L, m_mu, R) (``mode_view``) and block q
+        as its (a, m_mu, c) core, U(..., q, ...) is ``expand`` of the core
+        through the returned factors, and W^T x is ``contract``: entry
+        (l, i, r) is the sum over (a, c) of Z[(l, r), (a, c)] q[a, i, c],
+        Z the Kronecker product of the factors.  So W^T W = Z^T Z (x) I,
+        and W is never needed to solve the block.  The factors are one,
+        over all the other modes ((L R) x a c), or two: one over the modes
+        left of mu (L x a) and one over those right of it (R x c), which
+        the engine keeps apart.
         """
         return None
 
-    def block_to_unfolding(self, q: np.ndarray, mu: int) -> np.ndarray:
-        """Flat block mu as its m_mu x (a c) unfolding matrix F."""
-        return unfold(q, self.block_axes(mu)[0], self.shape.dims[mu])
+    def local_adjoint(self, blocks, mu: int, x: np.ndarray) -> np.ndarray:
+        """W^T x as a flat block, W the local map of block mu at these blocks.
 
-    def block_from_unfolding(self, F: np.ndarray, mu: int) -> np.ndarray:
-        """Inverse of ``block_to_unfolding``: flat block mu from its unfolding F."""
-        return fold(F, self.block_axes(mu)[0], self.shape.dims[mu])
+        A factored format ``contract``s x with its unfolding factors and
+        forms no W; any other format forms W (``local_map``).
+        """
+        factors = self.unfolding_factors(blocks, mu)
+        if factors is None:
+            return self.local_map(blocks, mu).T @ x
+        return contract(x, factors, *self.mode_view(mu), *self.block_axes(mu)).ravel()
 
     def local_map(self, blocks, mu: int) -> np.ndarray:
         """Matrix (N, block_dim(mu)) of q -> U(..., blocks[mu-1], q, blocks[mu+1], ...).
@@ -204,12 +250,11 @@ class TensorFormat:
         factors = self.unfolding_factors(blocks, mu)
         if factors is None:
             return probe_map(self, blocks, mu)
-        Z = kron_all(factors)
-        dims = self.shape.dims
-        m, left = dims[mu], math.prod(dims[:mu])
+        Z = factors[0] if len(factors) == 1 else kron(*factors)
+        L, m, R = self.mode_view(mu)
         a, c = self.block_axes(mu)
-        W = np.zeros((left, m, Z.shape[0] // left, a, m, c))
-        np.einsum("lirkic->lirkc", W)[...] = Z.reshape(left, 1, -1, a, c)
+        W = np.zeros((L, m, R, a, m, c))
+        np.einsum("lirkic->lirkc", W)[...] = Z.reshape(L, 1, R, a, c)
         return W.reshape(self.shape.size, a * m * c)
 
     def check_params(self, p: ParamSystem):
@@ -259,17 +304,15 @@ class CpFormat(TensorFormat):
         """The Khatri-Rao product of the frozen factors, (N / m_mu) x r.
 
         The product runs left to right over the frozen modes, so its rows
-        follow the flat order of the other modes.
+        follow the flat order of the other modes.  It is built in C order,
+        which the batched ``contract`` and ``expand`` read without a copy.
         """
         r = self.rank
         kr = None
         for nu, (b, m) in enumerate(zip(blocks, self.shape.dims)):
             if nu != mu:
-                factor = b.reshape(r, m).T  # the (m, r) factor matrix, a view
-                if kr is None:  # the product's first term, in the factor's layout
-                    kr = factor.copy(order="K")
-                else:
-                    kr = (kr[:, None, :] * factor[None]).reshape(-1, r)
+                factor = b.reshape(r, m).T.copy()  # the (m, r) factor matrix, in C order
+                kr = factor if kr is None else (kr[:, None, :] * factor[None]).reshape(-1, r)
         return [np.ones((1, r)) if kr is None else kr]
 
 

@@ -1,6 +1,7 @@
 """Objective, gradients, angles, rate classification, monitors, replays."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,9 +26,16 @@ from alskit.diagnostics import (
     stable_tangent,
     tangent_recursion,
 )
-from alskit import diagnostics, engine
+from alskit import diagnostics, engine, formats
 from alskit.engine import RunState, StopRule, micro_step, run
-from alskit.formats import CpFormat, MultilinearFormat, ParamSystem, materialize_W
+from alskit.formats import (
+    CpFormat,
+    MultilinearFormat,
+    ParamSystem,
+    TensorFormat,
+    evaluate,
+    materialize_W,
+)
 from alskit.gallery import blambda_example, desilva_lim, mohlenkamp_example
 from alskit.oracle import finite_diff_grad
 from alskit.tensors import DenseOperator, DenseTensor, IdentityOperator, ModeWiseOperator, Shape
@@ -88,6 +96,45 @@ def test_full_gradient_concatenates_blocks():
     assert g.size == 4
     assert np.array_equal(g[:2], gradient_block(A, b, fmt, p, 0))
     assert np.array_equal(g[2:], gradient_block(A, b, fmt, p, 1))
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_the_gradients_of_a_factored_format_form_no_W(monkeypatch, case):
+    # W^T r is a contraction with the unfolding factors: the gradients
+    # neither form W nor probe it, and they are -W^T r / <b, b> of the W
+    # formed beforehand, up to rounding on |W|^T |r|
+    A, b, fmt, p = sized_problem(77, *case)
+    resid = b.values - A.apply(evaluate(fmt, p)).values
+    b2 = float(b.values @ b.values)
+    Ws = [materialize_W(fmt, p, mu) for mu in range(fmt.num_blocks)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("W formed")
+
+    for module in (formats, engine, diagnostics):
+        monkeypatch.setattr(module, "materialize_W", refuse)
+    monkeypatch.setattr(formats, "probe_map", refuse)
+    monkeypatch.setattr(TensorFormat, "local_map", refuse)
+    blocks = np.split(full_gradient(A, b, fmt, p), np.cumsum([W.shape[1] for W in Ws])[:-1])
+    for mu, (W, g) in enumerate(zip(Ws, blocks)):
+        assert np.array_equal(gradient_block(A, b, fmt, p, mu), g)
+        scale = np.linalg.norm(np.abs(W).T @ np.abs(resid)) / b2
+        assert np.linalg.norm(g + W.T @ resid / b2) <= 1e-14 * scale
+
+
+def test_full_gradient_at_tt_40_cubed_allocates_no_W():
+    # the interior core's W would be 64000 x 1000, 512 MB; the gradient
+    # holds a few N-vectors and the interfaces
+    A, b, fmt, p = sized_problem(5, "tt", (40, 40, 40), (10, 10), "modewise")
+    full_gradient(A, b, fmt, p)
+    tracemalloc.start()
+    try:
+        g = full_gradient(A, b, fmt, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.shape == (sum(fmt.block_dim(mu) for mu in range(3)),)
+    assert peak < 10e6
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The solver core: Löwdin bases, micro-steps, sweeps, stop rules, run traces."""
 
+import functools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ from alskit import engine, formats, tensors
 from alskit.diagnostics import (
     EPS_RANK_DEFAULT,
     MicroStepRecord,
+    full_gradient,
     objective,
     recursion_check,
     recursion_contexts,
@@ -25,13 +28,12 @@ from alskit.formats import (
     ParamSystem,
     TensorFormat,
     TtFormat,
+    contract,
     evaluate,
-    fold,
+    expand,
     kron,
-    kron_all,
     materialize_W,
     probe_map,
-    unfold,
 )
 from alskit.gallery import mohlenkamp_example
 from alskit.oracle import brute_least_squares
@@ -50,6 +52,21 @@ from alskit.verification import ROUTE_CASES, sized_problem
 from alskit.verification import random_spd_matrix as spd
 
 TOL = 1e-12
+
+
+def _unfold(x, a, m):
+    """x viewed as (a, m, rest), with the middle axis moved first: an m-row matrix."""
+    return x.reshape(a, m, -1).transpose(1, 0, 2).reshape(m, -1)
+
+
+def _fold(X, a, m):
+    """Inverse of ``_unfold``: the flat array whose unfolding is the m-row matrix X."""
+    return X.reshape(m, a, -1).transpose(1, 0, 2).ravel()
+
+
+def _kron_all(factors):
+    """The Kronecker product of the factors, in order."""
+    return functools.reduce(kron, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,20 +1137,20 @@ def test_one_cut_on_two_interfaces_keeps_the_precut_columns(monkeypatch):
     # the kept directions of P and Q^T through the right-hand side V^T b,
     # the two-sided contraction of b in (P direction, Q direction) order,
     # and the same rows as the kept columns of the Kronecker basis
-    core = engine.contract(b.values, [UP, UQ], 4, 5, 4, 2, 3)
+    core = contract(b.values, [UP, UQ], 4, 5, 4, 2, 3)
     assert np.array_equal(rhs[0], core.transpose(0, 2, 1).reshape(6, 5))
-    U, B = kron(UP, UQ), unfold(b.values, 4, 5)
+    U, B = kron(UP, UQ), _unfold(b.values, 4, 5)
     scale = np.linalg.norm(np.abs(U).T @ np.abs(B).T)
     assert np.linalg.norm(rhs[0] - U.T @ B.T) <= 1e-14 * scale
     # those of T = T_P (x) T_Q through the Gram pseudo-inverse T T^T
     q = np.random.default_rng(47).standard_normal(fmt.block_dim(1))
     assert np.array_equal(
         sol.gram_pinv(q),
-        engine.expand(engine.contract(q, [TP, TQ], 3, 5, 3, 2, 3), [TP, TQ], 3, 3),
+        expand(contract(q, [TP, TQ], 3, 5, 3, 2, 3), [TP, TQ], 3, 3),
     )
-    T, F = kron(TP, TQ), fmt.block_to_unfolding(q, 1)
+    T, F = kron(TP, TQ), _unfold(q, 3, 5)
     scale = np.linalg.norm((np.abs(F) @ np.abs(T)) @ np.abs(T).T)
-    want = fmt.block_from_unfolding((F @ T) @ T.T, 1)
+    want = _fold((F @ T) @ T.T, 3, 5)
     assert np.linalg.norm(sol.gram_pinv(q) - want) <= 1e-14 * scale
     structured, formed = _both_routes(monkeypatch, A, b, fmt, p, 1)
     assert engine.local_solve(A, b, fmt, p, 1, 1e-12).route == "structured"
@@ -1165,17 +1182,17 @@ def test_the_product_cut_drops_products_that_each_factor_keeps():
     U, T = kron(UP, UQ)[:, keep], kron(TP, TQ)[:, keep]
     K_L, K, K_R = A.factors
     S = U.T @ kron(K_L, K_R) @ U
-    Y = np.linalg.solve(S, np.linalg.solve(K, (U.T @ unfold(b.values, 6, 5).T).T).T)
+    Y = np.linalg.solve(S, np.linalg.solve(K, (U.T @ _unfold(b.values, 6, 5).T).T).T)
     sol = engine.structured_solve(A, b, fmt, p, 1, 1e-12)
     assert sol.rank == engine.formed_solve(A, b, fmt, p, 1, 1e-12).rank == 5 * 5
-    assert _rel(sol.block, fmt.block_from_unfolding((T @ Y).T, 1)) <= TOL
-    assert _rel(sol.iterate, fold(Y.T @ U.T, 6, 5)) <= TOL
+    assert _rel(sol.block, _fold((T @ Y).T, 3, 5)) <= TOL
+    assert _rel(sol.iterate, _fold(Y.T @ U.T, 6, 5)) <= TOL
     assert _rel(sol.image, A.apply(DenseTensor(fmt.shape, sol.iterate)).values) <= TOL
     q = rng.standard_normal(fmt.block_dim(1))
-    F = fmt.block_to_unfolding(q, 1)
-    assert _rel(sol.gram_pinv(q), fmt.block_from_unfolding((F @ T) @ T.T, 1)) <= TOL
+    F = _unfold(q, 3, 5)
+    assert _rel(sol.gram_pinv(q), _fold((F @ T) @ T.T, 3, 5)) <= TOL
     X = np.linalg.solve(S, np.linalg.solve(K, F @ T).T)
-    assert _rel(sol.energy_pinv(q), fmt.block_from_unfolding((T @ X).T, 1)) <= TOL
+    assert _rel(sol.energy_pinv(q), _fold((T @ X).T, 3, 5)) <= TOL
 
 
 def test_a_zero_singular_value_is_cut_without_a_warning(monkeypatch):
@@ -1718,11 +1735,11 @@ def test_the_structured_image_is_a_full_apply_of_the_iterate(kind, dims, unit_mo
             continue
         want = A.apply(DenseTensor(fmt.shape, sol.iterate)).values
         left, m = math.prod(fmt.shape.dims[:mu]), fmt.shape.dims[mu]
-        Q = kron_all(
+        Q = _kron_all(
             [np.linalg.svd(f, full_matrices=False)[0] for f in fmt.unfolding_factors(p.blocks, mu)]
         )
-        Y = Q.T @ unfold(sol.iterate, left, m).T
-        scale = kron_apply(abs_factors, fold(np.abs(Y).T @ np.abs(Q).T, left, m)[:, None])
+        Y = Q.T @ _unfold(sol.iterate, left, m).T
+        scale = kron_apply(abs_factors, _fold(np.abs(Y).T @ np.abs(Q).T, left, m)[:, None])
         assert np.linalg.norm(sol.image - want) <= 1e-14 * np.linalg.norm(scale)
 
 
@@ -1746,6 +1763,26 @@ def test_the_structured_maps_are_products_with_the_formed_W(kind, dims, unit_mod
         assert np.linalg.norm(sol.adjoint(x) - W.T @ x) <= 1e-14 * scale
 
 
+@settings(deadline=None, max_examples=80)
+@given(**modewise_cases)
+def test_the_gradient_is_a_product_with_the_formed_W(kind, dims, unit_mode, zero_block, seed):
+    # each block of the gradient contracts the residual with the unfolding
+    # factors, W^T r from the same products as the formed W: compared on
+    # |W|^T |r| / <b, b>
+    A, fmt, p = _modewise_case(kind, dims, unit_mode, zero_block, seed)
+    b = DenseTensor(fmt.shape, np.random.default_rng(seed).standard_normal(fmt.shape.size))
+    resid = b.values - A.apply(evaluate(fmt, p)).values
+    b2 = inner(b, b)
+    g = full_gradient(A, b, fmt, p)
+    start = 0
+    for mu in range(fmt.num_blocks):
+        W = materialize_W(fmt, p, mu)
+        block, start = g[start:start + W.shape[1]], start + W.shape[1]
+        scale = np.linalg.norm(np.abs(W).T @ np.abs(resid)) / b2
+        assert np.linalg.norm(block + W.T @ resid / b2) <= 1e-14 * scale
+    assert start == g.size
+
+
 def _refuse(what, test):
     def refuse(*args, **kwargs):
         if test(*args):
@@ -1760,21 +1797,22 @@ def _refuse(what, test):
 )
 def test_the_structured_route_forms_no_kronecker_basis_on_an_interior_core(monkeypatch, case):
     # an interior core's solve, its maps and the coupling work on the two
-    # interfaces apart: no Kronecker product of two or more factors, no
-    # N-sized unfolding, no np.einsum, and at an interior core no product
-    # with an array of N / m_mu rows.  The engine imports none of the
-    # formats' unfolding helpers; a patch on either module catches one
+    # interfaces apart, reading the tensor in its own layout: no N-sized
+    # copy through numpy's copying functions, no np.einsum, and at an
+    # interior core no Kronecker product or other product with an array
+    # of N / m_mu rows.  A patch on either module catches a helper
     # brought back
     A, b, fmt, p = sized_problem(75, *case)
     N = fmt.shape.size
     rng = np.random.default_rng(75)
+    copies = {
+        name: _refuse(f"N-sized {name}", lambda x, *_, **__: np.size(x) >= N)
+        for name in ("array", "copy", "ascontiguousarray", "asfortranarray")
+    }
     for mu in range(fmt.num_blocks):
         rows = N // fmt.shape.dims[mu]
         interior = 0 < mu < fmt.num_blocks - 1
         refusals = {
-            "kron_all": _refuse("Kronecker basis", lambda factors: len(factors) >= 2),
-            "unfold": _refuse("N-sized unfolding", lambda x, *_: np.size(x) >= N),
-            "fold": _refuse("N-sized fold", lambda x, *_: np.size(x) >= N),
             "kron": _refuse("N / m rows", lambda a, b_: interior and len(a) * len(b_) >= rows),
             "kron_apply": _refuse("N / m rows", lambda factors, M: interior and len(M) >= rows),
         }
@@ -1783,6 +1821,9 @@ def test_the_structured_route_forms_no_kronecker_basis_on_an_interior_core(monke
                 refuse.real = getattr(formats, name, None) or getattr(tensors, name)
                 for module in (engine, formats):
                     patch.setattr(module, name, refuse, raising=False)
+            for name, refuse in copies.items():
+                refuse.real = getattr(np, name)
+                patch.setattr(np, name, refuse)
             patch.setattr(np, "einsum", _refuse("np.einsum", lambda *_: True))
             sol = engine.structured_solve(A, b, fmt, p, mu, EPS_RANK_DEFAULT)
             q = rng.standard_normal(fmt.block_dim(mu))
@@ -1792,3 +1833,23 @@ def test_the_structured_route_forms_no_kronecker_basis_on_an_interior_core(monke
             nu = mu - 1 if mu else 1
             assert engine.coupling(fmt, b, p, mu, nu, p[nu]).shape == (fmt.block_dim(mu),)
         assert sol.route == "structured" and sol.rank > 0 and x.shape == (N,)
+
+
+@pytest.mark.parametrize("kind, rank", [("cp", 3), ("tt", (3, 3))])
+def test_the_structured_adjoint_and_the_coupling_copy_no_tensor(kind, rank):
+    # W^T x on the middle block reads x in its own (L, m, R) layout: at
+    # N = 27000 neither the adjoint nor the coupling allocates half an
+    # N-vector, where a transposed unfolding of x is all of one
+    A, b, fmt, p = sized_problem(76, kind, (30, 30, 30), rank, "modewise")
+    N = fmt.shape.size
+    sol = engine.structured_solve(A, b, fmt, p, 1, EPS_RANK_DEFAULT)
+    x = np.random.default_rng(76).standard_normal(N)
+    for apply in (sol.adjoint, lambda x: engine.coupling(fmt, b, p, 1, 0, p[0])):
+        apply(x)
+        tracemalloc.start()
+        try:
+            apply(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < N * x.itemsize / 2

@@ -1,5 +1,6 @@
 """Parameter systems, CP/TT/custom formats, and materialized block maps."""
 
+import functools
 import json
 import math
 import re
@@ -16,13 +17,11 @@ from alskit.formats import (
     ParamSystem,
     TtFormat,
     evaluate,
-    fold,
-    kron_all,
+    kron,
     materialize_W,
     params_from_json,
     params_to_json,
     probe_map,
-    unfold,
 )
 from alskit.tensors import Shape
 
@@ -368,6 +367,21 @@ def _random_blocks(fmt, rng, zero_block):
     return blocks
 
 
+def _unfold(x, a, m):
+    """x viewed as (a, m, rest), with the middle axis moved first: an m-row matrix."""
+    return x.reshape(a, m, -1).transpose(1, 0, 2).reshape(m, -1)
+
+
+def _fold(X, a, m):
+    """Inverse of ``_unfold``: the flat array whose unfolding is the m-row matrix X."""
+    return X.reshape(m, a, -1).transpose(1, 0, 2).ravel()
+
+
+def _kron_all(factors):
+    """Z, the Kronecker product of the unfolding factors, in order."""
+    return functools.reduce(kron, factors)
+
+
 local_map_cases = dict(
     dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
     rank=st.integers(1, 3),
@@ -411,10 +425,10 @@ def test_cp_evaluation_is_bitwise_the_local_map_of_the_last_block(dims, rank, ze
     fmt = CpFormat(Shape(tuple(dims)), rank)
     blocks = _random_blocks(fmt, rng, zero_block)
     last = fmt.num_blocks - 1
-    Z = kron_all(fmt.unfolding_factors(blocks, last))
-    F = fmt.block_to_unfolding(blocks[last], last)
+    Z = _kron_all(fmt.unfolding_factors(blocks, last))
+    F = _unfold(blocks[last], rank, dims[last])
     got = evaluate(fmt, ParamSystem(blocks)).values
-    assert np.array_equal(got, fold(F @ Z.T, Z.shape[0], dims[last]))
+    assert np.array_equal(got, _fold(F @ Z.T, Z.shape[0], dims[last]))
     magnitudes = _outer_product_loop(fmt, [np.abs(b) for b in blocks])
     bound = rank * np.finfo(float).eps * magnitudes
     assert np.all(np.abs(got - _outer_product_loop(fmt, blocks)) <= bound)
@@ -434,9 +448,9 @@ def test_tt_evaluation_is_bitwise_the_local_map_of_the_last_core(dims, rank, zer
     fmt = TtFormat(Shape(tuple(dims)), ranks)
     blocks = _random_blocks(fmt, rng, zero_block)
     last = fmt.num_blocks - 1
-    Z = kron_all(fmt.unfolding_factors(blocks, last))
-    F = fmt.block_to_unfolding(blocks[last], last)
-    want = fold(F @ Z.T, Z.shape[0], dims[last])  # W q of the last core's local map
+    Z = _kron_all(fmt.unfolding_factors(blocks, last))
+    F = _unfold(blocks[last], fmt.ranks[last], dims[last])
+    want = _fold(F @ Z.T, Z.shape[0], dims[last])  # W q of the last core's local map
     assert np.array_equal(evaluate(fmt, ParamSystem(blocks)).values, want)
 
 
@@ -458,44 +472,51 @@ def test_tt_local_map_matches_probe(dims, rank, zero_block, seed):
 @given(
     dims=local_map_cases["dims"], rank=local_map_cases["rank"], seed=local_map_cases["seed"]
 )
-def test_unfoldings_round_trip(dims, rank, seed):
+def test_blocks_are_cores_and_tensors_are_mode_views(dims, rank, seed):
+    # block mu is an (a, m_mu, c) core: probing its entry (a, i, c) gives
+    # column (a, c) of Z on slice i of the (L, m_mu, R) view (up to the
+    # rounding of the probe's own products) and zeros on the other
+    # slices, so F[i, (a, c)] is core entry (a, i, c)
     rng = np.random.default_rng(seed)
     shape = Shape(tuple(dims))
     ranks = tuple(int(x) for x in rng.integers(1, rank + 1, size=len(dims) - 1))
     for fmt in (CpFormat(shape, rank), TtFormat(shape, ranks)):
+        blocks = _random_blocks(fmt, rng, None)
         for mu, m in enumerate(dims):
             a, c = fmt.block_axes(mu)
-            q = rng.standard_normal(fmt.block_dim(mu))
-            F = rng.standard_normal((m, a * c))
-            # F[i, (a, c)] is entry (a, i, c) of the block's core
-            want = q.reshape(a, m, c).transpose(1, 0, 2).reshape(m, a * c)
-            assert np.array_equal(fmt.block_to_unfolding(q, mu), want)
-            assert np.array_equal(fmt.block_from_unfolding(fmt.block_to_unfolding(q, mu), mu), q)
-            assert np.array_equal(fmt.block_to_unfolding(fmt.block_from_unfolding(F, mu), mu), F)
+            L, m_mu, R = fmt.mode_view(mu)
+            assert (L, m_mu, R) == (math.prod(dims[:mu]), m, math.prod(dims[mu + 1:]))
+            Z = _kron_all(fmt.unfolding_factors(blocks, mu)).reshape(L, R, a, c)
+            W = probe_map(fmt, blocks, mu).reshape(L, m, R, a, m, c)
+            for i in range(m):
+                assert np.linalg.norm(W[:, i, :, :, i, :] - Z) <= 1e-14 * np.linalg.norm(Z)
+                assert not np.delete(W[:, :, :, :, i, :], i, axis=1).any()
+    # the (L, m_mu, R) view of a tensor is its mode-mu slices
     x = rng.standard_normal(shape.size)
     for mu, m in enumerate(dims):
-        left = math.prod(dims[:mu])
-        X = unfold(x, left, m)
-        assert np.array_equal(X, np.moveaxis(x.reshape(dims), mu, 0).reshape(m, -1))
-        assert np.array_equal(fold(X, left, m), x)
-        Y = rng.standard_normal(X.shape)
-        assert np.array_equal(unfold(fold(Y, left, m), left, m), Y)
+        view = x.reshape(fmt.mode_view(mu))
+        want = np.moveaxis(x.reshape(dims), mu, 0).reshape(m, -1)
+        assert np.array_equal(np.moveaxis(view, 1, 0).reshape(m, -1), want)
 
 
-def test_cp_block_unfolding_is_the_factor_matrix():
+def test_cp_block_core_is_the_factor_matrix():
     fmt = CpFormat(Shape((3, 4)), 2)
     p = ParamSystem([np.arange(6.0), np.arange(8.0)])
     assert fmt.block_axes(1) == (2, 1)
-    assert np.array_equal(fmt.block_to_unfolding(p[1], 1), fmt.factor_matrix(p, 1))
+    # F[i, (a, c)] is core entry (a, i, c): the column-major factor matrix
+    F = p[1].reshape(2, 4, 1).transpose(1, 0, 2).reshape(4, 2)
+    assert np.array_equal(F, fmt.factor_matrix(p, 1))
+    assert np.array_equal(F, np.arange(8.0).reshape((4, 2), order="F"))
 
 
 def _fancy_cp_local_map(fmt, blocks, mu):
-    """CP's (Khatri-Rao factor, W) built from ones and by a two-array scatter."""
+    """CP's (Khatri-Rao factor, W) built from ones in C order and by a two-array scatter."""
     dims, r = fmt.shape.dims, fmt.rank
     kr = np.ones((1, r))
     for nu, (b, m) in enumerate(zip(blocks, dims)):
         if nu != mu:
-            kr = (kr[:, None, :] * b.reshape((m, r), order="F")[None]).reshape(-1, r)
+            factor = np.array(b.reshape((m, r), order="F"), order="C")
+            kr = (kr[:, None, :] * factor[None]).reshape(-1, r)
     m = dims[mu]
     left = int(np.prod(dims[:mu]))
     W = np.zeros((left, m, kr.shape[0] // left, r, m))
@@ -567,7 +588,7 @@ def test_unfolding_factors_are_the_interfaces_a_block_has(dims):
         for mu in range(d):
             factors = fmt.unfolding_factors(blocks, mu)
             a, c = fmt.block_axes(mu)
-            assert kron_all(factors).shape == (shape.size // dims[mu], a * c)
+            assert _kron_all(factors).shape == (shape.size // dims[mu], a * c)
             if fmt is cp:
                 assert len(factors) == 1
             elif d == 1:

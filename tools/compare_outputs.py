@@ -32,7 +32,10 @@ the path and one BLAS thread:
   ``dist_a``, the final parameters and the final iterate;
 - replay: the ``replay`` problems on seeds 1 and 3: the recorded run (the
   same trace fields) and, for every replayed step pair, the recursion
-  defect and the tangent recursion.
+  defect and the tangent recursion;
+- gradients: ``full_gradient`` at the start state of
+  ``verification.sized_problem`` on seed 3 with a mode-wise operator, for
+  each of the four ``modewise_ladder`` sizes.
 
 The ladder and replay inputs are drawn by this tree's
 ``perfbench/workloads.py``, which is only read.  Each output prints
@@ -66,6 +69,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 GALLERY_RUNS = [[]] + [["--lambda", lam] for lam in ("0.1", "0.3", "0.5")]
 LADDER_SEEDS = (3, 7, 101)
 REPLAY_SEEDS = (1, 3)
+GRADIENT_SEED = 3
 
 # a number in text: decimal or exponent notation, or a whole-word inf/nan
 NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|\b(?:inf|nan)\b")
@@ -243,6 +247,10 @@ def collect(tree: Path) -> dict:
                 tangent = alskit.tangent_recursion(report.transfer, ref, report.v_mid.values)
                 replays.append([report.defect, *dataclasses.astuple(tangent)])
             outputs[f"{name} replays"] = (f"pairs={len(replays)}", np.array(replays).ravel())
+
+    for kind, dims, rank in workloads.LADDER:
+        A, b, fmt, p = alskit.verification.sized_problem(GRADIENT_SEED, kind, dims, rank, "modewise")
+        outputs[f"gradient {kind} {dims} {rank}"] = ("", alskit.full_gradient(A, b, fmt, p))
     return outputs
 
 
