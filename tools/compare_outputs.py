@@ -33,6 +33,9 @@ the path and one BLAS thread:
 - replay: the ``replay`` problems on seeds 1 and 3: the recorded run (the
   same trace fields) and, for every replayed step pair, the recursion
   defect and the tangent recursion;
+- route: 3 sweeps on each identity system of ``verification.ROUTE_CASES``
+  (``verification.sized_problem`` on seed 3), whose steps take the
+  structured route: the trace fields of the ladder;
 - gradients: ``full_gradient`` at the start state of
   ``verification.sized_problem`` on seed 3 with a mode-wise operator, for
   each of the four ``modewise_ladder`` sizes.
@@ -69,7 +72,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 GALLERY_RUNS = [[]] + [["--lambda", lam] for lam in ("0.1", "0.3", "0.5")]
 LADDER_SEEDS = (3, 7, 101)
 REPLAY_SEEDS = (1, 3)
-GRADIENT_SEED = 3
+SIZED_SEED = 3  # of every verification.sized_problem below
 
 # a number in text: decimal or exponent notation, or a whole-word inf/nan
 NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|\b(?:inf|nan)\b")
@@ -248,8 +251,14 @@ def collect(tree: Path) -> dict:
                 replays.append([report.defect, *dataclasses.astuple(tangent)])
             outputs[f"{name} replays"] = (f"pairs={len(replays)}", np.array(replays).ravel())
 
+    for case in alskit.verification.ROUTE_CASES:
+        if case[3] == "identity":
+            A, b, fmt, p = alskit.verification.sized_problem(SIZED_SEED, *case)
+            trace = alskit.run(A, b, fmt, p, alskit.StopRule(max_sweeps=3))
+            outputs["route " + " ".join(map(str, case))] = _trace_output(trace)
+
     for kind, dims, rank in workloads.LADDER:
-        A, b, fmt, p = alskit.verification.sized_problem(GRADIENT_SEED, kind, dims, rank, "modewise")
+        A, b, fmt, p = alskit.verification.sized_problem(SIZED_SEED, kind, dims, rank, "modewise")
         outputs[f"gradient {kind} {dims} {rank}"] = ("", alskit.full_gradient(A, b, fmt, p))
     return outputs
 
