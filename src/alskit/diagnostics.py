@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .formats import ParamSystem, TensorFormat, check_block, evaluate, materialize_W
+from .formats import ParamSystem, TensorFormat, check_block, check_shapes, evaluate, materialize_W
 from .tensors import DenseTensor, SpdOperator, inner, vector_norm
 
 # defaults shared by the solver, the diagnostics and the CLI
@@ -45,6 +45,7 @@ def objective(
 
 def _residual(A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem):
     """(b - A U(p), <b, b>), what every block gradient at p reads; a zero target raises."""
+    check_shapes(fmt, b, A)
     b2 = inner(b, b)
     if b2 == 0.0:
         raise ValueError("objective undefined for zero target")
@@ -282,6 +283,7 @@ def materialize_M(
     (``engine.coupling``); this probe is its dense reference.
     """
     check_block(fmt, p, nu)  # materialize_W checks mu
+    check_shapes(fmt, b)
     if mu == nu:
         raise ValueError("coupling needs two distinct blocks")
     dim_nu = fmt.block_dim(nu)

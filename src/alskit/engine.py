@@ -7,19 +7,21 @@ orthonormalizes its range from the eigendecomposition of the Gram matrix
 W^T W (Löwdin; LAPACK dsyevd, called directly like the other LAPACK
 routines here) and forms G = V^T A V.  The structured route, for a
 factored format (CP, TT, or any format that declares unfolding factors,
-see ``formats``) with an identity or mode-wise operator, never forms an
-N x k array: it works on the thin SVDs of the small unfolding factors of
-W, where W^T W = Z^T Z (x) I.  Its projected operator is the Kronecker
+see ``formats``) with an operator that declares itself a Kronecker
+product (``SpdOperator.mode_sides``: the identity and the mode-wise
+operator do; the engine tests no operator type), never forms an N x k
+array: it works on the thin SVDs of the small unfolding factors of W,
+where W^T W = Z^T Z (x) I.  Its projected operator is the Kronecker
 product G = S (x) K_mu, which it never forms either: S is the kept part
 of a Kronecker product of one small block per unfolding factor (the two
 interfaces of a TT core apart), and S Y K_mu = R is solved with one
-Cholesky solve per factor, K_mu's Cholesky factor kept by the operator.
+Cholesky solve with S and the operator's ``mode_solve``.
 It reads and writes a flat tensor only in its own (L, m_mu, R) layout,
 through ``formats.contract`` (W^T x) and ``formats.expand`` (W q): GEMMs
-with the factors, with no transposed copy and no Kronecker basis.  A
-mode-wise operator passes through a factored format,
+with the factors, with no transposed copy and no Kronecker basis.  Such
+an operator passes through a factored format,
 A U(p) = U(K_1 p_1, ..., K_d p_d) (``RunState.at``), and the
-structured route applies the mode factors on each side of mu to that
+structured route applies its factors on each side of mu to that
 side's thin factor alone (``kron_apply``).
 Either route returns, next to the solution and its image A V y (from the
 A V its G is made of), the maps the system is made of: W, W^T and the
@@ -42,13 +44,13 @@ factor, else a reference tensor, else none.  Each step takes the new
 image from its solve, so no step applies the full operator, and the
 parameter system carries its block norms, so a step measures only the
 block it writes.
-The first state comes from ``RunState.at``: for a mode-wise operator on
+The first state comes from ``RunState.at``: for a Kronecker product on
 a factored format (CP, TT) its image is an evaluation at the blocks with
-the mode factors applied, otherwise one full apply.  For a verified
+the factors applied, otherwise one full apply.  For a verified
 operator ``run`` also takes the energy distance between sweep iterates
-from the two states' images, so a run with a mode-wise operator on CP or
-TT makes no full apply, any other run applies A once in all on either
-route, and an unverified operator once more per sweep.
+from the two states' images, so a run with the identity or a mode-wise
+operator on CP or TT makes no full apply, any other run applies A once
+in all on either route, and an unverified operator once more per sweep.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ from .formats import (
     check_block,
     check_reference,
     check_reference_factor,
+    check_shapes,
     contract,
     evaluate,
     expand,
@@ -82,8 +85,6 @@ from .formats import (
 )
 from .tensors import (
     DenseTensor,
-    IdentityOperator,
-    ModeWiseOperator,
     SpdOperator,
     a_norm,
     all_finite,
@@ -261,6 +262,7 @@ def coupling(
     forms the modified W once.
     """
     check_block(fmt, p, nu)
+    check_shapes(fmt, b)
     if nu == mu:
         raise ValueError("coupling needs two distinct blocks")
     system = p.replace(nu, q)
@@ -290,6 +292,7 @@ def formed_solve(
     ``_gram`` of V); the new block is basis.transform @ y, the iterate V y
     and its image (A V) y: the iterate itself for the identity.
     """
+    check_shapes(fmt, b, A)
     W = materialize_W(fmt, p, mu)
     basis = lowdin_basis(W, eps_rank)
     maps = (W.__matmul__, W.T.__matmul__)
@@ -334,28 +337,33 @@ def structured_solve(
     (s = 1 for one factor), with the kept products a mask on (p, s).
     G = S (x) K_mu, S = U_k^T A_{!=mu} U_k: for two factors the kept
     submatrix of (U_P^T K_L U_P) (x) (U_Q^T K_R U_Q), K_L and K_R the
-    Kronecker products of the mode factors left and right of mu, each
-    applied to its own U_f by ``kron_apply`` (one factor gets all the
-    others; the identity, or a side without modes, applies nothing).
+    Kronecker products of the factors left and right of mu
+    (``A.mode_sides``), each applied to its own U_f by ``kron_apply``
+    (one factor gets both sides; an empty side applies nothing).
     V^T b is ``contract`` of b with the U_f; the iterate V y and its image
-    A V y are ``expand`` of the solution core with the U_f and the A U_f.
-    G y = V^T b is the matrix equation S Y K_mu = R, solved by a Cholesky
-    solve with S and then with the operator's own Cholesky factor of K_mu
-    (Van Loan 2000), at O(k^3 + m^2 k) in place of O(k^3 m^3); y is Y in
-    (kept product, i) order.  The block and the pseudo-inverses go
-    between a block and a core through the T_f the same way.  No array of
+    A V y are ``expand`` of the solution core with the U_f and of K_mu Y
+    with the A U_f, the image the iterate itself when ``A.mode_apply``
+    returns its operand (the identity).  G y = V^T b is the matrix
+    equation S Y K_mu = R, solved by a Cholesky solve with S and then by
+    ``A.mode_solve`` (Van Loan 2000), at O(k^3 + m^2 k) in place of
+    O(k^3 m^3); y is Y in (kept product, i) order.  The block and the
+    pseudo-inverses go between a block and a core through the T_f the
+    same way.  No array of
     N / m_mu rows is formed but a factor the format hands over (a CP
     factor, an end core's interface) and its products with the operator.
 
     A non-finite factor (finite parameters can overflow into one) raises
     numpy's LinAlgError("SVD did not converge") instead of reaching
     gesdd, which can fail to return on a matrix with an inf entry.
-    Returns None when there is no structure to use: an operator other
-    than identity or mode-wise, or a format without unfolding factors.
+    Returns None when there is no structure to use: an operator that
+    declares none (asked before any factor or SVD), or a format without
+    unfolding factors.
     """
     check_eps_rank(eps_rank)
     check_block(fmt, p, mu)
-    if type(A) not in (IdentityOperator, ModeWiseOperator):
+    check_shapes(fmt, b, A)
+    sides = A.mode_sides(mu)
+    if sides is None:
         return None
     factors = fmt.unfolding_factors(p.blocks, mu)
     if factors is None:
@@ -393,6 +401,7 @@ def structured_solve(
     else:  # gesdd's Fortran order; kron_apply and a batched matmul read C order
         U[0] = np.ascontiguousarray(U[0])
         ps, keep = (U[0].shape[1], 1), None
+        sides = ((*sides[0], *sides[1]),)  # the one factor spans both sides
 
     def pack(core):
         """The kept products of a (p, m, s) core, as the rows of a (k', m) matrix."""
@@ -407,39 +416,29 @@ def structured_solve(
             X = full
         return X.reshape(ps[0], ps[1], m).transpose(0, 2, 1)
 
-    K_mu = K_factor = None  # the identity
-    AU = U
-    if type(A) is ModeWiseOperator:
-        K_mu, K_factor = A.factors[mu], A.cholesky[mu]
-        sides = (A.factors[:mu], A.factors[mu + 1:])
-        if len(U) == 1:
-            sides = (sides[0] + sides[1],)
-        AU = [kron_apply(Ks, Uf) if Ks else Uf for Ks, Uf in zip(sides, U)]
+    AU = [kron_apply(Ks, Uf) if Ks else Uf for Ks, Uf in zip(sides, U)]
     grams = [Uf.T @ AUf for Uf, AUf in zip(U, AU)]
     S = grams[0] if len(grams) == 1 else kron(*grams)
     if keep is not None:
         S = S[np.ix_(keep, keep)]
-    Y, S_factor = _cholesky_solve(0.5 * (S + S.T), pack(contract(b.values, U, L, m, R, *ps)))
-    if K_factor is not None:
-        if not all_finite(Y):
-            raise ValueError("array must not contain infs or NaNs")
-        Y = _cholesky_apply(K_factor, Y.T).T
-    core = unpack(Y)
+    SR, S_factor = _cholesky_solve(0.5 * (S + S.T), pack(contract(b.values, U, L, m, R, *ps)))
+    # Y^T = K_mu^-1 (S^-1 R)^T: the operator's products take the mode axis first
+    Yt = A.mode_solve(mu, SR.T)
+    core = unpack(Yt.T)
     block = expand(core, T, a, c)
     iterate = expand(core, U, L, R)
-    image = iterate if K_mu is None else expand(unpack((K_mu @ Y.T).T), AU, L, R)
+    KYt = A.mode_apply(mu, Yt)
+    image = iterate if KYt is Yt else expand(unpack(KYt.T), AU, L, R)
 
     def gram_pinv(q):
         return expand(unpack(pack(contract(q, T, a, m, c, *ps))), T, a, c)
 
     def energy_pinv(q):
         X = _cholesky_apply(S_factor, pack(contract(q, T, a, m, c, *ps)))
-        if K_factor is not None:
-            X = _cholesky_apply(K_factor, X.T).T
-        return expand(unpack(X), T, a, c)
+        return expand(unpack(A.mode_solve(mu, X.T).T), T, a, c)
 
     return LocalSolve(
-        Y.size, block, iterate, forward, adjoint, gram_pinv, energy_pinv, "structured", image,
+        Yt.size, block, iterate, forward, adjoint, gram_pinv, energy_pinv, "structured", image,
     )
 
 
@@ -450,10 +449,10 @@ def local_solve(
 
     The structured route is taken when the formed route's Gram work
     N * k^2 exceeds STRUCTURED_MIN_GRAM_FLOPS and ``structured_solve`` has
-    structure to use (a factored format with an identity or mode-wise
-    operator); every other system is formed.  Either route returns the same maps
-    (``LocalSolve``), so a caller that reads them, such as the
-    transfer-map replay, works on both.
+    structure to use (a factored format with an operator that declares
+    its Kronecker structure); every other system is formed.  Either route
+    returns the same maps (``LocalSolve``), so a caller that reads them,
+    such as the transfer-map replay, works on both.
     """
     if (
         0 <= mu < fmt.num_blocks
@@ -485,23 +484,24 @@ class RunState(NamedTuple):
     def at(cls, A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem) -> RunState:
         """The state at U(p).
 
-        For a mode-wise operator on a factored format (one that declares
-        unfolding factors) of its shape, A v is an evaluation with no full
-        apply: block nu holds mode nu and U is linear in each block, so
-        A U(p) = U(K_1 p_1, ..., K_d p_d) (Kolda & Bader 2009), each K_nu
-        applied to the mode axis of its (a, m_nu, c) core.  Any other
-        operator or format is applied to v.  ``objective`` rejects a zero
-        target.
+        For a Kronecker product (``A.mode_sides``) on a factored format
+        (one that declares unfolding factors), A v is an evaluation with
+        no full apply: block nu holds mode nu and U is linear in each
+        block, so A U(p) = U(K_1 p_1, ..., K_d p_d) (Kolda & Bader 2009),
+        each K_nu applied to the mode axis of its (a, m_nu, c) core
+        (``A.mode_apply``).  Any other operator or format is applied to
+        v.  An operator or target on other modes than the format's, and
+        a zero target (``objective``), are rejected.
         """
+        check_shapes(fmt, b, A)
         v = evaluate(fmt, p)
         if (
-            type(A) is ModeWiseOperator
-            and A.shape.dims == fmt.shape.dims
+            A.mode_sides(0) is not None  # a Kronecker product
             and type(fmt).unfolding_factors is not TensorFormat.unfolding_factors
         ):
             blocks = [
-                (K @ q.reshape(fmt.block_axes(nu)[0], len(K), -1)).ravel()
-                for nu, (K, q) in enumerate(zip(A.factors, p.blocks))
+                A.mode_apply(nu, q.reshape(fmt.block_axes(nu)[0], m, -1)).ravel()
+                for nu, (m, q) in enumerate(zip(fmt.shape.dims, p.blocks))
             ]
             Av = DenseTensor(fmt.shape, fmt._evaluate_blocks(blocks))
         else:

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .tensors import DenseTensor, Shape, check_int, check_numbers, vector_norm
+from .tensors import DenseTensor, Shape, SpdOperator, check_int, check_numbers, vector_norm
 
 
 def _frozen_block(vec) -> tuple[np.ndarray, float]:
@@ -409,6 +409,23 @@ def check_block(fmt: TensorFormat, p: ParamSystem, mu: int):
     fmt.check_params(p)
     if not 0 <= mu < fmt.num_blocks:
         raise ValueError(f"block index {mu} out of range [0, {fmt.num_blocks})")
+
+
+def check_shapes(fmt: TensorFormat, b: DenseTensor, A: SpdOperator | None = None):
+    """Reject a target, or an operator, on another tensor space than the format's.
+
+    An equal entry count is not enough: an operator or a target on the
+    permuted modes of the format's shape reads the same flat values as
+    another system.
+    """
+    if b.shape.dims != fmt.shape.dims:
+        raise ValueError(
+            f"incompatible shapes: target on {b.shape.dims}, format on {fmt.shape.dims}"
+        )
+    if A is not None and A.shape.dims != fmt.shape.dims:
+        raise ValueError(
+            f"incompatible shapes: operator on {A.shape.dims}, format on {fmt.shape.dims}"
+        )
 
 
 def check_reference_factor(fmt: TensorFormat, reference_factor) -> np.ndarray:

@@ -25,6 +25,7 @@ from .formats import (
     TensorFormat,
     check_reference,
     check_reference_factor,
+    check_shapes,
 )
 from .tensors import DenseTensor, IdentityOperator, Shape, SpdOperator, check_int, rank_one_sum
 
@@ -43,10 +44,7 @@ class ProblemInstance:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.A.shape.dims != self.b.shape.dims:
-            raise ValueError("incompatible shapes: operator vs target")
-        if self.fmt.shape.dims != self.b.shape.dims:
-            raise ValueError("incompatible shapes: format vs target")
+        check_shapes(self.fmt, self.b, self.A)
         if self.b.norm() == 0.0:
             raise ValueError("target must be nonzero")
         self.fmt.check_params(self.init)

@@ -4,7 +4,8 @@ The ambient space is V = R^{m_1} x ... x R^{m_d} (tensor product), stored
 flat in lexicographic order with the first index varying slowest.  All
 scalars are 64-bit IEEE floats.  Operators are symmetric positive definite
 and come in three flavours: identity, explicit dense matrix, and mode-wise
-Kronecker product.
+Kronecker product.  The first and the last declare their Kronecker
+structure (``SpdOperator.mode_sides``).
 """
 
 from __future__ import annotations
@@ -156,7 +157,11 @@ class SpdOperator:
     """Base for symmetric positive definite operators on a tensor space.
 
     A subclass defines one product, ``apply_matrix`` on an (N, k) block;
-    ``apply`` is that product on one column.
+    ``apply`` is that product on one column.  An operator that is a
+    Kronecker product K_1 (x) ... (x) K_d declares it with ``mode_sides``,
+    ``mode_apply`` and ``mode_solve``, the only calls the engine reads the
+    structure through; the base declares none, so its local systems are
+    formed.
     """
 
     variant = "abstract"
@@ -174,11 +179,25 @@ class SpdOperator:
         """Apply to every column of an (N, k) matrix."""
         raise NotImplementedError
 
+    def mode_sides(self, mu: int) -> tuple[list, list] | None:
+        """(left, right): the factors K_nu of the modes before and after mu, or None."""
+        return None
+
+    def mode_apply(self, mu: int, X: np.ndarray) -> np.ndarray:
+        """K_mu X along axis -2 of X, or X itself if K_mu applies nothing."""
+        raise NotImplementedError
+
+    def mode_solve(self, mu: int, X: np.ndarray) -> np.ndarray:
+        """K_mu^-1 X for an (m_mu, k) X (ValueError if X is not finite), or X itself."""
+        raise NotImplementedError
+
     def __repr__(self):
         return f"{type(self).__name__}(dims={self.shape.dims}, verified={self.verified})"
 
 
 class IdentityOperator(SpdOperator):
+    """The identity, a Kronecker product of identities: each product returns its operand."""
+
     variant = "identity"
 
     def __init__(self, shape: Shape):
@@ -187,6 +206,14 @@ class IdentityOperator(SpdOperator):
 
     def apply_matrix(self, M: np.ndarray) -> np.ndarray:
         return np.asarray(M, dtype=float)
+
+    def mode_sides(self, mu: int) -> tuple[list, list]:
+        return [], []
+
+    def mode_apply(self, mu: int, X: np.ndarray) -> np.ndarray:
+        return X
+
+    mode_solve = mode_apply
 
 
 def _check_symmetric(mat: np.ndarray, what: str):
@@ -242,8 +269,8 @@ class ModeWiseOperator(SpdOperator):
     ``apply_matrix`` is ``kron_apply``, the n-mode product with one factor
     per mode (Kolda & Bader 2009), on all k columns of an (N, k) block at
     once.  ``cholesky`` holds the lower Cholesky factor of each symmetrized
-    factor 0.5 (K + K^T), from LAPACK dpotrf, computed once here for the
-    structured solves that divide by one mode's factor.
+    factor 0.5 (K + K^T), from LAPACK dpotrf, computed once here for
+    ``mode_solve``.
     """
 
     variant = "modewise"
@@ -281,6 +308,20 @@ class ModeWiseOperator(SpdOperator):
                 f"incompatible shapes: operator on N={n}, operand {M.shape}"
             )
         return kron_apply(self.factors, M)
+
+    def mode_sides(self, mu: int) -> tuple[list, list]:
+        return self.factors[:mu], self.factors[mu + 1:]
+
+    def mode_apply(self, mu: int, X: np.ndarray) -> np.ndarray:
+        return self.factors[mu] @ X
+
+    def mode_solve(self, mu: int, X: np.ndarray) -> np.ndarray:
+        """K_mu^-1 X through the kept Cholesky factor (LAPACK potrs)."""
+        if not all_finite(X):
+            raise ValueError("array must not contain infs or NaNs")
+        from scipy.linalg import lapack  # see __init__
+
+        return lapack.dpotrs(self.cholesky[mu], X, lower=1)[0]
 
 
 def kron_apply(factors, M: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """The solver core: Löwdin bases, micro-steps, sweeps, stop rules, run traces."""
 
+import dataclasses
 import functools
 import math
 import re
@@ -16,7 +17,10 @@ from alskit import engine, formats, tensors
 from alskit.diagnostics import (
     EPS_RANK_DEFAULT,
     MicroStepRecord,
+    RecursionContext,
     full_gradient,
+    gradient_block,
+    materialize_M,
     objective,
     recursion_check,
     recursion_contexts,
@@ -44,6 +48,7 @@ from alskit.tensors import (
     IdentityOperator,
     ModeWiseOperator,
     Shape,
+    SpdOperator,
     a_norm,
     inner,
     kron_apply,
@@ -733,8 +738,9 @@ def test_a_run_applies_A_once_plus_once_per_sweep_if_unverified(monkeypatch, ope
     # the initial iterate's image serves its objective and the first
     # step; every step takes A v_new from its solve, on either route, and
     # only an unverified operator is applied again, to v - v_prev, per sweep.
-    # A mode-wise operator on a factored format takes that first image
-    # from the blocks, with no full apply; on a custom format it applies A.
+    # An operator that declares its Kronecker structure (the identity, a
+    # mode-wise operator) takes that first image on a factored format from
+    # the blocks, with no full apply; on a custom format it applies A.
     A, b, fmt, p = _apply_count_problem(operator)
     if route == "formed":
         _formed_route(monkeypatch)
@@ -750,7 +756,7 @@ def test_a_run_applies_A_once_plus_once_per_sweep_if_unverified(monkeypatch, ope
     trace = run(A, b, fmt, p, StopRule(max_sweeps=3))
     assert routes == {route}
     assert trace.sweeps == 3 and not any(r.degenerate for r in trace.records)
-    first = 0 if operator == "modewise" else 1
+    first = 0 if operator in ("identity", "modewise") else 1
     assert len(calls) == first + (0 if A.verified else trace.sweeps)
 
 
@@ -1658,6 +1664,116 @@ def test_contract_only_format_solves_on_the_structured_route():
     assert len(contexts) == 4
     for ctx in contexts:
         assert recursion_check(A, b, fmt, ctx).defect <= 1e-10
+
+
+class FactorKronecker(SpdOperator):
+    """A Kronecker product of SPD factors, declared from its own factors.
+
+    It is not a ``ModeWiseOperator``: it applies itself with ``kron_apply``
+    and solves with each factor's ``cho_factor``, and answers the three
+    calls an operator with Kronecker structure answers.
+    """
+
+    variant = "kronecker"
+
+    def __init__(self, factors):
+        self.mats = [np.array(K, dtype=float) for K in factors]
+        self.shape = Shape(tuple(len(K) for K in self.mats))
+        self.verified = True
+        self.chol = [cho_factor(0.5 * (K + K.T), lower=True) for K in self.mats]
+
+    def apply_matrix(self, M):
+        return kron_apply(self.mats, M)
+
+    def mode_sides(self, mu):
+        return self.mats[:mu], self.mats[mu + 1:]
+
+    def mode_apply(self, mu, X):
+        return self.mats[mu] @ X
+
+    def mode_solve(self, mu, X):
+        return cho_solve(self.chol[mu], X)
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in ROUTE_CASES if c[3] == "modewise"], ids=lambda c: "-".join(map(str, c))
+)
+def test_an_operator_that_declares_its_factors_runs_as_the_modewise_one(monkeypatch, case):
+    # cho_factor and cho_solve make the LAPACK calls ModeWiseOperator
+    # makes, so the run is the same bit for bit, on the structured route
+    # and with the run-start image taken from the blocks
+    A, b, fmt, p = sized_problem(50, *case)
+    want = run(A, b, fmt, p, StopRule(max_sweeps=2))
+    mine = FactorKronecker(A.factors)
+    real, routes = engine.local_solve, set()
+
+    def recorded(*args):
+        sol = real(*args)
+        routes.add(sol.route)
+        return sol
+
+    monkeypatch.setattr(engine, "local_solve", recorded)
+    calls = _count_applies(monkeypatch, FactorKronecker)
+    got = run(mine, b, fmt, p, StopRule(max_sweeps=2))
+    assert routes == {"structured"} and calls == []
+    assert [dataclasses.astuple(r) for r in got.records] == [
+        dataclasses.astuple(r) for r in want.records
+    ]
+    assert got.dist_a == want.dist_a
+    assert np.array_equal(got.final_v.values, want.final_v.values)
+
+
+def test_a_dense_operator_declares_no_structure(monkeypatch):
+    A, b, fmt, p = _dense_problem()
+    assert A.mode_sides(0) is None
+
+    def refuse(*args):
+        raise AssertionError("SVD of an unfolding factor")
+
+    monkeypatch.setattr(engine, "_thin_svd", refuse)
+    for mu in range(fmt.num_blocks):
+        assert fmt.shape.size * fmt.block_dim(mu) ** 2 > engine.STRUCTURED_MIN_GRAM_FLOPS
+        assert engine.structured_solve(A, b, fmt, p, mu, 1e-12) is None
+        assert engine.local_solve(A, b, fmt, p, mu, 1e-12).route == "formed"
+
+
+# each entry that takes a format with a target, or with an operator and a
+# target, on a system whose modes are the format's permuted: N agrees
+SHAPE_ENTRIES = {
+    "formed_solve": lambda A, b, fmt, p: engine.formed_solve(A, b, fmt, p, 1, 1e-12),
+    "structured_solve": lambda A, b, fmt, p: engine.structured_solve(A, b, fmt, p, 1, 1e-12),
+    "local_solve": lambda A, b, fmt, p: engine.local_solve(A, b, fmt, p, 1, 1e-12),
+    "recursion_check": lambda A, b, fmt, p: recursion_check(A, b, fmt, RecursionContext(2, 1, p)),
+    "gradient_block": lambda A, b, fmt, p: gradient_block(A, b, fmt, p, 1),
+    "full_gradient": lambda A, b, fmt, p: full_gradient(A, b, fmt, p),
+    "run": lambda A, b, fmt, p: run(A, b, fmt, p, StopRule(max_sweeps=1)),
+    "coupling": lambda A, b, fmt, p: engine.coupling(fmt, b, p, 1, 0, p[0]),
+    "materialize_M": lambda A, b, fmt, p: materialize_M(fmt, b, p, 1, 0),
+}
+TARGET_ONLY = ("coupling", "materialize_M")
+
+
+@pytest.mark.parametrize("route", ["formed", "structured"])
+@pytest.mark.parametrize(
+    "entry, wrong",
+    [(e, "target") for e in SHAPE_ENTRIES]
+    + [(e, "operator") for e in SHAPE_ENTRIES if e not in TARGET_ONLY],
+)
+def test_a_system_on_other_modes_is_rejected(monkeypatch, entry, wrong, route):
+    threshold = 0.0 if route == "structured" else math.inf
+    monkeypatch.setattr(engine, "STRUCTURED_MIN_GRAM_FLOPS", threshold)
+    rng = np.random.default_rng(51)
+    fmt = TtFormat(Shape((3, 4, 2)), (2, 2))
+    p = ParamSystem([rng.standard_normal(fmt.block_dim(mu)) for mu in range(3)])
+    A = ModeWiseOperator([spd(rng, m) for m in (3, 4, 2)])
+    b = DenseTensor(fmt.shape, rng.standard_normal(24))
+    SHAPE_ENTRIES[entry](A, b, fmt, p)  # the right system runs
+    if wrong == "target":
+        b = DenseTensor(Shape((4, 3, 2)), b.values)
+    else:
+        A = ModeWiseOperator([spd(rng, m) for m in (4, 3, 2)])
+    with pytest.raises(ValueError, match="incompatible shapes"):
+        SHAPE_ENTRIES[entry](A, b, fmt, p)
 
 
 # ---------------------------------------------------------------------------
