@@ -104,7 +104,7 @@ def _split(ref_hat: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     return c, vector_norm(v - c * ref_hat)
 
 
-@dataclass
+@dataclass(slots=True)
 class MicroStepRecord:
     """One row of a solve trace.
 

@@ -56,7 +56,9 @@ in all on either route, and an unverified operator once more per sweep.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -98,6 +100,9 @@ from .tensors import (
 # N * k^2 exceeds this.  It stays where it is because the route decides how
 # a step rounds: moving it would change the gallery's outputs bit for bit.
 STRUCTURED_MIN_GRAM_FLOPS = 1e5
+
+_SMALLEST_NORMAL = sys.float_info.min  # 2^-1022
+_NO_CONTEXT = contextlib.nullcontext()
 
 
 class LowdinBasis(NamedTuple):
@@ -159,9 +164,10 @@ def lowdin_basis(W: np.ndarray, eps_rank: float = EPS_RANK_DEFAULT) -> LowdinBas
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     # ascending: the largest eigenvalue is last, the kept ones a suffix
-    if vals[-1] <= 0.0:
+    ascending = vals.tolist()
+    if ascending[-1] <= 0.0:
         return _empty_basis(W.shape[0], n)
-    rank = n - bisect.bisect_right(vals.tolist(), eps_rank * vals[-1])
+    rank = n - bisect.bisect_right(ascending, eps_rank * ascending[-1])
     vals = vals[::-1][:rank].copy()
     # Fortran order, as LowdinBasis says
     transform = np.divide(vecs[:, ::-1][:, :rank], np.sqrt(vals), order="F")
@@ -192,7 +198,9 @@ def _empty_basis(N: int, n: int) -> LowdinBasis:
     return LowdinBasis(np.zeros((N, 0)), np.zeros((n, 0)), np.zeros(0), 0)
 
 
-def _cholesky_solve(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cholesky_solve(
+    G: np.ndarray, rhs: np.ndarray, G_finite: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve G y = rhs for SPD G through LAPACK potrf/potrs; returns (y, factor).
 
     The same calls, with the same arguments, as scipy's
@@ -200,9 +208,10 @@ def _cholesky_solve(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndar
     theirs; ``factor`` holds the lower Cholesky factor for ``_cholesky_apply``.
     An unverified operator (above the SPD check cap) that is not positive
     definite surfaces here as a ValueError, and so does a non-finite entry
-    in G or rhs (``all_finite``).
+    in G or rhs (``all_finite``).  ``G_finite`` says that the caller
+    already knows G to be finite (``_gram``), and then only rhs is scanned.
     """
-    if not (all_finite(G) and all_finite(rhs)):
+    if not ((G_finite or all_finite(G)) and all_finite(rhs)):
         raise ValueError("array must not contain infs or NaNs")
     factor, info = lapack.dpotrf(G, lower=1, clean=0)
     if info != 0:
@@ -289,7 +298,8 @@ def formed_solve(
     """The Galerkin system of block mu on the formed W and its Löwdin basis.
 
     G = V^T (A V) (symmetrized; for the identity the exactly symmetric
-    ``_gram`` of V); the new block is basis.transform @ y, the iterate V y
+    ``_gram`` of V, whose finiteness ``_gram`` reports, so the solve scans
+    only V^T b); the new block is basis.transform @ y, the iterate V y
     and its image (A V) y: the iterate itself for the identity.
     """
     check_shapes(fmt, b, A)
@@ -301,11 +311,11 @@ def formed_solve(
     V, T = basis.V, basis.transform
     AV = A.apply_matrix(V)
     if AV is V:
-        G = _gram(V)[0]
+        G, G_finite = _gram(V)
     else:
         G = V.T @ AV
-        G = 0.5 * (G + G.T)
-    y, factor = _cholesky_solve(G, V.T @ b.values)
+        G, G_finite = 0.5 * (G + G.T), False
+    y, factor = _cholesky_solve(G, V.T @ b.values, G_finite)
     iterate = V @ y
 
     def gram_pinv(q):
@@ -390,7 +400,10 @@ def structured_solve(
             return LocalSolve(0, None, None, forward, adjoint, None, None, "structured")
         ratio = (sigma / sigma[0]) ** 2
         n = len(ratio) - bisect.bisect_right(ratio[::-1].tolist(), eps_rank)
-        with np.errstate(over="ignore"):
+        # the rows of X^T are orthonormal, so X^T / sigma overflows only
+        # where sigma is subnormal, and only then are its warnings silenced
+        quiet = np.errstate(over="ignore") if sigma[n - 1] < _SMALLEST_NORMAL else _NO_CONTEXT
+        with quiet:
             T.append(Xt[:n].T / sigma[:n])
         U.append(Uf[:, :n])
         ratios.append(ratio[:n])
@@ -454,10 +467,9 @@ def local_solve(
     returns the same maps (``LocalSolve``), so a caller that reads them,
     such as the transfer-map replay, works on both.
     """
-    if (
-        0 <= mu < fmt.num_blocks
-        and fmt.shape.size * fmt.block_dim(mu) ** 2 > STRUCTURED_MIN_GRAM_FLOPS
-    ):
+    # the block lengths the format keeps; a subclass that keeps none is asked
+    sizes = fmt._block_sizes or tuple(map(fmt.block_dim, range(fmt.num_blocks)))
+    if 0 <= mu < len(sizes) and fmt.shape.size * sizes[mu] ** 2 > STRUCTURED_MIN_GRAM_FLOPS:
         sol = structured_solve(A, b, fmt, p, mu, eps_rank)
         if sol is not None:
             return sol
@@ -542,21 +554,18 @@ def micro_step(
         v_new = DenseTensor._wrap(b.shape, sol.iterate)
         # the identity's image is the iterate itself: one immutable tensor for both
         Av_new = v_new if sol.image is sol.iterate else DenseTensor._wrap(b.shape, sol.image)
-        f_new = (0.5 * inner(Av_new, v_new) - inner(b, v_new)) / state.b2
+        # inner's dots, on vectors whose shapes the solve has fixed
+        x = v_new.values
+        f_new = (0.5 * float(Av_new.values.dot(x)) - float(b.values.dot(x))) / state.b2
         if not math.isfinite(f_new):  # a non-finite entry, or an overflow of f alone
             DenseTensor(b.shape, v_new.values)
             DenseTensor(b.shape, Av_new.values)
         new = RunState(p_new, v_new, Av_new, b.values - Av_new.values, f_new, state.b2)
         resid_orth = vector_norm(sol.adjoint(new.resid))
+    # sweep, mu, f, decrement, grad_norm, W_rank, resid_orth, param_norm_max
     record = MicroStepRecord(
-        sweep=sweep,
-        mu=mu,
-        f=new.f,
-        decrement=new.f - state.f,
-        grad_norm=grad / state.b2,
-        W_rank=sol.rank,
-        resid_orth=resid_orth,
-        param_norm_max=new.params.max_norm(),
+        sweep, mu, new.f, new.f - state.f, grad / state.b2, sol.rank, resid_orth,
+        new.params.max_norm(),
     )
     return new, record
 

@@ -138,7 +138,10 @@ class ParamSystem:
 
         The other blocks are already frozen copies and are shared, not
         copied, and so are their norms; only the new block is copied,
-        checked and measured.
+        checked and measured.  mu indexes the blocks as a sequence index
+        does: negative from the end, IndexError outside.  The tuples are
+        rebuilt through lists: at three blocks that is about a third of
+        the time of joining tuple slices.
         """
         blocks = list(self.blocks)
         norms = list(self._norms)
@@ -243,7 +246,7 @@ class TensorFormat:
         Z of the unfolding factors placed on the identity of mode mu: entry
         ((l, i, r), (a, i', c)) is Z[(l, r), (a, c)] if i == i', else 0,
         with l and r over the modes left and right of mu.  Z is written
-        through ``np.einsum("lirkic->lirkc", W)``, a writable view of the
+        through one strided view of the zeroed W, the (L, m, R, a, c)
         diagonal over the two mode-mu axes.  A format without unfolding
         factors gets ``probe_map``.
         """
@@ -253,9 +256,15 @@ class TensorFormat:
         Z = factors[0] if len(factors) == 1 else kron(*factors)
         L, m, R = self.mode_view(mu)
         a, c = self.block_axes(mu)
-        W = np.zeros((L, m, R, a, m, c))
-        np.einsum("lirkic->lirkc", W)[...] = Z.reshape(L, 1, R, a, c)
-        return W.reshape(self.shape.size, a * m * c)
+        k = a * m * c
+        W = np.zeros((L * m * R, k))
+        # entry ((l, i, r), (s, i, t)) of W is its item (l m R + i R + r) k
+        # + (s m + i) c + t, and an item is 8 bytes
+        diagonal = np.ndarray(
+            (L, m, R, a, c), float, W, 0, (8 * m * R * k, 8 * (R * k + c), 8 * k, 8 * m * c, 8)
+        )
+        diagonal[...] = Z.reshape(L, 1, R, a, c)
+        return W
 
     def check_params(self, p: ParamSystem):
         """Reject a parameter system whose block lengths do not fit the format."""
@@ -305,15 +314,23 @@ class CpFormat(TensorFormat):
 
         The product runs left to right over the frozen modes, so its rows
         follow the flat order of the other modes.  It is built in C order,
-        which the batched ``contract`` and ``expand`` read without a copy.
+        which the batched ``contract`` and ``expand`` read without a copy:
+        each frozen factor is the transposed view of its (r, m) block, and
+        one broadcast product per factor after the first writes a fresh
+        C-ordered array.  A single frozen factor is copied into one.
         """
         r = self.rank
         kr = None
         for nu, (b, m) in enumerate(zip(blocks, self.shape.dims)):
             if nu != mu:
-                factor = b.reshape(r, m).T.copy()  # the (m, r) factor matrix, in C order
-                kr = factor if kr is None else (kr[:, None, :] * factor[None]).reshape(-1, r)
-        return [np.ones((1, r)) if kr is None else kr]
+                factor = b.reshape(r, m).T  # the (m, r) factor matrix, a view
+                if kr is None:
+                    kr = factor
+                else:
+                    kr = np.multiply(kr[:, None, :], factor, order="C").reshape(-1, r)
+        if kr is None:
+            return [np.ones((1, r))]
+        return [kr.copy() if self.num_blocks == 2 else kr]
 
 
 class TtFormat(TensorFormat):

@@ -1019,6 +1019,31 @@ def test_overflowing_unfolding_factor_fails_before_the_svd(monkeypatch):
             run(A, b, fmt, p, StopRule(max_sweeps=1))
 
 
+def test_a_subnormal_kept_singular_value_overflows_its_column_of_T_quietly(monkeypatch):
+    # at eps_rank 0 a factor keeps a singular value below 2^-1022, and
+    # X^T / sigma overflows on it: the one case the structured route
+    # silences, and the same solve comes back as with the overflow
+    # silenced for every factor
+    A, b, fmt, p = sized_problem(44, "cp", (8, 8, 8), 3)
+    blocks = [p[mu].copy() for mu in range(fmt.num_blocks)]
+    blocks[1] *= 1e-150
+    blocks[2] *= 1e-150
+    blocks[1][:8] *= 1e-10  # column 0 of the mode-1 factor
+    p = ParamSystem(blocks)
+    sigma = engine._thin_svd(fmt.unfolding_factors(p.blocks, 0)[0])[1]
+    assert 0.0 < sigma[-1] < 2.0**-1022 <= sigma[-2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = engine.structured_solve(A, b, fmt, p, 0, 0.0)
+    assert sol.rank == fmt.block_dim(0) and not np.isfinite(sol.block).all()
+    monkeypatch.setattr(engine, "_SMALLEST_NORMAL", math.inf)
+    with np.errstate(over="ignore"):
+        want = engine.structured_solve(A, b, fmt, p, 0, 0.0)
+    assert (sol.rank, sol.route) == (want.rank, want.route)
+    for field in ("block", "iterate", "image"):
+        assert getattr(sol, field).tobytes() == getattr(want, field).tobytes()
+
+
 def _mp_min_norm_block(mp, A, b, fmt, p, mu):
     """Minimum-norm minimizing block from W, A and b at 50 digits."""
     dims = fmt.shape.dims
