@@ -118,7 +118,7 @@ def write_target_csv(b: DenseTensor, path: str):
     header = ",".join(f"i{k + 1}" for k in range(d)) + ",value"
     lines = [header]
     for idx, val in index_value_rows(b):
-        lines.append(",".join(str(int(i)) for i in idx) + "," + _fmt_float(val))
+        lines.append(",".join(map(str, idx)) + "," + _fmt_float(val))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

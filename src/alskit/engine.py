@@ -467,8 +467,7 @@ def local_solve(
     returns the same maps (``LocalSolve``), so a caller that reads them,
     such as the transfer-map replay, works on both.
     """
-    # the block lengths the format keeps; a subclass that keeps none is asked
-    sizes = fmt._block_sizes or tuple(map(fmt.block_dim, range(fmt.num_blocks)))
+    sizes = fmt._block_sizes
     if 0 <= mu < len(sizes) and fmt.shape.size * sizes[mu] ** 2 > STRUCTURED_MIN_GRAM_FLOPS:
         sol = structured_solve(A, b, fmt, p, mu, eps_rank)
         if sol is not None:

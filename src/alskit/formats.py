@@ -177,8 +177,7 @@ class TensorFormat:
     name = "abstract"
     shape: Shape
     num_blocks: int
-    # a subclass that sets shape and num_blocks itself is checked block by block
-    _block_sizes: tuple[int, ...] | None = None
+    _block_sizes: tuple[int, ...]
 
     def __init__(self, shape: Shape, num_blocks: int):
         self.shape = shape

@@ -229,18 +229,23 @@ def _check_symmetric(mat: np.ndarray, what: str):
         raise ValueError(f"{what} is not symmetric")
 
 
-def _check_definite(mat: np.ndarray, what: str):
-    """Reject a matrix that is not positive definite."""
-    lam_min = np.linalg.eigvalsh(mat)[0]
-    if lam_min <= 0:
-        raise ValueError(f"{what} is not positive definite (lambda_min = {lam_min:.3e})")
+def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of 0.5 (M + M^T) by LAPACK dpotrf, the one definiteness verdict."""
+    # imported here: loading scipy.linalg with this module added ~10 ms to ``import alskit``
+    # (median of 45 fresh interpreters, 2-vCPU host); the engine has loaded it by then
+    from scipy.linalg import lapack
+
+    factor, info = lapack.dpotrf(0.5 * (mat + mat.T), lower=1, clean=0)
+    if info != 0:
+        raise ValueError(f"{what} is not positive definite (leading minor {info} of {len(mat)})")
+    return factor
 
 
 class DenseOperator(SpdOperator):
     """Explicit N x N symmetric positive definite matrix.
 
-    Positive definiteness is verified at construction only for N <= SPD_VERIFY_CAP
-    (full eigendecomposition); larger operators are trusted and flagged unverified.
+    Positive definiteness is verified at construction only for N <= SPD_VERIFY_CAP,
+    by ``_cholesky``; larger operators are trusted and flagged unverified.
     """
 
     variant = "dense"
@@ -257,7 +262,7 @@ class DenseOperator(SpdOperator):
         self.matrix = np.ascontiguousarray(mat)
         self.verified = n <= SPD_VERIFY_CAP
         if self.verified:
-            _check_definite(self.matrix, "operator matrix")
+            _cholesky(self.matrix, "operator matrix")
 
     def apply_matrix(self, M: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(M, dtype=float)
@@ -268,9 +273,7 @@ class ModeWiseOperator(SpdOperator):
 
     ``apply_matrix`` is ``kron_apply``, the n-mode product with one factor
     per mode (Kolda & Bader 2009), on all k columns of an (N, k) block at
-    once.  ``cholesky`` holds the lower Cholesky factor of each symmetrized
-    factor 0.5 (K + K^T), from LAPACK dpotrf, computed once here for
-    ``mode_solve``.
+    once.  ``cholesky`` keeps each factor's ``_cholesky`` for ``mode_solve``.
     """
 
     variant = "modewise"
@@ -279,11 +282,6 @@ class ModeWiseOperator(SpdOperator):
         mats = [np.ascontiguousarray(np.asarray(f, dtype=float)) for f in factors]
         if not mats:
             raise ValueError("mode-wise operator needs at least one factor")
-        # imported here: loading scipy.linalg with this module, ahead of the
-        # rest of the package, added ~10 ms to ``import alskit`` (median of
-        # 45 fresh interpreters, 2-vCPU host); the engine has loaded it by then
-        from scipy.linalg import lapack
-
         for nu, mat in enumerate(mats):
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"factor {nu} is not square")
@@ -292,11 +290,7 @@ class ModeWiseOperator(SpdOperator):
         self.cholesky = []
         for nu, mat in enumerate(mats):
             _check_symmetric(mat, f"mode-{nu} factor")
-            _check_definite(mat, f"mode-{nu} factor")
-            factor, info = lapack.dpotrf(0.5 * (mat + mat.T), lower=1, clean=0)
-            if info != 0:
-                raise ValueError(f"mode-{nu} factor is not positive definite (Cholesky failed)")
-            self.cholesky.append(factor)
+            self.cholesky.append(_cholesky(mat, f"mode-{nu} factor"))
         self.factors = mats
         self.verified = True
 
@@ -319,7 +313,7 @@ class ModeWiseOperator(SpdOperator):
         """K_mu^-1 X through the kept Cholesky factor (LAPACK potrs)."""
         if not all_finite(X):
             raise ValueError("array must not contain infs or NaNs")
-        from scipy.linalg import lapack  # see __init__
+        from scipy.linalg import lapack  # see _cholesky
 
         return lapack.dpotrs(self.cholesky[mu], X, lower=1)[0]
 
@@ -443,6 +437,5 @@ def rank_one_sum(shape: Shape, terms) -> DenseTensor:
 
 
 def index_value_rows(v: DenseTensor):
-    """Yield (index tuple, value) rows in storage order, for CSV dumps."""
-    for flat, val in enumerate(v.values):
-        yield np.unravel_index(flat, v.shape.dims), float(val)
+    """(index tuple, value) rows in storage order, for CSV dumps."""
+    return zip(np.ndindex(*v.shape.dims), v.values.tolist())

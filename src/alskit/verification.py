@@ -581,13 +581,16 @@ def _rank_one_gallery_traces() -> dict[str, tuple[gallery.ProblemInstance, RunTr
 
 def _route_case_traces(sweeps: int = 3, seed: int = 1400):
     """Keep-params traces of the ROUTE_CASES systems, whose solves are structured."""
-    for i, case in enumerate(ROUTE_CASES):
-        A, b, fmt, p = sized_problem(seed + i, *case)
-        trace = engine.run(A, b, fmt, p, engine.StopRule(max_sweeps=sweeps), keep_params=True)
-        yield A, b, fmt, trace
+    stop = engine.StopRule(max_sweeps=sweeps)
+    problems = (sized_problem(seed + i, *case) for i, case in enumerate(ROUTE_CASES))
+    return [
+        (A, b, fmt, engine.run(A, b, fmt, p, stop, keep_params=True)) for A, b, fmt, p in problems
+    ]
 
 
-def check_recursion_defect(gallery_traces=_rank_one_gallery_traces):
+def check_recursion_defect(
+    gallery_traces=_rank_one_gallery_traces, route_traces=_route_case_traces
+):
     worst = 0.0
     count = structured = 0
     for instance, trace in gallery_traces().values():
@@ -595,7 +598,7 @@ def check_recursion_defect(gallery_traces=_rank_one_gallery_traces):
             report = recursion_check(instance.A, instance.b, instance.fmt, ctx)
             worst = max(worst, report.defect)
             count += 1
-    for A, b, fmt, trace in _route_case_traces():
+    for A, b, fmt, trace in route_traces():
         for ctx in recursion_contexts(trace):
             worst = max(worst, recursion_check(A, b, fmt, ctx).defect)
             structured += 1
@@ -630,11 +633,13 @@ def check_tucker_closed_form():
     )
 
 
-def check_tangent_recursion(gallery_traces=_rank_one_gallery_traces):
+def check_tangent_recursion(
+    gallery_traces=_rank_one_gallery_traces, route_traces=_route_case_traces
+):
     # blambda against its known limit, the ROUTE_CASES systems against their target
     instance, trace = gallery_traces()["blambda"]
     replays = [(instance.A, instance.b, instance.fmt, trace, instance.reference.values, False)]
-    replays += [(A, b, fmt, tr, b.values, True) for A, b, fmt, tr in _route_case_traces()]
+    replays += [(A, b, fmt, tr, b.values, True) for A, b, fmt, tr in route_traces()]
     worst_split = 0.0
     worst_pred = 0.0
     count = structured = 0
@@ -773,7 +778,7 @@ def run_checks(names=None, trials: int | None = None) -> list[CheckResult]:
 
     ``trials`` overrides the default trial count of every check whose
     function takes a ``trials`` argument; the others ignore it.  The
-    checks that take ``gallery_traces`` share one call's gallery runs.
+    checks that take ``gallery_traces`` or ``route_traces`` share its runs.
     """
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -787,7 +792,10 @@ def run_checks(names=None, trials: int | None = None) -> list[CheckResult]:
         order = [n for n, _ in CHECKS if n in set(names)]
     else:
         order = [n for n, _ in CHECKS]
-    shared = {"gallery_traces": functools.cache(_rank_one_gallery_traces)}
+    shared = {
+        "gallery_traces": functools.cache(_rank_one_gallery_traces),
+        "route_traces": functools.cache(_route_case_traces),
+    }
     if trials is not None:
         shared["trials"] = trials
     results = []

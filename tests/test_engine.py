@@ -1,7 +1,6 @@
 """The solver core: Löwdin bases, micro-steps, sweeps, stop rules, run traces."""
 
 import dataclasses
-import functools
 import math
 import re
 import tracemalloc
@@ -55,23 +54,9 @@ from alskit.tensors import (
 )
 from alskit.verification import ROUTE_CASES, sized_problem
 from alskit.verification import random_spd_matrix as spd
+from reference_kernels import fold, kron_all, unfold
 
 TOL = 1e-12
-
-
-def _unfold(x, a, m):
-    """x viewed as (a, m, rest), with the middle axis moved first: an m-row matrix."""
-    return x.reshape(a, m, -1).transpose(1, 0, 2).reshape(m, -1)
-
-
-def _fold(X, a, m):
-    """Inverse of ``_unfold``: the flat array whose unfolding is the m-row matrix X."""
-    return X.reshape(m, a, -1).transpose(1, 0, 2).ravel()
-
-
-def _kron_all(factors):
-    """The Kronecker product of the factors, in order."""
-    return functools.reduce(kron, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -1170,7 +1155,7 @@ def test_one_cut_on_two_interfaces_keeps_the_precut_columns(monkeypatch):
     # and the same rows as the kept columns of the Kronecker basis
     core = contract(b.values, [UP, UQ], 4, 5, 4, 2, 3)
     assert np.array_equal(rhs[0], core.transpose(0, 2, 1).reshape(6, 5))
-    U, B = kron(UP, UQ), _unfold(b.values, 4, 5)
+    U, B = kron(UP, UQ), unfold(b.values, 4, 5)
     scale = np.linalg.norm(np.abs(U).T @ np.abs(B).T)
     assert np.linalg.norm(rhs[0] - U.T @ B.T) <= 1e-14 * scale
     # those of T = T_P (x) T_Q through the Gram pseudo-inverse T T^T
@@ -1179,9 +1164,9 @@ def test_one_cut_on_two_interfaces_keeps_the_precut_columns(monkeypatch):
         sol.gram_pinv(q),
         expand(contract(q, [TP, TQ], 3, 5, 3, 2, 3), [TP, TQ], 3, 3),
     )
-    T, F = kron(TP, TQ), _unfold(q, 3, 5)
+    T, F = kron(TP, TQ), unfold(q, 3, 5)
     scale = np.linalg.norm((np.abs(F) @ np.abs(T)) @ np.abs(T).T)
-    want = _fold((F @ T) @ T.T, 3, 5)
+    want = fold((F @ T) @ T.T, 3, 5)
     assert np.linalg.norm(sol.gram_pinv(q) - want) <= 1e-14 * scale
     structured, formed = _both_routes(monkeypatch, A, b, fmt, p, 1)
     assert engine.local_solve(A, b, fmt, p, 1, 1e-12).route == "structured"
@@ -1213,17 +1198,17 @@ def test_the_product_cut_drops_products_that_each_factor_keeps():
     U, T = kron(UP, UQ)[:, keep], kron(TP, TQ)[:, keep]
     K_L, K, K_R = A.factors
     S = U.T @ kron(K_L, K_R) @ U
-    Y = np.linalg.solve(S, np.linalg.solve(K, (U.T @ _unfold(b.values, 6, 5).T).T).T)
+    Y = np.linalg.solve(S, np.linalg.solve(K, (U.T @ unfold(b.values, 6, 5).T).T).T)
     sol = engine.structured_solve(A, b, fmt, p, 1, 1e-12)
     assert sol.rank == engine.formed_solve(A, b, fmt, p, 1, 1e-12).rank == 5 * 5
-    assert _rel(sol.block, _fold((T @ Y).T, 3, 5)) <= TOL
-    assert _rel(sol.iterate, _fold(Y.T @ U.T, 6, 5)) <= TOL
+    assert _rel(sol.block, fold((T @ Y).T, 3, 5)) <= TOL
+    assert _rel(sol.iterate, fold(Y.T @ U.T, 6, 5)) <= TOL
     assert _rel(sol.image, A.apply(DenseTensor(fmt.shape, sol.iterate)).values) <= TOL
     q = rng.standard_normal(fmt.block_dim(1))
-    F = _unfold(q, 3, 5)
-    assert _rel(sol.gram_pinv(q), _fold((F @ T) @ T.T, 3, 5)) <= TOL
+    F = unfold(q, 3, 5)
+    assert _rel(sol.gram_pinv(q), fold((F @ T) @ T.T, 3, 5)) <= TOL
     X = np.linalg.solve(S, np.linalg.solve(K, F @ T).T)
-    assert _rel(sol.energy_pinv(q), _fold((T @ X).T, 3, 5)) <= TOL
+    assert _rel(sol.energy_pinv(q), fold((T @ X).T, 3, 5)) <= TOL
 
 
 def test_a_zero_singular_value_is_cut_without_a_warning(monkeypatch):
@@ -1636,8 +1621,7 @@ class FixedCoreTucker(TensorFormat):
 
     def __init__(self, core, dims):
         self.core = np.asarray(core, dtype=float)
-        self.shape = Shape(tuple(dims))
-        self.num_blocks = self.shape.ndim
+        super().__init__(Shape(tuple(dims)), len(dims))
 
     def block_axes(self, mu):
         return 1, self.core.shape[mu]
@@ -1876,11 +1860,11 @@ def test_the_structured_image_is_a_full_apply_of_the_iterate(kind, dims, unit_mo
             continue
         want = A.apply(DenseTensor(fmt.shape, sol.iterate)).values
         left, m = math.prod(fmt.shape.dims[:mu]), fmt.shape.dims[mu]
-        Q = _kron_all(
+        Q = kron_all(
             [np.linalg.svd(f, full_matrices=False)[0] for f in fmt.unfolding_factors(p.blocks, mu)]
         )
-        Y = Q.T @ _unfold(sol.iterate, left, m).T
-        scale = kron_apply(abs_factors, _fold(np.abs(Y).T @ np.abs(Q).T, left, m)[:, None])
+        Y = Q.T @ unfold(sol.iterate, left, m).T
+        scale = kron_apply(abs_factors, fold(np.abs(Y).T @ np.abs(Q).T, left, m)[:, None])
         assert np.linalg.norm(sol.image - want) <= 1e-14 * np.linalg.norm(scale)
 
 

@@ -1,6 +1,5 @@
 """Parameter systems, CP/TT/custom formats, and materialized block maps."""
 
-import functools
 import json
 import math
 import re
@@ -17,13 +16,13 @@ from alskit.formats import (
     ParamSystem,
     TtFormat,
     evaluate,
-    kron,
     materialize_W,
     params_from_json,
     params_to_json,
     probe_map,
 )
 from alskit.tensors import Shape
+from reference_kernels import fold, kron_all, unfold
 
 TOL = 1e-12
 
@@ -383,21 +382,6 @@ def _random_blocks(fmt, rng, zero_block):
     return blocks
 
 
-def _unfold(x, a, m):
-    """x viewed as (a, m, rest), with the middle axis moved first: an m-row matrix."""
-    return x.reshape(a, m, -1).transpose(1, 0, 2).reshape(m, -1)
-
-
-def _fold(X, a, m):
-    """Inverse of ``_unfold``: the flat array whose unfolding is the m-row matrix X."""
-    return X.reshape(m, a, -1).transpose(1, 0, 2).ravel()
-
-
-def _kron_all(factors):
-    """Z, the Kronecker product of the unfolding factors, in order."""
-    return functools.reduce(kron, factors)
-
-
 local_map_cases = dict(
     dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
     rank=st.integers(1, 3),
@@ -441,10 +425,10 @@ def test_cp_evaluation_is_bitwise_the_local_map_of_the_last_block(dims, rank, ze
     fmt = CpFormat(Shape(tuple(dims)), rank)
     blocks = _random_blocks(fmt, rng, zero_block)
     last = fmt.num_blocks - 1
-    Z = _kron_all(fmt.unfolding_factors(blocks, last))
-    F = _unfold(blocks[last], rank, dims[last])
+    Z = kron_all(fmt.unfolding_factors(blocks, last))
+    F = unfold(blocks[last], rank, dims[last])
     got = evaluate(fmt, ParamSystem(blocks)).values
-    assert np.array_equal(got, _fold(F @ Z.T, Z.shape[0], dims[last]))
+    assert np.array_equal(got, fold(F @ Z.T, Z.shape[0], dims[last]))
     magnitudes = _outer_product_loop(fmt, [np.abs(b) for b in blocks])
     bound = rank * np.finfo(float).eps * magnitudes
     assert np.all(np.abs(got - _outer_product_loop(fmt, blocks)) <= bound)
@@ -464,9 +448,9 @@ def test_tt_evaluation_is_bitwise_the_local_map_of_the_last_core(dims, rank, zer
     fmt = TtFormat(Shape(tuple(dims)), ranks)
     blocks = _random_blocks(fmt, rng, zero_block)
     last = fmt.num_blocks - 1
-    Z = _kron_all(fmt.unfolding_factors(blocks, last))
-    F = _unfold(blocks[last], fmt.ranks[last], dims[last])
-    want = _fold(F @ Z.T, Z.shape[0], dims[last])  # W q of the last core's local map
+    Z = kron_all(fmt.unfolding_factors(blocks, last))
+    F = unfold(blocks[last], fmt.ranks[last], dims[last])
+    want = fold(F @ Z.T, Z.shape[0], dims[last])  # W q of the last core's local map
     assert np.array_equal(evaluate(fmt, ParamSystem(blocks)).values, want)
 
 
@@ -506,8 +490,8 @@ def test_blocks_are_cores_and_tensors_are_mode_views(dims, rank, seed):
             a, c = fmt.block_axes(mu)
             L, m_mu, R = fmt.mode_view(mu)
             assert (L, m_mu, R) == (math.prod(dims[:mu]), m, math.prod(dims[mu + 1:]))
-            Z = _kron_all(fmt.unfolding_factors(blocks, mu)).reshape(L, R, a, c)
-            scale = np.linalg.norm(_kron_all(fmt.unfolding_factors([abs(b) for b in blocks], mu)))
+            Z = kron_all(fmt.unfolding_factors(blocks, mu)).reshape(L, R, a, c)
+            scale = np.linalg.norm(kron_all(fmt.unfolding_factors([abs(b) for b in blocks], mu)))
             W = probe_map(fmt, blocks, mu).reshape(L, m, R, a, m, c)
             for i in range(m):
                 assert np.linalg.norm(W[:, i, :, :, i, :] - Z) <= 1e-14 * scale
@@ -613,7 +597,7 @@ def test_unfolding_factors_are_the_interfaces_a_block_has(dims):
         for mu in range(d):
             factors = fmt.unfolding_factors(blocks, mu)
             a, c = fmt.block_axes(mu)
-            assert _kron_all(factors).shape == (shape.size // dims[mu], a * c)
+            assert kron_all(factors).shape == (shape.size // dims[mu], a * c)
             if fmt is cp:
                 assert len(factors) == 1
             elif d == 1:

@@ -262,7 +262,7 @@ def test_operators_reject_non_finite_entries_when_built(value):
 
 
 def test_large_dense_operator_is_unverified():
-    # above the eigendecomposition cap the operator is trusted, not checked
+    # above the verification cap the operator is trusted, not factored
     n = 1024
     shape = Shape((n,))
     A = DenseOperator(shape, np.eye(n))
@@ -317,6 +317,30 @@ def test_modewise_keeps_the_cholesky_factor_of_each_symmetrized_factor():
         want, info = lapack.dpotrf(0.5 * (K + K.T), lower=1, clean=0)
         assert info == 0
         assert np.array_equal(kept, want)
+
+
+def test_operators_are_verified_by_one_cholesky_and_no_eigensolver(monkeypatch):
+    # the Cholesky factorization is the one definiteness verdict: building
+    # a mode-wise operator, or a dense one at the cap, solves no eigenproblem
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver was called")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rng = np.random.default_rng(13)
+    factors = [random_spd(rng, m) for m in (2, 30)]
+    A = ModeWiseOperator(factors)
+    for K, kept in zip(factors, A.cholesky):
+        assert np.array_equal(kept, lapack.dpotrf(0.5 * (K + K.T), lower=1, clean=0)[0])
+    assert DenseOperator(Shape((SPD_VERIFY_CAP,)), random_spd(rng, SPD_VERIFY_CAP)).verified
+    # semidefinite and indefinite matrices are still rejected, a tiny
+    # positive pivot is still accepted
+    with pytest.raises(ValueError, match="^mode-1 factor is not positive definite"):
+        ModeWiseOperator([np.eye(2), np.diag([1.0, 0.0])])
+    with pytest.raises(ValueError, match="^operator matrix is not positive definite"):
+        DenseOperator(Shape((3,)), [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert ModeWiseOperator([np.diag([1.0, 1e-300])]).verified
+    assert DenseOperator(Shape((2,)), np.diag([1.0, 1e-300])).verified
 
 
 def test_apply_matrix_agrees_with_columnwise_apply():
@@ -556,3 +580,10 @@ def test_index_value_rows_order():
         (1, 1),
     ]
     assert [val for _, val in rows] == [10.0, 11.0, 12.0, 13.0]
+    for dims in [(3,), (2, 3, 4), (1, 5, 1, 2)]:  # row k is flat entry k, unravelled
+        v = DenseTensor(Shape(dims), np.random.default_rng(8).standard_normal(math.prod(dims)))
+        rows = list(index_value_rows(v))
+        assert len(rows) == v.shape.size
+        for flat, (idx, val) in enumerate(rows):
+            assert idx == tuple(int(i) for i in np.unravel_index(flat, dims))
+            assert type(val) is float and val == v.values[flat]

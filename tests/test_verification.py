@@ -234,17 +234,30 @@ def test_unpatched_checks_recover():
 
 def test_the_replay_checks_make_each_gallery_run_once(monkeypatch):
     # recursion-defect replays the four rank-one gallery runs and
-    # tangent-recursion the blambda one: one verify makes each run once
+    # tangent-recursion the blambda one, and both replay the ROUTE_CASES
+    # runs: one verify makes each run once
     made = []
     real = verification._gallery_trace
+    real_run = engine.run
+    runs = []
 
     def counted(instance, sweeps):
         made.append((instance.label, sweeps))
         return real(instance, sweeps)
 
+    def counted_run(A, b, fmt, p, stop, **kwargs):
+        runs.append((fmt.shape.dims, stop.max_sweeps))
+        return real_run(A, b, fmt, p, stop, **kwargs)
+
     monkeypatch.setattr(verification, "_gallery_trace", counted)
+    monkeypatch.setattr(engine, "run", counted_run)
     results = run_checks(["recursion-defect", "tangent-recursion"])
     assert [r.ok for r in results] == [True, True]
     labels = ["mohlenkamp", "blambda", "totally_orthogonal", "tucker"]
     assert made == [(label, 6) for label in labels]
-    assert run_checks(["tangent-recursion"])[0].ok  # alone, it makes its own
+    assert len(runs) == len(labels) + len(ROUTE_CASES) == 9
+    assert runs[len(labels):] == [(case[1], 3) for case in ROUTE_CASES]
+    for name in ("recursion-defect", "tangent-recursion"):  # alone, each makes its own
+        runs.clear()
+        assert run_checks([name])[0].ok
+        assert len(runs) == 9

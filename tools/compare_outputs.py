@@ -10,9 +10,10 @@ the path and one BLAS thread:
 - listing: stdout, stderr and exit code of ``alskit gallery`` and of
   ``alskit describe LABEL`` for every gallery label, the text that
   ``gallery.SPECS`` drives;
-- gallery: stdout, stderr, exit code and ``--output`` CSV of
-  ``alskit run --gallery LABEL`` for every gallery label at its defaults,
-  and for ``blambda`` at lambda 0.1, 0.3 and 0.5;
+- gallery: stdout, stderr, exit code, ``--output`` CSV and
+  ``--dump-target`` CSV of ``alskit run --gallery LABEL`` for every
+  gallery label at its defaults, and for ``blambda`` at lambda 0.1, 0.3
+  and 0.5;
 - verify: stdout, stderr and exit code of ``alskit verify``;
 - errors: stdout, stderr and exit code of runs that fail on overflow:
   ``run --gallery blambda --lambda 1e308``, ``run --gallery mohlenkamp
@@ -214,11 +215,12 @@ def collect(tree: Path) -> dict:
     for label in alskit.gallery.LABELS:
         runs = GALLERY_RUNS if label == "blambda" else [[]]
         for args in runs:
-            argv = ["run", "--gallery", label, *args, "--output", "trace.csv"]
-            text = _cli(alskit, argv)
-            with open("trace.csv") as fh:
-                text += fh.read()
-            os.remove("trace.csv")
+            argv = ["run", "--gallery", label, *args]
+            text = _cli(alskit, argv + ["--output", "trace.csv", "--dump-target", "target.csv"])
+            for csv in ("trace.csv", "target.csv"):
+                with open(csv) as fh:
+                    text += fh.read()
+                os.remove(csv)
             outputs[" ".join(["gallery", label, *args])] = _text_output(text)
     outputs["verify"] = _text_output(_cli(alskit, ["verify"]))
     outputs.update(error_outputs(alskit))
