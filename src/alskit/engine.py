@@ -56,7 +56,6 @@ in all on either route, and an unverified operator once more per sweep.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -69,7 +68,6 @@ from .diagnostics import (
     EPS_RANK_DEFAULT,
     MicroStepRecord,
     RunTrace,
-    objective,
     stable_tangent,
 )
 from .formats import (
@@ -102,7 +100,6 @@ from .tensors import (
 STRUCTURED_MIN_GRAM_FLOPS = 1e5
 
 _SMALLEST_NORMAL = sys.float_info.min  # 2^-1022
-_NO_CONTEXT = contextlib.nullcontext()
 
 
 class LowdinBasis(NamedTuple):
@@ -292,6 +289,26 @@ def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vt
 
 
+def _kept_ratios(sigma: list[float], eps_rank: float) -> list[float]:
+    """The squared ratios (sigma_i / sigma_1)^2 > eps_rank of descending singular values.
+
+    In Python floats, which divide and multiply as numpy does, so each
+    is bitwise an entry of ``(sigma / sigma[0]) ** 2``.  The ratios
+    descend, so the kept ones are those before the first that is not
+    above eps_rank; at sigma_1 = 0 (numpy's 0 / 0 is NaN) none is kept.
+    """
+    if sigma[0] == 0.0:
+        return []
+    ratios = []
+    for x in sigma:
+        r = x / sigma[0]
+        r *= r
+        if not r > eps_rank:
+            break
+        ratios.append(r)
+    return ratios
+
+
 def formed_solve(
     A: SpdOperator, b: DenseTensor, fmt: TensorFormat, p: ParamSystem, mu: int, eps_rank: float
 ) -> LocalSolve:
@@ -396,21 +413,27 @@ def structured_solve(
         if not all_finite(factor):
             raise np.linalg.LinAlgError("SVD did not converge")
         Uf, sigma, Xt = _thin_svd(factor)
-        if sigma[0] == 0.0:
+        s = sigma.tolist()
+        if s[0] == 0.0:
             return LocalSolve(0, None, None, forward, adjoint, None, None, "structured")
-        ratio = (sigma / sigma[0]) ** 2
-        n = len(ratio) - bisect.bisect_right(ratio[::-1].tolist(), eps_rank)
+        ratio = _kept_ratios(s, eps_rank)
+        n = len(ratio)
         # the rows of X^T are orthonormal, so X^T / sigma overflows only
         # where sigma is subnormal, and only then are its warnings silenced
-        quiet = np.errstate(over="ignore") if sigma[n - 1] < _SMALLEST_NORMAL else _NO_CONTEXT
-        with quiet:
+        if s[n - 1] < _SMALLEST_NORMAL:
+            with np.errstate(over="ignore"):
+                T.append(Xt[:n].T / sigma[:n])
+        else:
             T.append(Xt[:n].T / sigma[:n])
         U.append(Uf[:, :n])
-        ratios.append(ratio[:n])
+        ratios.append(ratio)
     if len(U) == 2:
         ps = (U[0].shape[1], U[1].shape[1])
-        keep = np.outer(*ratios).ravel() > eps_rank
-        keep = None if keep.all() else keep
+        # every product is kept when that of the two smallest kept ratios is
+        # (a factor whose sigma_1 overflows keeps none, and so no product)
+        keep = None
+        if ratios[0] and ratios[1] and not ratios[0][-1] * ratios[1][-1] > eps_rank:
+            keep = np.outer(*ratios).ravel() > eps_rank
     else:  # gesdd's Fortran order; kron_apply and a batched matmul read C order
         U[0] = np.ascontiguousarray(U[0])
         ps, keep = (U[0].shape[1], 1), None
@@ -502,23 +525,37 @@ class RunState(NamedTuple):
         each K_nu applied to the mode axis of its (a, m_nu, c) core
         (``A.mode_apply``).  Any other operator or format is applied to
         v.  An operator or target on other modes than the format's, and
-        a zero target (``objective``), are rejected.
+        a zero target, are rejected.  <b, b> is computed once, for the
+        objective and the state.  The Kronecker path wraps its two
+        evaluations unscanned, as ``micro_step`` wraps its solve's: a
+        non-finite entry in either makes f non-finite, and then the
+        entries are checked and ValueError("tensor entries must be
+        finite") raised.
         """
         check_shapes(fmt, b, A)
-        v = evaluate(fmt, p)
         if (
             A.mode_sides(0) is not None  # a Kronecker product
             and type(fmt).unfolding_factors is not TensorFormat.unfolding_factors
         ):
+            fmt.check_params(p)
+            v = DenseTensor._wrap(fmt.shape, fmt._evaluate_blocks(p.blocks))
             blocks = [
                 A.mode_apply(nu, q.reshape(fmt.block_axes(nu)[0], m, -1)).ravel()
                 for nu, (m, q) in enumerate(zip(fmt.shape.dims, p.blocks))
             ]
-            Av = DenseTensor(fmt.shape, fmt._evaluate_blocks(blocks))
+            Av = DenseTensor._wrap(fmt.shape, fmt._evaluate_blocks(blocks))
         else:
+            v = evaluate(fmt, p)
             Av = A.apply(v)
-        f = objective(A, b, v, Av)
-        return cls(p, v, Av, b.values - Av.values, f, inner(b, b))
+        b2 = inner(b, b)
+        # the objective (<Av, v> / 2 - <b, v>) / <b, b>, as ``diagnostics.objective``
+        f = (0.5 * inner(Av, v) - inner(b, v)) / b2 if b2 else math.nan
+        if not math.isfinite(f):  # a non-finite entry, a zero target, or an overflow of f alone
+            DenseTensor(fmt.shape, v.values)
+            DenseTensor(fmt.shape, Av.values)
+            if not b2:
+                raise ValueError("objective undefined for zero target")
+        return cls(p, v, Av, b.values - Av.values, f, b2)
 
 
 def micro_step(

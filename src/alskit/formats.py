@@ -367,17 +367,22 @@ class TtFormat(TensorFormat):
         P (L x r_{mu-1}) is the product of the cores left of mu, Q
         (r_mu x R) the product of the cores right of it.  An end core has
         no cores on its outer side, so it hands over one interface; a
-        one-core train hands over the 1 x 1 factor P = [1].
+        one-core train hands over the 1 x 1 factor P = [1].  Each chain
+        starts from its outer core plus 0.0, which is bitwise the core's
+        product with the 1 x 1 factor [1], without the product: BLAS's
+        sum also turns a -0.0 entry into +0.0, a sign that can decide a
+        Householder reflection in the SVD of a one-core factor.  So no
+        factor is a view of a frozen block.
         """
-        ranks = self.ranks
-        P = np.ones((1, 1))
-        for nu in range(mu):
+        ranks, last = self.ranks, self.num_blocks - 1
+        P = blocks[0] + 0.0 if mu else np.ones(1)
+        for nu in range(1, mu):
             P = P.reshape(-1, ranks[nu]) @ blocks[nu].reshape(ranks[nu], -1)
         P = P.reshape(-1, ranks[mu])
-        if mu == self.num_blocks - 1:
+        if mu == last:
             return [P]
-        Q = np.ones((1, 1))
-        for nu in range(self.num_blocks - 1, mu, -1):
+        Q = blocks[last] + 0.0
+        for nu in range(last - 1, mu, -1):
             Q = blocks[nu].reshape(-1, ranks[nu + 1]) @ Q.reshape(ranks[nu + 1], -1)
         # int: an np.int64 mu compares to an np.bool_, which cannot slice
         return [P, Q.reshape(ranks[mu + 1], -1).T][int(mu == 0):]

@@ -19,8 +19,9 @@ ENTRY_CAP = 10**6
 SPD_VERIFY_CAP = 512
 SYMMETRY_RTOL = 1e-12
 PSD_CLAMP = 1e-14
-# kron_apply's scratch bound (2^15 entries, 256 KB): a chunk of mode-1 slabs
-# stays in cache, and one batched matmul per mode replaces a slab loop
+# kron_apply's scratch bound (2^15 entries, 256 KB): a block that small, or
+# else a chunk of mode-1 slabs, stays in cache, and one batched matmul per
+# mode replaces a slab loop
 KRON_CHUNK_ENTRIES = 2**15
 
 
@@ -321,24 +322,42 @@ class ModeWiseOperator(SpdOperator):
 def kron_apply(factors, M: np.ndarray) -> np.ndarray:
     """(F_1 (x) ... (x) F_d) M for square factors and an (n, k) block M.
 
-    n is the product of the factor sizes.  The mode-1 product is written
-    straight into the output.  Modes 2..d are then applied in place to a
-    chunk of consecutive mode-1 slabs (n * k / m_1 entries each) at a time,
-    one batched matmul per mode and chunk, through one scratch buffer of
-    at most max(one slab, KRON_CHUNK_ENTRIES) entries.  Every matmul a
-    chunk batches is the one a slab-by-slab loop would make, so the result
-    does not depend on the chunk size.
+    n is the product of the factor sizes; a single factor is one product.
+    When n * k <= KRON_CHUNK_ENTRIES each mode is one batched matmul on
+    the whole block, from one n * k buffer into the other, the output and
+    one scratch buffer taking turns; the mode-1 product goes to the one
+    that makes the last mode land in the output, so nothing is copied
+    back, and the scratch buffer holds at most KRON_CHUNK_ENTRIES entries.
+    A larger block has its mode-1 product written straight into the
+    output, and modes 2..d are then applied in place to a chunk of
+    consecutive mode-1 slabs (n * k / m_1 entries each) at a time, one
+    batched matmul per mode and chunk, through one scratch buffer of at
+    most max(one slab, KRON_CHUNK_ENTRIES) entries.  On either path
+    every matmul a call batches is the one a slab-by-slab loop would
+    make, so the result does not depend on the path or the chunk size.
     """
+    if len(factors) == 1:
+        return factors[0] @ M
     dims = tuple(mat.shape[0] for mat in factors)
     n, k = M.shape
     out = np.empty((n, k))
     if k == 0:
         return out
     slab = n // dims[0] * k
+    if n * k <= KRON_CHUNK_ENTRIES:
+        # the d - 1 later modes alternate the buffers, ending in out
+        src, dst = out.reshape(-1), np.empty(n * k)
+        if len(factors) % 2 == 0:
+            src, dst = dst, src
+        np.matmul(factors[0], M.reshape(dims[0], slab), out=src.reshape(dims[0], slab))
+        outer = dims[0]
+        for mat, m in zip(factors[1:], dims[1:]):
+            np.matmul(mat, src.reshape(outer, m, -1), out=dst.reshape(outer, m, -1))
+            src, dst = dst, src
+            outer *= m
+        return out
     rows = out.reshape(dims[0], slab)
     np.matmul(factors[0], M.reshape(dims[0], slab), out=rows)
-    if len(factors) == 1:
-        return out
     chunk = min(dims[0], max(1, KRON_CHUNK_ENTRIES // slab))
     scratch = np.empty(chunk * slab)
     for start in range(0, dims[0], chunk):

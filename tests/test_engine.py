@@ -54,7 +54,7 @@ from alskit.tensors import (
 )
 from alskit.verification import ROUTE_CASES, sized_problem
 from alskit.verification import random_spd_matrix as spd
-from reference_kernels import fold, kron_all, unfold
+from reference_kernels import fold, gram_cut, kron_all, unfold
 
 TOL = 1e-12
 
@@ -434,6 +434,56 @@ def test_micro_step_degenerate_leaves_params_unchanged():
     assert rec.grad_norm == float(np.linalg.norm(W_resid)) / inner(b, b)
     assert rec.resid_orth == float(np.linalg.norm(W_resid))
     assert rec.param_norm_max == max(float(np.linalg.norm(p[mu])) for mu in range(3))
+
+
+@pytest.mark.parametrize("kind, rank", [("cp", 2), ("tt", (2, 3))])
+def test_run_state_at_takes_b_b_once_and_wraps_the_kronecker_evaluations(monkeypatch, kind, rank):
+    # for a Kronecker product on a factored format neither evaluation is
+    # scanned (f stands in for the scan), and <b, b> is computed once
+    A, b, fmt, p = sized_problem(3, kind, (5, 6, 4), rank, "modewise")
+    pairs, scans = [], []
+    real_inner, real_init = engine.inner, tensors.DenseTensor.__init__
+    monkeypatch.setattr(engine, "inner", lambda u, v: pairs.append((u, v)) or real_inner(u, v))
+    monkeypatch.setattr(
+        tensors.DenseTensor, "__init__", lambda self, *args: scans.append(1) or real_init(self, *args)
+    )
+    state = RunState.at(A, b, fmt, p)
+    assert sum(u is b and v is b for u, v in pairs) == 1 and scans == []
+    monkeypatch.undo()
+    v = evaluate(fmt, p)
+    assert state.v.values.tobytes() == v.values.tobytes()
+    assert state.b2 == inner(b, b) and state.f == objective(A, b, v, state.Av)
+
+
+@pytest.mark.parametrize("operator", ["identity", "modewise"])
+def test_run_state_at_rejects_non_finite_evaluations_before_a_zero_target(operator):
+    A, b, fmt, p = sized_problem(44, "cp", (4, 4, 4), 2, operator)
+    zero = DenseTensor.zeros(b.shape)
+    blocks = [p[mu].copy() for mu in range(fmt.num_blocks)]
+    blocks[0] *= 1e200
+    blocks[1] *= 1e200
+    huge = ParamSystem(blocks)  # finite blocks, v overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(fmt._evaluate_blocks(huge.blocks)).all()
+        for target in (b, zero):
+            with pytest.raises(ValueError, match="^tensor entries must be finite$"):
+                RunState.at(A, target, fmt, huge)
+    with pytest.raises(ValueError, match="^objective undefined for zero target$"):
+        RunState.at(A, zero, fmt, p)
+    # an image that overflows where v does not
+    if operator == "modewise":
+        loud = ModeWiseOperator([K * 1e150 for K in A.factors])
+        blocks = [p[mu] * 1e10 for mu in range(fmt.num_blocks)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^tensor entries must be finite$"):
+                RunState.at(loud, b, fmt, ParamSystem(blocks))
+    # f alone overflows: the state is kept, with objective's non-finite f
+    big = ParamSystem([p[mu] * 1e54 for mu in range(fmt.num_blocks)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = RunState.at(A, b, fmt, big)
+        want = objective(A, b, state.v, state.Av)
+    assert np.isfinite(state.v.values).all() and np.isfinite(state.Av.values).all()
+    assert not math.isfinite(state.f) and np.float64(state.f).tobytes() == np.float64(want).tobytes()
 
 
 def test_micro_step_rejects_zero_target():
@@ -1027,6 +1077,32 @@ def test_a_subnormal_kept_singular_value_overflows_its_column_of_T_quietly(monke
     assert (sol.rank, sol.route) == (want.rank, want.route)
     for field in ("block", "iterate", "image"):
         assert getattr(sol, field).tobytes() == getattr(want, field).tobytes()
+
+
+special_sigmas = st.sampled_from([0.0, 5e-324, 2.0**-1030, 2.0**-1022, 1.0])
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    sigma=st.lists(st.one_of(st.floats(0.0, 1e300), special_sigmas), min_size=1, max_size=10),
+    eps_rank=st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 1e-12])),
+    at=st.one_of(st.none(), st.integers(0, 9)),
+    all_zero=st.booleans(),
+)
+def test_the_python_float_cut_keeps_what_the_numpy_cut_keeps(sigma, eps_rank, at, all_zero):
+    # the structured route cuts each factor's singular values in Python
+    # floats; it keeps as many, and the same ratios bit for bit, as the
+    # cut on numpy's (sigma / sigma_1)^2, also at a cut exactly on a ratio,
+    # on subnormal and zero trailing values, and at sigma_1 = 0
+    sigma = [0.0] * len(sigma) if all_zero else sorted(sigma, reverse=True)
+    count, ratios = gram_cut(sigma, eps_rank)
+    if at is not None and 0.0 <= ratios[at % len(ratios)] < 1.0:
+        eps_rank = float(ratios[at % len(ratios)])
+        count, ratios = gram_cut(sigma, eps_rank)
+        assert count <= at % len(ratios)
+    kept = engine._kept_ratios(sigma, eps_rank)
+    assert len(kept) == count
+    assert np.array(kept, dtype=float).tobytes() == ratios[:count].tobytes()
 
 
 def _mp_min_norm_block(mp, A, b, fmt, p, mu):

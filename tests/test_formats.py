@@ -22,7 +22,7 @@ from alskit.formats import (
     probe_map,
 )
 from alskit.tensors import Shape
-from reference_kernels import fold, kron_all, unfold
+from reference_kernels import fold, kron_all, tt_factors_seeded, unfold
 
 TOL = 1e-12
 
@@ -618,6 +618,44 @@ def test_unfolding_factors_are_the_interfaces_a_block_has(dims):
         want = tt.unfolding_factors(tt_blocks, mu)
         got = tt.unfolding_factors(tt_blocks, np.int64(mu))
         assert len(got) == len(want) and all(map(np.array_equal, got, want))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "dims, ranks",
+    [
+        ((5,), ()),
+        ((4, 5), (3,)),
+        ((4, 5), (1,)),
+        ((4, 5, 3), (2, 3)),
+        ((4, 5, 3), (1, 1)),
+        ((3, 4, 2, 3), (2, 3, 2)),
+        ((3, 4, 2, 3), (1, 2, 1)),
+        ((3, 4, 2, 3), (1, 1, 1)),
+    ],
+)
+def test_tt_factors_are_bitwise_the_chains_seeded_with_one(dims, ranks):
+    # each chain starts from its outer core plus 0.0, not from a product
+    # with [1]; -0.0, subnormal and zero entries come out as that product
+    # leaves them, -0.0 as +0.0
+    rng = np.random.default_rng(len(dims) * 10 + sum(ranks))
+    fmt = TtFormat(Shape(dims), ranks)
+    blocks = ParamSystem(_random_blocks(fmt, rng, None)).blocks
+    specials = [-0.0, 0.0, 5e-324, -1e-310]
+    blocks = ParamSystem(
+        [np.where(np.arange(b.size) % 3 == 0, specials[nu % 4], b) for nu, b in enumerate(blocks)]
+    ).blocks
+    assert any(np.signbit(b[0]) and b[0] == 0.0 for b in blocks)
+    for mu in range(len(dims)):
+        got = fmt.unfolding_factors(blocks, mu)
+        want = tt_factors_seeded(fmt, blocks, mu)
+        assert [f.shape for f in got] == [f.shape for f in want]
+        assert all(_bits(g) == _bits(w) for g, w in zip(got, want))
+        # a factor is the format's own array, not a view of a frozen block
+        assert not any(np.shares_memory(f, b) for f in got for b in blocks)
 
 
 def test_custom_format_local_map_is_the_probe():

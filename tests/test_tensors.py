@@ -1,7 +1,9 @@
 """Dense tensors, SPD operators, and the inner-product helpers."""
 
+import copy
 import functools
 import math
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -319,6 +321,16 @@ def test_modewise_keeps_the_cholesky_factor_of_each_symmetrized_factor():
         assert np.array_equal(kept, want)
 
 
+def test_modewise_survives_a_pickle_round_trip():
+    # an operator holds arrays and numbers only, so it pickles and deep-copies
+    rng = np.random.default_rng(14)
+    A = ModeWiseOperator([random_spd(rng, m) for m in (3, 4)])
+    for B in (pickle.loads(pickle.dumps(A)), copy.deepcopy(A)):
+        assert all(map(np.array_equal, B.cholesky, A.cholesky))
+        X = rng.standard_normal((4, 2))
+        assert B.mode_solve(1, X).tobytes() == A.mode_solve(1, X).tobytes()
+
+
 def test_operators_are_verified_by_one_cholesky_and_no_eigensolver(monkeypatch):
     # the Cholesky factorization is the one definiteness verdict: building
     # a mode-wise operator, or a dense one at the cap, solves no eigenproblem
@@ -455,6 +467,36 @@ def test_kron_apply_in_chunks_is_bitwise_the_slab_loop(dims, k):
     rows_per_chunk = KRON_CHUNK_ENTRIES // (M.size // dims[0])
     assert dims[0] >= 3 * rows_per_chunk and dims[0] % rows_per_chunk  # a short last chunk
     assert np.array_equal(kron_apply(factors, M), _slab_loop_kron_apply(factors, M))
+
+
+@pytest.mark.parametrize(
+    "dims, k",
+    [
+        # n * k == KRON_CHUNK_ENTRIES, then below it; one to four factors,
+        # so zero to three later modes: an odd and an even number of
+        # turns of the two buffers
+        ((8,), 4096),
+        ((32, 32), 32),
+        ((16, 16, 16), 8),
+        ((8, 8, 8, 8), 8),
+        ((7,), 3),
+        ((7, 3), 5),
+        ((4, 5, 6), 3),
+        ((2, 3, 4, 5), 7),
+        ((1, 6, 1), 2),
+    ],
+)
+def test_kron_apply_on_small_operands_is_bitwise_the_slab_loop(dims, k):
+    rng = np.random.default_rng(10 + len(dims))
+    factors = [rng.standard_normal((m, m)) for m in dims]
+    n = int(np.prod(dims))
+    assert n * k <= KRON_CHUNK_ENTRIES
+    M = rng.standard_normal((n, k))
+    strided = rng.standard_normal((2 * k, n)).T[:, ::2]  # neither C- nor F-contiguous
+    for operand in (M, np.asfortranarray(M), strided):
+        got = kron_apply(factors, operand)
+        assert got.shape == (n, k) and got.flags.c_contiguous and got.base is None
+        assert got.tobytes() == _slab_loop_kron_apply(factors, operand).tobytes()
 
 
 # ---------------------------------------------------------------------------
