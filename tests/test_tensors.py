@@ -322,7 +322,7 @@ def test_modewise_keeps_the_cholesky_factor_of_each_symmetrized_factor():
 
 
 def test_modewise_survives_a_pickle_round_trip():
-    # an operator holds arrays and numbers only, so it pickles and deep-copies
+    # an operator pickles and deep-copies as its factors, rebuilt bit for bit
     rng = np.random.default_rng(14)
     A = ModeWiseOperator([random_spd(rng, m) for m in (3, 4)])
     for B in (pickle.loads(pickle.dumps(A)), copy.deepcopy(A)):
